@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .fields import FieldSpec
-from .lincomb import cadd, ceq, cclean, cscale, czero, to_vector
+from .lincomb import cadd, ceq, cclean, cscale, czero, to_sparse, to_vector
 from .linalg import Matrix, rank
 from .windows import GradedWindow, Trust
 
@@ -150,12 +150,6 @@ class DGAlgebra:
     def unit_combo(self) -> dict:
         return {self.unit: self.field.one()}
 
-    def diff_matrix(self, d: int) -> Matrix:
-        src, tgt = self.basis_at(d), self.basis_at(d + 1)
-        cols = [to_vector(self.field, self.diff.get(b, {}), tgt) for b in src]
-        rows = [[cols[j][i] for j in range(len(src))] for i in range(len(tgt))]
-        return Matrix.from_rows(self.field, rows) if src and tgt else Matrix.zeros(self.field, len(tgt), len(src))
-
     # -- derived algebras -------------------------------------------------
 
     def opposite(self) -> "DGAlgebra":
@@ -175,6 +169,17 @@ class DGAlgebra:
             diff=dict(self.diff),
             trust=self.trust,
         )
+
+
+def diff_columns(X, d: int) -> list:
+    """Sparse columns of the differential X^d -> X^{d+1} of an algebra or
+    module: one ``{position: scalar}`` per basis element of degree d,
+    read straight from the diff table."""
+    src, tgt = X.basis_at(d), X.basis_at(d + 1)
+    if not tgt:
+        return [{} for _ in src]
+    index = {lbl: i for i, lbl in enumerate(tgt)}
+    return [to_sparse(X.field, X.diff.get(b, {}), index) for b in src]
 
 
 def validate_algebra(A: DGAlgebra) -> ValidationReport:

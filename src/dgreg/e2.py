@@ -21,7 +21,7 @@ from itertools import combinations
 from .algebra import DGAlgebra
 from .lincomb import cclean, from_vector, to_vector
 from .linalg import ContainmentError, Echelon, Matrix, image_basis, kernel_basis, quotient_by
-from .module import DGModule, cohomology, left_restriction
+from .module import DGModule, cohomology, cohomology_quotient, left_restriction
 from .resolution import RegularityValue
 
 
@@ -65,32 +65,29 @@ class HModule:
 
     def _quotient(self, s: int):
         if s not in self._quot:
-            F = self.field
-            n = self.M.dim(s)
-            d_out = self.M.diff_matrix(s)
-            if d_out.nrows:
-                cocycles = kernel_basis(d_out)
-            else:
-                one, zero = F.one(), F.zero()
-                cocycles = [tuple(one if i == j else zero for j in range(n)) for i in range(n)]
-            d_in = self.M.diff_matrix(s - 1)
-            boundaries = image_basis(d_in) if d_in.ncols else []
-            self._quot[s] = quotient_by(F, cocycles, boundaries)
+            self._quot[s] = cohomology_quotient(self.M, s)
         return self._quot[s]
 
-    def act_matrix(self, x: dict, xdeg: int, s: int) -> Matrix:
-        """Matrix of multiplication by a cocycle x: H^s -> H^{s+xdeg}."""
+    def act_columns(self, x: dict, xdeg: int, s: int) -> list:
+        """Columns of multiplication by a cocycle x: H^s -> H^{s+xdeg},
+        as coordinate vectors in H^{s+xdeg}."""
         F = self.field
-        src = self._quotient(s)
         tgt = self._quotient(s + xdeg)
         cols = []
-        for rep in src.representatives:
+        for rep in self._quotient(s).representatives:
             m = from_vector(F, rep, self.M.basis_at(s))
             prod = self.M.lact_combo(x, xdeg, m, s)
             if prod is None:
                 raise E2PreconditionError(f"action leaves the window at degree {s}")
             vec = to_vector(F, prod, self.M.basis_at(s + xdeg))
             cols.append(tgt.project(vec))
+        return cols
+
+    def act_matrix(self, x: dict, xdeg: int, s: int) -> Matrix:
+        """Matrix of multiplication by a cocycle x: H^s -> H^{s+xdeg}."""
+        F = self.field
+        tgt = self._quotient(s + xdeg)
+        cols = self.act_columns(x, xdeg, s)
         rows = [[cols[j][i] for j in range(len(cols))] for i in range(tgt.dim)]
         return Matrix.from_rows(F, rows) if cols and tgt.dim else Matrix.zeros(F, tgt.dim, len(cols))
 
@@ -331,9 +328,8 @@ def cech_e2(A: DGAlgebra, M: DGModule, params, s_range=None, max_stage: int = 12
         for x, d in norm_params:
             if h.dim(s - d) == 0:
                 continue
-            mat = h.act_matrix(x, d, s - d)
-            for col in range(mat.ncols):
-                img.add(tuple(mat.rows[r][col] for r in range(mat.nrows)))
+            for col in h.act_columns(x, d, s - d):
+                img.add(col)
         if len(img) < n:
             coker_top.append(s)
     if coker_top:

@@ -1,14 +1,23 @@
 """Deterministic exact linear algebra over Q and F_p.
 
-Dense matrices, leftmost-pivot reduced row echelon form, kernels, column
-spaces, and exact quotient spaces with coordinate maps.  Everything is
-pure and reproducible: no pivoting heuristics, no randomization.  All
-in-scope instances are small (degreewise dimensions of a few hundred at
-most), so dense Fraction arithmetic is the right trade.
+Leftmost-pivot reduced row echelon form, kernels, column spaces, and
+exact quotient spaces with coordinate maps.  Everything is pure and
+reproducible: no pivoting heuristics, no randomization.
+
+The differential and action tables behind these matrices are almost all
+zeros, so elimination works on sparse vectors: dicts ``{index: value}``
+holding only the nonzero entries.  An :class:`Echelon` stores its rows
+that way, and reduction, insertion and membership visit only nonzero
+entries.  The ground field is dispatched once per elimination step
+(plain ``int`` arithmetic mod p, or ``Fraction`` over Q) rather than
+once per entry.  :class:`Matrix` stays the dense type at the API
+boundary, and every result comes back as dense tuples: the reduced
+echelon form is unique, so they equal what dense elimination gives.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 
 from .fields import FieldMismatchError, FieldSpec
@@ -35,6 +44,16 @@ class Matrix:
             if len(row) != ncols:
                 raise ValueError("ragged rows")
         return cls(field, len(coerced), ncols, coerced)
+
+    @classmethod
+    def from_columns(cls, field: FieldSpec, nrows: int, columns) -> "Matrix":
+        """Dense matrix from sparse columns of already-typed scalars."""
+        z = field.zero()
+        rows = [[z] * len(columns) for _ in range(nrows)]
+        for j, col in enumerate(columns):
+            for i, x in col.items():
+                rows[i][j] = x
+        return cls(field, nrows, len(columns), tuple(tuple(row) for row in rows))
 
     @classmethod
     def zeros(cls, field: FieldSpec, nrows: int, ncols: int) -> "Matrix":
@@ -91,6 +110,160 @@ def _dot(F: FieldSpec, u, v):
     return acc
 
 
+# -- sparse vectors -----------------------------------------------------------
+
+
+def sparse(vec) -> dict:
+    """The nonzero entries of a dense vector as ``{index: value}``;
+    a dict is taken to be sparse already and returned as is."""
+    if isinstance(vec, dict):
+        return vec
+    return {i: x for i, x in enumerate(vec) if x}
+
+
+def dense(field: FieldSpec, vec: dict, n: int) -> tuple:
+    out = [field.zero()] * n
+    for i, x in vec.items():
+        out[i] = x
+    return tuple(out)
+
+
+def sparse_transpose(columns, nrows: int) -> list:
+    """Rows of the matrix with the given sparse columns."""
+    rows = [{} for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            rows[i][j] = x
+    return rows
+
+
+def _axpy(v: dict, c, row: dict, p: int):
+    """v -= c * row in place (mod p when p), dropping entries that cancel."""
+    if p:
+        for j, y in row.items():
+            x = (v.get(j, 0) - c * y) % p
+            if x:
+                v[j] = x
+            else:
+                del v[j]
+    else:
+        for j, y in row.items():
+            if j in v:
+                x = v[j] - c * y
+                if x:
+                    v[j] = x
+                else:
+                    del v[j]
+            else:
+                v[j] = -c * y
+
+
+class Echelon:
+    """Incremental reduced-echelon store for a subspace of k^n.
+
+    Supports exact membership, residual reduction, and growth one vector
+    at a time; rows are sparse dicts kept fully reduced with unit
+    pivots, in pivot order.  Vectors may be given dense or as sparse
+    dicts.
+    """
+
+    def __init__(self, field: FieldSpec, dim: int):
+        self.field = field
+        self.dim = dim
+        self.rows: list = []
+        self.pivots: list = []
+        self._row_at: dict = {}     # pivot column -> its row
+
+    @classmethod
+    def spanned_by(cls, field: FieldSpec, dim: int, vectors) -> "Echelon":
+        ech = cls(field, dim)
+        for v in vectors:
+            ech.add(v)
+        return ech
+
+    def __len__(self):
+        return len(self.rows)
+
+    def copy(self) -> "Echelon":
+        out = Echelon(self.field, self.dim)
+        out.rows = [dict(r) for r in self.rows]
+        out.pivots = list(self.pivots)
+        out._row_at = dict(zip(out.pivots, out.rows))
+        return out
+
+    def reduce(self, vec):
+        """Residual of vec modulo the stored subspace: a new sparse dict
+        for a sparse vec, a dense tuple for a dense one.
+
+        Rows are zero at every other row's pivot, so each stored pivot
+        present in vec is cleared exactly once, by its original entry.
+        """
+        is_sparse = isinstance(vec, dict)
+        v = dict(vec) if is_sparse else sparse(vec)
+        at, p = self._row_at, self.field.p
+        for q in [c for c in v if c in at]:
+            _axpy(v, v[q], at[q], p)
+        return v if is_sparse else dense(self.field, v, self.dim)
+
+    def contains(self, vec) -> bool:
+        return not self.reduce(sparse(vec))
+
+    def add(self, vec) -> bool:
+        """Insert vec; returns True when it enlarged the subspace."""
+        v = self.reduce(sparse(vec))
+        if not v:
+            return False
+        self._push(v)
+        return True
+
+    def _push(self, v: dict) -> dict:
+        """Insert a nonzero residual; returns it scaled to a unit pivot."""
+        p = self.field.p
+        q = min(v)
+        lead = v[q]
+        if lead != 1:
+            if p:
+                inv = pow(lead, -1, p)
+                v = {j: x * inv % p for j, x in v.items()}
+            else:
+                inv = 1 / lead
+                v = {j: x * inv for j, x in v.items()}
+        for row in self.rows:
+            c = row.get(q)
+            if c is not None:
+                _axpy(row, c, v, p)
+        at = bisect(self.pivots, q)
+        self.rows.insert(at, v)
+        self.pivots.insert(at, q)
+        self._row_at[q] = v
+        return v
+
+    def kernel(self) -> list:
+        """Sparse basis of the vectors orthogonal to every stored row.
+
+        One vector per free column, in column order, with a 1 in the free
+        coordinate: row r reads x_q + sum_{c > q} a_c x_c = 0 for its
+        pivot q, so x_q = -a_c when only x_c is set.
+        """
+        F = self.field
+        p, one = F.p, F.one()
+        by_free: dict = {}
+        for q, row in zip(self.pivots, self.rows):
+            for c, x in row.items():
+                if c != q:
+                    by_free.setdefault(c, {})[q] = (-x) % p if p else -x
+        out = []
+        for c in range(self.dim):
+            if c not in self._row_at:
+                v = {c: one}
+                v.update(by_free.get(c, {}))
+                out.append(v)
+        return out
+
+    def basis(self) -> list:
+        return [dense(self.field, r, self.dim) for r in self.rows]
+
+
 @dataclass(frozen=True)
 class RowReduction:
     rref: Matrix
@@ -101,36 +274,15 @@ class RowReduction:
 def row_reduce(m: Matrix) -> RowReduction:
     """Reduced row echelon form with leftmost pivots.
 
-    Deterministic: the pivot of each step is the first nonzero entry in
-    the leftmost eligible column, pivots are scaled to 1 and cleared
-    above and below, so the output is the unique RREF of the row space.
+    Deterministic: pivots are the leftmost nonzero entries, scaled to 1
+    and cleared above and below, so the output is the unique RREF of the
+    row space, with its zero rows last.
     """
     F = m.field
-    rows = [list(r) for r in m.rows]
-    nrows, ncols = m.nrows, m.ncols
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        sel = None
-        for i in range(r, nrows):
-            if not F.is_zero(rows[i][c]):
-                sel = i
-                break
-        if sel is None:
-            continue
-        rows[r], rows[sel] = rows[sel], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
-        for i in range(nrows):
-            if i != r and not F.is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    rref = Matrix(F, nrows, ncols, tuple(tuple(row) for row in rows))
-    return RowReduction(rref, len(pivots), tuple(pivots))
+    ech = Echelon.spanned_by(F, m.ncols, m.rows)
+    zero_row = (F.zero(),) * m.ncols
+    rows = tuple(ech.basis()) + (zero_row,) * (m.nrows - len(ech))
+    return RowReduction(Matrix(F, m.nrows, m.ncols, rows), len(ech), tuple(ech.pivots))
 
 
 def kernel_basis(m: Matrix) -> list:
@@ -140,83 +292,17 @@ def kernel_basis(m: Matrix) -> list:
     free coordinate; deterministic.
     """
     F = m.field
-    red = row_reduce(m)
-    pivots = list(red.pivot_cols)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
-    basis = []
-    for fc in free:
-        v = [F.zero()] * m.ncols
-        v[fc] = F.one()
-        for r, pc in enumerate(pivots):
-            # pivot row r reads: x_pc + sum_{c>pc} a_c x_c = 0
-            v[pc] = F.neg(red.rref.entry(r, fc))
-        basis.append(tuple(v))
-    return basis
+    return [dense(F, v, m.ncols) for v in Echelon.spanned_by(F, m.ncols, m.rows).kernel()]
 
 
 def image_basis(m: Matrix) -> list:
     """Echelonized basis of the column space, as vectors of length nrows."""
-    red = row_reduce(m.transpose())
-    return [row for row in red.rref.rows[: red.rank]]
+    columns = sparse_transpose((sparse(row) for row in m.rows), m.ncols)
+    return Echelon.spanned_by(m.field, m.nrows, columns).basis()
 
 
 def rank(m: Matrix) -> int:
     return row_reduce(m).rank
-
-
-class Echelon:
-    """Incremental reduced-echelon store for a subspace of k^n.
-
-    Supports exact membership, residual reduction, and growth one vector
-    at a time; rows are kept fully reduced with unit pivots.
-    """
-
-    def __init__(self, field: FieldSpec, dim: int):
-        self.field = field
-        self.dim = dim
-        self.rows: list = []
-        self.pivots: list = []
-
-    def __len__(self):
-        return len(self.rows)
-
-    def reduce(self, vec):
-        """Residual of vec modulo the stored subspace."""
-        F = self.field
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if not F.is_zero(c):
-                v = [F.sub(x, F.mul(c, y)) for x, y in zip(v, row)]
-        return tuple(v)
-
-    def contains(self, vec) -> bool:
-        F = self.field
-        return all(F.is_zero(x) for x in self.reduce(vec))
-
-    def add(self, vec) -> bool:
-        """Insert vec; returns True when it enlarged the subspace."""
-        F = self.field
-        v = self.reduce(vec)
-        p = next((i for i, x in enumerate(v) if not F.is_zero(x)), None)
-        if p is None:
-            return False
-        inv = F.inv(v[p])
-        v = tuple(F.mul(inv, x) for x in v)
-        at = next((i for i, q in enumerate(self.pivots) if q > p), len(self.pivots))
-        self.rows.insert(at, list(v))
-        self.pivots.insert(at, p)
-        for i in range(len(self.rows)):
-            if i == at:
-                continue
-            c = self.rows[i][p]
-            if not F.is_zero(c):
-                self.rows[i] = [F.sub(x, F.mul(c, y)) for x, y in zip(self.rows[i], v)]
-        return True
-
-    def basis(self) -> list:
-        return [tuple(r) for r in self.rows]
 
 
 def span_coordinates(field: FieldSpec, span, vec):
@@ -256,7 +342,6 @@ class QuotientSpace:
     dim_ambient: int
     representatives: list
     _sub_ech: Echelon
-    _rep_ech: Echelon
 
     @property
     def dim(self) -> int:
@@ -268,6 +353,21 @@ class QuotientSpace:
         if coords is None:
             raise ContainmentError("vector not in the ambient span")
         return coords
+
+
+def complement(sub: Echelon, vectors) -> QuotientSpace:
+    """Quotient of span(sub + vectors) by sub.
+
+    Walks the sparse vectors in order and keeps the residual of each one
+    that enlarges the span, scaled to a unit leading coefficient.
+    """
+    seen = sub.copy()
+    reps = []
+    for v in vectors:
+        residual = seen.reduce(v)
+        if residual:
+            reps.append(dense(sub.field, seen._push(residual), sub.dim))
+    return QuotientSpace(sub.field, sub.dim, reps, sub)
 
 
 def quotient_by(field: FieldSpec, span, sub) -> QuotientSpace:
@@ -282,27 +382,12 @@ def quotient_by(field: FieldSpec, span, sub) -> QuotientSpace:
         n = len(sub[0])
     else:
         n = 0
-    amb = Echelon(field, n)
-    for v in span:
-        amb.add(v)
+    span = [sparse(v) for v in span]
+    amb = Echelon.spanned_by(field, n, span)
     sub_ech = Echelon(field, n)
     for v in sub:
+        v = sparse(v)
         if not amb.contains(v):
             raise ContainmentError("sub vector outside the ambient span")
         sub_ech.add(v)
-    rep_ech = Echelon(field, n)
-    reps = []
-    seen = Echelon(field, n)
-    for v in sub:
-        seen.add(v)
-    for v in span:
-        residual = seen.reduce(v)
-        if any(not field.is_zero(x) for x in residual):
-            # normalize to a unit leading coefficient for determinism
-            p = next(i for i, x in enumerate(residual) if not field.is_zero(x))
-            inv = field.inv(residual[p])
-            residual = tuple(field.mul(inv, x) for x in residual)
-            reps.append(residual)
-            rep_ech.add(residual)
-            seen.add(residual)
-    return QuotientSpace(field, n, reps, sub_ech, rep_ech)
+    return complement(sub_ech, span)

@@ -52,6 +52,21 @@ def to_vector(field: FieldSpec, c: dict, basis) -> tuple:
     return tuple(c.get(lbl, z) for lbl in basis)
 
 
+def to_sparse(field: FieldSpec, c: dict, index: dict) -> dict:
+    """Coordinates of a combination as ``{position: scalar}``, with
+    positions from the label -> position map ``index``; scalars are
+    coerced into the field and those that vanish there are dropped."""
+    out = {}
+    for lbl, v in c.items():
+        pos = index.get(lbl)
+        if pos is None:
+            raise KeyError(f"labels {sorted(set(c) - set(index))} not in basis")
+        v = field.coerce(v)
+        if v:
+            out[pos] = v
+    return out
+
+
 def from_vector(field: FieldSpec, vec, basis) -> dict:
     return cclean(field, dict(zip(basis, vec)))
 

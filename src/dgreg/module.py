@@ -17,10 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .algebra import DGAlgebra, ValidationReport, Violation
+from .algebra import DGAlgebra, ValidationReport, Violation, diff_columns
 from .fields import FieldSpec
 from .lincomb import cadd, ceq, cclean, cscale, czero, from_vector, to_vector
-from .linalg import Echelon, Matrix, kernel_basis, image_basis, quotient_by
+from .linalg import ContainmentError, Echelon, Matrix, QuotientSpace, complement, sparse_transpose
 from .windows import GLOBAL_DEGREE_BOUND, GradedWindow, Trust, WindowError
 
 LEFT, RIGHT, BI = "left", "right", "bi"
@@ -161,13 +161,7 @@ class DGModule:
         return out
 
     def diff_matrix(self, d: int) -> Matrix:
-        src, tgt = self.basis_at(d), self.basis_at(d + 1)
-        F = self.field
-        if not src or not tgt:
-            return Matrix.zeros(F, len(tgt), len(src))
-        cols = [to_vector(F, self.diff.get(b, {}), tgt) for b in src]
-        rows = [[cols[j][i] for j in range(len(src))] for i in range(len(tgt))]
-        return Matrix.from_rows(F, rows)
+        return Matrix.from_columns(self.field, self.dim(d + 1), diff_columns(self, d))
 
     def element(self, lbl: str) -> dict:
         return {lbl: self.field.one()}
@@ -336,11 +330,24 @@ def _ext_json(v):
     return int(v)
 
 
-def _complex_data(X):
-    """Uniform access to (field, window, trust, basis_at, diff_matrix)."""
-    if isinstance(X, DGAlgebra):
-        return X.field, GradedWindow(min(0, X.window.lo), X.window.hi), X.trust, X.basis_at, X.diff_matrix, X.name
-    return X.field, X.window, X.trust, X.basis_at, X.diff_matrix, X.name
+def cohomology_quotient(X, d: int) -> QuotientSpace:
+    """H^d of an algebra or module: its cocycles modulo its coboundaries.
+
+    The cocycles are the kernel of d^d, read off the pivots of its rows;
+    the coboundaries are the echelon of the columns of d^{d-1}.  Raises
+    :class:`ContainmentError` when d^2 != 0 puts a coboundary outside
+    the cocycles.
+    """
+    F, n = X.field, len(X.basis_at(d))
+    rows = sparse_transpose(diff_columns(X, d), len(X.basis_at(d + 1)))
+    cocycles = Echelon.spanned_by(F, n, rows).kernel()
+    boundaries = Echelon.spanned_by(F, n, diff_columns(X, d - 1))
+    quot = complement(boundaries, cocycles)
+    # the cocycles are independent, so the span grows past them exactly
+    # when some coboundary lies outside it
+    if len(boundaries) + quot.dim != len(cocycles):
+        raise ContainmentError("sub vector outside the ambient span")
+    return quot
 
 
 def cohomology(X) -> CohomologyReport:
@@ -349,19 +356,14 @@ def cohomology(X) -> CohomologyReport:
     Certified at degree d when degrees d-1, d, d+1 are all trusted in the
     presentation (computing H costs one degree at each trust boundary).
     """
-    F, window, trust, basis_at, diff_matrix, name = _complex_data(X)
+    window, trust = X.window, X.trust
+    if isinstance(X, DGAlgebra):
+        window = GradedWindow(min(0, window.lo), window.hi)
     dims, reps = {}, {}
     for d in window.degrees():
-        n = len(basis_at(d))
-        if n == 0:
+        if not X.basis_at(d):
             continue
-        d_out = diff_matrix(d)
-        cocycles = kernel_basis(d_out) if d_out.nrows else [
-            tuple(F.one() if i == j else F.zero() for j in range(n)) for i in range(n)
-        ]
-        d_in = diff_matrix(d - 1)
-        boundaries = image_basis(d_in) if d_in.ncols else []
-        quot = quotient_by(F, cocycles, boundaries)
+        quot = cohomology_quotient(X, d)
         if quot.dim:
             dims[d] = quot.dim
             reps[d] = list(quot.representatives)
@@ -370,7 +372,7 @@ def cohomology(X) -> CohomologyReport:
         None if trust.lo is None else trust.lo + 1,
         None if trust.hi is None else trust.hi - 1,
     )
-    return CohomologyReport(name, dims, reps, certified, window)
+    return CohomologyReport(X.name, dims, reps, certified, window)
 
 
 def h_dims_on(report: CohomologyReport, trust: Trust) -> dict:
@@ -684,10 +686,7 @@ class ModuleMorphism:
         out = {}
         for d in sorted(set(hs.dims) | set(ht.dims)):
             src_reps = hs.reps.get(d, [])
-            ech = Echelon(F, len(self.target.basis_at(d)))
-            d_in = self.target.diff_matrix(d - 1)
-            for col in range(d_in.ncols):
-                ech.add(tuple(d_in.rows[i][col] for i in range(d_in.nrows)))
+            ech = Echelon.spanned_by(F, len(self.target.basis_at(d)), diff_columns(self.target, d - 1))
             img_ech = Echelon(F, len(self.target.basis_at(d)))
             rank_count = 0
             for rep in src_reps:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import DGAlgebra
+from .algebra import DGAlgebra, diff_columns
 from .ledger import Generator, SemifreeResolution
 from .homtensor import realize_ledger, tensor_module_ledger
 from .lincomb import cadd, cneg, cscale, czero, from_vector, to_vector
@@ -198,10 +198,7 @@ def residual_classes_are_trivial(M: DGModule, L: SemifreeResolution) -> bool:
             tgt_basis = cone.basis_at(target)
             if not tgt_basis:
                 continue
-            bound = Echelon(F, len(tgt_basis))
-            mat = cone.diff_matrix(target - 1)
-            for col in range(mat.ncols):
-                bound.add(tuple(mat.rows[i][col] for i in range(mat.nrows)))
+            bound = Echelon.spanned_by(F, len(tgt_basis), diff_columns(cone, target - 1))
             for rep in h.reps.get(d, []):
                 combo = from_vector(F, rep, cone.basis_at(d))
                 acted = cone.lact_combo({a: F.one()}, da, combo, d)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field as dc_field
 from .algebra import AlgebraAutomorphism, DGAlgebra
 from .fields import QQ, GF, FieldSpec
 from .module import BI, DGModule, LEFT, RIGHT
-from .windows import GradedWindow, Trust
+from .windows import GradedWindow, Trust, WindowError
 
 
 class ParseError(ValueError):
@@ -77,7 +77,10 @@ def _parse_window(tok: str, line_no: int) -> GradedWindow:
     m = _window_re.match(tok)
     if not m:
         raise ParseError(line_no, 0, f"bad window {tok!r} (expected LO..HI)")
-    return GradedWindow(int(m.group(1)), int(m.group(2)))
+    try:
+        return GradedWindow(int(m.group(1)), int(m.group(2)))
+    except WindowError as exc:
+        raise ParseError(line_no, 0, str(exc)) from None
 
 
 def _parse_field(tok: str, line_no: int) -> FieldSpec:

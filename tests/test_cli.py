@@ -62,6 +62,9 @@ def test_usage_errors_exit_two(tmp_path):
     p.write_text("algebra ???\n")
     assert main(["validate", str(p)]) == 2
     assert main(["not-a-command"]) == 2
+    wide = tmp_path / "wide.dg"
+    wide.write_text("algebra A over Q window 0..600\n")
+    assert main(["validate", str(wide)]) == 2
 
 
 def test_resolve_square_zero_six_stages(lam_file, capsys):
