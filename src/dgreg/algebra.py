@@ -92,11 +92,6 @@ class DGAlgebra:
         return sorted(self.basis)
 
     @property
-    def top_degree(self):
-        """Largest degree with a recorded basis element (None if A = 0...)."""
-        return max(self.basis) if self.basis else 0
-
-    @property
     def complete(self) -> bool:
         return self.trust.is_everywhere
 

@@ -42,10 +42,6 @@ class FieldSpec:
     # -- basics -------------------------------------------------------
 
     @property
-    def is_rational(self) -> bool:
-        return self.p == 0
-
-    @property
     def characteristic(self) -> int:
         return self.p
 
@@ -93,10 +89,7 @@ class FieldSpec:
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero field element")
-        return 1 / a if self.p == 0 else pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
+        return Fraction(1, a) if self.p == 0 else pow(a, -1, self.p)
 
     def is_zero(self, a) -> bool:
         return a == 0

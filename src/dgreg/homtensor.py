@@ -8,132 +8,166 @@ With P a semifree left module with generator ledger, the complexes
 are degreewise computable: the underlying graded pieces are sums,
 respectively products, of shifted copies of N indexed by generators.
 The differentials combine d_N with the ledger's A-coefficients acting
-on N; Koszul signs as documented on each function.
+on N; Koszul signs as documented on each function.  Both come out of
+one loop over the cells (x, g) of :func:`ledger_cells`, and the free
+module |P| itself is realized as A tensor_A P.
+
+Basis labels (``x|g`` for tensor, ``g|x`` for Hom) are for display
+only; no code parses them.  A caller that needs the (x, g) behind a
+basis position reads it from :func:`ledger_cells`, the enumeration the
+builders use.
 """
 
 from __future__ import annotations
 
 from .ledger import SemifreeResolution
-from .lincomb import cadd, czero
-from .module import DGModule, LEFT, RIGHT
+from .module import DGModule, LEFT, RIGHT, free_module
 from .windows import GradedWindow, Trust
 
 
-def _meet_gen_trust(trust: Trust, gens, n_trust: Trust, sign: int) -> Trust:
-    """Trust of degrees j with j + sign*|g| inside n_trust for every g."""
-    for g in gens:
-        off = sign * g.degree
-        lo = None if n_trust.lo is None else n_trust.lo - off
-        hi = None if n_trust.hi is None else n_trust.hi - off
-        trust = trust.meet(Trust(lo, hi))
-    return trust
+def ledger_cells(L: SemifreeResolution, N, window: GradedWindow, sign: int) -> dict:
+    """Basis of a complex over the ledger L with coefficients in N.
+
+    Per degree n of the window, the pairs (x, g) of a basis label x of N
+    in degree n + sign*|g| and a generator label g, generators in ledger
+    order: sign -1 for N tensor P, +1 for Hom(P, N).
+    """
+    cells = {}
+    for n in window.degrees():
+        row = [(x, g.label) for g in L.gens for x in N.basis_at(n + sign * g.degree)]
+        if row:
+            cells[n] = row
+    return cells
+
+
+def _ledger_complex(L, N, window, sign, label, links, coeff, act, side, name):
+    """The loop shared by the complexes over a ledger.
+
+    The cell (x, g) of degree n is the basis element ``label(x, g)``.
+    Its differential is d_N(x) on g plus s * coeff(x, a) on h for each
+    (h, acomb, s) in ``links(g, n)`` and each a in acomb.  When ``act``
+    is given, ``act(x, g, a)`` is the action of the algebra label a from
+    ``side`` on the cell, as (sign, combination of N labels on g).
+    coeff and act give None for an unrecorded entry, which caps the
+    trust there.  Without ``act`` the output is a bare complex, kept as
+    a module on the other side with the unit action alone so that
+    validation is meaningful.
+
+    Returns (module, notes).
+    """
+    A = L.algebra
+    F = N.field
+    cells = ledger_cells(L, N, window, sign)
+    lbl = {cell: label(*cell) for row in cells.values() for cell in row}
+    trust = Trust.everywhere()
+    for g in L.gens:
+        trust = trust.meet(N.trust.shift(sign * g.degree))
+    notes = []
+    if L.ledger_bound is not None:
+        notes.append(
+            f"ledger not known complete beyond degree {L.ledger_bound}; the complex "
+            "models the derived functor up to the recorded frontier contributions"
+        )
+    alg = [(a, d) for d in A.degrees() for a in A.basis_at(d)]
+    cap = None
+    diff, acts = {}, {}
+    for n, row in cells.items():
+        for x, g in row:
+            lab = lbl[(x, g)]
+            if n + 1 <= window.hi:
+                acc = {}
+                dx = N.diff_of(x)
+                ok = dx is not None
+                if ok:
+                    for x2, c in dx.items():
+                        key = lbl.get((x2, g))
+                        if key is not None:
+                            acc[key] = c
+                    for h, acomb, s in links(g, n):
+                        for a, ca in acomb.items():
+                            terms = coeff(x, a)
+                            if terms is None:
+                                ok = False
+                                break
+                            sc = F.mul(s, ca)
+                            for x2, c in terms.items():
+                                key = lbl.get((x2, h))
+                                if key is not None:
+                                    v = F.mul(sc, c)
+                                    old = acc.get(key)
+                                    acc[key] = v if old is None else F.add(old, v)
+                        if not ok:
+                            break
+                if not ok:
+                    cap = n if cap is None else min(cap, n)
+                elif acc:
+                    diff[lab] = acc
+            if act is None:
+                continue
+            for a, da in alg:
+                if n + da > window.hi:
+                    continue
+                s, terms = act(x, g, a)
+                if terms is None:
+                    cap = n + da - 1 if cap is None else min(cap, n + da - 1)
+                    continue
+                out = {}
+                for x2, c in terms.items():
+                    key = lbl.get((x2, g))
+                    if key is not None:
+                        out[key] = F.mul(s, c)
+                if out:
+                    acts[(a, lab)] = out
+    if cap is not None:
+        trust = trust.cap_hi(cap)
+    basis = {n: tuple(lbl[cell] for cell in row) for n, row in cells.items()}
+    if act is None:
+        side = RIGHT if side == LEFT else LEFT
+        acts = {(A.unit, m): {m: F.one()} for row in basis.values() for m in row}
+    if side == LEFT:
+        lact, ract = acts, {}
+    else:
+        lact, ract = {}, {(m, a): combo for (a, m), combo in acts.items()}
+    out = DGModule(name=name, algebra=A, side=side, window=window, basis=basis,
+                   lact=lact, ract=ract, diff=diff, trust=trust)
+    return out, notes
+
+
+def _free_bimodule(A):
+    """A as a bimodule over itself, built once per algebra object and
+    kept on it (its tables are fixed after construction), so that a
+    resolution realizing its ledger at every stage does not rebuild it."""
+    AA = A.__dict__.get("_free_bimodule")
+    if AA is None:
+        AA = A._free_bimodule = free_module(A)
+    return AA
 
 
 def realize_ledger(L: SemifreeResolution, window: GradedWindow, name: str | None = None) -> DGModule:
-    """The free left module underlying a ledger, as a presentation.
+    """The free left module |P| underlying a ledger: A tensor_A P.
 
-    Basis of degree n: pairs b*g with b an algebra basis label of degree
-    n - |g|.  d(b e_g) = d(b) e_g + (-1)^{|b|} sum_h (b a_{gh}) e_h; the
-    left action is multiplication into the b coordinate.  Missing
-    algebra products above the algebra window cap the trust.
+    Basis of degree n: the labels b|g with b an algebra basis label of
+    degree n - |g|.  d(b e_g) = d(b) e_g + (-1)^{|b|} sum_h (b a_{gh}) e_h;
+    the left action is multiplication into the b coordinate.  Besides
+    the caps of the tensor complex, unwritten future generators cap the
+    trust below the ledger bound, and the window cuts it where it
+    truncates honest content of the free module.
     """
     A = L.algebra
-    F = A.field
-    lbl = {}
-    basis: dict = {}
-    for n in window.degrees():
-        row = []
-        for g in L.gens:
-            for b in A.basis_at(n - g.degree):
-                lab = f"{b}*{g.label}"
-                lbl[(b, g.label)] = lab
-                row.append(lab)
-        if row:
-            basis[n] = tuple(row)
-
-    trust = _meet_gen_trust(Trust.everywhere(), L.gens, A.trust, -1)
+    P, _ = tensor_module_ledger(
+        _free_bimodule(A), L, window,
+        name=name or f"|{L.target.name if L.target else 'ledger'}|",
+    )
     bound = L.ledger_bound
     if bound is not None:
-        # unwritten future generators would populate degrees >= bound
-        trust = trust.cap_hi(bound - 1)
+        P.trust = P.trust.cap_hi(bound - 1)
     if L.gens:
-        # the window may cut honest content of the free module
         a_top = A.trust.hi if A.trust.hi is not None else (max(A.basis) if A.basis else 0)
         if max(g.degree for g in L.gens) + a_top > window.hi:
-            trust = trust.cap_hi(window.hi)
+            P.trust = P.trust.cap_hi(window.hi)
         if min(g.degree for g in L.gens) < window.lo:
-            trust = trust.raise_lo(window.lo)
-    cap = None
-
-    def note_cap(n):
-        nonlocal cap
-        cap = n if cap is None else min(cap, n)
-
-    diff = {}
-    lact = {}
-    for n, labels in basis.items():
-        for g in L.gens:
-            for b in A.basis_at(n - g.degree):
-                # differential
-                if n + 1 <= window.hi:
-                    combo = czero()
-                    ok = True
-                    db = A.diff_of(b)
-                    if db is None:
-                        ok = False
-                    else:
-                        for b2, c in db.items():
-                            combo = cadd(F, combo, {lbl[(b2, g.label)]: c})
-                        sgn = F.sign(n - g.degree)
-                        for h, acomb in L.diff.get(g.label, {}).items():
-                            prod = A.mul_combo({b: F.one()}, n - g.degree, acomb,
-                                               g.degree + 1 - L.degree_of(h))
-                            if prod is None:
-                                ok = False
-                                break
-                            for b2, c in prod.items():
-                                key = (b2, h)
-                                if key not in lbl:
-                                    ok = False
-                                    break
-                                combo = cadd(F, combo, {lbl[key]: F.mul(sgn, c)})
-                            if not ok:
-                                break
-                    if not ok:
-                        note_cap(n)
-                    elif combo:
-                        diff[lbl[(b, g.label)]] = combo
-                # left action
-                for a in (l for dd in A.degrees() for l in A.basis_at(dd)):
-                    da = A.degree_of(a)
-                    if da == 0 and a == A.unit:
-                        lact[(a, lbl[(b, g.label)])] = {lbl[(b, g.label)]: F.one()}
-                        continue
-                    if n + da > window.hi:
-                        continue
-                    prod = A.product(a, b)
-                    if prod is None:
-                        note_cap(n + da - 1)
-                        continue
-                    combo = czero()
-                    for b2, c in prod.items():
-                        combo = cadd(F, combo, {lbl[(b2, g.label)]: c})
-                    if combo:
-                        lact[(a, lbl[(b, g.label)])] = combo
-
-    if cap is not None:
-        trust = trust.cap_hi(cap)
-    return DGModule(
-        name=name or f"|{L.target.name if L.target else 'ledger'}|",
-        algebra=A,
-        side=LEFT,
-        window=window,
-        basis=basis,
-        lact=lact,
-        ract={},
-        diff=diff,
-        trust=trust,
-    )
+            P.trust = P.trust.raise_lo(window.lo)
+    return P
 
 
 def hom_from_ledger(L: SemifreeResolution, N: DGModule, window: GradedWindow,
@@ -148,115 +182,27 @@ def hom_from_ledger(L: SemifreeResolution, N: DGModule, window: GradedWindow,
 
     Returns (module, notes); notes flag window-relative trust.
     """
-    A = L.algebra
-    F = A.field
     if not N.has_left:
         raise ValueError("hom_from_ledger needs a left action on N")
-    lbl = {}
-    basis: dict = {}
-    for j in window.degrees():
-        row = []
-        for g in L.gens:
-            for n in N.basis_at(j + g.degree):
-                lab = f"{g.label}|{n}"
-                lbl[(g.label, n)] = lab
-                row.append(lab)
-        if row:
-            basis[j] = tuple(row)
-
-    trust = _meet_gen_trust(Trust.everywhere(), L.gens, N.trust, +1)
-    notes = []
-    if L.ledger_bound is not None:
-        notes.append(
-            f"ledger not known complete beyond degree {L.ledger_bound}; the complex "
-            "models the derived functor up to the recorded frontier contributions"
-        )
-
+    A = L.algebra
+    F = A.field
     # incoming ledger rows: for generator g', which g receive a_{g'g}?
     incoming: dict = {}
     for gp, row in L.diff.items():
         for h, acomb in row.items():
-            incoming.setdefault(h, []).append((gp, acomb))
+            incoming.setdefault(h, []).append((gp, acomb, L.degree_of(gp) + 1 - L.degree_of(h)))
 
-    cap = None
+    def links(g, j):
+        return [(gp, acomb, F.neg(F.sign(j * (1 + adeg)))) for gp, acomb, adeg in incoming.get(g, ())]
 
-    def note_cap(j):
-        nonlocal cap
-        cap = j if cap is None else min(cap, j)
+    def act(x, g, a):
+        return F.sign(A.degree_of(a) * L.degree_of(g)), N.act_right(x, a)
 
-    diff = {}
-    ract = {}
-    for j, labels in basis.items():
-        for g in L.gens:
-            for n in N.basis_at(j + g.degree):
-                if j + 1 <= window.hi:
-                    combo = czero()
-                    ok = True
-                    dn = N.diff_of(n)
-                    if dn is None:
-                        ok = False
-                    else:
-                        for n2, c in dn.items():
-                            key = (g.label, n2)
-                            if key in lbl:
-                                combo = cadd(F, combo, {lbl[key]: c})
-                        for gp, acomb in incoming.get(g.label, []):
-                            adeg = L.degree_of(gp) + 1 - g.degree
-                            s = F.neg(F.sign(j * (1 + adeg)))
-                            acted = N.lact_combo(acomb, adeg, {n: F.one()}, j + g.degree)
-                            if acted is None:
-                                ok = False
-                                break
-                            for n2, c in acted.items():
-                                key = (gp, n2)
-                                if key in lbl:
-                                    combo = cadd(F, combo, {lbl[key]: F.mul(s, c)})
-                    if not ok:
-                        note_cap(j)
-                    elif combo:
-                        diff[lbl[(g.label, n)]] = combo
-                if N.has_right:
-                    for a in (l for dd in A.degrees() for l in A.basis_at(dd)):
-                        da = A.degree_of(a)
-                        if j + da > window.hi:
-                            continue
-                        acted = N.ract_combo({n: F.one()}, j + g.degree, {a: F.one()}, da)
-                        if acted is None:
-                            note_cap(j + da - 1)
-                            continue
-                        s = F.sign(da * g.degree)
-                        combo = czero()
-                        for n2, c in acted.items():
-                            key = (g.label, n2)
-                            if key in lbl:
-                                combo = cadd(F, combo, {lbl[key]: F.mul(s, c)})
-                        if combo:
-                            ract[(lbl[(g.label, n)], a)] = combo
-
-    if cap is not None:
-        trust = trust.cap_hi(cap)
-    out = DGModule(
-        name=name or f"Hom({L.target.name if L.target else 'P'},{N.name})",
-        algebra=A,
-        side=RIGHT if N.has_right else LEFT,
-        window=window,
-        basis=basis,
-        lact={},
-        ract=ract,
-        diff=diff,
-        trust=trust,
+    return _ledger_complex(
+        L, N, window, +1, lambda x, g: f"{g}|{x}", links,
+        lambda x, a: N.act_left(a, x), act if N.has_right else None,
+        RIGHT, name or f"Hom({L.target.name if L.target else 'P'},{N.name})",
     )
-    if not N.has_right:
-        # no module structure on the output: it is a bare complex; keep it
-        # as a presentation with empty actions but mark the side left and
-        # install the trivial unit action so validation is meaningful
-        lact = {(A.unit, m): {m: F.one()} for row in basis.values() for m in row}
-        out = DGModule(
-            name=out.name, algebra=A, side=LEFT, window=window, basis=basis,
-            lact=lact, ract={}, diff=diff, trust=trust,
-        )
-        out.structure_is_partial = True
-    return out, notes
 
 
 def tensor_module_ledger(N: DGModule, L: SemifreeResolution, window: GradedWindow,
@@ -270,102 +216,20 @@ def tensor_module_ledger(N: DGModule, L: SemifreeResolution, window: GradedWindo
 
     Returns (module, notes).
     """
-    A = L.algebra
-    F = A.field
     if not N.has_right:
         raise ValueError("tensor_module_ledger needs a right action on N")
-    lbl = {}
-    basis: dict = {}
-    for n_deg in window.degrees():
-        row = []
-        for g in L.gens:
-            for m in N.basis_at(n_deg - g.degree):
-                lab = f"{m}|{g.label}"
-                lbl[(m, g.label)] = lab
-                row.append(lab)
-        if row:
-            basis[n_deg] = tuple(row)
+    F = N.field
+    one = F.one()
 
-    trust = _meet_gen_trust(Trust.everywhere(), L.gens, N.trust, -1)
-    notes = []
-    if L.ledger_bound is not None:
-        notes.append(
-            f"ledger not known complete beyond degree {L.ledger_bound}; the complex "
-            "models the derived functor up to the recorded frontier contributions"
-        )
+    def links(g, n):
+        s = F.sign(n - L.degree_of(g))
+        return [(h, acomb, s) for h, acomb in L.diff.get(g, {}).items()]
 
-    cap = None
+    def act(x, g, a):
+        return one, N.act_left(a, x)
 
-    def note_cap(n):
-        nonlocal cap
-        cap = n if cap is None else min(cap, n)
-
-    diff = {}
-    lact = {}
-    for n_deg, labels in basis.items():
-        for g in L.gens:
-            for m in N.basis_at(n_deg - g.degree):
-                if n_deg + 1 <= window.hi:
-                    combo = czero()
-                    ok = True
-                    dm = N.diff_of(m)
-                    if dm is None:
-                        ok = False
-                    else:
-                        for m2, c in dm.items():
-                            key = (m2, g.label)
-                            if key in lbl:
-                                combo = cadd(F, combo, {lbl[key]: c})
-                        sgn = F.sign(n_deg - g.degree)
-                        for h, acomb in L.diff.get(g.label, {}).items():
-                            acted = N.ract_combo({m: F.one()}, n_deg - g.degree, acomb,
-                                                 g.degree + 1 - L.degree_of(h))
-                            if acted is None:
-                                ok = False
-                                break
-                            for m2, c in acted.items():
-                                key = (m2, h)
-                                if key in lbl:
-                                    combo = cadd(F, combo, {lbl[key]: F.mul(sgn, c)})
-                    if not ok:
-                        note_cap(n_deg)
-                    elif combo:
-                        diff[lbl[(m, g.label)]] = combo
-                if N.has_left:
-                    for a in (l for dd in A.degrees() for l in A.basis_at(dd)):
-                        da = A.degree_of(a)
-                        if n_deg + da > window.hi:
-                            continue
-                        acted = N.lact_combo({a: F.one()}, da, {m: F.one()}, n_deg - g.degree)
-                        if acted is None:
-                            note_cap(n_deg + da - 1)
-                            continue
-                        combo = czero()
-                        for m2, c in acted.items():
-                            key = (m2, g.label)
-                            if key in lbl:
-                                combo = cadd(F, combo, {lbl[key]: c})
-                        if combo:
-                            lact[(a, lbl[(m, g.label)])] = combo
-
-    if cap is not None:
-        trust = trust.cap_hi(cap)
-    side = LEFT if N.has_left else RIGHT
-    if not N.has_left:
-        ract = {(m, A.unit): {m: F.one()} for row in basis.values() for m in row}
-    else:
-        ract = {}
-    out = DGModule(
-        name=name or f"{N.name}(x){L.target.name if L.target else 'P'}",
-        algebra=A,
-        side=side,
-        window=window,
-        basis=basis,
-        lact=lact,
-        ract=ract,
-        diff=diff,
-        trust=trust,
+    return _ledger_complex(
+        L, N, window, -1, lambda x, g: f"{x}|{g}", links,
+        N.act_right, act if N.has_left else None,
+        LEFT, name or f"{N.name}(x){L.target.name if L.target else 'P'}",
     )
-    if not N.has_left:
-        out.structure_is_partial = True
-    return out, notes

@@ -50,7 +50,6 @@ class SemifreeResolution:
     scan_everywhere: bool = False
     frontier: int | None = None
     residual: dict = dc_field(default_factory=dict)
-    residual_trivial: bool | None = None
     stages_used: int = 0
 
     def __post_init__(self):
@@ -81,9 +80,6 @@ class SemifreeResolution:
 
     def degree_of(self, label: str) -> int:
         return self._by_label[label].degree
-
-    def gen_labels(self):
-        return [g.label for g in self.gens]
 
     def counts_by_degree(self) -> dict:
         out: dict = {}

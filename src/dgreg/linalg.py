@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .fields import FieldMismatchError, FieldSpec
 
@@ -226,7 +227,7 @@ class Echelon:
                 inv = pow(lead, -1, p)
                 v = {j: x * inv % p for j, x in v.items()}
             else:
-                inv = 1 / lead
+                inv = Fraction(1, lead)
                 v = {j: x * inv for j, x in v.items()}
         for row in self.rows:
             c = row.get(q)

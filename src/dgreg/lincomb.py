@@ -35,9 +35,6 @@ def cscale(field: FieldSpec, s, a: dict) -> dict:
 def cneg(field: FieldSpec, a: dict) -> dict:
     return {k: field.neg(v) for k, v in a.items()}
 
-def csub(field: FieldSpec, a: dict, b: dict) -> dict:
-    return cadd(field, a, cneg(field, b))
-
 
 def ceq(field: FieldSpec, a: dict, b: dict) -> bool:
     return cclean(field, a) == cclean(field, b)
@@ -70,16 +67,3 @@ def to_sparse(field: FieldSpec, c: dict, index: dict) -> dict:
 def from_vector(field: FieldSpec, vec, basis) -> dict:
     return cclean(field, dict(zip(basis, vec)))
 
-
-def cformat(field: FieldSpec, c: dict, basis_order=None) -> str:
-    """Canonical text: `c1*lbl1 + c2*lbl2`, coefficient 1 omitted, `0` if empty."""
-    if not c:
-        return "0"
-    labels = list(basis_order) if basis_order else sorted(c)
-    terms = []
-    for lbl in labels:
-        if lbl not in c:
-            continue
-        v = c[lbl]
-        terms.append(lbl if field.is_one(v) else f"{field.format(v)}*{lbl}")
-    return " + ".join(terms)

@@ -163,9 +163,6 @@ class DGModule:
     def diff_matrix(self, d: int) -> Matrix:
         return Matrix.from_columns(self.field, self.dim(d + 1), diff_columns(self, d))
 
-    def element(self, lbl: str) -> dict:
-        return {lbl: self.field.one()}
-
 
 def validate_module(M: DGModule) -> ValidationReport:
     """Check d^2, module Leibniz, action associativity, unit action, and
@@ -305,13 +302,6 @@ class CohomologyReport:
         nz = sorted(self.dims)
         return bool(nz) or self.certified.hi is None
 
-    @property
-    def sup_certified(self) -> bool:
-        if self.certified.hi is not None:
-            return False
-        nz = sorted(self.dims)
-        return bool(nz) or self.certified.lo is None
-
     def to_json(self):
         return {
             "subject": self.subject,
@@ -373,10 +363,6 @@ def cohomology(X) -> CohomologyReport:
         None if trust.hi is None else trust.hi - 1,
     )
     return CohomologyReport(X.name, dims, reps, certified, window)
-
-
-def h_dims_on(report: CohomologyReport, trust: Trust) -> dict:
-    return {d: n for d, n in report.dims.items() if trust.contains(d)}
 
 
 # -- constructions --------------------------------------------------------
@@ -715,7 +701,9 @@ def cone_of(f: ModuleMorphism, name: str | None = None) -> DGModule:
 
     Underlying graded module Y + SX; d(y, x~) = (dy + f(x), -(dx)~);
     the left action on the shifted part carries the sign (-1)^{|a|},
-    the right action none.
+    the right action none.  The cone basis at degree j is Y^j followed
+    by the shifted X^{j+1}; a shifted label is the X label with the
+    shortest run of ``~`` that keeps it apart from every Y label.
     """
     X, Y = f.source, f.target
     if X.algebra is not Y.algebra and X.algebra != Y.algebra:
@@ -724,7 +712,10 @@ def cone_of(f: ModuleMorphism, name: str | None = None) -> DGModule:
         raise ValueError("cone needs matching sides")
     F = X.field
     A = X.algebra
-    sx = {lbl: lbl + "~" for lbl in X._deg}
+    tilde = "~"
+    while any(lbl + tilde in Y._deg for lbl in X._deg):
+        tilde += "~"
+    sx = {lbl: lbl + tilde for lbl in X._deg}
     basis: dict = {}
     for d, lbls in Y.basis.items():
         basis.setdefault(d, []).extend(lbls)

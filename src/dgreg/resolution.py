@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .algebra import DGAlgebra, diff_columns
 from .ledger import Generator, SemifreeResolution
-from .homtensor import realize_ledger, tensor_module_ledger
+from .homtensor import ledger_cells, realize_ledger, tensor_module_ledger
 from .lincomb import cadd, cneg, cscale, czero, from_vector, to_vector
 from .linalg import Echelon
 from .module import (
@@ -42,18 +42,17 @@ class TruncationImpossibleError(ValueError):
 
 
 def _augmentation_morphism(L: SemifreeResolution, P: DGModule, M: DGModule) -> ModuleMorphism:
-    """epsilon: |P| -> M on realized labels b*g -> b . aug(g)."""
+    """epsilon: |P| -> M, b e_g -> b . aug(g), for P = realize_ledger(L, window)."""
     F = M.field
     images = {}
-    for lab in P._deg:
-        b, glab = lab.split("*", 1)
-        aug = L.aug.get(glab, {})
-        if not aug:
-            continue
-        db = M.algebra.degree_of(b)
-        img = M.lact_combo({b: F.one()}, db, aug, L.degree_of(glab))
-        if img:
-            images[lab] = img
+    for n, cells in ledger_cells(L, L.algebra, P.window, -1).items():
+        for lab, (b, g) in zip(P.basis_at(n), cells):
+            aug = L.aug.get(g)
+            if aug:
+                dg = L.degree_of(g)
+                img = M.lact_combo({b: F.one()}, n - dg, aug, dg)
+                if img:
+                    images[lab] = img
     return ModuleMorphism(P, M, images)
 
 
@@ -66,25 +65,20 @@ def _cone(M: DGModule, L: SemifreeResolution):
     return cone_of(eps, name="cone"), P
 
 
-def _split_cone_class(M: DGModule, cone: DGModule, degree: int, vec):
+def _split_cone_class(M: DGModule, cells, degree: int, vec):
     """Split a cone-degree coordinate vector into (M part, ledger rows).
 
-    Cone basis at a degree is M's basis followed by shifted realized
-    labels b*g~; the ledger rows regroup the b coefficients per
-    generator."""
+    The cone basis at a degree is M's basis followed by the shifted
+    realized basis one degree up, whose positions are ``cells``, the
+    ledger cells (b, g) of that degree; the ledger rows regroup the b
+    coefficients per generator."""
     F = M.field
-    labels = cone.basis_at(degree)
-    m_part = czero()
+    labels = M.basis_at(degree)
+    m_part = {lab: c for lab, c in zip(labels, vec) if not F.is_zero(c)}
     rows: dict = {}
-    for lab, c in zip(labels, vec):
-        if F.is_zero(c):
-            continue
-        if lab.endswith("~") and "*" in lab:
-            b, glab = lab[:-1].split("*", 1)
-            rows.setdefault(glab, {})
-            rows[glab] = cadd(F, rows[glab], {b: c})
-        else:
-            m_part = cadd(F, m_part, {lab: c})
+    for (b, g), c in zip(cells, vec[len(labels):]):
+        if not F.is_zero(c):
+            rows.setdefault(g, {})[b] = c
     return m_part, rows
 
 
@@ -134,8 +128,9 @@ def semifree_resolve(M: DGModule, max_stages: int = 8) -> SemifreeResolution:
         if stage == max_stages:
             break
         j = frontier
+        cells = ledger_cells(ledger, A, M.window, -1).get(j + 1, ())
         for rep in h.reps[j]:
-            m_part, rows = _split_cone_class(M, cone, j, rep)
+            m_part, rows = _split_cone_class(M, cells, j, rep)
             lab = f"e{counter}"
             counter += 1
             gens.append(Generator(lab, j, stage))
@@ -157,7 +152,6 @@ def semifree_resolve(M: DGModule, max_stages: int = 8) -> SemifreeResolution:
         scan_everywhere=scan_everywhere,
         frontier=frontier,
         residual=residual,
-        residual_trivial=None,
         stages_used=stage,
     )
     return res
@@ -223,10 +217,10 @@ def augmentation_h_report(M: DGModule, L: SemifreeResolution) -> dict:
 
 @dataclass(frozen=True)
 class RegularityValue:
-    """An extended integer with certification: -inf, exact n, a lower
-    bound `at_least n`, or a (never engine-emitted) claimed +inf."""
+    """An extended integer with certification: -inf, exact n, or a lower
+    bound `at_least n`."""
 
-    kind: str  # neg_infinity | exact | at_least | pos_infinity_claimed
+    kind: str  # neg_infinity | exact | at_least
     n: int | None = None
     note: str = ""
 
@@ -250,8 +244,6 @@ class RegularityValue:
         """Known lower bound (-inf allowed)."""
         if self.kind == "neg_infinity":
             return float("-inf")
-        if self.kind == "pos_infinity_claimed":
-            return float("inf")
         return self.n
 
     def upper_bound(self):
@@ -260,8 +252,6 @@ class RegularityValue:
             return float("-inf")
         if self.kind == "exact":
             return self.n
-        if self.kind == "pos_infinity_claimed":
-            return float("inf")
         return None
 
     def __str__(self):
@@ -269,9 +259,7 @@ class RegularityValue:
             return "-inf"
         if self.kind == "exact":
             return str(self.n)
-        if self.kind == "at_least":
-            return f">={self.n}"
-        return "+inf(claimed)"
+        return f">={self.n}"
 
     def to_json(self):
         return {"kind": self.kind, "n": self.n, "note": self.note}

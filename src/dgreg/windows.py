@@ -81,12 +81,6 @@ class Trust:
         hi = self.hi if other.hi is None else (other.hi if self.hi is None else min(self.hi, other.hi))
         return Trust(lo, hi)
 
-    def shrink(self, below: int = 0, above: int = 0) -> "Trust":
-        """Raise the bottom by `below` and lower the top by `above`."""
-        lo = None if self.lo is None else self.lo + below
-        hi = None if self.hi is None else self.hi - above
-        return Trust(lo, hi)
-
     def raise_lo(self, lo: int) -> "Trust":
         new_lo = lo if self.lo is None else max(self.lo, lo)
         return Trust(new_lo, self.hi)
@@ -98,9 +92,6 @@ class Trust:
     @property
     def is_everywhere(self) -> bool:
         return self.lo is None and self.hi is None
-
-    def is_empty(self) -> bool:
-        return self.lo is not None and self.hi is not None and self.lo > self.hi
 
     def __str__(self):
         lo = "-inf" if self.lo is None else str(self.lo)

@@ -77,6 +77,24 @@ def test_field_mismatch():
         a.mul(b)
 
 
+def _no_floats(xs):
+    return not any(isinstance(x, float) for x in xs)
+
+
+def test_quotient_of_int_vectors_stays_exact():
+    reps = quotient_by(QQ, [(0, 2), (1, 1)], []).representatives
+    assert reps == [(0, 1), (1, 0)]
+    assert all(_no_floats(v) for v in reps)
+    assert QQ.inv(2) == Fraction(1, 2) and isinstance(QQ.inv(2), Fraction)
+
+
+def test_echelon_of_int_vector_stays_exact():
+    ech = Echelon(QQ, 2)
+    assert ech.add((2, 1))
+    assert ech.rows == [{0: 1, 1: Fraction(1, 2)}]
+    assert _no_floats(ech.rows[0].values())
+
+
 def test_span_coordinates_exact():
     span = [(Fraction(1), Fraction(2)), (Fraction(0), Fraction(1))]
     coords = span_coordinates(QQ, span, (Fraction(3), Fraction(7)))

@@ -305,3 +305,53 @@ def test_degenerate_window_error():
     )
     with pytest.raises(DegenerateWindowError):
         semifree_resolve(tiny)
+
+
+def test_resolving_a_cone_of_a_realized_ledger():
+    # the cone's shifted labels must not collide with the realized
+    # labels it already holds, and the resolution must not depend on
+    # how the target spells its labels
+    from dgreg.module import DGModule, ModuleMorphism, cone_of
+
+    P2 = polynomial_algebra(2)
+    k = canonical_k(P2, side="left")
+    P = realize_ledger(semifree_resolve(k, 2), k.window)
+    M = cone_of(ModuleMorphism(P, P, {}))
+    assert validate_module(M).ok
+    res = semifree_resolve(M, 3)
+    assert len(res.gens) == 4 and res.minimal and res.complete
+
+    rename = {lbl: f"m{i}" for i, lbl in enumerate(M._deg)}
+    plain = DGModule(
+        name=M.name, algebra=P2, side=M.side, window=M.window,
+        basis={d: tuple(rename[l] for l in lbls) for d, lbls in M.basis.items()},
+        lact={(a, rename[m]): {rename[t]: c for t, c in v.items()} for (a, m), v in M.lact.items()},
+        ract={},
+        diff={rename[m]: {rename[t]: c for t, c in v.items()} for m, v in M.diff.items()},
+        trust=M.trust,
+    )
+    res_plain = semifree_resolve(plain, 3)
+    assert res_plain.gens == res.gens
+    assert res_plain.diff == res.diff
+    assert res_plain.aug == {
+        g: {rename[t]: c for t, c in img.items()} for g, img in res.aug.items()
+    }
+    assert (res_plain.scan, res_plain.frontier) == (res.scan, res.frontier)
+
+
+def test_cone_suffix_avoids_target_labels():
+    from dgreg.module import DGModule, ModuleMorphism, cone_of
+
+    Lam = square_zero_algebra()
+    one = Lam.field.one()
+
+    def module(labels):
+        return DGModule(
+            name="X", algebra=Lam, side="left", window=GradedWindow(0, 2),
+            basis={0: labels}, lact={("one", m): {m: one} for m in labels},
+            ract={}, diff={},
+        )
+
+    X, Y = module(("x",)), module(("y", "x~", "x~~"))
+    assert cone_of(ModuleMorphism(X, Y, {})).basis[-1] == ("x~~~",)
+    assert cone_of(ModuleMorphism(X, X, {})).basis[-1] == ("x~",)
