@@ -2,10 +2,20 @@
 
 An algebra lives in nonnegative cohomological degrees with a
 one-dimensional degree-0 part spanned by the unit.  Multiplication and
-differential are stored degreewise on basis labels; a product whose
-target degree exceeds the window top is *unrecorded* (returned as None),
-never silently zero.  Validation reports violated axioms as data with
-witnessing basis tuples.
+differential are stored degreewise on basis labels.  Validation reports
+violated axioms as data with witnessing basis tuples.
+
+:class:`Presentation` is the core that :class:`DGAlgebra` and
+``module.DGModule`` share, as A is itself a DG bimodule over A: basis
+indexing, table cleaning, degree lookups, the differential, and one
+bilinear extension of a single-label product or action to
+combinations.  The algebra and module axioms are checked by the same
+three functions (``_d_squared``, ``_leibniz``, ``_associative``).
+
+The above-window rule: an entry whose target degree exceeds the window
+top is zero when the presentation is complete (trusted with no upper
+bound) and *unrecorded*, returned as None, when it is truncated; it is
+never silently zero there.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .fields import FieldSpec
-from .lincomb import cadd, ceq, cclean, cscale, czero, to_sparse, to_vector
+from .lincomb import cadd, ceq, cclean, cextend, cscale, czero, to_sparse, to_vector
 from .linalg import Matrix, rank
 from .windows import GradedWindow, Trust
 
@@ -45,8 +55,94 @@ class ValidationReport:
         }
 
 
+class Presentation:
+    """The core that DGAlgebra and DGModule share: a degreewise basis on a
+    window, coefficient tables keyed by labels, and the rule for entries
+    that land above the window top.  A subclass sets ``basis``,
+    ``window``, ``trust``, ``diff`` and ``field`` and calls
+    :meth:`_index` from its ``__post_init__``.
+    """
+
+    _label_kind = "basis"
+
+    def _index(self):
+        """Sort the basis by degree, map each label to its degree, and keep
+        the field's zero and one for the hot loops."""
+        self._zero, self._one = self.field.zero(), self.field.one()
+        self.basis = {d: tuple(lbls) for d, lbls in sorted(self.basis.items()) if lbls}
+        self._deg = {}
+        for d, lbls in self.basis.items():
+            for lbl in lbls:
+                if lbl in self._deg:
+                    raise ValueError(f"duplicate {self._label_kind} label {lbl!r}")
+                self._deg[lbl] = d
+
+    def _clean(self, table: dict) -> dict:
+        """A fresh copy of a table with zero coefficients and entries dropped."""
+        F = self.field
+        return {k: v for k, v in ((k, cclean(F, c)) for k, c in table.items()) if v}
+
+    def degree_of(self, lbl: str) -> int:
+        return self._deg[lbl]
+
+    def basis_at(self, d: int) -> tuple:
+        return self.basis.get(d, ())
+
+    def dim(self, d: int) -> int:
+        return len(self.basis.get(d, ()))
+
+    def degrees(self):
+        return sorted(self.basis)
+
+    @property
+    def complete(self) -> bool:
+        return self.trust.is_everywhere
+
+    def _above_window(self):
+        """The value of an entry whose target lies above the window top
+        (the above-window rule of the module docstring)."""
+        return czero() if self.trust.hi is None else None
+
+    def diff_of(self, lbl: str):
+        """Combination for d(lbl), or None when the target is unrecorded."""
+        if self._deg[lbl] + 1 > self.window.hi:
+            return self._above_window()
+        return self.diff.get(lbl, czero())
+
+    def diff_combo(self, x, dx: int):
+        if x is None:
+            return None
+        if dx + 1 > self.window.hi:
+            return self._above_window()
+        return cextend(self.field, x, self.diff_of)
+
+    def _bilinear(self, x, dx: int, y, dy: int, entry):
+        """The bilinear extension of ``entry(a, b)`` (a single-label product
+        or action lookup) to two degree-homogeneous combinations; None if
+        either is None or some entry is unrecorded."""
+        if x is None or y is None:
+            return None
+        if dx + dy > self.window.hi:
+            return self._above_window()
+        F = self.field
+        mul, p, zero, one = F.mul, F.p, self._zero, self._one
+        out = {}
+        for a, ca in x.items():
+            for b, cb in y.items():
+                e = entry(a, b)
+                if e is None:
+                    return None
+                # the sums below start from the field's zero, so skipping a
+                # product with the shared unit scalar changes no result
+                c = ca if cb is one else cb if ca is one else mul(ca, cb)
+                for t, v in e.items():
+                    s = out.get(t, zero) + c * v
+                    out[t] = s % p if p else s
+        return cclean(F, out)
+
+
 @dataclass
-class DGAlgebra:
+class DGAlgebra(Presentation):
     """A connected cochain DG algebra given degreewise by bases and tables.
 
     ``mul[(a, b)]`` is the combination for a*b (stored only when
@@ -65,82 +161,19 @@ class DGAlgebra:
     trust: Trust = dc_field(default_factory=Trust.everywhere)
 
     def __post_init__(self):
-        self.basis = {d: tuple(lbls) for d, lbls in sorted(self.basis.items()) if lbls}
-        self._deg = {}
-        for d, lbls in self.basis.items():
-            for lbl in lbls:
-                if lbl in self._deg:
-                    raise ValueError(f"duplicate basis label {lbl!r}")
-                self._deg[lbl] = d
-        cleaned = {k: cclean(self.field, v) for k, v in self.mul.items()}
-        self.mul = {k: v for k, v in cleaned.items() if v}
-        self.diff = {k: cclean(self.field, v) for k, v in self.diff.items() if v}
-        self.diff = {k: v for k, v in self.diff.items() if v}
-
-    # -- structure lookups ----------------------------------------------
-
-    def degree_of(self, lbl: str) -> int:
-        return self._deg[lbl]
-
-    def basis_at(self, d: int) -> tuple:
-        return self.basis.get(d, ())
-
-    def dim(self, d: int) -> int:
-        return len(self.basis.get(d, ()))
-
-    def degrees(self):
-        return sorted(self.basis)
-
-    @property
-    def complete(self) -> bool:
-        return self.trust.is_everywhere
+        self._index()
+        self.mul = self._clean(self.mul)
+        self.diff = self._clean(self.diff)
 
     def product(self, a: str, b: str):
-        """Combination for a*b; None when the target degree is unrecorded.
-
-        Above-window targets are unrecorded only for truncated
-        presentations; a fully trusted algebra vanishes up there.
-        """
-        target = self._deg[a] + self._deg[b]
-        if target > self.window.hi:
-            return czero() if self.trust.hi is None else None
+        """Combination for a*b; None when the target degree is unrecorded."""
+        if self._deg[a] + self._deg[b] > self.window.hi:
+            return self._above_window()
         return self.mul.get((a, b), czero())
-
-    def diff_of(self, lbl: str):
-        """Combination for d(lbl), or None when the target is unrecorded."""
-        if self._deg[lbl] + 1 > self.window.hi:
-            return czero() if self.trust.hi is None else None
-        return self.diff.get(lbl, czero())
 
     def mul_combo(self, x, dx: int, y, dy: int):
         """Product of two degree-homogeneous combinations; None if unrecorded."""
-        if x is None or y is None:
-            return None
-        if dx + dy > self.window.hi:
-            return czero() if self.trust.hi is None else None
-        F = self.field
-        out = czero()
-        for a, ca in x.items():
-            for b, cb in y.items():
-                prod = self.product(a, b)
-                if prod is None:
-                    return None
-                out = cadd(F, out, cscale(F, F.mul(ca, cb), prod))
-        return out
-
-    def diff_combo(self, x, dx: int):
-        if x is None:
-            return None
-        if dx + 1 > self.window.hi:
-            return czero() if self.trust.hi is None else None
-        F = self.field
-        out = czero()
-        for a, ca in x.items():
-            da = self.diff_of(a)
-            if da is None:
-                return None
-            out = cadd(F, out, cscale(F, ca, da))
-        return out
+        return self._bilinear(x, dx, y, dy, self.product)
 
     def unit_combo(self) -> dict:
         return {self.unit: self.field.one()}
@@ -158,10 +191,10 @@ class DGAlgebra:
             name=self.name + "_op",
             field=F,
             window=self.window,
-            basis=dict(self.basis),
+            basis=self.basis,
             unit=self.unit,
             mul=mul_op,
-            diff=dict(self.diff),
+            diff=self.diff,
             trust=self.trust,
         )
 
@@ -175,6 +208,47 @@ def diff_columns(X, d: int) -> list:
         return [{} for _ in src]
     index = {lbl: i for i, lbl in enumerate(tgt)}
     return [to_sparse(X.field, X.diff.get(b, {}), index) for b in src]
+
+
+def _d_squared(X, detail: str) -> list:
+    """d-squared violations of an algebra or module: d(d(x)) is recorded
+    and nonzero."""
+    out = []
+    for d in X.degrees():
+        for x in X.basis_at(d):
+            if X.diff_combo(X.diff_of(x), d + 1):
+                out.append(Violation("d-squared", (x,), detail))
+    return out
+
+
+def _leibniz(X, entry, U, u, V, v) -> bool:
+    """Whether d(uv) = d(u)v + (-1)^{|u|} u d(v) fails on recorded entries,
+    where ``entry(u, v)`` is the product of a label of U by a label of V
+    in X (the multiplication of an algebra, or an action on a module)."""
+    du, dv = U.degree_of(u), V.degree_of(v)
+    if du + dv + 1 > X.window.hi:
+        return False
+    F = X.field
+    lhs = X.diff_combo(entry(u, v), du + dv)
+    t1 = X._bilinear(U.diff_of(u), du + 1, {v: X._one}, dv, entry)
+    t2 = X._bilinear({u: X._one}, du, V.diff_of(v), dv + 1, entry)
+    if lhs is None or t1 is None or t2 is None:
+        return False
+    return not ceq(F, lhs, cadd(F, t1, cscale(F, F.sign(du), t2)))
+
+
+def _associative(X, x, dx, y, dy, z, dz, xy_of, yz_of, xy_z, x_yz) -> bool:
+    """Whether (xy)z = x(yz) fails on recorded entries in X.  ``xy_of`` and
+    ``yz_of`` are the single-label lookups of the inner products; ``xy_z``
+    multiplies a label of xy by z, and ``x_yz`` x by a label of yz."""
+    if dx + dy + dz > X.window.hi:
+        return False
+    xy, yz = xy_of(x, y), yz_of(y, z)
+    if xy is None or yz is None:
+        return False
+    lhs = X._bilinear(xy, dx + dy, {z: X._one}, dz, xy_z)
+    rhs = X._bilinear({x: X._one}, dx, yz, dy + dz, x_yz)
+    return lhs is not None and rhs is not None and not ceq(X.field, lhs, rhs)
 
 
 def validate_algebra(A: DGAlgebra) -> ValidationReport:
@@ -207,47 +281,19 @@ def validate_algebra(A: DGAlgebra) -> ValidationReport:
         if right is not None and not ceq(F, right, want):
             out.append(Violation("unit", (b, A.unit), "b*1 differs from b"))
 
-    # d^2 = 0 where both steps are recorded
-    for b in all_labels:
-        d1 = A.diff_of(b)
-        if d1 is None:
-            continue
-        d2 = A.diff_combo(d1, A.degree_of(b) + 1)
-        if d2 is not None and d2:
-            out.append(Violation("d-squared", (b,), "d(d(b)) is nonzero"))
+    out += _d_squared(A, "d(d(b)) is nonzero")
 
-    # Leibniz: d(xy) = d(x)y + (-1)^{|x|} x d(y) on recorded pairs
+    mul = A.product
     for x in all_labels:
         for y in all_labels:
-            dx, dy = A.degree_of(x), A.degree_of(y)
-            if dx + dy + 1 > A.window.hi:
-                continue
-            xy = A.product(x, y)
-            lhs = A.diff_combo(xy, dx + dy)
-            t1 = A.mul_combo(A.diff_of(x), dx + 1, {y: F.one()}, dy)
-            t2 = A.mul_combo({x: F.one()}, dx, A.diff_of(y), dy + 1)
-            if lhs is None or t1 is None or t2 is None:
-                continue
-            rhs = cadd(F, t1, cscale(F, F.sign(dx), t2))
-            if not ceq(F, lhs, rhs):
+            if _leibniz(A, mul, A, x, A, y):
                 out.append(Violation("leibniz", (x, y), "d(xy) != d(x)y + (-1)^|x| x d(y)"))
 
-    # associativity on recorded triples
-    for x in all_labels:
-        for y in all_labels:
-            dxy = A.degree_of(x) + A.degree_of(y)
-            for z in all_labels:
-                if dxy + A.degree_of(z) > A.window.hi:
-                    continue
-                xy = A.product(x, y)
-                yz = A.product(y, z)
-                if xy is None or yz is None:
-                    continue
-                lhs = A.mul_combo(xy, dxy, {z: F.one()}, A.degree_of(z))
-                rhs = A.mul_combo({x: F.one()}, A.degree_of(x), yz, A.degree_of(y) + A.degree_of(z))
-                if lhs is None or rhs is None:
-                    continue
-                if not ceq(F, lhs, rhs):
+    graded = [(lbl, A.degree_of(lbl)) for lbl in all_labels]
+    for x, dx in graded:
+        for y, dy in graded:
+            for z, dz in graded:
+                if _associative(A, x, dx, y, dy, z, dz, mul, mul, mul, mul):
                     out.append(Violation("associativity", (x, y, z), "(xy)z != x(yz)"))
 
     return ValidationReport(A.name, out)
@@ -262,10 +308,7 @@ class AlgebraAutomorphism:
 
     def apply(self, c: dict) -> dict:
         F = self.algebra.field
-        out = czero()
-        for lbl, s in c.items():
-            out = cadd(F, out, cscale(F, s, self.images.get(lbl, {lbl: F.one()})))
-        return out
+        return cextend(F, c, lambda lbl: self.images.get(lbl, {lbl: F.one()}))
 
 
 def identity_automorphism(A: DGAlgebra) -> AlgebraAutomorphism:

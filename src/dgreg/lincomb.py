@@ -3,7 +3,10 @@ by every multiplication, differential, and action table.
 
 A combination is a plain dict ``{label: scalar}`` with no zero entries;
 the degree is contextual (all labels of one combination live in a single
-degree of a single presentation).
+degree of a single presentation).  ``cadd`` and ``cscale`` return new
+cleaned dicts; ``cextend`` applies a map on labels to a combination,
+accumulating every term into one dict in place, so a combination of n
+terms costs n scaled additions rather than n copies.
 """
 
 from __future__ import annotations
@@ -30,6 +33,22 @@ def cscale(field: FieldSpec, s, a: dict) -> dict:
     if field.is_zero(s):
         return {}
     return cclean(field, {k: field.mul(s, v) for k, v in a.items()})
+
+
+def cextend(field: FieldSpec, x: dict, image):
+    """The linear extension of ``image`` (label -> combination, or None
+    for an unrecorded entry) to the combination x; None when some
+    image is None."""
+    p, zero = field.p, field.zero()
+    out = {}
+    for lbl, c in x.items():
+        img = image(lbl)
+        if img is None:
+            return None
+        for t, v in img.items():
+            s = out.get(t, zero) + c * v
+            out[t] = s % p if p else s
+    return cclean(field, out)
 
 
 def cneg(field: FieldSpec, a: dict) -> dict:

@@ -17,9 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .algebra import DGAlgebra, ValidationReport, Violation, diff_columns
+from .algebra import (
+    DGAlgebra, Presentation, ValidationReport, Violation, _associative, _d_squared, _leibniz,
+    diff_columns,
+)
 from .fields import FieldSpec
-from .lincomb import cadd, ceq, cclean, cscale, czero, from_vector, to_vector
+from .lincomb import ceq, cclean, cextend, cscale, czero, from_vector, to_vector
 from .linalg import ContainmentError, Echelon, Matrix, QuotientSpace, complement, sparse_transpose
 from .windows import GLOBAL_DEGREE_BOUND, GradedWindow, Trust, WindowError
 
@@ -27,7 +30,7 @@ LEFT, RIGHT, BI = "left", "right", "bi"
 
 
 @dataclass
-class DGModule:
+class DGModule(Presentation):
     """A left/right/bi DG module presented degreewise on a finite window.
 
     ``lact[(a, m)]`` is the combination for a.m and ``ract[(m, a)]`` for
@@ -44,22 +47,18 @@ class DGModule:
     diff: dict    # module label -> combination
     trust: Trust = dc_field(default_factory=Trust.everywhere)
 
+    _label_kind = "module"
+
     def __post_init__(self):
         if self.side not in (LEFT, RIGHT, BI):
             raise ValueError(f"bad side {self.side!r}")
-        self.basis = {d: tuple(lbls) for d, lbls in sorted(self.basis.items()) if lbls}
-        self._deg = {}
-        for d, lbls in self.basis.items():
-            if not self.window.contains(d):
+        for d in sorted(self.basis):
+            if self.basis[d] and not self.window.contains(d):
                 raise WindowError(f"basis degree {d} outside window {self.window}")
-            for lbl in lbls:
-                if lbl in self._deg:
-                    raise ValueError(f"duplicate module label {lbl!r}")
-                self._deg[lbl] = d
-        F = self.algebra.field
-        self.lact = {k: v for k, v in ((k2, cclean(F, v2)) for k2, v2 in self.lact.items()) if v}
-        self.ract = {k: v for k, v in ((k2, cclean(F, v2)) for k2, v2 in self.ract.items()) if v}
-        self.diff = {k: v for k, v in ((k2, cclean(F, v2)) for k2, v2 in self.diff.items()) if v}
+        self._index()
+        self.lact = self._clean(self.lact)
+        self.ract = self._clean(self.ract)
+        self.diff = self._clean(self.diff)
 
     # -- lookups ---------------------------------------------------------
 
@@ -67,25 +66,9 @@ class DGModule:
     def field(self) -> FieldSpec:
         return self.algebra.field
 
-    def degree_of(self, lbl: str) -> int:
-        return self._deg[lbl]
-
-    def basis_at(self, d: int) -> tuple:
-        return self.basis.get(d, ())
-
-    def dim(self, d: int) -> int:
-        return len(self.basis.get(d, ()))
-
-    def degrees(self):
-        return sorted(self.basis)
-
     def support(self):
         ds = self.degrees()
         return (ds[0], ds[-1]) if ds else None
-
-    @property
-    def complete(self) -> bool:
-        return self.trust.is_everywhere
 
     @property
     def has_left(self) -> bool:
@@ -99,66 +82,21 @@ class DGModule:
         return sum(len(v) for v in self.basis.values())
 
     def act_left(self, a: str, m: str):
-        target = self.algebra.degree_of(a) + self._deg[m]
-        if target > self.window.hi:
-            return czero() if self.trust.hi is None else None
+        if self.algebra._deg[a] + self._deg[m] > self.window.hi:
+            return self._above_window()
         return self.lact.get((a, m), czero())
 
     def act_right(self, m: str, a: str):
-        target = self.algebra.degree_of(a) + self._deg[m]
-        if target > self.window.hi:
-            return czero() if self.trust.hi is None else None
+        if self.algebra._deg[a] + self._deg[m] > self.window.hi:
+            return self._above_window()
         return self.ract.get((m, a), czero())
-
-    def diff_of(self, m: str):
-        if self._deg[m] + 1 > self.window.hi:
-            return czero() if self.trust.hi is None else None
-        return self.diff.get(m, czero())
 
     def lact_combo(self, x, dx: int, m, dm: int):
         """a-combination times m-combination; None if any entry unrecorded."""
-        if x is None or m is None:
-            return None
-        if dx + dm > self.window.hi:
-            return czero() if self.trust.hi is None else None
-        F = self.field
-        out = czero()
-        for a, ca in x.items():
-            for b, cb in m.items():
-                act = self.act_left(a, b)
-                if act is None:
-                    return None
-                out = cadd(F, out, cscale(F, F.mul(ca, cb), act))
-        return out
+        return self._bilinear(x, dx, m, dm, self.act_left)
 
     def ract_combo(self, m, dm: int, x, dx: int):
-        if m is None or x is None:
-            return None
-        if dx + dm > self.window.hi:
-            return czero() if self.trust.hi is None else None
-        F = self.field
-        out = czero()
-        for b, cb in m.items():
-            for a, ca in x.items():
-                act = self.act_right(b, a)
-                if act is None:
-                    return None
-                out = cadd(F, out, cscale(F, F.mul(cb, ca), act))
-        return out
-
-    def diff_combo(self, m, dm: int):
-        if m is None:
-            return None
-        if dm + 1 > self.window.hi:
-            return czero() if self.trust.hi is None else None
-        F = self.field
-        out = czero()
-        for b, cb in m.items():
-            db = self.diff_of(b)
-            if db is None:
-                return None
-            out = cadd(F, out, cscale(F, cb, db))
-        return out
+        return self._bilinear(m, dm, x, dx, self.act_right)
 
     def diff_matrix(self, d: int) -> Matrix:
         return Matrix.from_columns(self.field, self.dim(d + 1), diff_columns(self, d))
@@ -169,19 +107,11 @@ def validate_module(M: DGModule) -> ValidationReport:
     (for bimodules) commutation of the two actions, on recorded entries."""
     A = M.algebra
     F = M.field
-    out = []
-    alg_labels = [lbl for d in A.degrees() for lbl in A.basis_at(d)]
-    mod_labels = [lbl for d in M.degrees() for lbl in M.basis_at(d)]
+    out = _d_squared(M, "d(d(m)) is nonzero")
+    alg_labels = [(lbl, d) for d in A.degrees() for lbl in A.basis_at(d)]
+    mod_labels = [(lbl, d) for d in M.degrees() for lbl in M.basis_at(d)]
 
-    for m in mod_labels:
-        d1 = M.diff_of(m)
-        if d1 is None:
-            continue
-        d2 = M.diff_combo(d1, M.degree_of(m) + 1)
-        if d2 is not None and d2:
-            out.append(Violation("d-squared", (m,), "d(d(m)) is nonzero"))
-
-    for m in mod_labels:
+    for m, _ in mod_labels:
         want = {m: F.one()}
         if M.has_left:
             got = M.act_left(A.unit, m)
@@ -192,65 +122,27 @@ def validate_module(M: DGModule) -> ValidationReport:
             if got is not None and not ceq(F, got, want):
                 out.append(Violation("unit-action-right", (m, A.unit), "m.1 differs from m"))
 
-    for a in alg_labels:
-        da = A.degree_of(a)
-        for m in mod_labels:
-            dm = M.degree_of(m)
-            if da + dm + 1 > M.window.hi:
-                continue
-            if M.has_left:
-                am = M.act_left(a, m)
-                lhs = M.diff_combo(am, da + dm)
-                t1 = M.lact_combo(A.diff_of(a), da + 1, {m: F.one()}, dm)
-                t2 = M.lact_combo({a: F.one()}, da, M.diff_of(m), dm + 1)
-                if None not in (lhs, t1, t2):
-                    rhs = cadd(F, t1, cscale(F, F.sign(da), t2))
-                    if not ceq(F, lhs, rhs):
-                        out.append(Violation("leibniz-left", (a, m), "d(am) != d(a)m + (-1)^|a| a d(m)"))
-            if M.has_right:
-                ma = M.act_right(m, a)
-                lhs = M.diff_combo(ma, da + dm)
-                t1 = M.ract_combo(M.diff_of(m), dm + 1, {a: F.one()}, da)
-                t2 = M.ract_combo({m: F.one()}, dm, A.diff_of(a), da + 1)
-                if None not in (lhs, t1, t2):
-                    rhs = cadd(F, t1, cscale(F, F.sign(dm), t2))
-                    if not ceq(F, lhs, rhs):
-                        out.append(Violation("leibniz-right", (m, a), "d(ma) != d(m)a + (-1)^|m| m d(a)"))
+    left, right, mul = M.act_left, M.act_right, A.product
+    for a, _ in alg_labels:
+        for m, _ in mod_labels:
+            if M.has_left and _leibniz(M, left, A, a, M, m):
+                out.append(Violation("leibniz-left", (a, m), "d(am) != d(a)m + (-1)^|a| a d(m)"))
+            if M.has_right and _leibniz(M, right, M, m, A, a):
+                out.append(Violation("leibniz-right", (m, a), "d(ma) != d(m)a + (-1)^|m| m d(a)"))
 
-    for a in alg_labels:
-        for b in alg_labels:
-            dab = A.degree_of(a) + A.degree_of(b)
-            ab = A.product(a, b)
-            for m in mod_labels:
-                dm = M.degree_of(m)
-                if dab + dm > M.window.hi or ab is None:
-                    continue
-                if M.has_left:
-                    lhs = M.lact_combo(ab, dab, {m: F.one()}, dm)
-                    inner = M.act_left(b, m)
-                    rhs = None if inner is None else M.lact_combo({a: F.one()}, A.degree_of(a), inner, A.degree_of(b) + dm)
-                    if None not in (lhs, rhs) and not ceq(F, lhs, rhs):
-                        out.append(Violation("action-associativity-left", (a, b, m), "(ab)m != a(bm)"))
-                if M.has_right:
-                    lhs = M.ract_combo({m: F.one()}, dm, ab, dab)
-                    inner = M.act_right(m, a)
-                    rhs = None if inner is None else M.ract_combo(inner, dm + A.degree_of(a), {b: F.one()}, A.degree_of(b))
-                    if None not in (lhs, rhs) and not ceq(F, lhs, rhs):
-                        out.append(Violation("action-associativity-right", (m, a, b), "m(ab) != (ma)b"))
+    for a, da in alg_labels:
+        for b, db in alg_labels:
+            for m, dm in mod_labels:
+                if M.has_left and _associative(M, a, da, b, db, m, dm, mul, left, left, left):
+                    out.append(Violation("action-associativity-left", (a, b, m), "(ab)m != a(bm)"))
+                if M.has_right and _associative(M, m, dm, a, da, b, db, right, mul, right, right):
+                    out.append(Violation("action-associativity-right", (m, a, b), "m(ab) != (ma)b"))
 
     if M.side == BI:
-        for a in alg_labels:
-            for m in mod_labels:
-                for b in alg_labels:
-                    if A.degree_of(a) + A.degree_of(b) + M.degree_of(m) > M.window.hi:
-                        continue
-                    am = M.act_left(a, m)
-                    mb = M.act_right(m, b)
-                    if am is None or mb is None:
-                        continue
-                    lhs = M.ract_combo(am, A.degree_of(a) + M.degree_of(m), {b: F.one()}, A.degree_of(b))
-                    rhs = M.lact_combo({a: F.one()}, A.degree_of(a), mb, M.degree_of(m) + A.degree_of(b))
-                    if None not in (lhs, rhs) and not ceq(F, lhs, rhs):
+        for a, da in alg_labels:
+            for m, dm in mod_labels:
+                for b, db in alg_labels:
+                    if _associative(M, a, da, m, dm, b, db, left, right, right, left):
                         out.append(Violation("bimodule-commutation", (a, m, b), "(am)b != a(mb)"))
 
     return ValidationReport(M.name, out)
@@ -393,22 +285,15 @@ def canonical_k(A: DGAlgebra, side: str = BI, name: str = "k") -> DGModule:
 
 def free_module(A: DGAlgebra, name: str | None = None, side: str = BI) -> DGModule:
     """A as a DG (bi)module over itself."""
-    lact = {}
-    ract = {}
-    for (a, b), combo in A.mul.items():
-        if side in (LEFT, BI):
-            lact[(a, b)] = dict(combo)
-        if side in (RIGHT, BI):
-            ract[(a, b)] = dict(combo)
     return DGModule(
         name=name or (A.name + "_free"),
         algebra=A,
         side=side,
         window=GradedWindow(A.window.lo, A.window.hi),
-        basis=dict(A.basis),
-        lact=lact,
-        ract=ract,
-        diff=dict(A.diff),
+        basis=A.basis,
+        lact=A.mul if side in (LEFT, BI) else {},
+        ract=A.mul if side in (RIGHT, BI) else {},
+        diff=A.diff,
         trust=A.trust,
     )
 
@@ -428,14 +313,6 @@ def hard_truncate(M: DGModule, level: int) -> Truncation:
     keep = {d: lbls for d, lbls in M.basis.items() if d >= level}
     drop = {d: lbls for d, lbls in M.basis.items() if d < level}
     kept = {lbl for lbls in keep.values() for lbl in lbls}
-
-    def restrict(table, to_kept_keys):
-        out = {}
-        for key, combo in table.items():
-            if not to_kept_keys(key):
-                continue
-            out[key] = combo
-        return out
 
     def project(table, in_dropped):
         out = {}
@@ -457,9 +334,9 @@ def hard_truncate(M: DGModule, level: int) -> Truncation:
         side=M.side,
         window=sub_window if keep else GradedWindow(level, max(level, M.window.hi)),
         basis=keep,
-        lact=restrict(M.lact, lambda k: k[1] in kept),
-        ract=restrict(M.ract, lambda k: k[0] in kept),
-        diff=restrict(M.diff, lambda k: k in kept),
+        lact={k: v for k, v in M.lact.items() if k[1] in kept},
+        ract={k: v for k, v in M.ract.items() if k[0] in kept},
+        diff={k: v for k, v in M.diff.items() if k in kept},
         trust=sub_trust,
     )
     quot_window = GradedWindow(M.window.lo, min(M.window.hi, level - 1)) if drop else GradedWindow(M.window.lo, M.window.lo)
@@ -505,9 +382,9 @@ def suspend(M: DGModule, n: int, name: str | None = None) -> DGModule:
         side=M.side,
         window=GradedWindow(new_lo, new_hi),
         basis=basis,
-        lact={k: dict(v) for k, v in M.lact.items()},
+        lact=M.lact,
         ract=ract,
-        diff={k: dict(v) for k, v in M.diff.items()},
+        diff=M.diff,
         trust=M.trust.shift(n),
     )
 
@@ -604,10 +481,10 @@ def twist(M: DGModule, alpha, name: str | None = None) -> DGModule:
         algebra=A,
         side=M.side,
         window=M.window,
-        basis=dict(M.basis),
-        lact={k: dict(v) for k, v in M.lact.items()},
+        basis=M.basis,
+        lact=M.lact,
         ract=ract,
-        diff={k: dict(v) for k, v in M.diff.items()},
+        diff=M.diff,
         trust=M.trust,
     )
 
@@ -624,11 +501,7 @@ class ModuleMorphism:
     images: dict  # source label -> combination in target, same degree
 
     def apply(self, c: dict) -> dict:
-        F = self.source.field
-        out = czero()
-        for lbl, s in c.items():
-            out = cadd(F, out, cscale(F, s, self.images.get(lbl, {})))
-        return out
+        return cextend(self.source.field, c, lambda lbl: self.images.get(lbl, {}))
 
     def validate(self) -> ValidationReport:
         M, N = self.source, self.target
@@ -725,7 +598,7 @@ def cone_of(f: ModuleMorphism, name: str | None = None) -> DGModule:
         min([Y.window.lo, X.window.lo - 1]), max([Y.window.hi, X.window.hi - 1])
     )
 
-    diff = {k: dict(v) for k, v in Y.diff.items()}
+    diff = dict(Y.diff)
     for lbl in X._deg:
         combo = dict(f.images.get(lbl, {}))
         dx = X.diff.get(lbl, {})
@@ -735,8 +608,7 @@ def cone_of(f: ModuleMorphism, name: str | None = None) -> DGModule:
         if combo:
             diff[sx[lbl]] = combo
 
-    lact = {k: dict(v) for k, v in Y.lact.items()}
-    ract = {k: dict(v) for k, v in Y.ract.items()}
+    lact, ract = dict(Y.lact), dict(Y.ract)
     for (a, m), combo in X.lact.items():
         s = F.sign(A.degree_of(a))
         lact[(a, sx[m])] = cscale(F, s, {sx[t]: c for t, c in combo.items()})
@@ -748,7 +620,7 @@ def cone_of(f: ModuleMorphism, name: str | None = None) -> DGModule:
         algebra=A,
         side=X.side,
         window=window,
-        basis={d: tuple(v) for d, v in basis.items()},
+        basis=basis,
         lact=lact,
         ract=ract,
         diff=diff,
@@ -764,8 +636,7 @@ def left_restriction(M: DGModule) -> DGModule:
         raise ValueError(f"{M.name} has no left structure")
     return DGModule(
         name=M.name, algebra=M.algebra, side=LEFT, window=M.window,
-        basis=dict(M.basis), lact={k: dict(v) for k, v in M.lact.items()},
-        ract={}, diff={k: dict(v) for k, v in M.diff.items()}, trust=M.trust,
+        basis=M.basis, lact=M.lact, ract={}, diff=M.diff, trust=M.trust,
     )
 
 
@@ -797,10 +668,10 @@ def to_opposite(M: DGModule, A_op: DGAlgebra | None = None) -> DGModule:
         algebra=A_op,
         side=side,
         window=M.window,
-        basis=dict(M.basis),
+        basis=M.basis,
         lact=lact,
         ract=ract,
-        diff={k: dict(v) for k, v in M.diff.items()},
+        diff=M.diff,
         trust=M.trust,
     )
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from .algebra import DGAlgebra, diff_columns
 from .ledger import Generator, SemifreeResolution
 from .homtensor import ledger_cells, realize_ledger, tensor_module_ledger
-from .lincomb import cadd, cneg, cscale, czero, from_vector, to_vector
+from .lincomb import cclean, cneg, from_vector, to_vector
 from .linalg import Echelon
 from .module import (
     DGModule,
@@ -413,11 +413,8 @@ def _rebase(M: DGModule, A: DGAlgebra) -> DGModule:
     if old.basis != A.basis or old.unit != A.unit or old.mul != A.mul or old.diff != A.diff:
         raise ValueError("algebras are not table-identical")
     return DGModule(
-        name=M.name, algebra=A, side=M.side, window=M.window, basis=dict(M.basis),
-        lact={k: dict(v) for k, v in M.lact.items()},
-        ract={k: dict(v) for k, v in M.ract.items()},
-        diff={k: dict(v) for k, v in M.diff.items()},
-        trust=M.trust,
+        name=M.name, algebra=A, side=M.side, window=M.window, basis=M.basis,
+        lact=M.lact, ract=M.ract, diff=M.diff, trust=M.trust,
     )
 
 
@@ -428,13 +425,12 @@ def dual_morphism(f: ModuleMorphism) -> ModuleMorphism:
     Xd = linear_dual(f.target)
     Yd = linear_dual(f.source)
     F = f.source.field
+    # the transpose of f: each coefficient f(x)[y] is written once, to y' at x'
     images: dict = {}
     for x_lbl in f.source._deg:
-        img = f.images.get(x_lbl, {})
-        for y_lbl, c in img.items():
-            images.setdefault(y_lbl + "'", {})
-            images[y_lbl + "'"] = cadd(F, images[y_lbl + "'"], {x_lbl + "'": c})
-    return ModuleMorphism(Xd, Yd, images)
+        for y_lbl, c in f.images.get(x_lbl, {}).items():
+            images.setdefault(y_lbl + "'", {})[x_lbl + "'"] = c
+    return ModuleMorphism(Xd, Yd, {y: cclean(F, img) for y, img in images.items()})
 
 
 def truncate_above(M: DGModule, s: int, max_stages: int = 8) -> TruncationCertificate:
@@ -472,14 +468,7 @@ def truncate_above(M: DGModule, s: int, max_stages: int = 8) -> TruncationCertif
     theta = double_dual_embedding(M)      # M -> (M*)*
     eps_dual = dual_morphism(eps)         # X* -> Q* over A^op
     # (M*)* and X*, and Q* and M', have identical underlying labels; compose.
-    F = M.field
-    images = {}
-    for lbl in M._deg:
-        mid = theta.images.get(lbl, {})
-        out = czero()
-        for t_lbl, c in mid.items():
-            out = cadd(F, out, cscale(F, c, eps_dual.images.get(t_lbl, {})))
-        images[lbl] = out
+    images = {lbl: eps_dual.apply(theta.images.get(lbl, {})) for lbl in M._deg}
     morphism = ModuleMorphism(M, Mprime, images)
     ok = morphism.validate().ok
 

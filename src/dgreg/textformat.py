@@ -274,6 +274,9 @@ def parse_document(text: str) -> Document:
             labels = [t.strip() for t in m.group(2).split(",")]
             if any(not _label_re.fullmatch(t) for t in labels):
                 raise ParseError(line_no, 0, "bad label in basis list")
+            window = current.kw["window"]
+            if current.kind == "module" and not window.contains(degree):
+                raise ParseError(line_no, 0, f"basis degree {degree} outside window {window}")
             current.add_basis(degree, labels, line_no)
             continue
 

@@ -56,7 +56,7 @@ def test_validate_violation_exit_one(tmp_path, capsys):
     assert "leibniz" in out
 
 
-def test_usage_errors_exit_two(tmp_path):
+def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.dg")]) == 2
     p = tmp_path / "syntax.dg"
     p.write_text("algebra ???\n")
@@ -65,6 +65,14 @@ def test_usage_errors_exit_two(tmp_path):
     wide = tmp_path / "wide.dg"
     wide.write_text("algebra A over Q window 0..600\n")
     assert main(["validate", str(wide)]) == 2
+    outside = tmp_path / "outside.dg"
+    outside.write_text(
+        "algebra A over Q window 0..4\nbasis 0: one\nbasis 1: t\nunit one\n"
+        "mul one t = t\nmul t one = t\n"
+        "module M over A side left window 0..2\nbasis 5: m\n"
+    )
+    assert main(["validate", str(outside)]) == 2
+    assert "line 8" in capsys.readouterr().err
 
 
 def test_resolve_square_zero_six_stages(lam_file, capsys):

@@ -8,6 +8,8 @@ the oracle rejects is rejected by the validator, and (c) every reported
 witness re-evaluates to a nonzero residual in the oracle.
 """
 
+import hashlib
+import json
 import random
 
 from dgreg.algebra import DGAlgebra, validate_algebra
@@ -465,3 +467,28 @@ def test_fuzz_small():
     assert not false_pos, false_pos
     assert not witness_fail, witness_fail
     assert caught >= 60  # most random table edits break an axiom
+
+
+# Sha256 over ``json.dumps(report.to_json())`` of every report in the
+# sequence below, recorded before validate_algebra and validate_module
+# were rewritten on shared axiom checks: the full violation lists, their
+# order and their detail text must not change.
+PINNED_REPORTS_SHA256 = "f9bba9cf741f657c857d6b8881d702927bebe31c939070de92ad0aa9540cb1da"
+
+
+def test_validation_reports_are_pinned():
+    rng = random.Random(7)
+    digest = hashlib.sha256()
+    count = 0
+    for _ in range(300):
+        field = rng.choice([QQ, GF(7), GF(2)])
+        A = rng.choice(_algebra_pool(field))
+        if rng.random() < 0.5:
+            rep = validate_algebra(perturb_algebra(rng, A))
+        else:
+            M = rng.choice([canonical_k(A, side="bi"), free_module(A, side="bi"), free_module(A, side="left")])
+            rep = validate_module(perturb_module(rng, M))
+        count += len(rep.violations)
+        digest.update(json.dumps(rep.to_json()).encode())
+    assert count == 757
+    assert digest.hexdigest() == PINNED_REPORTS_SHA256
