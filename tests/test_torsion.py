@@ -338,3 +338,57 @@ def test_derived_presentations_satisfy_module_axioms():
         res = semifree_resolve(canonical_k(A, side="left"), 6)
         T, _ = tensor_module_ledger(C, res, GradedWindow(-18, 18))
         assert validate_module(T).ok, A.name
+
+
+# ---- pinned duality layer ------------------------------------------------------
+
+# Sha256 over ``json.dumps(out, sort_keys=True)`` of the list built below,
+# recorded before the duality layer was rewritten: the dual, dualizing and
+# Cech tables, and every CM regularity value, duality report and Gamma
+# contamination on the catalog pairs, must not change.
+PINNED_DUALITY_SHA256 = "9e74a0cece524c2fd4c38d67fbfdd8e6053463dffa8655571d99ae3b68e2b484"
+
+
+def _rows(table):
+    return sorted(
+        (repr(k), sorted((repr(x), str(c)) for x, c in v.items())) for k, v in table.items()
+    )
+
+
+def _tables(M):
+    return [M.name, M.side, str(M.window), M.trust.to_json(),
+            sorted((d, list(l)) for d, l in M.basis.items()),
+            _rows(M.lact), _rows(M.ract), _rows(M.diff)]
+
+
+def test_duality_layer_is_pinned():
+    import hashlib
+    import json
+
+    from dgreg.catalog import catalog_pairs
+    from dgreg.homtensor import realize_ledger
+
+    out = []
+    for F in (QQ, GF(7)):
+        for A, M in catalog_pairs(F):
+            out.append(_tables(linear_dual(M)))
+            if M.has_left:
+                out.append(_tables(linear_dual(realize_ledger(semifree_resolve(M, 3), M.window))))
+            r = detect_regime(A)
+            if not r.supported:
+                continue
+            out.append(_tables(dualizing_module(A, r)))
+            if r.kind == "polynomial":
+                out.append(_tables(cech_carrier(A, r)))
+            if M.has_left:
+                for s in (1, 3):
+                    g = gamma(M, r, s)
+                    out.append([
+                        s, cm_reg(M, r, s).to_json(),
+                        local_duality_check(M, r, s).to_json(),
+                        double_duality_check(M, r, s).to_json(),
+                        {str(j): n for j, n in g.contamination.items()}, g.notes,
+                    ])
+    assert len(out) == 164
+    digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_DUALITY_SHA256
