@@ -79,6 +79,24 @@ def _pick_algebra(doc, args):
         raise SystemExit2(str(exc))
 
 
+def _stages(text: str) -> int:
+    """A --stages value: an int of at least 1."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"stage budget {n} is below 1")
+    return n
+
+
+def _field(args):
+    try:
+        return GF(args.p) if args.p else QQ
+    except ValueError as exc:
+        raise SystemExit2(str(exc))
+
+
 def _regime_for(args, A):
     choice = getattr(args, "regime", "auto")
     regime = detect_regime(A)
@@ -253,9 +271,13 @@ def cmd_e2(args) -> int:
     if args.params:
         for chunk in args.params.split(","):
             try:
-                params.append(parse_combination(chunk.strip(), A.field))
+                combo = parse_combination(chunk.strip(), A.field)
             except ParseError as exc:
                 raise SystemExit2(f"bad parameter {chunk!r}: {exc}")
+            unknown = sorted(set(combo) - set(A._deg))
+            if unknown:
+                raise SystemExit2(f"bad parameter {chunk!r}: {unknown} not algebra basis labels")
+            params.append(combo)
     try:
         page = cech_e2(A, M, params)
     except E2PreconditionError as exc:
@@ -282,8 +304,7 @@ def cmd_check_regularity(args) -> int:
         M = _pick_module(doc, args)
         pairs = [(M.algebra, M)]
     else:
-        field = GF(args.p) if args.p else QQ
-        pairs = catalog_pairs(field)
+        pairs = catalog_pairs(_field(args))
     worst = OK
     lines = []
     for A, M in pairs:
@@ -317,7 +338,7 @@ def cmd_check_regularity(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    field = GF(args.p) if args.p else QQ
+    field = _field(args)
     window = None
     if args.window:
         lo, _, hi = args.window.partition("..")
@@ -347,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
         if algebra:
             sp.add_argument("--algebra", help="algebra name (optional when unique)")
         if stages:
-            sp.add_argument("--stages", type=int, default=8, help="resolution stage budget")
+            sp.add_argument("--stages", type=_stages, default=8, help="resolution stage budget")
         if regime:
             sp.add_argument("--regime", choices=["auto", "finite", "poly"], default="auto")
         sp.add_argument("--out", help="write the machine-readable JSON report here")
@@ -401,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("check-regularity", help="regularity inequalities (file or catalog sweep)")
     sp.add_argument("file", nargs="?", help="presentation document (omit to sweep the catalog)")
     sp.add_argument("--module", help="module name")
-    sp.add_argument("--stages", type=int, default=8)
+    sp.add_argument("--stages", type=_stages, default=8)
     sp.add_argument("--p", type=int, help="sweep over F_p instead of Q")
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_check_regularity)

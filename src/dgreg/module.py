@@ -397,51 +397,29 @@ def linear_dual(M: DGModule, name: str | None = None) -> DGModule:
     """
     F = M.field
     A = M.algebra
-    dual_lbl = {lbl: lbl + "'" for lbl in M._deg}
+    deg = M._deg
+    dual_lbl = {lbl: lbl + "'" for lbl in deg}
     basis = {-d: tuple(dual_lbl[l] for l in lbls) for d, lbls in M.basis.items()}
 
-    diff = {}
-    for d, lbls in M.basis.items():
-        below = M.basis_at(d - 1)
-        if not below:
-            continue
-        for b in lbls:
-            combo = {}
-            for c in below:
-                dc = M.diff.get(c, {})
-                if b in dc:
-                    # d(b')(c) = -(-1)^{|b'|} b'(dc), |b'| = -d
-                    combo[dual_lbl[c]] = F.mul(F.neg(F.sign(d)), dc[b])
-            combo = cclean(F, combo)
-            if combo:
-                diff[dual_lbl[b]] = combo
-
-    lact, ract = {}, {}
-    alg_labels = [lbl for dd in A.degrees() for lbl in A.basis_at(dd)]
-    for d, lbls in M.basis.items():
-        for a in alg_labels:
+    # the transpose: each entry y of a row at x is written once, into the
+    # dual row of y at x' (entries whose degree is off are not read)
+    diff, lact, ract = {}, {}, {}
+    for x in deg:
+        for y, c in M.diff.get(x, {}).items():
+            if deg[y] == deg[x] + 1:
+                # d(y')(x) = -(-1)^{|y'|} y'(dx), |y'| = -|y|
+                diff.setdefault(dual_lbl[y], {})[dual_lbl[x]] = F.mul(F.neg(F.sign(deg[y])), c)
+    if M.has_left:
+        for (a, x), row in M.lact.items():
+            for y, c in row.items():
+                if deg[y] == A.degree_of(a) + deg[x]:
+                    ract.setdefault((dual_lbl[y], a), {})[dual_lbl[x]] = c
+    if M.has_right:
+        for (x, a), row in M.ract.items():
             da = A.degree_of(a)
-            src = M.basis_at(d - da)  # (b'.a) lives in degree -d + da, evaluates on M^{d-da}
-            if M.has_left and src:
-                for b in lbls:
-                    combo = {}
-                    for c in src:
-                        ac = M.act_left(a, c)
-                        if ac and b in ac:
-                            combo[dual_lbl[c]] = ac[b]
-                    combo = cclean(F, combo)
-                    if combo:
-                        ract[(dual_lbl[b], a)] = combo
-            if M.has_right and src:
-                for b in lbls:
-                    combo = {}
-                    for c in src:
-                        ca = M.act_right(c, a)
-                        if ca and b in ca:
-                            combo[dual_lbl[c]] = F.mul(F.sign(da), ca[b])
-                    combo = cclean(F, combo)
-                    if combo:
-                        lact[(a, dual_lbl[b])] = combo
+            for y, c in row.items():
+                if deg[y] == da + deg[x]:
+                    lact.setdefault((a, dual_lbl[y]), {})[dual_lbl[x]] = F.mul(F.sign(da), c)
 
     side = {LEFT: RIGHT, RIGHT: LEFT, BI: BI}[M.side]
     return DGModule(

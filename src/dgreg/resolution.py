@@ -89,8 +89,11 @@ def semifree_resolve(M: DGModule, max_stages: int = 8) -> SemifreeResolution:
     window (then complete in the window-relative sense) or after
     ``max_stages``.  Output generators carry (degree, stage); the
     differential of each generator lies in earlier stages with
-    coefficients in A^{>=1}.
+    coefficients in A^{>=1}.  A budget below one stage is a ValueError:
+    with no stage run, the empty ledger would read as complete.
     """
+    if max_stages < 1:
+        raise ValueError(f"stage budget {max_stages} is below 1")
     if not M.has_left:
         raise ValueError("semifree_resolve expects a left module structure")
     M = left_restriction(M)

@@ -17,9 +17,20 @@ model:
 
 Partial resolutions contaminate the Hom/tensor complexes with shifted
 copies of k coming from the un-killed cone classes; the duality checks
-account for those contributions explicitly (and verify the hypotheses of
-the accounting numerically) instead of pretending the complexes are
-exact.
+account for those contributions explicitly instead of pretending the
+complexes are exact.
+
+Frontier window: a residual cone class of a resolution P in degree g
+lands at g+1 in N (x) P and at -g-1 in Hom(P, N).  Classes outside the
+resolution's scan are unrecorded, so a comparison of H against the
+derived functor is made only on the certified window of the complex's
+cohomology met with the scan shifted up one degree (its flip for Hom).
+
+Bookkeeping hypotheses: the contamination is subtracted only when the
+residual classes are killed by A^{>=1} (so each is a shifted copy of k)
+and the augmentation is surjective on H (so the long exact sequences
+split dimensionwise); both are checked by rank computations, and a
+verdict that needs them is indeterminate when they fail.
 """
 
 from __future__ import annotations
@@ -121,43 +132,42 @@ def _require(regime: TorsionRegime):
         raise UnsupportedRegimeError(regime.evidence)
 
 
-def _h_comparison_trust(X: DGModule) -> Trust:
-    """Degrees where H of a derived complex is exact for the data built
-    into it (frontier contributions included, window edges excluded)."""
-    base = X.trust
-    return Trust(
-        None if base.lo is None else base.lo + 1,
-        None if base.hi is None else base.hi - 1,
-    )
-
-
-def _hom_cmp_trust(X: DGModule, res: SemifreeResolution) -> Trust:
-    """Comparison window for Hom(P, N) against the derived functor.
-
-    Residual cone classes outside the resolution's scan are unrecorded;
-    a class in degree g would contribute at degree -g-1, so degrees at
-    and below -(scan.hi)-2 (and at and above -(scan.lo)) are excluded."""
-    t = _h_comparison_trust(X)
-    if res.scan.hi is not None:
-        t = t.raise_lo(-res.scan.hi - 1)
-    if res.scan.lo is not None:
-        t = t.cap_hi(-res.scan.lo - 1)
-    return t
-
-
-def _tensor_cmp_trust(T: DGModule, res: SemifreeResolution) -> Trust:
-    """Comparison window for N (x) P against the derived functor; the
-    mirror of :func:`_hom_cmp_trust` (class in degree g contributes at
-    g+1)."""
-    t = _h_comparison_trust(T)
-    if res.scan.hi is not None:
-        t = t.cap_hi(res.scan.hi + 1)
-    if res.scan.lo is not None:
-        t = t.raise_lo(res.scan.lo + 1)
-    return t
+def _landing(res: SemifreeResolution) -> Trust:
+    """The degrees of N (x) P where the residual cone classes of ``res``
+    are recorded; its flip is the same window for Hom(P, N)."""
+    return res.scan.shift(-1)
 
 
 # -- explicit carriers -------------------------------------------------------
+
+
+def _power_bimodule(A: DGAlgebra, regime: TorsionRegime, name: str, degrees: dict,
+                    prefix: str, step: int, window: GradedWindow, trust: Trust) -> DGModule:
+    """The bimodule with basis ``prefix + l`` in degree ``degrees[l]``, zero
+    differential, and T^p sending index l to l + step*p: the left action
+    is 1/c for T^p = c * label, the right one (-1)^{pd}/c; indices outside
+    ``degrees`` give zero."""
+    F, d = A.field, regime.d
+    labels = {l: f"{prefix}{l}" for l in degrees}
+    lact, ract = {}, {}
+    for l, lbl in labels.items():
+        for p, (plbl, psc) in regime.powers.items():
+            target = labels.get(l + step * p)
+            if target is not None:
+                inv = F.inv(psc)
+                lact[(plbl, lbl)] = {target: inv}
+                ract[(lbl, plbl)] = {target: F.mul(F.sign(p * d), inv)}
+    return DGModule(
+        name=name,
+        algebra=A,
+        side=BI,
+        window=window,
+        basis={degrees[l]: (lbl,) for l, lbl in labels.items()},
+        lact=lact,
+        ract=ract,
+        diff={},
+        trust=trust,
+    )
 
 
 def cech_carrier(A: DGAlgebra, regime: TorsionRegime,
@@ -173,33 +183,9 @@ def cech_carrier(A: DGAlgebra, regime: TorsionRegime,
     if regime.kind != "polynomial":
         raise UnsupportedRegimeError("the Cech carrier is a polynomial-regime object")
     d = regime.d
-    F = A.field
     window = window or GradedWindow(-A.window.hi, A.window.hi)
-    jmax = (1 - window.lo) // d
-    labels = {j: f"c{j}" for j in range(1, jmax + 1)}
-    basis = {1 - d * j: (labels[j],) for j in range(1, jmax + 1)}
-    lact, ract = {}, {}
-    for j in range(1, jmax + 1):
-        for p, (plbl, psc) in regime.powers.items():
-            target = j - p
-            inv = F.inv(psc)
-            if p == 0:
-                lact[(plbl, labels[j])] = {labels[j]: F.one()}
-                ract[(labels[j], plbl)] = {labels[j]: F.one()}
-            elif target >= 1:
-                lact[(plbl, labels[j])] = {labels[target]: inv}
-                ract[(labels[j], plbl)] = {labels[target]: F.mul(F.sign(p * d), inv)}
-    return DGModule(
-        name="S-1C",
-        algebra=A,
-        side=BI,
-        window=window,
-        basis=basis,
-        lact=lact,
-        ract=ract,
-        diff={},
-        trust=Trust(window.lo, None),
-    )
+    degrees = {j: 1 - d * j for j in range(1, (1 - window.lo) // d + 1)}
+    return _power_bimodule(A, regime, "S-1C", degrees, "c", -1, window, Trust(window.lo, None))
 
 
 def dualizing_module(A: DGAlgebra, regime: TorsionRegime,
@@ -212,35 +198,11 @@ def dualizing_module(A: DGAlgebra, regime: TorsionRegime,
     """
     _require(regime)
     if regime.kind == "finite":
-        D = linear_dual(free_module(A, side=BI), name="D")
-        return D
+        return linear_dual(free_module(A, side=BI), name="D")
     d = regime.d
-    F = A.field
     window = window or GradedWindow(-A.window.hi, A.window.hi)
-    lmax = (window.hi + 1 - d) // d
-    labels = {l: f"e{l}" for l in range(0, max(lmax, -1) + 1)}
-    basis = {d * l + d - 1: (labels[l],) for l in labels}
-    lact, ract = {}, {}
-    for l in labels:
-        for p, (plbl, psc) in regime.powers.items():
-            inv = F.inv(psc)
-            if p == 0:
-                lact[(plbl, labels[l])] = {labels[l]: F.one()}
-                ract[(labels[l], plbl)] = {labels[l]: F.one()}
-            elif l + p in labels:
-                lact[(plbl, labels[l])] = {labels[l + p]: inv}
-                ract[(labels[l], plbl)] = {labels[l + p]: F.mul(F.sign(p * d), inv)}
-    return DGModule(
-        name="D",
-        algebra=A,
-        side=BI,
-        window=window,
-        basis=basis,
-        lact=lact,
-        ract=ract,
-        diff={},
-        trust=Trust(None, window.hi),
-    )
+    degrees = {l: d * l + d - 1 for l in range((window.hi + 1 - d) // d + 1)}
+    return _power_bimodule(A, regime, "D", degrees, "e", 1, window, Trust(None, window.hi))
 
 
 def twist_nontriviality(d: int, field: FieldSpec) -> bool:
@@ -283,9 +245,12 @@ def gamma(M: DGModule, regime: TorsionRegime, max_stages: int = 8) -> GammaResul
     _require(regime)
     if regime.kind == "finite":
         return GammaResult(M, None, {}, ["finite regime: Gamma is the identity (counit iso)"])
-    res = semifree_resolve(M, max_stages)
-    A = M.algebra
-    C = cech_carrier(A, regime)
+    return _cech_tensor(M, regime, semifree_resolve(M, max_stages))
+
+
+def _cech_tensor(M: DGModule, regime: TorsionRegime, res: SemifreeResolution) -> GammaResult:
+    """Gamma M in the polynomial regime, from a given resolution of M."""
+    C = cech_carrier(M.algebra, regime)
     lo = C.window.lo + (res.min_gen_degree() or 0)
     hi = max(C.window.hi, M.window.hi) + max(0, res.max_gen_degree() or 0) + 1
     window = GradedWindow(max(lo, -512), min(hi, 512))
@@ -306,10 +271,7 @@ def cm_reg(M: DGModule, regime: TorsionRegime, max_stages: int = 8) -> Regularit
         return RegularityValue.at_least(M.window.lo, "no cohomology in window")
     g = gamma(M, regime, max_stages)
     h = cohomology(g.value)
-    cmp_trust = (
-        _tensor_cmp_trust(g.value, g.resolution) if g.resolution is not None
-        else _h_comparison_trust(g.value)
-    )
+    cmp_trust = h.certified if g.resolution is None else h.certified.meet(_landing(g.resolution))
     dims = {d: n for d, n in h.dims.items() if cmp_trust.contains(d)}
     indeterminate = False
     for dgr, n in g.contamination.items():
@@ -329,14 +291,11 @@ def cm_reg(M: DGModule, regime: TorsionRegime, max_stages: int = 8) -> Regularit
     sup = max(dims)
     # vanishing above sup is certified when the raw complex is trusted
     # unboundedly above and shows nothing there beyond accounted junk
-    raw_trust = _h_comparison_trust(g.value)
-    certified = raw_trust.hi is None and not indeterminate
+    certified = h.certified.hi is None and not indeterminate
     for j in h.dims:
         if j > sup and not cmp_trust.contains(j):
             certified = False
-    if g.contamination and not (
-        residual_classes_are_trivial(M, g.resolution) and _aug_epi_ok(M, g.resolution)
-    ):
+    if g.contamination and not _bookkeeping_ok(M, g.resolution):
         certified = False
     if certified:
         return RegularityValue.exact(sup, "sup of H(Gamma M), vanishing above certified")
@@ -370,11 +329,28 @@ def apply_duality(M: DGModule, D: DGModule, max_stages: int = 8,
     return X, res, contamination, notes
 
 
-def _aug_epi_ok(M: DGModule, res: SemifreeResolution) -> bool:
-    """H(eps) must be surjective degreewise for the contamination
-    bookkeeping (it splits the long exact sequences dimensionwise)."""
+def _bookkeeping_ok(M: DGModule, res: SemifreeResolution) -> bool:
+    """The bookkeeping hypotheses for the residual classes of ``res``:
+    each is killed by A^{>=1} and H(eps) is surjective degreewise."""
+    if not res.residual:
+        return True
     report = augmentation_h_report(M, res)
-    return all(rank == hm for rank, _hp, hm in report.values())
+    return (all(rank == hm for rank, _hp, hm in report.values())
+            and residual_classes_are_trivial(M, res))
+
+
+def _dims_table(cmp_trust: Trust, first, second):
+    """Compare two sides, each given as (name, H report, contamination),
+    degree by degree on ``cmp_trust``, each dimension less its side's
+    contamination.  Returns (table, some entry negative, sides differ)."""
+    (n1, h1, c1), (n2, h2, c2) = first, second
+    degrees = sorted(
+        d for d in set(h1.dims) | set(h2.dims) | set(c1) | set(c2) if cmp_trust.contains(d)
+    )
+    table = {j: {n1: h1.dim(j) - c1.get(j, 0), n2: h2.dim(j) - c2.get(j, 0)} for j in degrees}
+    negative = any(min(row.values()) < 0 for row in table.values())
+    mismatch = any(row[n1] != row[n2] for row in table.values())
+    return table, negative, mismatch
 
 
 @dataclass
@@ -402,67 +378,39 @@ def local_duality_check(M: DGModule, regime: TorsionRegime, max_stages: int = 8)
     contributions, which therefore cancel in the comparison.
     """
     _require(regime)
-    A = M.algebra
-    D = dualizing_module(A, regime)
-    notes = []
+    D = dualizing_module(M.algebra, regime)
     res = semifree_resolve(M, max_stages)
-    rhs, _res, contam_rhs, n1 = apply_duality(M, D, resolution=res)
-    notes += n1
-    h_rhs = cohomology(rhs)
-    rhs_trust = _hom_cmp_trust(rhs, res)
+    rhs, _res, contam_rhs, notes = apply_duality(M, D, resolution=res)
     if regime.kind == "finite":
-        lhs = linear_dual(M)
-        h_lhs = cohomology(lhs)
-        lhs_trust = h_lhs.certified
-        contam_lhs = {}
+        lhs, contam_lhs = linear_dual(M), {}
     else:
-        g = gamma(M, regime, max_stages)
-        lhs = linear_dual(g.value)
-        h_lhs = cohomology(lhs)
-        lhs_trust = _tensor_cmp_trust(g.value, g.resolution).flip()
-        contam_lhs = {-dgr: n for dgr, n in g.contamination.items()}
+        g = _cech_tensor(M, regime, res)
+        lhs, contam_lhs = linear_dual(g.value), contam_rhs
         notes += g.notes
-
-    corrections_used = bool(contam_rhs or contam_lhs)
-    cmp_trust = rhs_trust.meet(lhs_trust)
-    degrees = sorted(
-        d for d in set(h_rhs.dims) | set(h_lhs.dims) | set(contam_rhs) | set(contam_lhs)
-        if cmp_trust.contains(d)
-    )
+    h_rhs, h_lhs = cohomology(rhs), cohomology(lhs)
+    cmp_trust = h_rhs.certified.meet(h_lhs.certified).meet(_landing(res).flip())
+    table, negative, mismatch = _dims_table(
+        cmp_trust, ("gamma_dual", h_lhs, contam_lhs), ("rhom", h_rhs, contam_rhs))
     uncompared = sorted(
         d for d in set(h_rhs.dims) | set(h_lhs.dims)
         if not cmp_trust.contains(d)
     )
-    table = {}
-    mismatch = False
-    negative = False
-    for j in degrees:
-        left = h_lhs.dim(j) - contam_lhs.get(j, 0)
-        right = h_rhs.dim(j) - contam_rhs.get(j, 0)
-        table[j] = {"gamma_dual": left, "rhom": right}
-        if left < 0 or right < 0:
-            negative = True
-        if left != right:
-            mismatch = True
     verdict = "holds"
     if negative:
         verdict = "indeterminate"
         notes.append("contamination exceeded a computed dimension")
+    elif not _bookkeeping_ok(M, res):
+        verdict = "indeterminate"
+        notes.append("frontier bookkeeping hypotheses failed; mismatch not certified" if mismatch
+                     else "corrections used but their hypotheses could not be verified")
     elif mismatch:
         verdict = "violated"
-        if corrections_used and not (_aug_epi_ok(M, res) and residual_classes_are_trivial(M, res)):
-            verdict = "indeterminate"
-            notes.append("frontier bookkeeping hypotheses failed; mismatch not certified")
-    elif corrections_used:
-        if not (_aug_epi_ok(M, res) and residual_classes_are_trivial(M, res)):
-            verdict = "indeterminate"
-            notes.append("corrections used but their hypotheses could not be verified")
     if uncompared:
         notes.append(f"degrees outside the comparison window were skipped: {uncompared}")
     return CheckReport(
         "local-duality",
         verdict,
-        {"dims": {str(j): v for j, v in sorted(table.items())},
+        {"dims": {str(j): v for j, v in table.items()},
          "certified": cmp_trust.to_json()},
         notes,
     )
@@ -473,19 +421,14 @@ def double_duality_check(M: DGModule, regime: TorsionRegime, max_stages: int = 8
 
     Both Hom steps use ledger resolutions; un-killed cone classes of
     either resolution contribute known shifted copies of k whose dual
-    dimensions are subtracted before comparing.  The bookkeeping is only
-    trusted when the residual classes are killed by A^{>=1} and the
-    augmentations are surjective on H, both checked by rank
-    computations; otherwise the verdict is indeterminate.
+    dimensions are subtracted before comparing, under the bookkeeping
+    hypotheses of the module docstring.
     """
     _require(regime)
     A = M.algebra
-    F = M.field
     D = dualizing_module(A, regime)
-    notes = []
     res_in = semifree_resolve(M, max_stages)
-    X, _r, contam_in_X, n1 = apply_duality(M, D, resolution=res_in)
-    notes += n1
+    X, _r, _c, notes = apply_duality(M, D, resolution=res_in)
 
     A_op = A.opposite()
     X_op = to_opposite(X, A_op)
@@ -497,53 +440,27 @@ def double_duality_check(M: DGModule, regime: TorsionRegime, max_stages: int = 8
 
     h_z = cohomology(Z)
     h_m = cohomology(M)
-    cmp_trust = _hom_cmp_trust(Z, res_out).meet(h_m.certified)
-    # unrecorded inner residual classes (beyond the inner scan) would
-    # surface in Z one degree above / below the scan ends
-    if res_in.scan.hi is not None:
-        cmp_trust = cmp_trust.cap_hi(res_in.scan.hi + 1)
-    if res_in.scan.lo is not None:
-        cmp_trust = cmp_trust.raise_lo(res_in.scan.lo + 1)
-    contam = {}
-    for gdeg, n in res_in.residual.items():
-        j = gdeg + 1
-        contam[j] = contam.get(j, 0) + n
-    for gdeg, n in res_out.residual.items():
-        j = -(gdeg + 1)
-        contam[j] = contam.get(j, 0) + n
+    # inner residual classes land as in a tensor, outer ones as in a Hom
+    cmp_trust = (h_z.certified.meet(h_m.certified)
+                 .meet(_landing(res_out).flip()).meet(_landing(res_in)))
+    contam = {g + 1: n for g, n in res_in.residual.items()}
+    for g, n in res_out.residual.items():
+        contam[-(g + 1)] = contam.get(-(g + 1), 0) + n
 
-    degrees = sorted(
-        d for d in set(h_z.dims) | set(h_m.dims) | set(contam)
-        if cmp_trust.contains(d)
-    )
+    table, negative, mismatch = _dims_table(
+        cmp_trust, ("recovered", h_z, contam), ("target", h_m, {}))
     missed_target = sorted(d for d in h_m.dims if not cmp_trust.contains(d))
-    table = {}
-    mismatch = False
-    negative = False
-    for j in degrees:
-        rec = h_z.dim(j) - contam.get(j, 0)
-        table[j] = {"recovered": rec, "target": h_m.dim(j)}
-        if rec < 0:
-            negative = True
-        if rec != h_m.dim(j):
-            mismatch = True
     if missed_target:
         notes.append(f"target cohomology outside the comparison window: {missed_target}")
-        mismatch = mismatch or False
-        negative = negative or True  # cannot certify recovery there
+        negative = True  # cannot certify recovery there
 
-    hypotheses_ok = True
-    if res_in.residual:
-        hypotheses_ok = hypotheses_ok and _aug_epi_ok(M, res_in) and residual_classes_are_trivial(M, res_in)
-    if res_out.residual:
-        hypotheses_ok = hypotheses_ok and _aug_epi_ok(X_op, res_out) and residual_classes_are_trivial(X_op, res_out)
-
+    hypotheses_ok = _bookkeeping_ok(M, res_in) and _bookkeeping_ok(X_op, res_out)
     if negative or (mismatch and not hypotheses_ok):
         verdict = "indeterminate"
         notes.append("contamination bookkeeping not certified")
     elif mismatch:
         verdict = "violated"
-    elif contam and not hypotheses_ok:
+    elif not hypotheses_ok:
         verdict = "indeterminate"
         notes.append("corrections used but their hypotheses could not be verified")
     else:
@@ -551,7 +468,7 @@ def double_duality_check(M: DGModule, regime: TorsionRegime, max_stages: int = 8
     return CheckReport(
         "double-duality",
         verdict,
-        {"dims": {str(j): v for j, v in sorted(table.items())},
+        {"dims": {str(j): v for j, v in table.items()},
          "contamination": {str(j): n for j, n in sorted(contam.items())}},
         notes,
     )

@@ -73,6 +73,18 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     )
     assert main(["validate", str(outside)]) == 2
     assert "line 8" in capsys.readouterr().err
+    p2 = tmp_path / "p2.dg"
+    p2.write_text(POLY2_DOC)
+    # a parameter label must be an algebra basis label
+    assert main(["e2", str(p2), "--module", "free", "--params", "zz"]) == 2
+    # a modulus that is not prime
+    assert main(["check-regularity", "--p", "4"]) == 2
+    assert main(["catalog", "--family", "polynomial", "--p", "4"]) == 2
+    # a stage budget below 1 would read an empty ledger as complete
+    assert main(["extreg", str(p2), "--module", "k", "--stages", "0"]) == 2
+    assert main(["duality-check", str(p2), "--module", "k", "--stages", "-1"]) == 2
+    assert main(["local-duality", str(p2), "--module", "k", "--stages", "-1"]) == 2
+    assert main(["check-regularity", "--stages", "0"]) == 2
 
 
 def test_resolve_square_zero_six_stages(lam_file, capsys):

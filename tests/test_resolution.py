@@ -355,3 +355,16 @@ def test_cone_suffix_avoids_target_labels():
     X, Y = module(("x",)), module(("y", "x~", "x~~"))
     assert cone_of(ModuleMorphism(X, Y, {})).basis[-1] == ("x~~~",)
     assert cone_of(ModuleMorphism(X, X, {})).basis[-1] == ("x~",)
+
+
+def test_stage_budget_below_one_is_rejected():
+    # stage 0 used to return an empty ledger reported as complete, so
+    # Extreg k over k[T], |T| = 2, read as exact -inf (it is 1)
+    k = canonical_k(polynomial_algebra(2), side="left")
+    for budget in (0, -1):
+        with pytest.raises(ValueError):
+            semifree_resolve(k, budget)
+        with pytest.raises(ValueError):
+            ext_reg(k, budget)
+    assert ext_reg(k, 1).kind != "neg_infinity"
+    assert (ext_reg(k, 8).kind, ext_reg(k, 8).n) == ("exact", 1)
