@@ -2,6 +2,7 @@
 
 import pytest
 
+from dgreg.algebra import AlgebraAutomorphism, identity_automorphism, validate_automorphism
 from dgreg.catalog import exterior_algebra, polynomial_algebra, square_zero_algebra
 from dgreg.e2 import E2PreconditionError, cech_e2, cmreg_bound_from_e2, graded_commutativity_violations
 from dgreg.fields import QQ, GF
@@ -120,3 +121,63 @@ def test_sop_warning_for_bad_parameters():
     k = canonical_k(A, side="left")
     page_k = cech_e2(A, k, [{"t1": QQ.one()}])
     assert not page_k.warnings
+
+
+# -- the E2 layer, pinned by digest --------------------------------------------
+#
+# Every page and bound below is hashed, so a change to the page's linear
+# algebra must reproduce each entry, warning and error message exactly.
+
+
+def _e2_entry(A, M, params):
+    try:
+        page = cech_e2(A, M, params)
+    except E2PreconditionError as exc:
+        return [type(exc).__name__, str(exc)]
+    return [page.to_json(), cmreg_bound_from_e2(page).to_json()]
+
+
+def _param_sets(A):
+    """No parameters, the lowest positive generator t, (t, t^2), (t, t)."""
+    F = A.field
+    positive = sorted((A.degree_of(lbl), lbl) for lbl in A._deg if A.degree_of(lbl) > 0)
+    if not positive:
+        return [[]]
+    d, lbl = positive[0]
+    t = {lbl: F.one()}
+    t2 = A.mul_combo(t, d, t, d)
+    return [[], [t], [t, t2], [t, t]]
+
+
+def _top_degree_map(A, scalar):
+    """Multiplies the top degree of A by a raw int: 0 kills it, and 7
+    kills it only over F_7."""
+    top = A.degrees()[-1]
+    return AlgebraAutomorphism(A, {lbl: {lbl: scalar} if scalar else {} for lbl in A.basis_at(top)})
+
+
+def test_e2_layer_is_pinned():
+    import hashlib
+    import json
+
+    from dgreg.catalog import catalog_algebras, catalog_pairs
+
+    out = []
+    for F in (QQ, GF(2), GF(7)):
+        for A in catalog_algebras(F):
+            out.append([A.name, repr(graded_commutativity_violations(A)),
+                        validate_automorphism(identity_automorphism(A)).to_json(),
+                        validate_automorphism(_top_degree_map(A, 0)).to_json(),
+                        validate_automorphism(_top_degree_map(A, 7)).to_json()])
+        for A, M in catalog_pairs(F):
+            if not M.has_left:
+                continue
+            for params in _param_sets(A):
+                out.append([A.name, M.name, repr(params), _e2_entry(A, M, params)])
+    assert len(out) == PINNED_E2_ENTRIES
+    digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
+    assert digest == PINNED_E2_SHA256
+
+
+PINNED_E2_ENTRIES = 180
+PINNED_E2_SHA256 = "a33111b59b70700623a58c3f4005b63cfb8c4c9b648436397982675b7ba1ab56"
