@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .fields import FieldSpec
-from .lincomb import cadd, ceq, cclean, cextend, cscale, czero, to_sparse, to_vector
-from .linalg import Matrix, rank
+from .lincomb import cadd, ceq, cclean, cextend, cscale, czero, to_sparse
+from .linalg import Echelon
 from .windows import GradedWindow, Trust
 
 
@@ -346,9 +346,8 @@ def validate_automorphism(alpha: AlgebraAutomorphism) -> ValidationReport:
     # degreewise invertibility
     for d in A.degrees():
         lbls = A.basis_at(d)
-        mat = Matrix.from_rows(
-            F, [list(to_vector(F, alpha.images.get(b, {b: F.one()}), lbls)) for b in lbls]
-        )
-        if rank(mat) != len(lbls):
+        index = {b: i for i, b in enumerate(lbls)}
+        rows = [to_sparse(F, alpha.images.get(b, {b: F.one()}), index) for b in lbls]
+        if len(Echelon.spanned_by(F, len(lbls), rows)) != len(lbls):
             out.append(Violation("invertible", tuple(lbls), f"not invertible in degree {d}"))
     return ValidationReport("automorphism", out)

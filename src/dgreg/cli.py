@@ -18,8 +18,8 @@ import sys
 from .algebra import validate_algebra, validate_automorphism
 from .catalog import ALGEBRA_FAMILIES, document_text
 from .fields import QQ, GF
-from .module import cohomology, validate_module
-from .resolution import ext_reg, koszul_test, semifree_resolve
+from .module import SideError, cohomology, validate_module
+from .resolution import DegenerateWindowError, ext_reg, koszul_test, semifree_resolve
 from .textformat import ParseError, parse_document, parse_combination
 from .torsion import (
     UnsupportedRegimeError,
@@ -446,7 +446,9 @@ def main(argv=None) -> int:
         return USAGE if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except SystemExit2 as exc:
+    except (SystemExit2, SideError, DegenerateWindowError) as exc:
+        # bad input: a module without the left action the command needs,
+        # or a window too narrow to certify any cohomology
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except UnsupportedRegimeError as exc:

@@ -7,7 +7,10 @@ indexing would carry both with opposite signs).  Entries are
 computed degreewise: the Cech complex on parameters x_1..x_c is the
 colimit of the Koszul cochain complexes on x_1^t..x_c^t, and each entry
 is read off at the deepest stage the window supports, certified when one
-more stage induces an isomorphism on cohomology.
+more stage induces an isomorphism on cohomology.  Every map is a list of
+sparse columns over the cohomology bases of H(M), and every stage's
+cohomology goes through the same kernel/image/quotient routine as
+:func:`dgreg.module.cohomology`.
 
 The abutment is H(Gamma M), so max(l + s) over the nonzero entries is an
 upper bound for the CM regularity, exact when the sequence degenerates.
@@ -19,8 +22,8 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
 from .algebra import DGAlgebra
-from .lincomb import cclean, from_vector, to_vector
-from .linalg import ContainmentError, Echelon, Matrix, image_basis, kernel_basis, quotient_by
+from .lincomb import cclean, cextend, from_vector, to_vector
+from .linalg import ContainmentError, Echelon, QuotientSpace, kernel_mod_image, sparse, sparse_transpose
 from .module import DGModule, cohomology, cohomology_quotient, left_restriction
 from .resolution import RegularityValue
 
@@ -69,7 +72,7 @@ class HModule:
         return self._quot[s]
 
     def act_columns(self, x: dict, xdeg: int, s: int) -> list:
-        """Columns of multiplication by a cocycle x: H^s -> H^{s+xdeg},
+        """Sparse columns of multiplication by a cocycle x: H^s -> H^{s+xdeg},
         as coordinate vectors in H^{s+xdeg}."""
         F = self.field
         tgt = self._quotient(s + xdeg)
@@ -82,14 +85,6 @@ class HModule:
             vec = to_vector(F, prod, self.M.basis_at(s + xdeg))
             cols.append(tgt.project(vec))
         return cols
-
-    def act_matrix(self, x: dict, xdeg: int, s: int) -> Matrix:
-        """Matrix of multiplication by a cocycle x: H^s -> H^{s+xdeg}."""
-        F = self.field
-        tgt = self._quotient(s + xdeg)
-        cols = self.act_columns(x, xdeg, s)
-        rows = [[cols[j][i] for j in range(len(cols))] for i in range(tgt.dim)]
-        return Matrix.from_rows(F, rows) if cols and tgt.dim else Matrix.zeros(F, tgt.dim, len(cols))
 
 
 def graded_commutativity_violations(A: DGAlgebra) -> list:
@@ -117,11 +112,9 @@ def graded_commutativity_violations(A: DGAlgebra) -> list:
                         continue
                     vec = to_vector(F, diff, A.basis_at(p + q))
                     try:
-                        coords = HA._quotient(p + q).project(vec)
+                        if HA._quotient(p + q).project(vec):
+                            out.append(((p, i), (q, j)))
                     except ContainmentError:
-                        out.append(((p, i), (q, j)))
-                        continue
-                    if any(not F.is_zero(c) for c in coords):
                         out.append(((p, i), (q, j)))
     return out
 
@@ -159,77 +152,58 @@ class E2Page:
 
 
 def _koszul_stage(h: HModule, params, s: int, t: int):
-    """The Koszul cochain complex on x_i^t in internal degree s.
+    """The Koszul cochain complex on x_1^t..x_c^t in internal degree s.
 
-    Returns (spaces, diffs) where spaces[l] lists (subset, dim) blocks
-    and diffs[l] is the block matrix into position l+1."""
+    Position l is the sum of H^{s + t*e_S} over the l-subsets S of the
+    parameters in ``combinations`` order, e_S the sum of their degrees.
+    Returns (dims, diffs): dims[l] is the dimension at position l and
+    diffs[l] the sparse columns of the differential into position l+1,
+    which sends the S block to the S + {j} block by (-1)^p x_j^t, p the
+    place of j in S + {j}."""
     F = h.field
     c = len(params)
-    subsets = {l: list(combinations(range(c), l)) for l in range(c + 1)}
-
-    def e(S):
-        return sum(params[i][1] for i in S)
-
-    def space_dim(S):
-        return h.dim(s + t * e(S))
-
-    def power_matrix(i, from_deg, t_steps):
-        x, d = params[i]
-        mat = None
-        deg = from_deg
-        for _ in range(t_steps):
-            step = h.act_matrix(x, d, deg)
-            mat = step if mat is None else step.mul(mat)
-            deg += d
-        if mat is None:
-            n = h.dim(from_deg)
-            mat = Matrix.identity(F, n)
-        return mat
-
+    dims, offsets = {}, {}
+    for l in range(c + 1):
+        dims[l] = 0
+        for S in combinations(range(c), l):
+            offsets[S] = dims[l]
+            dims[l] += h.dim(s + t * _weight(params, S))
     diffs = {}
     for l in range(c):
-        rows_blocks = subsets[l + 1]
-        cols_blocks = subsets[l]
-        col_offsets, total_cols = {}, 0
-        for S in cols_blocks:
-            col_offsets[S] = total_cols
-            total_cols += space_dim(S)
-        row_offsets, total_rows = {}, 0
-        for S in rows_blocks:
-            row_offsets[S] = total_rows
-            total_rows += space_dim(S)
-        data = [[F.zero()] * total_cols for _ in range(total_rows)]
-        for S in cols_blocks:
+        cols = diffs[l] = []
+        for S in combinations(range(c), l):
+            deg = s + t * _weight(params, S)
+            blocks = []
             for j in range(c):
-                if j in S:
-                    continue
-                Sp = tuple(sorted(S + (j,)))
-                pos = Sp.index(j)
-                sgn = F.sign(pos)
-                mat = power_matrix(j, s + t * e(S), t)
-                r0, c0 = row_offsets[Sp], col_offsets[S]
-                for r in range(mat.nrows):
-                    for cc in range(mat.ncols):
-                        data[r0 + r][c0 + cc] = F.mul(sgn, mat.entry(r, cc))
-        diffs[l] = Matrix.from_rows(F, data) if total_rows and total_cols else Matrix.zeros(F, total_rows, total_cols)
-    dims = {l: sum(space_dim(S) for S in subsets[l]) for l in range(c + 1)}
-    return subsets, dims, diffs, e
+                if j not in S:
+                    Sj = tuple(sorted(S + (j,)))
+                    blocks.append((offsets[Sj], F.sign(Sj.index(j)),
+                                   _product_columns(h, [params[j]] * t, deg)))
+            for k in range(h.dim(deg)):
+                cols.append({off + i: F.mul(sgn, y)
+                             for off, sgn, power in blocks for i, y in power[k].items()})
+    return dims, diffs
 
 
-def _stage_cohomology(F, dims, diffs, l, c):
-    n = dims[l]
-    if n == 0:
-        return 0, []
-    d_out = diffs.get(l)
-    if d_out is not None and d_out.nrows:
-        cocycles = kernel_basis(d_out)
-    else:
-        one, zero = F.one(), F.zero()
-        cocycles = [tuple(one if i == j else zero for j in range(n)) for i in range(n)]
-    d_in = diffs.get(l - 1)
-    boundaries = image_basis(d_in) if (d_in is not None and d_in.ncols) else []
-    q = quotient_by(F, cocycles, boundaries)
-    return q.dim, q
+def _weight(params, S) -> int:
+    return sum(params[i][1] for i in S)
+
+
+def _product_columns(h: HModule, factors, s: int) -> list:
+    """Sparse columns of multiplication by the product of the (x, |x|)
+    factors on H^s, the first factor applied first."""
+    F = h.field
+    cols = [{k: F.one()} for k in range(h.dim(s))]
+    for x, d in factors:
+        step = h.act_columns(x, d, s)
+        cols = [cextend(F, c, step.__getitem__) for c in cols]
+        s += d
+    return cols
+
+
+def _stage_cohomology(F, dims, diffs, l) -> QuotientSpace:
+    rows = sparse_transpose(diffs.get(l, []), dims.get(l + 1, 0))
+    return kernel_mod_image(F, dims[l], rows, diffs.get(l - 1, []))
 
 
 def cech_e2(A: DGAlgebra, M: DGModule, params, s_range=None, max_stage: int = 12) -> E2Page:
@@ -285,37 +259,36 @@ def cech_e2(A: DGAlgebra, M: DGModule, params, s_range=None, max_stage: int = 12
                     uncertified[(0, s)] = n
         return E2Page(entries, uncertified, norm_params, s_range, warnings)
 
-    e_full = sum(d for _x, d in norm_params)
+    e_full = _weight(norm_params, range(c))
     for s in range(s_range[0], s_range[1] + 1):
         T = min(max_stage, (top - s) // e_full if e_full else max_stage)
         if T < 1:
             continue
         # the complexes only involve degrees s + t*e_S; all must be known
-        needed = [s + t * sum(norm_params[i][1] for i in S)
+        needed = [s + t * _weight(norm_params, S)
                   for t in (T - 1, T)
                   for l in range(c + 1)
                   for S in combinations(range(c), l)]
         if not all(h.known(dd) for dd in set(needed)):
             continue
         try:
-            subsets_a, dims_a, diffs_a, e_a = _koszul_stage(h, norm_params, s, T)
+            dims_a, diffs_a = _koszul_stage(h, norm_params, s, T)
         except E2PreconditionError:
             continue
         stable_ok = T >= 2
         if stable_ok:
-            subsets_b, dims_b, diffs_b, e_b = _koszul_stage(h, norm_params, s, T - 1)
+            dims_b, diffs_b = _koszul_stage(h, norm_params, s, T - 1)
         for l in range(c + 1):
-            dim_a, quot_a = _stage_cohomology(F, dims_a, diffs_a, l, c)
+            quot_a = _stage_cohomology(F, dims_a, diffs_a, l)
             is_cert = False
             if stable_ok:
-                dim_b, quot_b = _stage_cohomology(F, dims_b, diffs_b, l, c)
-                if dim_a == dim_b:
-                    is_cert = _transition_iso(h, norm_params, s, T - 1, quot_b, quot_a, subsets_a[l])
-            if dim_a:
+                quot_b = _stage_cohomology(F, dims_b, diffs_b, l)
+                is_cert = _transition_iso(h, norm_params, s, T - 1, l, quot_b, quot_a)
+            if quot_a.dim:
                 if is_cert:
-                    entries[(l, s)] = dim_a
+                    entries[(l, s)] = quot_a.dim
                 else:
-                    uncertified[(l, s)] = dim_a
+                    uncertified[(l, s)] = quot_a.dim
 
     # heuristic system-of-parameters sanity: the quotient by the
     # parameters should die out towards the top of the window
@@ -340,45 +313,27 @@ def cech_e2(A: DGAlgebra, M: DGModule, params, s_range=None, max_stage: int = 12
     return E2Page(entries, uncertified, norm_params, s_range, warnings)
 
 
-def _transition_iso(h, params, s, t, quot_from, quot_to, subsets_l) -> bool:
-    """Whether K(x^t) -> K(x^{t+1}) induces an isomorphism at position l."""
-    F = h.field
-    dim_from = quot_from.dim if hasattr(quot_from, "dim") else 0
-    dim_to = quot_to.dim if hasattr(quot_to, "dim") else 0
-    if dim_from != dim_to:
+def _transition_iso(h, params, s, t, l, quot_from, quot_to) -> bool:
+    """Whether K(x^t) -> K(x^{t+1}) induces an isomorphism at position l;
+    the map multiplies the S block by prod_{i in S} x_i."""
+    if quot_from.dim != quot_to.dim:
         return False
-    if dim_from == 0:
+    if not quot_from.dim:
         return True
-    # block-diagonal transition: on component S multiply once by prod_{i in S} x_i
-    cols = []
-    for repv in quot_from.representatives:
-        out = []
-        off = 0
-        for S in subsets_l:
-            e_S = sum(params[i][1] for i in S)
-            n_from = h.dim(s + t * e_S)
-            block = tuple(repv[off: off + n_from])
-            off += n_from
-            if not S:
-                out.extend(block)
-                continue
-            deg = s + t * e_S
-            vec = block
-            for i in S:
-                mat = h.act_matrix(params[i][0], params[i][1], deg)
-                vec = mat.apply(vec)
-                deg += params[i][1]
-            out.extend(vec)
+    F = h.field
+    columns, off = [], 0
+    for S in combinations(range(len(params)), l):
+        deg = s + t * _weight(params, S)
+        for col in _product_columns(h, [params[i] for i in S], deg):
+            columns.append({off + i: y for i, y in col.items()})
+        off += h.dim(deg + _weight(params, S))
+    image = Echelon(F, quot_to.dim)
+    for rep in quot_from.representatives:
         try:
-            cols.append(quot_to.project(tuple(out)))
+            image.add(quot_to.project(cextend(F, sparse(rep), columns.__getitem__)))
         except ContainmentError:
             return False
-    ech = Echelon(F, quot_to.dim)
-    r = 0
-    for col in cols:
-        if ech.add(col):
-            r += 1
-    return r == quot_to.dim
+    return len(image) == quot_to.dim
 
 
 def cmreg_bound_from_e2(page: E2Page) -> RegularityValue:

@@ -21,7 +21,7 @@ builders use.
 from __future__ import annotations
 
 from .ledger import SemifreeResolution
-from .module import DGModule, LEFT, RIGHT, free_module
+from .module import DGModule, LEFT, RIGHT, SideError, free_module
 from .windows import GradedWindow, Trust
 
 
@@ -183,7 +183,7 @@ def hom_from_ledger(L: SemifreeResolution, N: DGModule, window: GradedWindow,
     Returns (module, notes); notes flag window-relative trust.
     """
     if not N.has_left:
-        raise ValueError("hom_from_ledger needs a left action on N")
+        raise SideError("hom_from_ledger needs a left action on N")
     A = L.algebra
     F = A.field
     # incoming ledger rows: for generator g', which g receive a_{g'g}?

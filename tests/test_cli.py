@@ -85,6 +85,19 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert main(["duality-check", str(p2), "--module", "k", "--stages", "-1"]) == 2
     assert main(["local-duality", str(p2), "--module", "k", "--stages", "-1"]) == 2
     assert main(["check-regularity", "--stages", "0"]) == 2
+    # a module without a left action, and a window too narrow to certify H
+    odd = tmp_path / "odd.dg"
+    odd.write_text(POLY2_DOC + "\nmodule R over Poly2 side right window 0..4\nbasis 0: r\n"
+                   "\nmodule W over Poly2 side left window 0..0\nbasis 0: w\n")
+    needs_left = ["resolve", "extreg", "koszul", "cmreg", "gamma", "duality-check",
+                  "local-duality", "check-regularity"]
+    capsys.readouterr()
+    for cmd in needs_left + ["e2"]:
+        assert main([cmd, str(odd), "--module", "R"]) == 2, cmd
+        assert capsys.readouterr().err == "error: R has no left structure\n"
+    for cmd in needs_left:
+        assert main([cmd, str(odd), "--module", "W"]) == 2, cmd
+        assert capsys.readouterr().err == "error: window 0..0 cannot certify any cohomology\n"
 
 
 def test_resolve_square_zero_six_stages(lam_file, capsys):
