@@ -34,7 +34,7 @@ def _zeros(field, nrows, ncols):
 
 
 def _transpose(m):
-    return Matrix(m.field, m.ncols, m.nrows, tuple(zip(*m.rows)) if m.nrows else ((),) * m.ncols)
+    return Matrix(m.field, m.ncols, m.nrows, tuple(zip(*m.rows)))
 
 
 def _apply(m, vec):
