@@ -66,16 +66,19 @@ class Presentation:
     _label_kind = "basis"
 
     def _index(self):
-        """Sort the basis by degree, map each label to its degree, and keep
-        the field's zero and one for the hot loops."""
+        """Sort the basis by degree, map each label to its degree and to
+        its position in its degree, and keep the field's zero and one for
+        the hot loops."""
         self._zero, self._one = self.field.zero(), self.field.one()
         self.basis = {d: tuple(lbls) for d, lbls in sorted(self.basis.items()) if lbls}
-        self._deg = {}
+        self._deg, self._pos = {}, {}
         for d, lbls in self.basis.items():
-            for lbl in lbls:
+            pos = self._pos[d] = {}
+            for i, lbl in enumerate(lbls):
                 if lbl in self._deg:
                     raise ValueError(f"duplicate {self._label_kind} label {lbl!r}")
                 self._deg[lbl] = d
+                pos[lbl] = i
 
     def _clean(self, table: dict) -> dict:
         """A fresh copy of a table with zero coefficients and entries dropped."""
@@ -93,6 +96,16 @@ class Presentation:
 
     def degrees(self):
         return sorted(self.basis)
+
+    def coords(self, c: dict, d: int) -> dict:
+        """Coordinates ``{position: scalar}`` of a degree-d combination in
+        the degree-d basis; a label of another degree is a KeyError."""
+        return to_sparse(self.field, c, self._pos.get(d, {}))
+
+    def combo(self, vec: dict, d: int) -> dict:
+        """The degree-d combination with coordinates ``vec``, in basis order."""
+        lbls = self.basis_at(d)
+        return {lbls[i]: vec[i] for i in sorted(vec)}
 
     @property
     def complete(self) -> bool:
@@ -203,11 +216,10 @@ def diff_columns(X, d: int) -> list:
     """Sparse columns of the differential X^d -> X^{d+1} of an algebra or
     module: one ``{position: scalar}`` per basis element of degree d,
     read straight from the diff table."""
-    src, tgt = X.basis_at(d), X.basis_at(d + 1)
-    if not tgt:
+    src = X.basis_at(d)
+    if not X.basis_at(d + 1):
         return [{} for _ in src]
-    index = {lbl: i for i, lbl in enumerate(tgt)}
-    return [to_sparse(X.field, X.diff.get(b, {}), index) for b in src]
+    return [X.coords(X.diff.get(b, {}), d + 1) for b in src]
 
 
 def _d_squared(X, detail: str) -> list:
@@ -346,8 +358,7 @@ def validate_automorphism(alpha: AlgebraAutomorphism) -> ValidationReport:
     # degreewise invertibility
     for d in A.degrees():
         lbls = A.basis_at(d)
-        index = {b: i for i, b in enumerate(lbls)}
-        rows = [to_sparse(F, alpha.images.get(b, {b: F.one()}), index) for b in lbls]
+        rows = [A.coords(alpha.images.get(b, {b: F.one()}), d) for b in lbls]
         if len(Echelon.spanned_by(F, len(lbls), rows)) != len(lbls):
             out.append(Violation("invertible", tuple(lbls), f"not invertible in degree {d}"))
     return ValidationReport("automorphism", out)

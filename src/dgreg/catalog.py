@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from .algebra import DGAlgebra
 from .fields import QQ, FieldSpec
-from .lincomb import cclean
 from .module import (
     BI,
     DGModule,
@@ -140,8 +139,8 @@ def finite_table_algebra(
         window=window,
         basis=basis,
         unit=unit,
-        mul={k: cclean(field, v) for k, v in mul.items()},
-        diff={k: cclean(field, v) for k, v in diff.items()},
+        mul=mul,
+        diff=diff,
         trust=Trust.everywhere() if complete else Trust(None, window.hi),
     )
 

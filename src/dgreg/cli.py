@@ -61,22 +61,18 @@ def _report(args, payload: dict, human: str, code: int) -> int:
     return code
 
 
-def _reg_json(v):
-    return v.to_json()
-
-
 def _pick_module(doc, args):
     try:
         return doc.module(getattr(args, "module", None))
     except KeyError as exc:
-        raise SystemExit2(str(exc))
+        raise SystemExit2(exc.args[0])  # str() of a KeyError quotes it
 
 
 def _pick_algebra(doc, args):
     try:
         return doc.algebra(getattr(args, "algebra", None))
     except KeyError as exc:
-        raise SystemExit2(str(exc))
+        raise SystemExit2(exc.args[0])
 
 
 def _stages(text: str) -> int:
@@ -189,7 +185,7 @@ def cmd_extreg(args) -> int:
     M = _pick_module(doc, args)
     v = ext_reg(M, max_stages=args.stages)
     code = OK if v.kind in ("exact", "neg_infinity") else INDETERMINATE
-    return _report(args, {"extreg": _reg_json(v)}, f"Extreg {M.name} = {v} ({v.note})", code)
+    return _report(args, {"extreg": v.to_json()}, f"Extreg {M.name} = {v} ({v.note})", code)
 
 
 def cmd_koszul(args) -> int:
@@ -208,7 +204,7 @@ def cmd_cmreg(args) -> int:
     v = cm_reg(M, regime, max_stages=args.stages)
     code = OK if v.kind in ("exact", "neg_infinity") else INDETERMINATE
     return _report(
-        args, {"cmreg": _reg_json(v), "regime": regime.to_json()},
+        args, {"cmreg": v.to_json(), "regime": regime.to_json()},
         f"CMreg {M.name} = {v} [{regime.kind} regime] ({v.note})", code,
     )
 
@@ -291,7 +287,7 @@ def cmd_e2(args) -> int:
     for w in page.warnings:
         human.append(f"warning: {w}")
     human.append(f"CMreg bound from page: {bound}")
-    return _report(args, {"page": page.to_json(), "cmreg_bound": _reg_json(bound)},
+    return _report(args, {"page": page.to_json(), "cmreg_bound": bound.to_json()},
                    "\n".join(human), OK)
 
 
@@ -323,7 +319,7 @@ def cmd_check_regularity(args) -> int:
         results.append({
             "algebra": A.name, "module": M.name,
             "checks": verdicts,
-            "values": {k: _reg_json(v) for k, v in vals.items()},
+            "values": {k: v.to_json() for k, v in vals.items()},
             "finiteness": rep["extreg_finite_when_extregk_finite"],
         })
         lines.append(

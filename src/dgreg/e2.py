@@ -22,9 +22,9 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
 from .algebra import DGAlgebra
-from .lincomb import cclean, cextend, from_vector, to_vector
-from .linalg import ContainmentError, Echelon, QuotientSpace, kernel_mod_image, sparse, sparse_transpose
-from .module import DGModule, cohomology, cohomology_quotient, left_restriction
+from .lincomb import cclean, cextend
+from .linalg import ContainmentError, Echelon, QuotientSpace, kernel_mod_image, sparse_transpose
+from .module import DGModule, cohomology, left_restriction
 from .resolution import RegularityValue
 
 
@@ -45,7 +45,6 @@ class HModule:
         self.M = left_restriction(M)
         self.field = A.field
         self.report = cohomology(self.M)
-        self._quot = {}
 
     def dim(self, s: int) -> int:
         return self.report.dim(s)
@@ -66,41 +65,34 @@ class HModule:
     def known(self, s: int) -> bool:
         return self.report.certified.contains(s) or self.known_zero(s)
 
-    def _quotient(self, s: int):
-        if s not in self._quot:
-            self._quot[s] = cohomology_quotient(self.M, s)
-        return self._quot[s]
-
     def act_columns(self, x: dict, xdeg: int, s: int) -> list:
         """Sparse columns of multiplication by a cocycle x: H^s -> H^{s+xdeg},
         as coordinate vectors in H^{s+xdeg}."""
-        F = self.field
-        tgt = self._quotient(s + xdeg)
+        M, t = self.M, s + xdeg
+        tgt = self.report.quotient(t)
         cols = []
-        for rep in self._quotient(s).representatives:
-            m = from_vector(F, rep, self.M.basis_at(s))
-            prod = self.M.lact_combo(x, xdeg, m, s)
+        for rep in self.report.quotient(s).representatives:
+            prod = M.lact_combo(x, xdeg, M.combo(rep, s), s)
             if prod is None:
                 raise E2PreconditionError(f"action leaves the window at degree {s}")
-            vec = to_vector(F, prod, self.M.basis_at(s + xdeg))
-            cols.append(tgt.project(vec))
+            cols.append(tgt.project(M.coords(prod, t)))
         return cols
 
 
 def graded_commutativity_violations(A: DGAlgebra) -> list:
     """Pairs of H(A)-classes with xy != (-1)^{|x||y|} yx up to coboundary."""
     F = A.field
-    HA = HModule(A, _free_left(A))
+    h = cohomology(A)
     out = []
-    degs = [d for d in A.degrees() if HA.dim(d)]
+    degs = [d for d in A.degrees() if h.dim(d)]
     for p in degs:
         for q in degs:
             if p + q > A.window.hi:
                 continue
-            for i, xr in enumerate(HA._quotient(p).representatives):
-                x = from_vector(F, xr, A.basis_at(p))
-                for j, yr in enumerate(HA._quotient(q).representatives):
-                    y = from_vector(F, yr, A.basis_at(q))
+            for i, xr in enumerate(h.quotient(p).representatives):
+                x = A.combo(xr, p)
+                for j, yr in enumerate(h.quotient(q).representatives):
+                    y = A.combo(yr, q)
                     xy = A.mul_combo(x, p, y, q)
                     yx = A.mul_combo(y, q, x, p)
                     if xy is None or yx is None:
@@ -110,19 +102,12 @@ def graded_commutativity_violations(A: DGAlgebra) -> list:
                                       for k in set(xy) | set(yx)})
                     if not diff:
                         continue
-                    vec = to_vector(F, diff, A.basis_at(p + q))
                     try:
-                        if HA._quotient(p + q).project(vec):
+                        if h.quotient(p + q).project(A.coords(diff, p + q)):
                             out.append(((p, i), (q, j)))
                     except ContainmentError:
                         out.append(((p, i), (q, j)))
     return out
-
-
-def _free_left(A: DGAlgebra) -> DGModule:
-    from .module import free_module
-
-    return left_restriction(free_module(A, side="bi"))
 
 
 @dataclass
@@ -330,7 +315,7 @@ def _transition_iso(h, params, s, t, l, quot_from, quot_to) -> bool:
     image = Echelon(F, quot_to.dim)
     for rep in quot_from.representatives:
         try:
-            image.add(quot_to.project(cextend(F, sparse(rep), columns.__getitem__)))
+            image.add(quot_to.project(cextend(F, rep, columns.__getitem__)))
         except ContainmentError:
             return False
     return len(image) == quot_to.dim

@@ -31,8 +31,10 @@ class ContainmentError(ValueError):
 
 
 # Matrix, RowReduction, row_reduce and quotient_by have no caller in the
-# package; the benchmark's tracer wraps them by name, so they stay until
-# it reads its counters from the library.
+# package, nor do DGModule.diff_matrix and lincomb.to_vector/from_vector;
+# the benchmark's tracer wraps them by name, so they stay until it reads
+# its counters from the library.  They convert dense vectors at their own
+# edges; nothing else in the package sees one.
 
 
 @dataclass(frozen=True)
@@ -68,10 +70,7 @@ class Matrix:
 
 
 def sparse(vec) -> dict:
-    """The nonzero entries of a dense vector as ``{index: value}``;
-    a dict is taken to be sparse already and returned as is."""
-    if isinstance(vec, dict):
-        return vec
+    """The nonzero entries of a dense vector as ``{index: value}``."""
     return {i: x for i, x in enumerate(vec) if x}
 
 
@@ -116,9 +115,8 @@ class Echelon:
     """Incremental reduced-echelon store for a subspace of k^n.
 
     Supports exact membership, residual reduction, and growth one vector
-    at a time; rows are sparse dicts kept fully reduced with unit
-    pivots, in pivot order.  Vectors may be given dense or as sparse
-    dicts.
+    at a time, on sparse dict vectors; rows are kept fully reduced with
+    unit pivots, in pivot order.
     """
 
     def __init__(self, field: FieldSpec, dim: int):
@@ -145,26 +143,25 @@ class Echelon:
         out._row_at = dict(zip(out.pivots, out.rows))
         return out
 
-    def reduce(self, vec):
-        """Residual of vec modulo the stored subspace: a new sparse dict
-        for a sparse vec, a dense tuple for a dense one.
+    def reduce(self, vec: dict) -> dict:
+        """Residual of vec modulo the stored subspace, as a new dict with
+        no zero entries (vec may hold some).
 
         Rows are zero at every other row's pivot, so each stored pivot
         present in vec is cleared exactly once, by its original entry.
         """
-        is_sparse = isinstance(vec, dict)
-        v = dict(vec) if is_sparse else sparse(vec)
+        v = {j: x for j, x in vec.items() if x}
         at, p = self._row_at, self.field.p
         for q in [c for c in v if c in at]:
             _axpy(v, v[q], at[q], p)
-        return v if is_sparse else dense(self.field, v, self.dim)
+        return v
 
-    def contains(self, vec) -> bool:
-        return not self.reduce(sparse(vec))
+    def contains(self, vec: dict) -> bool:
+        return not self.reduce(vec)
 
-    def add(self, vec) -> bool:
+    def add(self, vec: dict) -> bool:
         """Insert vec; returns True when it enlarged the subspace."""
-        v = self.reduce(sparse(vec))
+        v = self.reduce(vec)
         if not v:
             return False
         self._push(v)
@@ -214,9 +211,6 @@ class Echelon:
                 out.append(v)
         return out
 
-    def basis(self) -> list:
-        return [dense(self.field, r, self.dim) for r in self.rows]
-
 
 @dataclass(frozen=True)
 class RowReduction:
@@ -233,9 +227,9 @@ def row_reduce(m: Matrix) -> RowReduction:
     row space, with its zero rows last.
     """
     F = m.field
-    ech = Echelon.spanned_by(F, m.ncols, m.rows)
+    ech = Echelon.spanned_by(F, m.ncols, [sparse(row) for row in m.rows])
     zero_row = (F.zero(),) * m.ncols
-    rows = tuple(ech.basis()) + (zero_row,) * (m.nrows - len(ech))
+    rows = tuple(dense(F, r, m.ncols) for r in ech.rows) + (zero_row,) * (m.nrows - len(ech))
     return RowReduction(Matrix(F, m.nrows, m.ncols, rows), len(ech), tuple(ech.pivots))
 
 
@@ -243,16 +237,16 @@ def row_reduce(m: Matrix) -> RowReduction:
 class QuotientSpace:
     """A quotient span/sub with chosen complement representatives.
 
-    ``representatives`` are echelon-normalized dense vectors of the
+    ``representatives`` are echelon-normalized sparse vectors of the
     ambient space whose classes form a basis; each is zero at the
-    leading entries of the ones before it and at the pivots of the sub.
-    :meth:`project` returns exact coordinates of a vector's class in
-    that basis.
+    leading entries of the ones before it and at the pivots of ``sub``,
+    the echelon of the subspace.  :meth:`project` returns exact
+    coordinates of a vector's class in that basis.
     """
 
     field: FieldSpec
     representatives: list
-    _sub_ech: Echelon
+    sub: Echelon
 
     @property
     def dim(self) -> int:
@@ -260,19 +254,15 @@ class QuotientSpace:
 
     @cached_property
     def _pivoted(self) -> list:
-        out = []
-        for rep in self.representatives:
-            v = sparse(rep)
-            out.append((min(v), v))
-        return out
+        return [(min(v), v) for v in self.representatives]
 
-    def project(self, vec) -> dict:
+    def project(self, vec: dict) -> dict:
         """Coordinates ``{i: c}`` of vec's class, by forward substitution:
         a representative is zero at the leading entries of the ones
         before it, so once those are subtracted the residual's entry at
         the i-th leading entry is the i-th coordinate.  Raises
         :class:`ContainmentError` off the ambient span."""
-        residual = self._sub_ech.reduce(sparse(vec))
+        residual = self.sub.reduce(vec)
         p, coords = self.field.p, {}
         for i, (q, rep) in enumerate(self._pivoted):
             c = residual.get(q)
@@ -288,14 +278,16 @@ def complement(sub: Echelon, vectors) -> QuotientSpace:
     """Quotient of span(sub + vectors) by sub.
 
     Walks the sparse vectors in order and keeps the residual of each one
-    that enlarges the span, scaled to a unit leading coefficient.
+    that enlarges the span, scaled to a unit leading coefficient.  Later
+    pushes reduce the stored rows in place, so each representative is a
+    copy of its row as pushed.
     """
     seen = sub.copy()
     reps = []
     for v in vectors:
         residual = seen.reduce(v)
         if residual:
-            reps.append(dense(sub.field, seen._push(residual), sub.dim))
+            reps.append(dict(seen._push(residual)))
     return QuotientSpace(sub.field, reps, sub)
 
 
@@ -321,7 +313,8 @@ def kernel_mod_image(field: FieldSpec, n: int, rows, columns) -> QuotientSpace:
 
 
 def quotient_by(field: FieldSpec, span, sub) -> QuotientSpace:
-    """Quotient of span(span) by span(sub), with coordinate maps.
+    """Quotient of span(span) by span(sub) for dense vectors, with
+    coordinate maps.
 
     Raises :class:`ContainmentError` unless sub is contained in the
     ambient span.

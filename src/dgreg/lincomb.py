@@ -59,6 +59,8 @@ def ceq(field: FieldSpec, a: dict, b: dict) -> bool:
     return cclean(field, a) == cclean(field, b)
 
 
+# to_vector and from_vector have no caller in the package; the benchmark's
+# tracer wraps them by name (see the note in linalg).
 def to_vector(field: FieldSpec, c: dict, basis) -> tuple:
     """Coordinates of a combination in the given ordered basis."""
     unknown = set(c) - set(basis)

@@ -22,7 +22,7 @@ from .algebra import (
     diff_columns,
 )
 from .fields import FieldSpec
-from .lincomb import ceq, cclean, cextend, cscale, czero, from_vector, to_vector
+from .lincomb import ceq, cclean, cextend, cscale, czero
 from .linalg import Echelon, Matrix, QuotientSpace, kernel_mod_image, sparse_transpose
 from .windows import GLOBAL_DEGREE_BOUND, GradedWindow, Trust, WindowError
 
@@ -158,18 +158,28 @@ def validate_module(M: DGModule) -> ValidationReport:
 
 @dataclass
 class CohomologyReport:
-    """Per-degree cohomology dimensions with chosen cocycle representatives.
+    """Per-degree cohomology dimensions with the quotient spaces they
+    come from.
 
     ``certified`` is the degree range on which the numbers agree with the
-    unbounded object; representatives are coordinate vectors in the
-    presentation's degreewise bases.
+    unbounded object.  ``quotients[d]`` is H^d as cocycles modulo
+    coboundaries, for every degree d with a basis: its representatives
+    are sparse cocycle coordinates in the degree-d basis, ``sub`` is the
+    echelon of the coboundaries, and ``project`` gives a cocycle's class
+    in the representatives' basis.  Read them through :meth:`quotient`.
     """
 
     subject: str
     dims: dict          # degree -> dim (nonzero entries only)
-    reps: dict          # degree -> list of coordinate vectors
+    quotients: dict     # degree -> QuotientSpace (degrees with a basis)
     certified: Trust
     window: GradedWindow
+    field: FieldSpec
+
+    def quotient(self, d: int) -> QuotientSpace:
+        """H^d as a quotient space; the zero space at a degree with no basis."""
+        q = self.quotients.get(d)
+        return q if q is not None else QuotientSpace(self.field, [], Echelon(self.field, 0))
 
     def dim(self, d: int) -> int:
         return self.dims.get(d, 0)
@@ -217,39 +227,35 @@ def _ext_json(v):
     return int(v)
 
 
-def cohomology_quotient(X, d: int) -> QuotientSpace:
-    """H^d of an algebra or module: its cocycles modulo its coboundaries,
-    from the rows of d^d and the columns of d^{d-1}.  Raises
+def cohomology(X) -> CohomologyReport:
+    """Degreewise cocycles modulo coboundaries with echelonized
+    representatives.  Each degree's differential columns are read once:
+    they are the outgoing map at d and the incoming one at d + 1.  Raises
     :class:`~dgreg.linalg.ContainmentError` when d^2 != 0 puts a
     coboundary outside the cocycles.
-    """
-    rows = sparse_transpose(diff_columns(X, d), len(X.basis_at(d + 1)))
-    return kernel_mod_image(X.field, len(X.basis_at(d)), rows, diff_columns(X, d - 1))
-
-
-def cohomology(X) -> CohomologyReport:
-    """Degreewise ker/im dimensions with echelonized representatives.
 
     Certified at degree d when degrees d-1, d, d+1 are all trusted in the
     presentation (computing H costs one degree at each trust boundary).
     """
-    window, trust = X.window, X.trust
+    F, window, trust = X.field, X.window, X.trust
     if isinstance(X, DGAlgebra):
         window = GradedWindow(min(0, window.lo), window.hi)
-    dims, reps = {}, {}
+    dims, quotients = {}, {}
+    incoming = diff_columns(X, window.lo - 1)
     for d in window.degrees():
-        if not X.basis_at(d):
-            continue
-        quot = cohomology_quotient(X, d)
-        if quot.dim:
-            dims[d] = quot.dim
-            reps[d] = list(quot.representatives)
+        outgoing = diff_columns(X, d)
+        if X.basis_at(d):
+            rows = sparse_transpose(outgoing, X.dim(d + 1))
+            quot = quotients[d] = kernel_mod_image(F, X.dim(d), rows, incoming)
+            if quot.dim:
+                dims[d] = quot.dim
+        incoming = outgoing
     # H at a trust boundary needs one degree of margin on that side
     certified = Trust(
         None if trust.lo is None else trust.lo + 1,
         None if trust.hi is None else trust.hi - 1,
     )
-    return CohomologyReport(X.name, dims, reps, certified, window)
+    return CohomologyReport(X.name, dims, quotients, certified, window, F)
 
 
 # -- constructions --------------------------------------------------------
@@ -512,26 +518,16 @@ class ModuleMorphism:
 
     def h_isomorphism_degrees(self) -> dict:
         """Per-degree (rank, dim source H, dim target H) of the induced map."""
-        F = self.source.field
-        hs = cohomology(self.source)
-        ht = cohomology(self.target)
+        M, N = self.source, self.target
+        hs, ht = cohomology(M), cohomology(N)
         out = {}
         for d in sorted(set(hs.dims) | set(ht.dims)):
-            src_reps = hs.reps.get(d, [])
-            ech = Echelon.spanned_by(F, len(self.target.basis_at(d)), diff_columns(self.target, d - 1))
-            img_ech = Echelon(F, len(self.target.basis_at(d)))
-            rank_count = 0
-            for rep in src_reps:
-                vec = to_vector(
-                    F,
-                    self.apply(from_vector(F, rep, self.source.basis_at(d))),
-                    self.target.basis_at(d),
-                )
-                residual = ech.reduce(vec)
-                if img_ech.add(residual):
-                    rank_count += 1
-                ech.add(vec)
-            out[d] = (rank_count, hs.dim(d), ht.dim(d))
+            # the rank is how far the images of the source classes grow
+            # the target's coboundaries
+            grown = ht.quotient(d).sub.copy()
+            rank = sum(grown.add(N.coords(self.apply(M.combo(rep, d)), d))
+                       for rep in hs.quotient(d).representatives)
+            out[d] = (rank, hs.dim(d), ht.dim(d))
         return out
 
     def is_quasi_iso_on(self, trust: Trust) -> bool:

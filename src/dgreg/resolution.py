@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import DGAlgebra, diff_columns
+from .algebra import DGAlgebra
 from .ledger import Generator, SemifreeResolution
 from .homtensor import ledger_cells, realize_ledger, tensor_module_ledger
-from .lincomb import cclean, cneg, from_vector, to_vector
-from .linalg import Echelon
+from .lincomb import cclean, cneg
 from .module import (
     DGModule,
     LEFT,
@@ -65,20 +64,22 @@ def _cone(M: DGModule, L: SemifreeResolution):
     return cone_of(eps, name="cone"), P
 
 
-def _split_cone_class(M: DGModule, cells, degree: int, vec):
-    """Split a cone-degree coordinate vector into (M part, ledger rows).
+def _split_cone_class(M: DGModule, cells, degree: int, vec: dict):
+    """Split a sparse cone-degree class into (M part, ledger rows).
 
     The cone basis at a degree is M's basis followed by the shifted
     realized basis one degree up, whose positions are ``cells``, the
     ledger cells (b, g) of that degree; the ledger rows regroup the b
-    coefficients per generator."""
-    F = M.field
+    coefficients per generator.  Both come out in position order."""
     labels = M.basis_at(degree)
-    m_part = {lab: c for lab, c in zip(labels, vec) if not F.is_zero(c)}
-    rows: dict = {}
-    for (b, g), c in zip(cells, vec[len(labels):]):
-        if not F.is_zero(c):
-            rows.setdefault(g, {})[b] = c
+    n = len(labels)
+    m_part, rows = {}, {}
+    for i in sorted(vec):
+        if i < n:
+            m_part[labels[i]] = vec[i]
+        else:
+            b, g = cells[i - n]
+            rows.setdefault(g, {})[b] = vec[i]
     return m_part, rows
 
 
@@ -131,7 +132,7 @@ def semifree_resolve(M: DGModule, max_stages: int = 8) -> SemifreeResolution:
             break
         j = frontier
         cells = ledger_cells(ledger, A, M.window, -1).get(j + 1, ())
-        for rep in h.reps[j]:
+        for rep in h.quotient(j).representatives:
             m_part, rows = _split_cone_class(M, cells, j, rep)
             lab = f"e{counter}"
             counter += 1
@@ -187,21 +188,18 @@ def residual_classes_are_trivial(M: DGModule, L: SemifreeResolution) -> bool:
     cone, _ = _cone(M, L)
     h = cohomology(cone)
     for d in sorted(L.residual):
-        # image of the cone differential into degree d + |a|
         for a in (l for dd in A.degrees() for l in A.basis_at(dd) if dd >= 1):
             da = A.degree_of(a)
             target = d + da
-            tgt_basis = cone.basis_at(target)
-            if not tgt_basis:
+            if not cone.basis_at(target):
                 continue
-            bound = Echelon.spanned_by(F, len(tgt_basis), diff_columns(cone, target - 1))
-            for rep in h.reps.get(d, []):
-                combo = from_vector(F, rep, cone.basis_at(d))
-                acted = cone.lact_combo({a: F.one()}, da, combo, d)
+            # the coboundaries of degree d + |a|
+            bound = h.quotient(target).sub
+            for rep in h.quotient(d).representatives:
+                acted = cone.lact_combo({a: F.one()}, da, cone.combo(rep, d), d)
                 if acted is None:
                     return False
-                vec = to_vector(F, acted, tgt_basis)
-                if not bound.contains(vec):
+                if not bound.contains(cone.coords(acted, target)):
                     return False
     return True
 

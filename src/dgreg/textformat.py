@@ -50,22 +50,24 @@ class Document:
     automorphisms: dict = dc_field(default_factory=dict)
 
     def algebra(self, name: str | None = None) -> DGAlgebra:
-        if name is None:
-            if len(self.algebras) != 1:
-                raise KeyError("document holds several algebras; name one")
-            return next(iter(self.algebras.values()))
-        if name not in self.algebras:
-            raise KeyError(f"no algebra named {name!r}")
-        return self.algebras[name]
+        return _named(self.algebras, "algebra", name)
 
     def module(self, name: str | None = None) -> DGModule:
-        if name is None:
-            if len(self.modules) != 1:
-                raise KeyError("document holds several modules; name one")
-            return next(iter(self.modules.values()))
-        if name not in self.modules:
-            raise KeyError(f"no module named {name!r}")
-        return self.modules[name]
+        return _named(self.modules, "module", name)
+
+
+def _named(table: dict, kind: str, name: str | None):
+    """The entry called name, or the only entry when name is None; a
+    KeyError whose message names what is missing."""
+    if name is None:
+        if not table:
+            raise KeyError(f"document holds no {kind}")
+        if len(table) > 1:
+            raise KeyError(f"document holds several {kind}s; name one")
+        return next(iter(table.values()))
+    if name not in table:
+        raise KeyError(f"no {kind} named {name!r}")
+    return table[name]
 
 
 _LABEL = r"[A-Za-z_][A-Za-z0-9_]*"
@@ -100,8 +102,6 @@ def parse_combination(text: str, field: FieldSpec, line_no: int = 0):
     if text == "0":
         return {}
     out: dict = {}
-    pos = 0
-    sign = 1
     # split into (+|-) separated terms, honoring leading sign
     terms = re.split(r"\s*([+-])\s*", text)
     pending_sign = 1

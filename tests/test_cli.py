@@ -98,6 +98,19 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     for cmd in needs_left:
         assert main([cmd, str(odd), "--module", "W"]) == 2, cmd
         assert capsys.readouterr().err == "error: window 0..0 cannot certify any cohomology\n"
+    # a lookup that finds nothing says what is missing, unquoted
+    alg = tmp_path / "alg.dg"
+    alg.write_text("algebra A over Q window 0..2\nbasis 0: one\nunit one\nmul one one = one\n")
+    empty = tmp_path / "empty.dg"
+    empty.write_text("")
+    for argv, err in [
+        (["resolve", str(alg)], "document holds no module"),
+        (["resolve", str(alg), "--module", "nope"], "no module named 'nope'"),
+        (["dualizing", str(empty)], "document holds no algebra"),
+        (["cohomology", str(alg), "--algebra", "nope"], "no algebra named 'nope'"),
+    ]:
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {err}\n"
 
 
 def test_resolve_square_zero_six_stages(lam_file, capsys):

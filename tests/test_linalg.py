@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgreg.algebra import DGAlgebra
+from dgreg.algebra import DGAlgebra, diff_columns
 from dgreg.catalog import catalog_pairs, ground_field_algebra
 from dgreg.fields import QQ, GF, FieldMismatchError
 from dgreg.lincomb import to_vector
@@ -48,14 +48,20 @@ def _apply(m, vec):
     return tuple(out)
 
 
+def _rows(m):
+    """The rows of m as sparse vectors."""
+    return [sparse(row) for row in m.rows]
+
+
 def _kernel(m):
     """Echelon.kernel() of the rows of m, as dense vectors."""
-    return [dense(m.field, v, m.ncols) for v in Echelon.spanned_by(m.field, m.ncols, m.rows).kernel()]
+    return [dense(m.field, v, m.ncols) for v in Echelon.spanned_by(m.field, m.ncols, _rows(m)).kernel()]
 
 
 def _image(m):
     """The echelon of the columns of m, as dense vectors."""
-    return Echelon.spanned_by(m.field, m.nrows, _transpose(m).rows).basis()
+    ech = Echelon.spanned_by(m.field, m.nrows, _rows(_transpose(m)))
+    return [dense(m.field, r, m.nrows) for r in ech.rows]
 
 
 def test_rref_identity():
@@ -67,7 +73,7 @@ def test_rref_identity():
 def test_kernel_over_f2():
     m = Matrix.from_rows(GF(2), [[1, 1]])
     assert row_reduce(m).rank == 1
-    assert Echelon.spanned_by(GF(2), 2, m.rows).kernel() == [{0: 1, 1: 1}]
+    assert Echelon.spanned_by(GF(2), 2, _rows(m)).kernel() == [{0: 1, 1: 1}]
 
 
 def test_image_of_nilpotent():
@@ -85,7 +91,7 @@ def test_quotient_dimension_count():
     q = quotient_by(QQ, span, sub)
     assert q.dim == 2
     # projection of a sub vector is zero
-    assert q.project((1, 1, 0)) == {}
+    assert q.project({0: 1, 1: 1}) == {}
 
 
 def test_quotient_containment_error():
@@ -107,15 +113,23 @@ def _no_floats(xs):
 
 
 def test_quotient_of_int_vectors_stays_exact():
-    reps = quotient_by(QQ, [(0, 2), (1, 1)], []).representatives
+    reps = [dense(QQ, r, 2) for r in quotient_by(QQ, [(0, 2), (1, 1)], []).representatives]
     assert reps == [(0, 1), (1, 0)]
     assert all(_no_floats(v) for v in reps)
     assert QQ.inv(2) == Fraction(1, 2) and isinstance(QQ.inv(2), Fraction)
 
 
+def test_zero_entries_in_dict_vectors_are_dropped():
+    ech = Echelon(QQ, 1)
+    assert not ech.add({0: Fraction(0)})
+    assert len(ech) == 0 and not ech.reduce({0: Fraction(0)})
+    q = kernel_mod_image(QQ, 2, [], [])
+    assert q.project({0: Fraction(0), 1: Fraction(3)}) == {1: Fraction(3)}
+
+
 def test_echelon_of_int_vector_stays_exact():
     ech = Echelon(QQ, 2)
-    assert ech.add((2, 1))
+    assert ech.add({0: 2, 1: 1})
     assert ech.rows == [{0: 1, 1: Fraction(1, 2)}]
     assert _no_floats(ech.rows[0].values())
 
@@ -307,9 +321,9 @@ def test_sparse_quotient_matches_dense_reference(field, data):
             quotient_by(field, span, sub)
         return
     q = quotient_by(field, span, sub)
-    assert repr(q.representatives) == repr(want)
+    assert repr([dense(field, r, m.ncols) for r in q.representatives]) == repr(want)
     for v in sub:
-        assert q.project(v) == {}
+        assert q.project(sparse(v)) == {}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -318,28 +332,29 @@ def test_sparse_quotient_matches_dense_reference(field, data):
 def test_quotient_project_recovers_coordinates(field, data):
     """project(sum c_i rep_i + boundary) is c; a vector off the kernel raises."""
     m = data.draw(sparse_matrices(field))
-    kernel = Echelon.spanned_by(field, m.ncols, m.rows).kernel()
+    kernel = Echelon.spanned_by(field, m.ncols, _rows(m)).kernel()
     scalars = st.integers(-3, 3).map(field.coerce)
 
-    def combo(vectors):
-        out = [field.zero()] * m.ncols
-        for v in vectors:
-            c = data.draw(scalars)
-            for i, x in v.items():
-                out[i] = field.add(out[i], field.mul(c, x))
-        return tuple(out)
+    def draws(n):
+        return [data.draw(scalars) for _ in range(n)]
 
-    image = [combo(kernel) for _ in range(data.draw(st.integers(0, 3)))]
-    q = kernel_mod_image(field, m.ncols, m.rows, [sparse(v) for v in image])
-    coords = [data.draw(scalars) for _ in q.representatives]
-    vec = combo([sparse(v) for v in image])
-    for c, rep in zip(coords, q.representatives):
-        vec = tuple(field.add(x, field.mul(c, y)) for x, y in zip(vec, rep))
+    def combo(vectors, coeffs):
+        """A combination of sparse vectors; cancelled entries stay as zeros."""
+        out = {}
+        for c, v in zip(coeffs, vectors):
+            for i, x in v.items():
+                out[i] = field.add(out.get(i, field.zero()), field.mul(c, x))
+        return out
+
+    image = [combo(kernel, draws(len(kernel))) for _ in range(data.draw(st.integers(0, 3)))]
+    q = kernel_mod_image(field, m.ncols, _rows(m), image)
+    coords = draws(q.dim)
+    vec = combo(image + q.representatives, draws(len(image)) + coords)
     assert q.project(vec) == {i: c for i, c in enumerate(coords) if c}
     outside = [i for i in range(m.ncols) if any(row[i] for row in m.rows)]
     if outside:
         with pytest.raises(ContainmentError):
-            q.project(tuple(field.one() if i == outside[0] else field.zero() for i in range(m.ncols)))
+            q.project({outside[0]: field.one()})
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -349,10 +364,11 @@ def test_echelon_matches_dense_reference(field, data):
     m = data.draw(sparse_matrices(field))
     ech, ref = Echelon(field, m.ncols), _RefEchelon(field, m.ncols)
     for row in m.rows:
-        assert repr(ech.reduce(row)) == repr(ref.reduce(row))
-        assert ech.add(row) == ref.add(row)
-        assert repr(ech.basis()) == repr([tuple(r) for r in ref.rows])
-        assert ech.contains(row)
+        v = sparse(row)
+        assert repr(dense(field, ech.reduce(v), m.ncols)) == repr(ref.reduce(row))
+        assert ech.add(v) == ref.add(row)
+        assert repr([dense(field, r, m.ncols) for r in ech.rows]) == repr([tuple(r) for r in ref.rows])
+        assert ech.contains(v)
 
 
 def _ref_cohomology(X):
@@ -402,9 +418,24 @@ def test_cohomology_matches_dense_reference(field):
         h = cohomology(X)
         dims, reps = _ref_cohomology(X)
         assert h.dims == dims, X.name
-        assert repr(h.reps) == repr(reps), X.name
+        got = {d: [dense(field, r, X.dim(d)) for r in q.representatives]
+               for d, q in h.quotients.items() if q.dim}
+        assert repr(got) == repr(reps), X.name
         differentials += bool(X.diff)
     assert differentials  # the sweep reaches complexes with nonzero d
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_cohomology_classes_project_to_their_coordinates(field):
+    """Each representative of H^d projects to its own coordinate, and each
+    coboundary column to zero."""
+    for X in _complexes(field):
+        h = cohomology(X)
+        for d, q in h.quotients.items():
+            for i, rep in enumerate(q.representatives):
+                assert q.project(rep) == {i: 1}, (X.name, d)
+            for col in diff_columns(X, d - 1):
+                assert q.project(col) == {}, (X.name, d)
 
 
 def test_cohomology_rejects_nonzero_d_squared():
