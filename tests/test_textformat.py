@@ -165,3 +165,108 @@ def test_module_round_trip_with_actions():
     assert k.side == "bi"
     assert k.lact == {("one", "k0"): {"k0": QQ.one()}}
     assert k.ract == {("k0", "one"): {"k0": QQ.one()}}
+
+
+# -- every table-line keyword against every way its line can be wrong ---------
+
+PIN_BLOCKS = {
+    "algebra": "algebra A over Q window 0..2\nbasis 0: one\nbasis 1: x\nbasis 2: y\nunit one",
+    "left": "module L over A side left window 0..2\nbasis 0: m\nbasis 1: n\nbasis 2: p",
+    "right": "module R over A side right window 0..2\nbasis 0: m\nbasis 1: n\nbasis 2: p",
+    "bi": "module B over A side bi window 0..2\nbasis 0: m\nbasis 1: n\nbasis 2: p",
+    "auto": "automorphism f of A",
+    # an algebra whose basis reaches past its window top
+    "wide": "algebra W over Q window 0..1\nbasis 0: one\nbasis 2: z\nunit one",
+    "wide-auto": "automorphism g of W",
+}
+
+# (block the line ends, line, None if accepted else a substring of the error);
+# "degree" and "window top" stand where the wording differs by keyword.
+# A rejected row whose substring is "" is checked by position only.
+PIN_PROBES = [
+    ("algebra", "mul x x = y", None),
+    ("algebra", "mul x = y", "expected:"),
+    ("left", "mul x x = y", "expected:"),
+    ("auto", "mul x x = y", "expected:"),
+    ("algebra", "mul q x = y", "unknown"),
+    ("algebra", "mul q r = y", "unknown"),
+    ("algebra", "mul x x = q", "unknown"),
+    ("algebra", "mul x x = x", "degree mismatch"),
+    ("algebra", "mul x y = 0", "above window top"),
+    ("algebra", "mul y y = x", "above window top"),
+    ("left", "mul x x = 2*", "bad label"),
+    ("algebra", "diff x = y", None),
+    ("left", "diff m = n", None),
+    ("bi", "diff n = p", None),
+    ("algebra", "diff y = 0", None),
+    ("left", "diff p = 0", None),
+    ("algebra", "diff x y = y", "expected:"),
+    ("auto", "diff x = y", "expected:"),
+    ("algebra", "diff q = y", "unknown"),
+    ("left", "diff q = n", "unknown"),
+    ("algebra", "diff x = q", "unknown"),
+    ("left", "diff m = q", "unknown"),
+    ("algebra", "diff x = x", "degree mismatch"),
+    ("left", "diff m = m", "degree mismatch"),
+    ("algebra", "diff y = x", "window top"),
+    ("left", "diff p = m", "window top"),
+    ("auto", "diff x = x y", "bad label"),
+    ("left", "act x m = n", None),
+    ("bi", "act x m = n", None),
+    ("left", "act x = n", "expected:"),
+    ("algebra", "act x x = y", "expected:"),
+    ("auto", "act x m = n", "expected:"),
+    ("left", "act q m = n", "unknown"),
+    ("left", "act x q = n", "unknown"),
+    ("left", "act q r = n", "unknown"),
+    ("left", "act x m = q", "unknown"),
+    ("left", "act x m = m", "degree mismatch"),
+    ("left", "act y n = 0", "above window top"),
+    ("right", "act x m = n", "module"),
+    ("algebra", "act x m = 2*", "bad label"),
+    ("right", "actr m x = n", None),
+    ("bi", "actr m x = n", None),
+    ("right", "actr m = n", "expected:"),
+    ("algebra", "actr x x = y", "expected:"),
+    ("auto", "actr m x = n", "expected:"),
+    ("right", "actr m q = n", "unknown"),
+    ("right", "actr q x = n", "unknown"),
+    ("right", "actr q r = n", "unknown"),
+    ("right", "actr m x = q", "unknown"),
+    ("right", "actr m x = p", "degree mismatch"),
+    ("right", "actr n y = 0", "above window top"),
+    ("left", "actr m x = n", "module"),
+    ("auto", "actr m x = 2*", "bad label"),
+    ("auto", "map x = x", None),
+    ("auto", "map x = 0", None),
+    ("auto", "map x = 2*x", None),
+    ("wide-auto", "map z = z", None),
+    ("auto", "map x y = x", "expected:"),
+    ("algebra", "map x = x", "expected:"),
+    ("left", "map m = m", "expected:"),
+    ("auto", "map q = x", "unknown"),
+    ("auto", "map x = q", ""),
+    ("auto", "map x = y", "degree"),
+    ("left", "map x = 2*", "bad label"),
+    ("algebra", "mul x x y", "unrecognized"),
+]
+
+
+@pytest.mark.parametrize("where,line,condition", PIN_PROBES,
+                         ids=[f"{w}: {ln}" for w, ln, _ in PIN_PROBES])
+def test_table_line_errors_are_pinned(where, line, condition):
+    lines, probe_no = [], None
+    for name, block in PIN_BLOCKS.items():
+        lines += block.split("\n")
+        if name == where:
+            lines.append(line)
+            probe_no = len(lines)
+    text = "\n".join(lines) + "\n"
+    if condition is None:
+        parse_document(text)
+        return
+    with pytest.raises(ParseError) as err:
+        parse_document(text)
+    col = 1 if condition == "bad label" else 0
+    assert (err.value.line_no, err.value.column) == (probe_no, col)
+    assert condition in err.value.message
