@@ -239,24 +239,15 @@ def cmd_dualizing(args) -> int:
                    "\n".join(human), OK)
 
 
-def cmd_duality_check(args) -> int:
+def cmd_duality(args) -> int:
+    """duality-check and local-duality: the check comes from set_defaults."""
     doc = _load(args.file)
     M = _pick_module(doc, args)
     regime = _regime_for(args, M.algebra)
-    rep = double_duality_check(M, regime, max_stages=args.stages)
+    rep = args.check(M, regime, max_stages=args.stages)
     code = {"holds": OK, "violated": VIOLATION, "indeterminate": INDETERMINATE}[rep.verdict]
     return _report(args, {"check": rep.to_json()},
-                   f"double duality on {M.name}: {rep.verdict}", code)
-
-
-def cmd_local_duality(args) -> int:
-    doc = _load(args.file)
-    M = _pick_module(doc, args)
-    regime = _regime_for(args, M.algebra)
-    rep = local_duality_check(M, regime, max_stages=args.stages)
-    code = {"holds": OK, "violated": VIOLATION, "indeterminate": INDETERMINATE}[rep.verdict]
-    return _report(args, {"check": rep.to_json()},
-                   f"local duality on {M.name}: {rep.verdict}", code)
+                   f"{rep.name.replace('-', ' ')} on {M.name}: {rep.verdict}", code)
 
 
 def cmd_e2(args) -> int:
@@ -404,11 +395,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("duality-check", help="double duality recovers H(M)")
     common(sp, module=True, stages=True, regime=True)
-    sp.set_defaults(fn=cmd_duality_check)
+    sp.set_defaults(fn=cmd_duality, check=double_duality_check)
 
     sp = sub.add_parser("local-duality", help="(Gamma M)* against RHom(M, D)")
     common(sp, module=True, stages=True, regime=True)
-    sp.set_defaults(fn=cmd_local_duality)
+    sp.set_defaults(fn=cmd_duality, check=local_duality_check)
 
     sp = sub.add_parser("e2", help="local cohomology page of H(M)")
     common(sp, module=True)

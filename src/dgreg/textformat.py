@@ -19,15 +19,25 @@ Grammar (one declaration per line, `#` starts a comment):
 
 Combinations are sums `c1*lbl1 + c2*lbl2` with integer or rational
 coefficients (`t`, `2*t`, `-1/2*t + u`); unspecified entries default to
-zero, while products whose target degree exceeds the window top are
-unrecorded rather than zero (writing one explicitly is an error).
-Parsing is exact and round-trips through :func:`emit_document`.
+zero.
+
+The five table lines are stated once, in `_TABLE_LINES`: the objects
+each belongs to, its usage, what its left-hand labels name, the table it
+fills and the offset of its target degree from the sum of the left-hand
+degrees.  `_Builder.table_line` checks every table line and
+`_emit_tables` writes every table, both from that one table, so a new
+kind of line is one entry.  A combination's labels lie in the target
+degree.  A target above the window top is unrecorded rather than zero,
+so writing one is an error, except a zero `diff`; an automorphism has no
+window.  Parsing is exact and round-trips through :func:`emit_document`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field
+from itertools import product
+from operator import getitem
 
 from .algebra import AlgebraAutomorphism, DGAlgebra
 from .fields import QQ, GF, FieldSpec
@@ -140,22 +150,47 @@ def parse_combination(text: str, field: FieldSpec, line_no: int = 0):
     return out
 
 
-class _Builder:
-    """Accumulates the lines of one object until finalized."""
+_ALG, _OWN = "algebra", "own"  # what a left-hand label names
 
-    def __init__(self, kind, name, line_no, **kw):
-        self.kind = kind
-        self.name = name
-        self.line_no = line_no
-        self.kw = kw
+
+@dataclass(frozen=True)
+class _TableLine:
+    objects: tuple  # the object kinds the line belongs to
+    usage: str      # quoted in its error message
+    labels: tuple   # per left-hand label: _ALG, or _OWN for the object's own
+    table: str      # the object's attribute the line fills
+    offset: int     # target degree minus the sum of the left-hand degrees
+
+
+_MODULES = tuple(f"{side} module" for side in (LEFT, RIGHT, BI))
+
+# in emission order
+_TABLE_LINES = {
+    "mul": _TableLine(("algebra",), "mul A B = COMBO", (_OWN, _OWN), "mul", 0),
+    "act": _TableLine((f"{LEFT} module", f"{BI} module"), "act A M = COMBO", (_ALG, _OWN), "lact", 0),
+    "actr": _TableLine((f"{RIGHT} module", f"{BI} module"), "actr M A = COMBO", (_OWN, _ALG), "ract", 0),
+    "diff": _TableLine(("algebra",) + _MODULES, "diff X = COMBO", (_OWN,), "diff", 1),
+    "map": _TableLine(("automorphism",), "map LBL = COMBO", (_ALG,), "images", 0),
+}
+_table_line_re = re.compile(rf"^({'|'.join(_TABLE_LINES)})\s+(.*?)=(.*)$")
+
+
+class _Builder:
+    """Accumulates the lines of one object until finalized.  ``kind`` is
+    "algebra", "automorphism" or "<side> module"; an automorphism's own
+    labels are its algebra's, and it has no window."""
+
+    def __init__(self, kind, name, line_no, field, window, trust=None, algebra=None, side=None):
+        self.kind, self.name, self.line_no = kind, name, line_no
+        self.field, self.window, self.trust, self.algebra, self.side = field, window, trust, algebra, side
         self.basis: dict = {}
         self.unit = None
-        self.mul: dict = {}
-        self.diff: dict = {}
-        self.lact: dict = {}
-        self.ract: dict = {}
-        self.images: dict = {}
-        self.deg: dict = {}
+        self.tables = {spec.table: {} for spec in _TABLE_LINES.values()}
+        self.deg: dict = algebra._deg if kind == "automorphism" else {}
+        noun = {"algebra": "label", "automorphism": "algebra label"}.get(kind, "module label")
+        self.names = {_OWN: (self.deg, noun)}
+        if algebra is not None:
+            self.names[_ALG] = (algebra._deg, "algebra label")
 
     def add_basis(self, degree, labels, line_no):
         if degree in self.basis:
@@ -166,42 +201,53 @@ class _Builder:
             self.deg[lbl] = degree
         self.basis[degree] = tuple(labels)
 
-    def require(self, lbl, line_no, who="label"):
-        if lbl not in self.deg:
-            raise ParseError(line_no, 0, f"unknown {who} {lbl!r}")
-        return self.deg[lbl]
+    def require(self, lbl, line_no, names=_OWN):
+        degrees, noun = self.names[names]
+        if lbl not in degrees:
+            raise ParseError(line_no, 0, f"unknown {noun} {lbl!r}")
+        return degrees[lbl]
+
+    def table_line(self, op, lhs, combo, line_no):
+        """Check a table line against its `_TABLE_LINES` entry and record it."""
+        spec = _TABLE_LINES[op]
+        if self.kind not in spec.objects or len(lhs) != len(spec.labels):
+            raise ParseError(line_no, 0, f"expected: {spec.usage} (in: {', '.join(spec.objects)})")
+        target = spec.offset
+        for lbl, names in zip(lhs, spec.labels):
+            target += self.require(lbl, line_no, names)
+        # a zero differential out of the top degree is the one line allowed above it
+        if self.window is not None and target > self.window.hi and (combo or not spec.offset):
+            raise ParseError(line_no, 0,
+                             f"{op} target degree {target} above window top (unrecorded, not assignable)")
+        for lbl in combo:
+            if self.require(lbl, line_no) != target:
+                raise ParseError(line_no, 0, f"degree mismatch: {lbl!r} is not in degree {target}")
+        self.tables[spec.table][lhs[0] if len(lhs) == 1 else tuple(lhs)] = combo
 
 
 def parse_document(text: str) -> Document:
     doc = Document()
     current: _Builder | None = None
-    alg_ctx: DGAlgebra | None = None  # algebra of the current module/automorphism
 
     def finalize():
-        nonlocal current, alg_ctx
+        nonlocal current
         if current is None:
             return
-        b = current
+        b, t = current, current.tables
         if b.kind == "algebra":
             if b.unit is None:
                 raise ParseError(b.line_no, 0, f"algebra {b.name!r} has no unit line")
-            trust = Trust(None, b.kw["window"].hi) if b.kw["truncated"] else Trust.everywhere()
-            alg = DGAlgebra(
-                name=b.name, field=b.kw["field"], window=b.kw["window"],
-                basis=b.basis, unit=b.unit, mul=b.mul, diff=b.diff, trust=trust,
+            doc.algebras[b.name] = DGAlgebra(
+                name=b.name, field=b.field, window=b.window, basis=b.basis,
+                unit=b.unit, mul=t["mul"], diff=t["diff"], trust=b.trust,
             )
-            doc.algebras[b.name] = alg
-        elif b.kind == "module":
-            lo = b.kw["window"].lo if b.kw["trunc_below"] else None
-            hi = b.kw["window"].hi if b.kw["trunc_above"] else None
-            mod = DGModule(
-                name=b.name, algebra=b.kw["algebra"], side=b.kw["side"],
-                window=b.kw["window"], basis=b.basis,
-                lact=b.lact, ract=b.ract, diff=b.diff, trust=Trust(lo, hi),
-            )
-            doc.modules[b.name] = mod
+        elif b.kind == "automorphism":
+            doc.automorphisms[b.name] = AlgebraAutomorphism(b.algebra, t["images"])
         else:
-            doc.automorphisms[b.name] = AlgebraAutomorphism(b.kw["algebra"], b.images)
+            doc.modules[b.name] = DGModule(
+                name=b.name, algebra=b.algebra, side=b.side, window=b.window,
+                basis=b.basis, lact=t["lact"], ract=t["ract"], diff=t["diff"], trust=b.trust,
+            )
         current = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -223,7 +269,8 @@ def parse_document(text: str) -> Document:
             truncated = len(toks) > 6 and toks[6] == "truncated"
             if len(toks) > (7 if truncated else 6):
                 raise ParseError(line_no, 0, "trailing tokens on algebra line")
-            current = _Builder("algebra", name, line_no, field=field, window=window, truncated=truncated)
+            trust = Trust(None, window.hi) if truncated else Trust.everywhere()
+            current = _Builder("algebra", name, line_no, field, window, trust)
             continue
 
         if head == "module":
@@ -239,16 +286,12 @@ def parse_document(text: str) -> Document:
             if side not in (LEFT, RIGHT, BI):
                 raise ParseError(line_no, 0, f"bad side {side!r}")
             window = _parse_window(toks[7], line_no)
-            trunc_above = trunc_below = False
             rest = toks[8:]
-            if rest:
-                if rest[0] != "truncated" or not set(rest[1:]) <= {"above", "below"} or not rest[1:]:
-                    raise ParseError(line_no, 0, "expected: truncated above|below")
-                trunc_above = "above" in rest[1:]
-                trunc_below = "below" in rest[1:]
-            alg_ctx = doc.algebras[toks[3]]
-            current = _Builder("module", name, line_no, algebra=alg_ctx, side=side,
-                               window=window, trunc_above=trunc_above, trunc_below=trunc_below)
+            if rest and (rest[0] != "truncated" or not rest[1:] or not set(rest[1:]) <= {"above", "below"}):
+                raise ParseError(line_no, 0, "expected: truncated above|below")
+            trust = Trust(window.lo if "below" in rest else None, window.hi if "above" in rest else None)
+            A = doc.algebras[toks[3]]
+            current = _Builder(f"{side} module", name, line_no, A.field, window, trust, A, side)
             continue
 
         if head == "automorphism":
@@ -257,8 +300,8 @@ def parse_document(text: str) -> Document:
                 raise ParseError(line_no, 0, "expected: automorphism NAME of ALG")
             if toks[3] not in doc.algebras:
                 raise ParseError(line_no, 0, f"unknown algebra {toks[3]!r}")
-            alg_ctx = doc.algebras[toks[3]]
-            current = _Builder("automorphism", toks[1], line_no, algebra=alg_ctx)
+            A = doc.algebras[toks[3]]
+            current = _Builder("automorphism", toks[1], line_no, A.field, None, algebra=A)
             continue
 
         if current is None:
@@ -274,9 +317,8 @@ def parse_document(text: str) -> Document:
             labels = [t.strip() for t in m.group(2).split(",")]
             if any(not _label_re.fullmatch(t) for t in labels):
                 raise ParseError(line_no, 0, "bad label in basis list")
-            window = current.kw["window"]
-            if current.kind == "module" and not window.contains(degree):
-                raise ParseError(line_no, 0, f"basis degree {degree} outside window {window}")
+            if current.kind in _MODULES and not current.window.contains(degree):
+                raise ParseError(line_no, 0, f"basis degree {degree} outside window {current.window}")
             current.add_basis(degree, labels, line_no)
             continue
 
@@ -287,74 +329,11 @@ def parse_document(text: str) -> Document:
             current.unit = toks[1]
             continue
 
-        m = re.match(r"^(mul|diff|act|actr|map)\s+(.*?)=(.*)$", line)
+        m = _table_line_re.match(line)
         if not m:
             raise ParseError(line_no, 0, f"unrecognized line {line!r}")
-        op, lhs, rhs = m.group(1), m.group(2).split(), m.group(3).strip()
-        field = current.kw.get("field") or current.kw["algebra"].field
-        combo = parse_combination(rhs, field, line_no)
-
-        if op == "mul":
-            if current.kind != "algebra" or len(lhs) != 2:
-                raise ParseError(line_no, 0, "expected: mul A B = COMBO")
-            da, db = current.require(lhs[0], line_no), current.require(lhs[1], line_no)
-            target = da + db
-            if target > current.kw["window"].hi:
-                raise ParseError(line_no, 0,
-                                 f"product degree {target} above window top (unrecorded, not assignable)")
-            for lbl in combo:
-                if current.require(lbl, line_no) != target:
-                    raise ParseError(line_no, 0,
-                                     f"degree mismatch: {lbl!r} is not in degree {target}")
-            current.mul[(lhs[0], lhs[1])] = combo
-        elif op == "diff":
-            if current.kind == "automorphism" or len(lhs) != 1:
-                raise ParseError(line_no, 0, "expected: diff X = COMBO")
-            dx = current.require(lhs[0], line_no)
-            if combo and dx + 1 > current.kw["window"].hi:
-                raise ParseError(line_no, 0, "differential lands above the window top")
-            for lbl in combo:
-                if current.require(lbl, line_no) != dx + 1:
-                    raise ParseError(line_no, 0,
-                                     f"degree mismatch: d({lhs[0]}) must land in degree {dx + 1}")
-            current.diff[lhs[0]] = combo
-        elif op in ("act", "actr"):
-            if current.kind != "module" or len(lhs) != 2:
-                raise ParseError(line_no, 0, f"expected: {op} X Y = COMBO")
-            A = current.kw["algebra"]
-            if op == "act":
-                a_lbl, m_lbl = lhs
-            else:
-                m_lbl, a_lbl = lhs
-            if a_lbl not in A._deg:
-                raise ParseError(line_no, 0, f"unknown algebra label {a_lbl!r}")
-            dm = current.require(m_lbl, line_no, "module label")
-            target = A.degree_of(a_lbl) + dm
-            if target > current.kw["window"].hi:
-                raise ParseError(line_no, 0,
-                                 f"action degree {target} above window top (unrecorded, not assignable)")
-            for lbl in combo:
-                if current.require(lbl, line_no, "module label") != target:
-                    raise ParseError(line_no, 0, f"degree mismatch in action target {lbl!r}")
-            side = current.kw["side"]
-            if op == "act":
-                if side == RIGHT:
-                    raise ParseError(line_no, 0, "left action on a right module")
-                current.lact[(a_lbl, m_lbl)] = combo
-            else:
-                if side == LEFT:
-                    raise ParseError(line_no, 0, "right action on a left module")
-                current.ract[(m_lbl, a_lbl)] = combo
-        else:  # map
-            if current.kind != "automorphism" or len(lhs) != 1:
-                raise ParseError(line_no, 0, "expected: map LBL = COMBO")
-            A = current.kw["algebra"]
-            if lhs[0] not in A._deg:
-                raise ParseError(line_no, 0, f"unknown algebra label {lhs[0]!r}")
-            for lbl in combo:
-                if lbl not in A._deg or A.degree_of(lbl) != A.degree_of(lhs[0]):
-                    raise ParseError(line_no, 0, "automorphism image changes degree")
-            current.images[lhs[0]] = combo
+        combo = parse_combination(m.group(3), current.field, line_no)
+        current.table_line(m.group(1), m.group(2).split(), combo, line_no)
 
     finalize()
     return doc
@@ -366,90 +345,58 @@ def parse_document(text: str) -> Document:
 def _emit_combo(field: FieldSpec, combo: dict, order) -> str:
     if not combo:
         return "0"
-    terms = []
-    for lbl in order:
-        if lbl in combo:
-            v = combo[lbl]
-            terms.append(lbl if field.is_one(v) else f"{field.format(v)}*{lbl}")
-    return " + ".join(terms)
+    return " + ".join([lbl if field.is_one(combo[lbl]) else f"{field.format(combo[lbl])}*{lbl}"
+                       for lbl in order if lbl in combo])
+
+
+def _emit_tables(obj, kind: str, alg, own) -> list:
+    """The table lines of obj, an object of this kind whose left-hand
+    labels name labels of alg or its own, kept in own: the tables in
+    `_TABLE_LINES` order, each with its keys in left-hand-label order."""
+    where = {_ALG: alg, _OWN: own}
+    order = {names: [lbl for d in P.degrees() for lbl in P.basis_at(d)] for names, P in where.items()}
+    field, basis, lines = own.field, own.basis, []
+    for op, spec in _TABLE_LINES.items():
+        if kind not in spec.objects:
+            continue
+        table = getattr(obj, spec.table)
+        degrees = [where[names]._deg for names in spec.labels]
+        single = len(degrees) == 1
+        for key in order[spec.labels[0]] if single else product(*(order[n] for n in spec.labels)):
+            combo = table.get(key)
+            if combo is not None:
+                lhs = (key,) if single else key
+                target = spec.offset + sum(map(getitem, degrees, lhs))
+                lines.append(f"{op} {' '.join(lhs)} = {_emit_combo(field, combo, basis.get(target, ()))}")
+    return lines
+
+
+def _basis_lines(P) -> list:
+    return [f"basis {d}: {', '.join(P.basis_at(d))}" for d in P.degrees()]
 
 
 def emit_algebra(A: DGAlgebra) -> str:
-    lines = []
     head = f"algebra {A.name} over {A.field} window {A.window}"
     if not A.trust.is_everywhere:
         head += " truncated"
-    lines.append(head)
-    order = [lbl for d in A.degrees() for lbl in A.basis_at(d)]
-    for d in A.degrees():
-        lines.append(f"basis {d}: {', '.join(A.basis_at(d))}")
-    lines.append(f"unit {A.unit}")
-    for a in order:
-        for b in order:
-            combo = A.mul.get((a, b))
-            if combo:
-                tgt = A.basis_at(A.degree_of(a) + A.degree_of(b))
-                lines.append(f"mul {a} {b} = {_emit_combo(A.field, combo, tgt)}")
-    for a in order:
-        combo = A.diff.get(a)
-        if combo:
-            tgt = A.basis_at(A.degree_of(a) + 1)
-            lines.append(f"diff {a} = {_emit_combo(A.field, combo, tgt)}")
-    return "\n".join(lines)
+    return "\n".join([head, *_basis_lines(A), f"unit {A.unit}", *_emit_tables(A, "algebra", A, A)])
 
 
 def emit_module(M: DGModule) -> str:
-    lines = []
     head = f"module {M.name} over {M.algebra.name} side {M.side} window {M.window}"
-    trunc = []
-    if M.trust.hi is not None:
-        trunc.append("above")
-    if M.trust.lo is not None:
-        trunc.append("below")
+    trunc = [word for word, end in (("above", M.trust.hi), ("below", M.trust.lo)) if end is not None]
     if trunc:
         head += " truncated " + " ".join(trunc)
-    lines.append(head)
-    for d in M.degrees():
-        lines.append(f"basis {d}: {', '.join(M.basis_at(d))}")
-    alg_order = [lbl for d in M.algebra.degrees() for lbl in M.algebra.basis_at(d)]
-    mod_order = [lbl for d in M.degrees() for lbl in M.basis_at(d)]
-    for a in alg_order:
-        for m in mod_order:
-            combo = M.lact.get((a, m))
-            if combo:
-                tgt = M.basis_at(M.algebra.degree_of(a) + M.degree_of(m))
-                lines.append(f"act {a} {m} = {_emit_combo(M.field, combo, tgt)}")
-    for m in mod_order:
-        for a in alg_order:
-            combo = M.ract.get((m, a))
-            if combo:
-                tgt = M.basis_at(M.algebra.degree_of(a) + M.degree_of(m))
-                lines.append(f"actr {m} {a} = {_emit_combo(M.field, combo, tgt)}")
-    for m in mod_order:
-        combo = M.diff.get(m)
-        if combo:
-            tgt = M.basis_at(M.degree_of(m) + 1)
-            lines.append(f"diff {m} = {_emit_combo(M.field, combo, tgt)}")
-    return "\n".join(lines)
+    return "\n".join([head, *_basis_lines(M), *_emit_tables(M, f"{M.side} module", M.algebra, M)])
 
 
 def emit_automorphism(name: str, alpha: AlgebraAutomorphism) -> str:
     A = alpha.algebra
-    lines = [f"automorphism {name} of {A.name}"]
-    for d in A.degrees():
-        for lbl in A.basis_at(d):
-            img = alpha.images.get(lbl)
-            if img is not None:
-                lines.append(f"map {lbl} = {_emit_combo(A.field, img, A.basis_at(d))}")
-    return "\n".join(lines)
+    return "\n".join([f"automorphism {name} of {A.name}", *_emit_tables(alpha, "automorphism", A, A)])
 
 
 def emit_document(doc: Document) -> str:
-    parts = []
-    for name in sorted(doc.algebras):
-        parts.append(emit_algebra(doc.algebras[name]))
-    for name in sorted(doc.modules):
-        parts.append(emit_module(doc.modules[name]))
-    for name in sorted(doc.automorphisms):
-        parts.append(emit_automorphism(name, doc.automorphisms[name]))
+    parts = [emit_algebra(doc.algebras[name]) for name in sorted(doc.algebras)]
+    parts += [emit_module(doc.modules[name]) for name in sorted(doc.modules)]
+    parts += [emit_automorphism(name, doc.automorphisms[name]) for name in sorted(doc.automorphisms)]
     return "\n\n".join(parts) + "\n"

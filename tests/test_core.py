@@ -344,3 +344,13 @@ def test_twist_rejects_bad_automorphism():
     bad = AlgebraAutomorphism(P, {"t1": {"t1": QQ.parse("2")}})  # not multiplicative
     with _pytest.raises(ValueError):
         twist(free_module(P), bad)
+
+
+def test_validate_automorphism_reports_a_degree_change():
+    from dgreg.algebra import validate_automorphism
+
+    P = polynomial_algebra(1)
+    rep = validate_automorphism(AlgebraAutomorphism(P, {"t1": {"t2": QQ.one()}}))
+    assert not rep.ok
+    assert ("degree", ("t1",)) in [(v.axiom, v.witness) for v in rep.violations]
+    assert all(v.axiom != "invertible" or "t1" not in v.witness for v in rep.violations)

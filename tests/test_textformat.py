@@ -148,11 +148,61 @@ map t2 = t2
     alpha = doc.automorphisms["alpha"]
     from dgreg.algebra import validate_automorphism
 
-    # extend to all labels: unspecified ones default to the identity
-    assert validate_automorphism(alpha).ok is False or True  # partial maps allowed
+    # unspecified labels default to the identity, so alpha(t1 t2) = t3
+    # while alpha(t1) alpha(t2) = -t3
+    assert validate_automorphism(alpha).ok is False
     text2 = emit_document(doc)
     doc2 = parse_document(text2)
     assert doc2.automorphisms["alpha"].images == alpha.images
+
+
+LAMBDA_HEAD = """\
+algebra Lambda over Q window 0..4
+basis 0: one
+basis 1: t
+unit one
+mul one one = one
+mul one t = t
+mul t one = t
+"""
+
+ROUND_TRIPS = {
+    "right-only module": LAMBDA_HEAD + """
+module R over Lambda side right window 0..3
+basis 0: r0
+basis 1: r1
+actr r0 one = r0
+actr r0 t = r1
+actr r1 one = r1
+""",
+    "truncated above and below": LAMBDA_HEAD + """
+module k over Lambda side bi window 0..2 truncated above below
+basis 0: k0
+act one k0 = k0
+actr k0 one = k0
+""",
+    # images are not cleaned, so a zero image is still written out
+    "zero automorphism image": LAMBDA_HEAD + """
+automorphism z of Lambda
+map one = one
+map t = 0
+""",
+}
+
+
+@pytest.mark.parametrize("name", ROUND_TRIPS)
+def test_round_trip_beyond_the_catalog(name):
+    assert emit_document(parse_document(ROUND_TRIPS[name])) == ROUND_TRIPS[name]
+
+
+def test_map_image_labels_are_checked_like_table_targets():
+    head = PIN_BLOCKS["algebra"] + "\n" + PIN_BLOCKS["auto"] + "\n"
+    with pytest.raises(ParseError) as err:
+        parse_document(head + "map x = q\n")
+    assert "unknown algebra label 'q'" in err.value.message
+    with pytest.raises(ParseError) as err:
+        parse_document(head + "map x = y\n")
+    assert "degree mismatch" in err.value.message
 
 
 def test_module_round_trip_with_actions():
