@@ -12,6 +12,24 @@ bilinear extension of a single-label product or action to
 combinations.  The algebra and module axioms are checked by the same
 three functions (``_d_squared``, ``_leibniz``, ``_associative``).
 
+Associativity is checked over generators.  A is connected, so lifts S
+of a basis of the indecomposables A^{>=1}/(A^{>=1})^2 generate it
+(``_generators`` keeps, in each degree n >= 1, the labels that enlarge
+the echelon of the products A^i A^j with i + j = n and i, j >= 1).  If
+the unit law holds and (xy)z = x(yz) whenever x lies in S, it holds on
+every triple, by induction on word length; every product that
+induction uses lies in a degree <= |x|+|y|+|z|, so it is recorded
+whenever the triple is.  The same induction covers left-action
+associativity and bimodule commutation with the first factor in S, and
+right-action associativity with the last factor in S.  The reduced
+check only ever decides "no violation", and only when A is connected
+and unital, its product and action tables are graded, the products S
+is computed from are recorded and, for a module, A is associative by
+its own reduced check and the unit acts as the identity on each side
+the module has.  If a precondition fails, or the reduced check finds a
+failing triple, the same enumeration runs over every label and gives
+the report.
+
 The above-window rule: an entry whose target degree exceeds the window
 top is zero when the presentation is complete (trusted with no upper
 bound) and *unrecorded*, returned as None, when it is truncated; it is
@@ -263,15 +281,26 @@ def _associative(X, x, dx, y, dy, z, dz, xy_of, yz_of, xy_z, x_yz) -> bool:
     return lhs is not None and rhs is not None and not ceq(X.field, lhs, rhs)
 
 
-def validate_algebra(A: DGAlgebra) -> ValidationReport:
-    """Check the connected cochain DG algebra axioms on the window.
+def _labels(X) -> list:
+    """The ``(label, degree)`` pairs of an algebra or module, in basis order."""
+    return [(lbl, d) for d in X.degrees() for lbl in X.basis_at(d)]
 
-    Violations are returned as data (axiom name plus witnessing basis
-    tuple); an empty list certifies validity of the recorded tables.
-    """
+
+def _graded(table, X, U, V) -> bool:
+    """Whether each entry ``table[(u, v)]``, with u a label of U and v one
+    of V, is a combination of labels of X in degree |u| + |v|."""
+    for (u, v), c in table.items():
+        if u in U._deg and v in V._deg:
+            n = U._deg[u] + V._deg[v]
+            if any(X._deg.get(t) != n for t in c):
+                return False
+    return True
+
+
+def _connected_unital(A: DGAlgebra) -> list:
+    """Connectedness and two-sided unit law violations."""
     F = A.field
     out = []
-
     # connectedness: nonnegative degrees, one-dimensional degree 0 spanned by unit
     if A.window.lo != 0:
         out.append(Violation("connectedness", (), f"window starts at {A.window.lo}, not 0"))
@@ -281,10 +310,7 @@ def validate_algebra(A: DGAlgebra) -> ValidationReport:
     if A.dim(0) != 1 or A.unit not in A.basis_at(0):
         out.append(Violation("connectedness", tuple(A.basis_at(0)), "degree-0 part is not k spanned by the unit"))
 
-    all_labels = [lbl for d in A.degrees() for lbl in A.basis_at(d)]
-
-    # two-sided unit law
-    for b in all_labels:
+    for b, _ in _labels(A):
         left = A.product(A.unit, b)
         right = A.product(b, A.unit)
         want = {b: F.one()}
@@ -292,22 +318,80 @@ def validate_algebra(A: DGAlgebra) -> ValidationReport:
             out.append(Violation("unit", (A.unit, b), "1*b differs from b"))
         if right is not None and not ceq(F, right, want):
             out.append(Violation("unit", (b, A.unit), "b*1 differs from b"))
+    return out
 
+
+def _generators(A: DGAlgebra):
+    """The generators S of the module docstring, or None when A is not
+    connected and unital, its product table is not graded, or a product
+    S is computed from is unrecorded."""
+    if _connected_unital(A) or not _graded(A.mul, A, A, A):
+        return None
+    positive = [(a, da) for a, da in _labels(A) if da >= 1]
+    gens = set()
+    for n in A.degrees():
+        if n < 1:
+            continue
+        decomposables = Echelon(A.field, A.dim(n))
+        for a, da in positive:
+            if da >= n:
+                break
+            for b in A.basis_at(n - da):
+                ab = A.product(a, b)
+                if ab is None:
+                    return None
+                decomposables.add(A.coords(ab, n))
+        gens.update(lbl for i, lbl in enumerate(A.basis_at(n)) if decomposables.add({i: A._one}))
+    return gens
+
+
+def _by_generators(enumerate_, gens, labels) -> list:
+    """``enumerate_(gens)`` decides "no violation" when it finds none;
+    otherwise, or with no generators, the report is ``enumerate_(labels)``."""
+    if gens is not None and not enumerate_(gens):
+        return []
+    return enumerate_(labels)
+
+
+def _associativity(A: DGAlgebra, firsts) -> list:
+    """Associativity violations over the triples whose first factor is in
+    ``firsts``."""
+    mul, graded = A.product, _labels(A)
+    out = []
+    for x, dx in graded:
+        if x not in firsts:
+            continue
+        for y, dy in graded:
+            for z, dz in graded:
+                if _associative(A, x, dx, y, dy, z, dz, mul, mul, mul, mul):
+                    out.append(Violation("associativity", (x, y, z), "(xy)z != x(yz)"))
+    return out
+
+
+def _associative_generators(A: DGAlgebra):
+    """The generators of A when its own reduced check certifies it
+    associative, else None."""
+    gens = _generators(A)
+    return None if gens is None or _associativity(A, gens) else gens
+
+
+def validate_algebra(A: DGAlgebra) -> ValidationReport:
+    """Check the connected cochain DG algebra axioms on the window.
+
+    Violations are returned as data (axiom name plus witnessing basis
+    tuple); an empty list certifies validity of the recorded tables.
+    """
+    out = _connected_unital(A)
     out += _d_squared(A, "d(d(b)) is nonzero")
 
     mul = A.product
+    all_labels = list(A._deg)
     for x in all_labels:
         for y in all_labels:
             if _leibniz(A, mul, A, x, A, y):
                 out.append(Violation("leibniz", (x, y), "d(xy) != d(x)y + (-1)^|x| x d(y)"))
 
-    graded = [(lbl, A.degree_of(lbl)) for lbl in all_labels]
-    for x, dx in graded:
-        for y, dy in graded:
-            for z, dz in graded:
-                if _associative(A, x, dx, y, dy, z, dz, mul, mul, mul, mul):
-                    out.append(Violation("associativity", (x, y, z), "(xy)z != x(yz)"))
-
+    out += _by_generators(lambda firsts: _associativity(A, firsts), _generators(A), A._deg)
     return ValidationReport(A.name, out)
 
 
@@ -330,15 +414,19 @@ def identity_automorphism(A: DGAlgebra) -> AlgebraAutomorphism:
 def validate_automorphism(alpha: AlgebraAutomorphism) -> ValidationReport:
     A = alpha.algebra
     F = A.field
-    out, shifted = [], set()
+    out, shifted, unknown = [], set(), set()
     for lbl, img in alpha.images.items():
-        d = A.degree_of(lbl)
-        if any(A.degree_of(t) != d for t in img):
+        missing = [t for t in (lbl, *img) if t not in A._deg]
+        if missing:
+            # no loop below can read such an image, so they skip its label
+            unknown.add(lbl)
+            out.append(Violation("label", (lbl,), f"{missing[0]!r} is not a basis label"))
+        elif any(A.degree_of(t) != A.degree_of(lbl) for t in img):
             shifted.add(lbl)
             out.append(Violation("degree", (lbl,), "image is not degree-preserving"))
     if not ceq(F, alpha.apply(A.unit_combo()), A.unit_combo()):
         out.append(Violation("unital", (A.unit,), "unit not fixed"))
-    labels = [lbl for d in A.degrees() for lbl in A.basis_at(d)]
+    labels = [lbl for d in A.degrees() for lbl in A.basis_at(d) if lbl not in unknown]
     for a in labels:
         for b in labels:
             prod = A.product(a, b)
@@ -359,7 +447,7 @@ def validate_automorphism(alpha: AlgebraAutomorphism) -> ValidationReport:
     # degreewise invertibility, in the degrees where alpha is graded
     for d in A.degrees():
         lbls = A.basis_at(d)
-        if shifted.intersection(lbls):
+        if not shifted.isdisjoint(lbls) or not unknown.isdisjoint(lbls):
             continue
         rows = [A.coords(alpha.images.get(b, {b: F.one()}), d) for b in lbls]
         if len(Echelon.spanned_by(F, len(lbls), rows)) != len(lbls):

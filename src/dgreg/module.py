@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import (
-    DGAlgebra, Presentation, ValidationReport, Violation, _associative, _d_squared, _leibniz,
-    diff_columns,
+    DGAlgebra, Presentation, ValidationReport, Violation, _associative, _associative_generators,
+    _by_generators, _d_squared, _graded, _labels, _leibniz, diff_columns,
 )
 from .fields import FieldSpec
 from .lincomb import ceq, cclean, cextend, cscale, czero
@@ -109,25 +109,30 @@ class DGModule(Presentation):
 
 def validate_module(M: DGModule) -> ValidationReport:
     """Check d^2, module Leibniz, action associativity, unit action, and
-    (for bimodules) commutation of the two actions, on recorded entries."""
+    (for bimodules) commutation of the two actions, on recorded entries.
+    Associativity and commutation are checked over the algebra's
+    generators when the rule of ``dgreg.algebra`` applies."""
     A = M.algebra
     F = M.field
     out = _d_squared(M, "d(d(m)) is nonzero")
-    alg_labels = [(lbl, d) for d in A.degrees() for lbl in A.basis_at(d)]
-    mod_labels = [(lbl, d) for d in M.degrees() for lbl in M.basis_at(d)]
+    alg_labels = _labels(A)
+    mod_labels = _labels(M)
 
+    unital = True
     for m, _ in mod_labels:
         want = {m: F.one()}
         if M.has_left:
             got = M.act_left(A.unit, m)
             if got is not None and not ceq(F, got, want):
+                unital = False
                 out.append(Violation("unit-action-left", (A.unit, m), "1.m differs from m"))
         if M.has_right:
             got = M.act_right(m, A.unit)
             if got is not None and not ceq(F, got, want):
+                unital = False
                 out.append(Violation("unit-action-right", (m, A.unit), "m.1 differs from m"))
 
-    left, right, mul = M.act_left, M.act_right, A.product
+    left, right = M.act_left, M.act_right
     for a, _ in alg_labels:
         for m, _ in mod_labels:
             if M.has_left and _leibniz(M, left, A, a, M, m):
@@ -135,22 +140,43 @@ def validate_module(M: DGModule) -> ValidationReport:
             if M.has_right and _leibniz(M, right, M, m, A, a):
                 out.append(Violation("leibniz-right", (m, a), "d(ma) != d(m)a + (-1)^|m| m d(a)"))
 
+    gens = None
+    if unital and _graded(M.lact, M, A, M) and _graded(M.ract, M, M, A):
+        gens = _associative_generators(A)
+    out += _by_generators(lambda gs: _action_associativity(M, gs), gens, A._deg)
+    return ValidationReport(M.name, out)
+
+
+def _action_associativity(M: DGModule, gens) -> list:
+    """Action associativity and bimodule commutation violations over the
+    triples whose algebra factor on the generator side is in ``gens``:
+    the first factor on the left and in commutation, the last on the
+    right."""
+    A = M.algebra
+    alg_labels, mod_labels = _labels(A), _labels(M)
+    left, right, mul = M.act_left, M.act_right, A.product
+    out = []
     for a, da in alg_labels:
+        on_left = M.has_left and a in gens
         for b, db in alg_labels:
+            on_right = M.has_right and b in gens
+            if not (on_left or on_right):
+                continue
             for m, dm in mod_labels:
-                if M.has_left and _associative(M, a, da, b, db, m, dm, mul, left, left, left):
+                if on_left and _associative(M, a, da, b, db, m, dm, mul, left, left, left):
                     out.append(Violation("action-associativity-left", (a, b, m), "(ab)m != a(bm)"))
-                if M.has_right and _associative(M, m, dm, a, da, b, db, right, mul, right, right):
+                if on_right and _associative(M, m, dm, a, da, b, db, right, mul, right, right):
                     out.append(Violation("action-associativity-right", (m, a, b), "m(ab) != (ma)b"))
 
     if M.side == BI:
         for a, da in alg_labels:
+            if a not in gens:
+                continue
             for m, dm in mod_labels:
                 for b, db in alg_labels:
                     if _associative(M, a, da, m, dm, b, db, left, right, right, left):
                         out.append(Violation("bimodule-commutation", (a, m, b), "(am)b != a(mb)"))
-
-    return ValidationReport(M.name, out)
+    return out
 
 
 # -- cohomology ----------------------------------------------------------

@@ -354,3 +354,13 @@ def test_validate_automorphism_reports_a_degree_change():
     assert not rep.ok
     assert ("degree", ("t1",)) in [(v.axiom, v.witness) for v in rep.violations]
     assert all(v.axiom != "invertible" or "t1" not in v.witness for v in rep.violations)
+
+
+def test_validate_automorphism_reports_an_unknown_label():
+    from dgreg.algebra import validate_automorphism
+
+    P = polynomial_algebra(1)
+    for images, witness in (({"t1": {"zz": QQ.one()}}, "t1"), ({"zz": {"t1": QQ.one()}}, "zz")):
+        rep = validate_automorphism(AlgebraAutomorphism(P, images))
+        assert [(v.axiom, v.witness) for v in rep.violations] == [("label", (witness,))]
+        assert "'zz'" in rep.violations[0].detail

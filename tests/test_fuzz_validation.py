@@ -11,13 +11,20 @@ witness re-evaluates to a nonzero residual in the oracle.
 import hashlib
 import json
 import random
+from unittest import mock
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dgreg import algebra, module
 from dgreg.algebra import DGAlgebra, validate_algebra
 from dgreg.catalog import exterior_algebra, polynomial_algebra, square_zero_algebra
 from dgreg.fields import QQ, GF
+from dgreg.homtensor import realize_ledger
 from dgreg.lincomb import cadd, cclean, cneg, cscale
 from dgreg.module import DGModule, canonical_k, free_module, validate_module
-from dgreg.windows import GradedWindow
+from dgreg.resolution import semifree_resolve
+from dgreg.windows import GradedWindow, Trust
 
 
 # ---- independent oracle ------------------------------------------------------
@@ -492,3 +499,190 @@ def test_validation_reports_are_pinned():
         digest.update(json.dumps(rep.to_json()).encode())
     assert count == 757
     assert digest.hexdigest() == PINNED_REPORTS_SHA256
+
+
+# ---- associativity over generators ---------------------------------------------
+
+
+def _random_gl(rng, F, n):
+    """A random invertible n x n matrix over F and its inverse, as one
+    product of elementary matrices kept on both sides."""
+    P = [[F.coerce(int(i == j)) for j in range(n)] for i in range(n)]
+    Q = [row[:] for row in P]
+    for _ in range(2 * n * n):
+        i, j = rng.randrange(n), rng.randrange(n)
+        c = F.coerce(rng.choice([1, 2, 3, -1, -2]))
+        if F.is_zero(c):
+            continue
+        if i == j:
+            P[i] = [F.mul(c, x) for x in P[i]]
+            for row in Q:
+                row[i] = F.mul(row[i], F.inv(c))
+        else:
+            P[i] = [F.add(x, F.mul(c, y)) for x, y in zip(P[i], P[j])]
+            for row in Q:
+                row[j] = F.sub(row[j], F.mul(c, row[i]))
+    return P, Q
+
+
+def _transport(rng, A):
+    """A in a new basis: the labels of each positive degree become the
+    rows of a random invertible matrix, so the generators of A are no
+    longer monomial labels."""
+    F = A.field
+    rows, inverse, names = {}, {}, {}
+    for d in A.degrees():
+        lbls = A.basis_at(d)
+        P, Q = _random_gl(rng, F, len(lbls)) if d else ([[F.one()]], [[F.one()]])
+        rows[d] = [{lbls[j]: x for j, x in enumerate(row) if not F.is_zero(x)} for row in P]
+        inverse[d] = Q
+        names[d] = (A.unit,) if d == 0 else tuple(f"u{d}_{i}" for i in range(len(lbls)))
+
+    def in_new_basis(c, d):
+        out = {}
+        for j, cj in A.coords(c, d).items():
+            for r, x in enumerate(inverse[d][j]):
+                out[names[d][r]] = F.add(out.get(names[d][r], F.zero()), F.mul(cj, x))
+        return cclean(F, out)
+
+    mul, diff = {}, {}
+    for dx in rows:
+        for x, xname in zip(rows[dx], names[dx]):
+            for dy in rows:
+                if dx + dy > A.window.hi:
+                    continue
+                for y, yname in zip(rows[dy], names[dy]):
+                    xy = A.mul_combo(x, dx, y, dy)
+                    if xy:
+                        mul[(xname, yname)] = in_new_basis(xy, dx + dy)
+            dx_ = A.diff_combo(x, dx)
+            if dx_:
+                diff[xname] = in_new_basis(dx_, dx + 1)
+    return DGAlgebra(name=A.name + "'", field=F, window=A.window, basis=names,
+                     unit=A.unit, mul=mul, diff=diff, trust=A.trust)
+
+
+def _tensor(A, B):
+    """The graded tensor product of two algebras with zero differential on
+    one window: (a.b)(a'.b') = (-1)^{|b||a'|} aa'.bb'."""
+    F, hi = A.field, A.window.hi
+    cells = [(a, b) for a in A._deg for b in B._deg if A._deg[a] + B._deg[b] <= hi]
+    deg = {(a, b): A._deg[a] + B._deg[b] for a, b in cells}
+    basis = {}
+    for ab in cells:
+        basis.setdefault(deg[ab], []).append(f"{ab[0]}.{ab[1]}")
+    mul = {}
+    for a, b in cells:
+        for a2, b2 in cells:
+            if deg[(a, b)] + deg[(a2, b2)] <= hi:
+                sign = F.sign(B._deg[b] * A._deg[a2])
+                mul[(f"{a}.{b}", f"{a2}.{b2}")] = {
+                    f"{x}.{y}": F.mul(sign, F.mul(cx, cy))
+                    for x, cx in A.product(a, a2).items() for y, cy in B.product(b, b2).items()
+                }
+    complete = A.complete and B.complete and max(A.degrees()) + max(B.degrees()) <= hi
+    return DGAlgebra(name=f"{A.name}.{B.name}", field=F, window=A.window, basis=basis,
+                     unit=f"{A.unit}.{B.unit}", mul=mul, diff={},
+                     trust=Trust.everywhere() if complete else Trust(None, hi))
+
+
+def _generator_pool(field, hi):
+    W = GradedWindow(0, hi)
+    sq, e3 = square_zero_algebra(field, W), exterior_algebra(3, field, W)
+    p1, p2 = polynomial_algebra(1, field, W), polynomial_algebra(2, field, W)
+    return [sq, e3, p1, p2, _tensor(sq, sq), _tensor(p1, p2), _tensor(e3, p1)]
+
+
+def _full_enumeration(validate, X):
+    """The report of ``validate`` with no generator set, so that every
+    associativity loop runs over every label."""
+    with mock.patch.object(algebra, "_generators", lambda A: None):
+        return validate(X)
+
+
+def _changed(rng, F, table, key, labels):
+    """A copy of ``table`` whose entry at ``key`` is a new combination of
+    ``labels``."""
+    old = new = cclean(F, table.get(key, {}))
+    while new == old:
+        new = cclean(F, _random_combo(rng, F, labels))
+    return {**table, key: new}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    field=st.sampled_from([QQ, GF(2), GF(7)]),
+    hi=st.integers(3, 6),
+    pick=st.integers(0, 6),
+    kind=st.sampled_from(["algebra", "k", "free", "ledger"]),
+    side=st.sampled_from(["left", "right", "bi"]),
+    perturbation=st.sampled_from(["none", "unit", "unit-action", "decomposable", "algebra-under-module"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_generator_rule_reports_equal_full_enumeration(field, hi, pick, kind, side, perturbation, seed):
+    rng = random.Random(seed)
+    A = _transport(rng, _generator_pool(field, hi)[pick])
+    gens = algebra._generators(A)
+    assert gens is not None and validate_algebra(A).ok
+    F = field
+    positive = [l for d in A.degrees() if d >= 1 for l in A.basis_at(d)]
+    base = A
+    if perturbation == "unit":
+        b = rng.choice(positive)
+        key = rng.choice([(A.unit, b), (b, A.unit)])
+        A = DGAlgebra(name=A.name, field=F, window=A.window, basis=A.basis, unit=A.unit,
+                      mul=_changed(rng, F, A.mul, key, A.basis_at(A.degree_of(b))),
+                      diff=A.diff, trust=A.trust)
+    elif perturbation in ("decomposable", "algebra-under-module"):
+        # an entry x*y with x outside the generators, where the reduced
+        # check sees it only through products of generators
+        x = rng.choice([l for l in positive if l not in gens] or positive)
+        y = rng.choice([l for l in positive if A.degree_of(x) + A.degree_of(l) in A.basis] or [A.unit])
+        target = A.basis_at(A.degree_of(x) + A.degree_of(y))
+        A = DGAlgebra(name=A.name, field=F, window=A.window, basis=A.basis, unit=A.unit,
+                      mul=_changed(rng, F, A.mul, (x, y), target), diff=A.diff, trust=A.trust)
+
+    if kind == "algebra":
+        X, validate = A, validate_algebra
+    else:
+        # a module of the unperturbed tables over a perturbed algebra
+        # looks valid to every check that reads only its own tables
+        source = base if perturbation == "algebra-under-module" else A
+        if kind == "ledger":
+            k = canonical_k(base, side="left")
+            M = realize_ledger(semifree_resolve(k, 2), k.window)
+        elif kind == "k":
+            M = canonical_k(source, side=side)
+        else:
+            M = free_module(source, side=side)
+        lact, ract = M.lact, M.ract
+        if perturbation == "unit-action":
+            m = rng.choice(list(M._deg))
+            labels = M.basis_at(M.degree_of(m))
+            if M.has_left and (not M.has_right or rng.random() < 0.5):
+                lact = _changed(rng, F, lact, (base.unit, m), labels)
+            else:
+                ract = _changed(rng, F, ract, (m, base.unit), labels)
+        X = DGModule(name=M.name, algebra=A, side=M.side, window=M.window, basis=M.basis,
+                     lact=lact, ract=ract, diff=M.diff, trust=M.trust)
+        validate = validate_module
+
+    got = validate(X).to_json()
+    assert got == _full_enumeration(validate, X).to_json()
+
+
+def test_generator_rule_bounds_associativity_work():
+    calls = 0
+    check = algebra._associative
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return check(*args)
+
+    M = free_module(polynomial_algebra(1, QQ, GradedWindow(0, 48)), side="bi")
+    with mock.patch.object(algebra, "_associative", counted), \
+            mock.patch.object(module, "_associative", counted):
+        assert validate_module(M).ok
+    # the full enumeration makes three passes of 49^3 triples
+    assert calls <= 5 * 49 ** 2
