@@ -217,3 +217,109 @@ def test_cohomology_of_invalid_presentation_exits_one(tmp_path, capsys):
     p.write_text(BAD_DOC + "\nmodule k over Bad side left window 0..4\nbasis 0: k0\nact one k0 = k0\n")
     assert main(["cohomology", str(p), "--algebra", "Bad"]) == 1
     assert "not a valid presentation" in capsys.readouterr().out
+
+
+# The CLI contract: for each call the argv (temp dir masked), exit code,
+# stdout, stderr and --out bytes. Calls argparse itself rejects record
+# only their exit code, because Python versions wrap the usage line
+# differently.
+PINNED_CLI_SHA256 = "fba26ee9bf51039887ea0dcc4eca890edbcc9bff1c2f05fcad49ded6d4dd2f3d"
+
+
+def _pinned_cli_calls(tmp_path):
+    from dgreg.fields import GF
+    from dgreg.windows import GradedWindow
+
+    odd = ("\nmodule R over Poly2 side right window 0..4\nbasis 0: r\n"
+           "\nmodule W over Poly2 side left window 0..0\nbasis 0: w\n")
+    small = GradedWindow(0, 6)
+    docs = {
+        "lam": LAMBDA_DOC,
+        "lam7": document_text("square-zero", field=GF(7), window=small),
+        "poly1": document_text("polynomial", d=1, window=small),
+        "poly1_7": document_text("polynomial", field=GF(7), d=1, window=small),
+        "poly2": document_text("polynomial", d=2, window=small) + odd,
+        "ext3_7": document_text("exterior", field=GF(7), d=3, window=small),
+        "bad": BAD_DOC,
+    }
+    paths = {}
+    for name, text in docs.items():
+        paths[name] = str(tmp_path / f"{name}.dg")
+        (tmp_path / f"{name}.dg").write_text(text)
+    calls = [["catalog", "--family", fam] + extra
+             for fam in ("square-zero", "polynomial", "exterior", "ground-field")
+             for extra in ([], ["--p", "7", "--param", "3", "--window", "0..9"])]
+    calls += [["catalog", "--family", "exterior", "--param", "2"],
+              ["catalog", "--family", "polynomial", "--window", "9..3"],
+              ["catalog", "--family", "polynomial", "--window", "x"],
+              ["catalog", "--family", "nope"],
+              ["check-regularity", "--p", "7", "--stages", "2"],
+              ["check-regularity", "--stages", "2"],
+              ["check-regularity", "--p", "4"]]
+    for name in ("lam", "lam7", "poly1", "poly1_7", "poly2", "ext3_7", "bad"):
+        f = paths[name]
+        calls += [["validate", f], ["validate", f, "--name", "k"], ["validate", f, "--name", "nope"],
+                  ["dualizing", f], ["dualizing", f, "--algebra", "nope"],
+                  ["dualizing", f, "--regime", "finite"], ["dualizing", f, "--regime", "poly"],
+                  ["cohomology", f], ["koszul", f], ["koszul", f, "--algebra", "nope"],
+                  ["e2", f], ["e2", f, "--module", "k", "--params", "t1"]]
+        for mod in ("k", "free") + (("R", "W", "nope") if name == "poly2" else ()):
+            m = ["--module", mod]
+            calls += [["cohomology", f] + m, ["resolve", f, "--stages", "3"] + m,
+                      ["extreg", f, "--stages", "3"] + m, ["koszul", f, "--stages", "3"] + m,
+                      ["cmreg", f, "--stages", "3"] + m, ["gamma", f, "--stages", "3"] + m,
+                      ["duality-check", f, "--stages", "3"] + m,
+                      ["local-duality", f, "--stages", "3"] + m,
+                      ["check-regularity", f, "--stages", "2"] + m,
+                      ["e2", f, "--params", "t1,2*t1"] + m]
+        calls += [["cohomology", f, "--algebra", alg] for alg in ("Lambda", "Poly1", "Poly2", "Bad")]
+        calls += [["koszul", f, "--algebra", alg, "--stages", "3"] for alg in ("Lambda", "Poly2")]
+        for regime in ("finite", "poly", "auto"):
+            calls += [[cmd, f, "--module", "k", "--stages", "2", "--regime", regime]
+                      for cmd in ("cmreg", "gamma", "duality-check", "local-duality")]
+    p2 = paths["poly2"]
+    calls += [["e2", p2, "--module", "free", "--params", p] for p in ("t1", "zz", "t1,", "1/0*t1", "")]
+    calls += [["resolve", p2, "--module", "k"], ["extreg", p2, "--module", "k"]]
+    calls += [[cmd, str(tmp_path / "missing.dg")] for cmd in
+              ("validate", "cohomology", "resolve", "dualizing", "e2", "check-regularity")]
+    calls += [[], ["nope"], ["resolve"], ["resolve", p2, "--stages", "0"],
+              ["cmreg", p2, "--regime", "weird"], ["catalog"], ["catalog", "--family", "polynomial", "--param", "x"],
+              ["validate", p2, "--module", "k"], ["e2", p2, "--stages", "2"]]
+    return calls
+
+
+def _pinned_cli_digest(tmp_path):
+    import contextlib
+    import hashlib
+    import io
+
+    from dgreg.cli import build_parser
+
+    tmp = str(tmp_path)
+    out = tmp_path / "report.json"
+    parser = build_parser()
+    digest = hashlib.sha256()
+    for argv in _pinned_cli_calls(tmp_path):
+        argv = argv + ["--out", str(out)]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                parser.parse_args(argv)
+                rejected = False
+            except SystemExit:
+                rejected = True
+            stdout.seek(0), stdout.truncate(), stderr.seek(0), stderr.truncate()
+            code = main(argv)
+        record = {"argv": [a.replace(tmp, "TMP") for a in argv], "code": code}
+        if not rejected:
+            record["stdout"] = stdout.getvalue().replace(tmp, "TMP")
+            record["stderr"] = stderr.getvalue().replace(tmp, "TMP")
+            record["out"] = out.read_text(encoding="utf-8").replace(tmp, "TMP") if out.exists() else None
+        if out.exists():
+            out.unlink()
+        digest.update(json.dumps(record, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_cli_reports_are_pinned(tmp_path):
+    assert _pinned_cli_digest(tmp_path) == PINNED_CLI_SHA256
