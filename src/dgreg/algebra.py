@@ -195,6 +195,7 @@ class DGAlgebra(Presentation):
         self._index()
         self.mul = self._clean(self.mul)
         self.diff = self._clean(self.diff)
+        self._opposite = None
 
     def product(self, a: str, b: str):
         """Combination for a*b; None when the target degree is unrecorded."""
@@ -212,13 +213,18 @@ class DGAlgebra(Presentation):
     # -- derived algebras -------------------------------------------------
 
     def opposite(self) -> "DGAlgebra":
-        """The graded-opposite algebra: a *op b = (-1)^{|a||b|} b a."""
+        """The graded-opposite algebra: a *op b = (-1)^{|a||b|} b a.
+
+        An involution: the opposite records A as its own opposite, so
+        ``A.opposite().opposite() is A``.  A does not keep its opposite."""
+        if self._opposite is not None:
+            return self._opposite
         F = self.field
         mul_op = {}
         for (a, b), combo in self.mul.items():
             s = F.sign(self._deg[a] * self._deg[b])
             mul_op[(b, a)] = cscale(F, s, combo)
-        return DGAlgebra(
+        op = DGAlgebra(
             name=self.name + "_op",
             field=F,
             window=self.window,
@@ -228,6 +234,8 @@ class DGAlgebra(Presentation):
             diff=self.diff,
             trust=self.trust,
         )
+        op._opposite = self
+        return op
 
 
 def diff_columns(X, d: int) -> list:

@@ -164,8 +164,7 @@ def build_algebra(family: str, *, field: FieldSpec = QQ, d: int = 1,
 MODULE_KINDS = ("k", "free", "suspended-k", "truncated-free", "cone-id")
 
 
-def build_module(A: DGAlgebra, which: str, *, side: str = BI, n: int = 0, level: int = 1,
-                 module_window: GradedWindow | None = None) -> DGModule:
+def build_module(A: DGAlgebra, which: str, *, side: str = BI, n: int = 0, level: int = 1) -> DGModule:
     """Standard catalog modules over A.
 
     k: the canonical module A/A^{>=1}; free: A over itself;

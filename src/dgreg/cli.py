@@ -14,13 +14,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 
-from .algebra import validate_algebra, validate_automorphism
+from .algebra import DGAlgebra, validate_algebra, validate_automorphism
 from .catalog import ALGEBRA_FAMILIES, document_text
 from .fields import QQ, GF
 from .module import SideError, cohomology, validate_module
 from .resolution import DegenerateWindowError, ext_reg, koszul_test, semifree_resolve
-from .textformat import ParseError, parse_document, parse_combination
+from .textformat import ParseError, emit_module, parse_document, parse_combination
 from .torsion import (
     UnsupportedRegimeError,
     cm_reg,
@@ -61,18 +63,13 @@ def _report(args, payload: dict, human: str, code: int) -> int:
     return code
 
 
-def _pick_module(doc, args):
+def _pick(doc, kind: str, name):
+    """The document's algebra or module (``kind``) called name, or its
+    only one when name is None."""
     try:
-        return doc.module(getattr(args, "module", None))
+        return getattr(doc, kind)(name)
     except KeyError as exc:
         raise SystemExit2(exc.args[0])  # str() of a KeyError quotes it
-
-
-def _pick_algebra(doc, args):
-    try:
-        return doc.algebra(getattr(args, "algebra", None))
-    except KeyError as exc:
-        raise SystemExit2(exc.args[0])
 
 
 def _stages(text: str) -> int:
@@ -93,8 +90,7 @@ def _field(args):
         raise SystemExit2(str(exc))
 
 
-def _regime_for(args, A):
-    choice = getattr(args, "regime", "auto")
+def _regime_for(choice: str, A):
     regime = detect_regime(A)
     if choice == "auto":
         return regime
@@ -113,18 +109,11 @@ def _regime_for(args, A):
 def cmd_validate(args) -> int:
     doc = _load(args.file)
     reports = []
-    for name, A in sorted(doc.algebras.items()):
-        if args.name and name != args.name:
-            continue
-        reports.append(("algebra", name, validate_algebra(A)))
-    for name, M in sorted(doc.modules.items()):
-        if args.name and name != args.name:
-            continue
-        reports.append(("module", name, validate_module(M)))
-    for name, al in sorted(doc.automorphisms.items()):
-        if args.name and name != args.name:
-            continue
-        reports.append(("automorphism", name, validate_automorphism(al)))
+    for kind, table, check in (("algebra", doc.algebras, validate_algebra),
+                               ("module", doc.modules, validate_module),
+                               ("automorphism", doc.automorphisms, validate_automorphism)):
+        reports += [(kind, name, check(X)) for name, X in sorted(table.items())
+                    if not args.name or name == args.name]
     if args.name and not reports:
         raise SystemExit2(f"nothing named {args.name!r} in the document")
     bad = [(k, n, r) for k, n, r in reports if not r.ok]
@@ -140,29 +129,25 @@ def cmd_validate(args) -> int:
     return _report(args, payload, "\n".join(lines), VIOLATION if bad else OK)
 
 
-def cmd_cohomology(args) -> int:
-    doc = _load(args.file)
-    X = _pick_algebra(doc, args) if args.algebra else _pick_module(doc, args)
-    from .algebra import DGAlgebra
+def _h_lines(heading: str, rep) -> list:
+    """A heading, then the dimension of each degree of an H report."""
+    lines = [heading] + [f"  degree {d}: {n}" for d, n in sorted(rep.dims.items())]
+    return lines if rep.dims else lines + ["  zero"]
 
+
+def cmd_cohomology(args, X) -> int:
     vrep = validate_algebra(X) if isinstance(X, DGAlgebra) else validate_module(X)
     if not vrep.ok:
         lines = [f"{X.name} is not a valid presentation:"]
         lines += [f"  {v.axiom} at {v.witness}: {v.detail}" for v in vrep.violations]
         return _report(args, {"validation": vrep.to_json()}, "\n".join(lines), VIOLATION)
     rep = cohomology(X)
-    human = [f"H({X.name}) dims (certified {rep.certified}):"]
-    for d, n in sorted(rep.dims.items()):
-        human.append(f"  degree {d}: {n}")
-    if not rep.dims:
-        human.append("  zero")
+    human = _h_lines(f"H({X.name}) dims (certified {rep.certified}):", rep)
     human.append(f"inf = {rep.to_json()['inf']}, sup = {rep.to_json()['sup']}")
     return _report(args, {"cohomology": rep.to_json()}, "\n".join(human), OK)
 
 
-def cmd_resolve(args) -> int:
-    doc = _load(args.file)
-    M = _pick_module(doc, args)
+def cmd_resolve(args, M) -> int:
     res = semifree_resolve(M, max_stages=args.stages)
     human = [f"semifree resolution of {M.name} over {M.algebra.name} "
              f"({len(res.gens)} generators, {'complete' if res.complete else 'frontier at %s' % res.frontier})"]
@@ -180,27 +165,20 @@ def cmd_resolve(args) -> int:
     return _report(args, {"resolution": res.to_json()}, "\n".join(human), OK)
 
 
-def cmd_extreg(args) -> int:
-    doc = _load(args.file)
-    M = _pick_module(doc, args)
+def cmd_extreg(args, M) -> int:
     v = ext_reg(M, max_stages=args.stages)
     code = OK if v.kind in ("exact", "neg_infinity") else INDETERMINATE
     return _report(args, {"extreg": v.to_json()}, f"Extreg {M.name} = {v} ({v.note})", code)
 
 
-def cmd_koszul(args) -> int:
-    doc = _load(args.file)
-    X = _pick_algebra(doc, args) if args.algebra else _pick_module(doc, args)
+def cmd_koszul(args, X) -> int:
     rep = koszul_test(X, max_stages=args.stages)
     code = OK if rep.certified else INDETERMINATE
     noun = "Koszul" if rep.value else ("not Koszul" if rep.value is False else "indeterminate")
     return _report(args, {"koszul": rep.to_json()}, f"{X.name}: {noun} ({rep.detail})", code)
 
 
-def cmd_cmreg(args) -> int:
-    doc = _load(args.file)
-    M = _pick_module(doc, args)
-    regime = _regime_for(args, M.algebra)
+def cmd_cmreg(args, M, regime) -> int:
     v = cm_reg(M, regime, max_stages=args.stages)
     code = OK if v.kind in ("exact", "neg_infinity") else INDETERMINATE
     return _report(
@@ -209,50 +187,32 @@ def cmd_cmreg(args) -> int:
     )
 
 
-def cmd_gamma(args) -> int:
-    doc = _load(args.file)
-    M = _pick_module(doc, args)
-    regime = _regime_for(args, M.algebra)
+def cmd_gamma(args, M, regime) -> int:
     g = gamma(M, regime, max_stages=args.stages)
     rep = cohomology(g.value)
-    human = [f"H(Gamma {M.name}) [{regime.kind} regime]:"]
-    for d, n in sorted(rep.dims.items()):
-        human.append(f"  degree {d}: {n}")
-    if not rep.dims:
-        human.append("  zero")
-    for note in g.notes:
-        human.append(f"note: {note}")
+    human = _h_lines(f"H(Gamma {M.name}) [{regime.kind} regime]:", rep)
+    human += [f"note: {note}" for note in g.notes]
     payload = {"gamma_h": rep.to_json(), "contamination": {str(k): v for k, v in g.contamination.items()},
                "regime": regime.to_json(), "notes": g.notes}
     return _report(args, payload, "\n".join(human), OK)
 
 
-def cmd_dualizing(args) -> int:
-    doc = _load(args.file)
-    A = _pick_algebra(doc, args)
-    regime = _regime_for(args, A)
+def cmd_dualizing(args, A, regime) -> int:
     D = dualizing_module(A, regime)
-    from .textformat import emit_module
-
     human = [f"dualizing module of {A.name} [{regime.kind} regime]:", emit_module(D)]
     return _report(args, {"dualizing": emit_module(D), "regime": regime.to_json()},
                    "\n".join(human), OK)
 
 
-def cmd_duality(args) -> int:
-    """duality-check and local-duality: the check comes from set_defaults."""
-    doc = _load(args.file)
-    M = _pick_module(doc, args)
-    regime = _regime_for(args, M.algebra)
-    rep = args.check(M, regime, max_stages=args.stages)
+def cmd_duality(args, M, regime) -> int:
+    """duality-check and local-duality: the check comes from the row."""
+    rep = args.row.check(M, regime, max_stages=args.stages)
     code = {"holds": OK, "violated": VIOLATION, "indeterminate": INDETERMINATE}[rep.verdict]
     return _report(args, {"check": rep.to_json()},
                    f"{rep.name.replace('-', ' ')} on {M.name}: {rep.verdict}", code)
 
 
-def cmd_e2(args) -> int:
-    doc = _load(args.file)
-    M = _pick_module(doc, args)
+def cmd_e2(args, M) -> int:
     A = M.algebra
     params = []
     if args.params:
@@ -287,8 +247,7 @@ def cmd_check_regularity(args) -> int:
 
     results = []
     if args.file:
-        doc = _load(args.file)
-        M = _pick_module(doc, args)
+        M = _pick(_load(args.file), MODULE, args.module)
         pairs = [(M.algebra, M)]
     else:
         pairs = catalog_pairs(_field(args))
@@ -340,6 +299,59 @@ def cmd_catalog(args) -> int:
     return _report(args, {"document": text}, text, OK)
 
 
+# -- the command table -----------------------------------------------------------
+
+MODULE, ALGEBRA, EITHER = "module", "algebra", "either"
+
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand that reads a document.  It runs on the document's
+    module, its algebra, or either one, chosen by --algebra (``on``);
+    main calls ``handler(args, X)``, or ``handler(args, X, regime)`` when
+    the row takes --regime.  ``extra`` holds (flag, help) options."""
+
+    name: str
+    help: str
+    on: str
+    handler: Callable[..., int]
+    stages: bool = False
+    regime: bool = False
+    check: Callable | None = None
+    extra: tuple = ()
+
+
+def _commands() -> tuple:
+    """The table, built per parser as argparse defaults are: a row's
+    check is whatever this module's name for it holds when main runs,
+    so a wrapper installed on the module (bench/tracer.py) sees the call."""
+    return (
+        Command("cohomology", "degreewise cohomology", EITHER, cmd_cohomology),
+        Command("resolve", "minimal semifree resolution ledger", MODULE, cmd_resolve, stages=True),
+        Command("extreg", "Ext regularity", MODULE, cmd_extreg, stages=True),
+        Command("koszul", "Koszulness of a module or algebra", EITHER, cmd_koszul, stages=True),
+        Command("cmreg", "CM regularity via derived torsion", MODULE, cmd_cmreg, stages=True, regime=True),
+        Command("gamma", "cohomology of the derived torsion", MODULE, cmd_gamma, stages=True, regime=True),
+        Command("dualizing", "the dualizing DG module", ALGEBRA, cmd_dualizing, regime=True),
+        Command("duality-check", "double duality recovers H(M)", MODULE, cmd_duality,
+                stages=True, regime=True, check=double_duality_check),
+        Command("local-duality", "(Gamma M)* against RHom(M, D)", MODULE, cmd_duality,
+                stages=True, regime=True, check=local_duality_check),
+        Command("e2", "local cohomology page of H(M)", MODULE, cmd_e2,
+                extra=(("--params", "comma-separated algebra cocycles, e.g. t1 or 2*t1"),)),
+    )
+
+
+def _inputs(row: Command, args) -> list:
+    """Load the document, pick the object and detect the regime that the
+    row declares, in that order."""
+    kind = ALGEBRA if row.on == ALGEBRA or (row.on == EITHER and args.algebra) else MODULE
+    X = _pick(_load(args.file), kind, getattr(args, kind))
+    if not row.regime:
+        return [X]
+    return [X, _regime_for(args.regime, X if kind == ALGEBRA else X.algebra)]
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="dgreg",
@@ -347,64 +359,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, file=True, module=False, algebra=False, stages=False, regime=False):
-        if file:
-            sp.add_argument("file", help="presentation document")
-        if module:
+    sp = sub.add_parser("validate", help="check every axiom of the presented objects")
+    sp.add_argument("file", help="presentation document")
+    sp.add_argument("--out", help="write the machine-readable JSON report here")
+    sp.add_argument("--name", help="validate only the named object")
+    sp.set_defaults(fn=cmd_validate, row=None)
+
+    for row in _commands():
+        sp = sub.add_parser(row.name, help=row.help)
+        sp.add_argument("file", help="presentation document")
+        if row.on != ALGEBRA:
             sp.add_argument("--module", help="module name (optional when unique)")
-        if algebra:
+        if row.on != MODULE:
             sp.add_argument("--algebra", help="algebra name (optional when unique)")
-        if stages:
+        if row.stages:
             sp.add_argument("--stages", type=_stages, default=8, help="resolution stage budget")
-        if regime:
+        if row.regime:
             sp.add_argument("--regime", choices=["auto", "finite", "poly"], default="auto")
         sp.add_argument("--out", help="write the machine-readable JSON report here")
-
-    sp = sub.add_parser("validate", help="check every axiom of the presented objects")
-    common(sp)
-    sp.add_argument("--name", help="validate only the named object")
-    sp.set_defaults(fn=cmd_validate)
-
-    sp = sub.add_parser("cohomology", help="degreewise cohomology")
-    common(sp, module=True, algebra=True)
-    sp.set_defaults(fn=cmd_cohomology)
-
-    sp = sub.add_parser("resolve", help="minimal semifree resolution ledger")
-    common(sp, module=True, stages=True)
-    sp.set_defaults(fn=cmd_resolve)
-
-    sp = sub.add_parser("extreg", help="Ext regularity")
-    common(sp, module=True, stages=True)
-    sp.set_defaults(fn=cmd_extreg)
-
-    sp = sub.add_parser("koszul", help="Koszulness of a module or algebra")
-    common(sp, module=True, algebra=True, stages=True)
-    sp.set_defaults(fn=cmd_koszul)
-
-    sp = sub.add_parser("cmreg", help="CM regularity via derived torsion")
-    common(sp, module=True, stages=True, regime=True)
-    sp.set_defaults(fn=cmd_cmreg)
-
-    sp = sub.add_parser("gamma", help="cohomology of the derived torsion")
-    common(sp, module=True, stages=True, regime=True)
-    sp.set_defaults(fn=cmd_gamma)
-
-    sp = sub.add_parser("dualizing", help="the dualizing DG module")
-    common(sp, algebra=True, regime=True)
-    sp.set_defaults(fn=cmd_dualizing)
-
-    sp = sub.add_parser("duality-check", help="double duality recovers H(M)")
-    common(sp, module=True, stages=True, regime=True)
-    sp.set_defaults(fn=cmd_duality, check=double_duality_check)
-
-    sp = sub.add_parser("local-duality", help="(Gamma M)* against RHom(M, D)")
-    common(sp, module=True, stages=True, regime=True)
-    sp.set_defaults(fn=cmd_duality, check=local_duality_check)
-
-    sp = sub.add_parser("e2", help="local cohomology page of H(M)")
-    common(sp, module=True)
-    sp.add_argument("--params", help="comma-separated algebra cocycles, e.g. t1 or 2*t1")
-    sp.set_defaults(fn=cmd_e2)
+        for flag, text in row.extra:
+            sp.add_argument(flag, help=text)
+        sp.set_defaults(row=row)
 
     sp = sub.add_parser("check-regularity", help="regularity inequalities (file or catalog sweep)")
     sp.add_argument("file", nargs="?", help="presentation document (omit to sweep the catalog)")
@@ -412,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--stages", type=_stages, default=8)
     sp.add_argument("--p", type=int, help="sweep over F_p instead of Q")
     sp.add_argument("--out")
-    sp.set_defaults(fn=cmd_check_regularity)
+    sp.set_defaults(fn=cmd_check_regularity, row=None)
 
     sp = sub.add_parser("catalog", help="emit a catalog family as a document")
     sp.add_argument("--family", required=True, choices=list(ALGEBRA_FAMILIES))
@@ -420,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, help="use F_p instead of Q")
     sp.add_argument("--window", help="LO..HI")
     sp.add_argument("--out")
-    sp.set_defaults(fn=cmd_catalog)
+    sp.set_defaults(fn=cmd_catalog, row=None)
 
     return p
 
@@ -432,7 +407,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        if args.row is None:
+            return args.fn(args)
+        return args.row.handler(args, *_inputs(args.row, args))
     except (SystemExit2, SideError, DegenerateWindowError) as exc:
         # bad input: a module without the left action the command needs,
         # or a window too narrow to certify any cohomology

@@ -191,7 +191,11 @@ def _stage_cohomology(F, dims, diffs, l) -> QuotientSpace:
     return kernel_mod_image(F, dims[l], rows, diffs.get(l - 1, []))
 
 
-def cech_e2(A: DGAlgebra, M: DGModule, params, s_range=None, max_stage: int = 12) -> E2Page:
+# the deepest Koszul stage x^t a page entry is read at
+MAX_STAGE = 12
+
+
+def cech_e2(A: DGAlgebra, M: DGModule, params) -> E2Page:
     """The (l, s) page of local cohomology of H(M) on the parameters.
 
     ``params`` is a list of homogeneous cocycle combinations of A (an
@@ -227,11 +231,10 @@ def cech_e2(A: DGAlgebra, M: DGModule, params, s_range=None, max_stage: int = 12
 
     cert = h.report.certified
     top = cert.hi if cert.hi is not None else M.window.hi
-    if s_range is None:
-        # localized pieces live in degrees s + t*e; reach back far enough
-        # for every window-visible class of the colimit
-        lo = M.window.lo - max_stage * max((d for _x, d in norm_params), default=0)
-        s_range = (max(lo, -4 * max(abs(M.window.lo), M.window.hi, 8)), top)
+    # localized pieces live in degrees s + t*e; reach back far enough
+    # for every window-visible class of the colimit
+    lo = M.window.lo - MAX_STAGE * max((d for _x, d in norm_params), default=0)
+    s_range = (max(lo, -4 * max(abs(M.window.lo), M.window.hi, 8)), top)
     c = len(norm_params)
 
     entries, uncertified = {}, {}
@@ -246,7 +249,7 @@ def cech_e2(A: DGAlgebra, M: DGModule, params, s_range=None, max_stage: int = 12
 
     e_full = _weight(norm_params, range(c))
     for s in range(s_range[0], s_range[1] + 1):
-        T = min(max_stage, (top - s) // e_full if e_full else max_stage)
+        T = min(MAX_STAGE, (top - s) // e_full if e_full else MAX_STAGE)
         if T < 1:
             continue
         # the complexes only involve degrees s + t*e_S; all must be known

@@ -45,7 +45,6 @@ class SemifreeResolution:
     diff: dict
     aug: dict = dc_field(default_factory=dict)
     target: DGModule | None = None
-    minimal: bool = True
     scan: Trust = dc_field(default_factory=Trust.everywhere)
     scan_everywhere: bool = False
     frontier: int | None = None
@@ -59,6 +58,10 @@ class SemifreeResolution:
             for g, row in self.diff.items()
         }
         self._by_label = {g.label: g for g in self.gens}
+
+    @property
+    def minimal(self) -> bool:
+        return is_minimal_ledger(self.algebra, self.diff)[0]
 
     @property
     def complete(self) -> bool:
@@ -120,6 +123,17 @@ class SemifreeResolution:
             "residual": {str(d): n for d, n in sorted(self.residual.items())},
             "stages": self.stages_used,
         }
+
+
+def is_minimal_ledger(A: DGAlgebra, diff: dict):
+    """A ledger is minimal iff no differential coefficient has a unit
+    component; returns (flag, witness or None)."""
+    for g, row in diff.items():
+        for h, combo in row.items():
+            c = combo.get(A.unit)
+            if c is not None and not A.field.is_zero(c):
+                return False, (g, h)
+    return True, None
 
 
 def make_ledger(algebra: DGAlgebra, gens, diff, aug=None, target=None) -> SemifreeResolution:

@@ -512,13 +512,20 @@ class ModuleMorphism:
         M, N = self.source, self.target
         F = M.field
         A = M.algebra
-        out = []
-        for lbl in M._deg:
+        out, unknown = [], set()
+        for lbl, img in self.images.items():
+            missing = [t for t in img if t not in N._deg] if lbl in M._deg else [lbl]
+            if missing:
+                # no loop below can read such an image, so they skip its label
+                unknown.add(lbl)
+                out.append(Violation("label", (lbl,), f"{missing[0]!r} is not a basis label"))
+        labels = [lbl for lbl in M._deg if lbl not in unknown]
+        for lbl in labels:
             img = self.images.get(lbl, {})
             d = M.degree_of(lbl)
             if any(N.degree_of(t) != d for t in img):
                 out.append(Violation("degree", (lbl,), "image changes degree"))
-        for lbl in M._deg:
+        for lbl in labels:
             d = M.degree_of(lbl)
             dm = M.diff_of(lbl)
             lhs = None if dm is None else self.apply(dm)
@@ -527,7 +534,7 @@ class ModuleMorphism:
                 out.append(Violation("chain-map", (lbl,), "f(dm) != d(f(m))"))
         alg_labels = [l for dd in A.degrees() for l in A.basis_at(dd)]
         for a in alg_labels:
-            for lbl in M._deg:
+            for lbl in labels:
                 if M.has_left and N.has_left:
                     am = M.act_left(a, lbl)
                     lhs = None if am is None else self.apply(am)
@@ -645,11 +652,11 @@ def zero_module(A: DGAlgebra, side: str = LEFT, name: str = "0") -> DGModule:
 # -- opposite-algebra transport -------------------------------------------
 
 
-def to_opposite(M: DGModule, A_op: DGAlgebra | None = None) -> DGModule:
+def to_opposite(M: DGModule) -> DGModule:
     """Transport a right module to a left module over the opposite algebra
-    (and vice versa) via a .op m = (-1)^{|a||m|} m a."""
+    (and vice versa) via a .op m = (-1)^{|a||m|} m a.  Applied twice it
+    gives M's tables back over M's own algebra."""
     F = M.field
-    A_op = A_op or M.algebra.opposite()
     lact, ract = {}, {}
     for (m, a), combo in M.ract.items():
         s = F.sign(M.algebra.degree_of(a) * M.degree_of(m))
@@ -660,7 +667,7 @@ def to_opposite(M: DGModule, A_op: DGAlgebra | None = None) -> DGModule:
     side = {LEFT: RIGHT, RIGHT: LEFT, BI: BI}[M.side]
     return DGModule(
         name=M.name + "_op",
-        algebra=A_op,
+        algebra=M.algebra.opposite(),
         side=side,
         window=M.window,
         basis=M.basis,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import DGAlgebra
-from .ledger import Generator, SemifreeResolution
+from .ledger import Generator, SemifreeResolution, is_minimal_ledger
 from .homtensor import ledger_cells, realize_ledger, tensor_module_ledger
 from .lincomb import cclean, cneg
 from .module import (
@@ -150,7 +150,6 @@ def semifree_resolve(M: DGModule, max_stages: int = 8) -> SemifreeResolution:
         diff=diff,
         aug=aug,
         target=M,
-        minimal=is_minimal_ledger(A, diff)[0],
         scan=scan,
         scan_everywhere=scan_everywhere,
         frontier=frontier,
@@ -160,29 +159,19 @@ def semifree_resolve(M: DGModule, max_stages: int = 8) -> SemifreeResolution:
     return res
 
 
-def is_minimal_ledger(A: DGAlgebra, diff: dict):
-    """A ledger is minimal iff no differential coefficient has a unit
-    component; returns (flag, witness or None)."""
-    for g, row in diff.items():
-        for h, combo in row.items():
-            c = combo.get(A.unit)
-            if c is not None and not A.field.is_zero(c):
-                return False, (g, h)
-    return True, None
-
-
 def is_minimal(L: SemifreeResolution):
     return is_minimal_ledger(L.algebra, L.diff)
 
 
-def residual_classes_are_trivial(M: DGModule, L: SemifreeResolution) -> bool:
-    """Whether the leftover cone classes are killed by A^{>=1}.
+def residual_classes_are_trivial(L: SemifreeResolution) -> bool:
+    """Whether the leftover cone classes of a resolution are killed by
+    A^{>=1}.
 
     Each residual class is then a shifted copy of k in the derived
     category, which is what the duality bookkeeping assumes."""
     if L.complete:
         return True
-    M = left_restriction(M)
+    M = L.target
     A = M.algebra
     F = M.field
     cone, _ = _cone(M, L)
@@ -204,9 +193,10 @@ def residual_classes_are_trivial(M: DGModule, L: SemifreeResolution) -> bool:
     return True
 
 
-def augmentation_h_report(M: DGModule, L: SemifreeResolution) -> dict:
-    """Per-degree (rank, dim H(P), dim H(M)) of the augmentation map."""
-    M = left_restriction(M)
+def augmentation_h_report(L: SemifreeResolution) -> dict:
+    """Per-degree (rank, dim H(P), dim H(M)) of the augmentation map of a
+    resolution of M."""
+    M = L.target
     P = realize_ledger(L, M.window, name="|P|")
     eps = _augmentation_morphism(L, P, M)
     return eps.h_isomorphism_degrees()
@@ -406,18 +396,6 @@ class TruncationCertificate:
     note: str
 
 
-def _rebase(M: DGModule, A: DGAlgebra) -> DGModule:
-    """Reattach a module to a table-identical algebra object (used to fold
-    (A^op)^op back onto A)."""
-    old = M.algebra
-    if old.basis != A.basis or old.unit != A.unit or old.mul != A.mul or old.diff != A.diff:
-        raise ValueError("algebras are not table-identical")
-    return DGModule(
-        name=M.name, algebra=A, side=M.side, window=M.window, basis=M.basis,
-        lact=M.lact, ract=M.ract, diff=M.diff, trust=M.trust,
-    )
-
-
 def dual_morphism(f: ModuleMorphism) -> ModuleMorphism:
     """Hom_k(-, k) applied to a degree-0 chain map: g -> g o f."""
     from .module import linear_dual
@@ -449,17 +427,14 @@ def truncate_above(M: DGModule, s: int, max_stages: int = 8) -> TruncationCertif
     if all(d <= s for d in M.degrees()):
         return TruncationCertificate(M, None, True, h.certified, "already vanishes above s")
 
-    A = M.algebra
     M = left_restriction(M)
     Mdual = linear_dual(M)            # right module
-    A_op = A.opposite()
-    X = to_opposite(Mdual, A_op)      # left module over A^op
+    X = to_opposite(Mdual)            # left module over A^op
     res = semifree_resolve(X, max_stages)
     Q = realize_ledger(res, X.window, name="|Q|")
     eps = _augmentation_morphism(res, Q, X)
     Qd = linear_dual(Q)               # right module over A^op
-    back = to_opposite(Qd, A_op.opposite())
-    Mprime = _rebase(back, A)
+    Mprime = to_opposite(Qd)          # left module over (A^op)^op = A
 
     morphism = None
     note = "dual-resolution truncation"

@@ -63,7 +63,7 @@ from .resolution import (
     residual_classes_are_trivial,
     semifree_resolve,
 )
-from .windows import GradedWindow, Trust
+from .windows import GLOBAL_DEGREE_BOUND, GradedWindow, Trust
 
 
 class UnsupportedRegimeError(ValueError):
@@ -170,8 +170,7 @@ def _power_bimodule(A: DGAlgebra, regime: TorsionRegime, name: str, degrees: dic
     )
 
 
-def cech_carrier(A: DGAlgebra, regime: TorsionRegime,
-                 window: GradedWindow | None = None) -> DGModule:
+def cech_carrier(A: DGAlgebra, regime: TorsionRegime) -> DGModule:
     """The shifted Cech bimodule S^{-1}(k[T,T^{-1}]/k[T]) over k[T].
 
     Basis c_j (the class of T^{-j}) in degree 1 - dj for j >= 1, zero
@@ -183,13 +182,12 @@ def cech_carrier(A: DGAlgebra, regime: TorsionRegime,
     if regime.kind != "polynomial":
         raise UnsupportedRegimeError("the Cech carrier is a polynomial-regime object")
     d = regime.d
-    window = window or GradedWindow(-A.window.hi, A.window.hi)
+    window = GradedWindow(-A.window.hi, A.window.hi)
     degrees = {j: 1 - d * j for j in range(1, (1 - window.lo) // d + 1)}
     return _power_bimodule(A, regime, "S-1C", degrees, "c", -1, window, Trust(window.lo, None))
 
 
-def dualizing_module(A: DGAlgebra, regime: TorsionRegime,
-                     window: GradedWindow | None = None) -> DGModule:
+def dualizing_module(A: DGAlgebra, regime: TorsionRegime) -> DGModule:
     """The dualizing DG module in a supported regime.
 
     Finite regime: A* as a bimodule.  Polynomial regime: the twisted
@@ -200,7 +198,7 @@ def dualizing_module(A: DGAlgebra, regime: TorsionRegime,
     if regime.kind == "finite":
         return linear_dual(free_module(A, side=BI), name="D")
     d = regime.d
-    window = window or GradedWindow(-A.window.hi, A.window.hi)
+    window = GradedWindow(-A.window.hi, A.window.hi)
     degrees = {l: d * l + d - 1 for l in range((window.hi + 1 - d) // d + 1)}
     return _power_bimodule(A, regime, "D", degrees, "e", 1, window, Trust(None, window.hi))
 
@@ -253,7 +251,7 @@ def _cech_tensor(M: DGModule, regime: TorsionRegime, res: SemifreeResolution) ->
     C = cech_carrier(M.algebra, regime)
     lo = C.window.lo + (res.min_gen_degree() or 0)
     hi = max(C.window.hi, M.window.hi) + max(0, res.max_gen_degree() or 0) + 1
-    window = GradedWindow(max(lo, -512), min(hi, 512))
+    window = GradedWindow(max(lo, -GLOBAL_DEGREE_BOUND), min(hi, GLOBAL_DEGREE_BOUND))
     T, notes = tensor_module_ledger(C, res, window, name=f"Gamma({M.name})")
     contamination = {g + 1: n for g, n in res.residual.items()}
     if contamination:
@@ -295,7 +293,7 @@ def cm_reg(M: DGModule, regime: TorsionRegime, max_stages: int = 8) -> Regularit
     for j in h.dims:
         if j > sup and not cmp_trust.contains(j):
             certified = False
-    if g.contamination and not _bookkeeping_ok(M, g.resolution):
+    if g.contamination and not _bookkeeping_ok(g.resolution):
         certified = False
     if certified:
         return RegularityValue.exact(sup, "sup of H(Gamma M), vanishing above certified")
@@ -311,7 +309,7 @@ def _hom_window(L: SemifreeResolution, N: DGModule) -> GradedWindow:
         return GradedWindow(-2, 2)
     lo = supp[0] - (L.max_gen_degree() or 0) - 1
     hi = supp[1] - (L.min_gen_degree() or 0) + 1
-    return GradedWindow(max(lo, -512), min(hi, 512))
+    return GradedWindow(max(lo, -GLOBAL_DEGREE_BOUND), min(hi, GLOBAL_DEGREE_BOUND))
 
 
 def apply_duality(M: DGModule, D: DGModule, max_stages: int = 8,
@@ -329,14 +327,14 @@ def apply_duality(M: DGModule, D: DGModule, max_stages: int = 8,
     return X, res, contamination, notes
 
 
-def _bookkeeping_ok(M: DGModule, res: SemifreeResolution) -> bool:
+def _bookkeeping_ok(res: SemifreeResolution) -> bool:
     """The bookkeeping hypotheses for the residual classes of ``res``:
     each is killed by A^{>=1} and H(eps) is surjective degreewise."""
     if not res.residual:
         return True
-    report = augmentation_h_report(M, res)
+    report = augmentation_h_report(res)
     return (all(rank == hm for rank, _hp, hm in report.values())
-            and residual_classes_are_trivial(M, res))
+            and residual_classes_are_trivial(res))
 
 
 def _dims_table(cmp_trust: Trust, first, second):
@@ -399,7 +397,7 @@ def local_duality_check(M: DGModule, regime: TorsionRegime, max_stages: int = 8)
     if negative:
         verdict = "indeterminate"
         notes.append("contamination exceeded a computed dimension")
-    elif not _bookkeeping_ok(M, res):
+    elif not _bookkeeping_ok(res):
         verdict = "indeterminate"
         notes.append("frontier bookkeeping hypotheses failed; mismatch not certified" if mismatch
                      else "corrections used but their hypotheses could not be verified")
@@ -430,9 +428,8 @@ def double_duality_check(M: DGModule, regime: TorsionRegime, max_stages: int = 8
     res_in = semifree_resolve(M, max_stages)
     X, _r, _c, notes = apply_duality(M, D, resolution=res_in)
 
-    A_op = A.opposite()
-    X_op = to_opposite(X, A_op)
-    D_op = to_opposite(D, A_op)
+    X_op = to_opposite(X)
+    D_op = to_opposite(D)
     res_out = semifree_resolve(X_op, max_stages)
     window = _hom_window(res_out, D_op)
     Z, n2 = hom_from_ledger(res_out, D_op, window, name="RHom(RHom(M,D),D)")
@@ -454,7 +451,7 @@ def double_duality_check(M: DGModule, regime: TorsionRegime, max_stages: int = 8
         notes.append(f"target cohomology outside the comparison window: {missed_target}")
         negative = True  # cannot certify recovery there
 
-    hypotheses_ok = _bookkeeping_ok(M, res_in) and _bookkeeping_ok(X_op, res_out)
+    hypotheses_ok = _bookkeeping_ok(res_in) and _bookkeeping_ok(res_out)
     if negative or (mismatch and not hypotheses_ok):
         verdict = "indeterminate"
         notes.append("contamination bookkeeping not certified")

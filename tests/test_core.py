@@ -312,9 +312,28 @@ def test_opposite_algebra_is_valid():
         Aop = A.opposite()
         assert validate_algebra(Aop).ok, A.name
         k_right = canonical_k(A, side="right")
-        k_op = to_opposite(k_right, Aop)
+        k_op = to_opposite(k_right)
         assert k_op.side == "left"
+        assert k_op.algebra.opposite() is A
         assert validate_module(k_op).ok
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=["Q", "F2", "F7"])
+def test_opposite_transport_is_an_involution(field):
+    from dgreg.catalog import catalog_pairs
+    from dgreg.module import to_opposite
+
+    checked = 0
+    for A, M in catalog_pairs(field):
+        assert A.opposite().opposite() is A
+        if not M.has_right:
+            continue
+        back = to_opposite(to_opposite(M))
+        assert back.algebra is M.algebra, (A.name, M.name)
+        assert back.side == M.side and back.window == M.window
+        assert (back.basis, back.lact, back.ract, back.diff) == (M.basis, M.lact, M.ract, M.diff)
+        checked += 1
+    assert checked == 15
 
 
 def test_double_dual_embedding_is_chain_map():
@@ -364,3 +383,19 @@ def test_validate_automorphism_reports_an_unknown_label():
         rep = validate_automorphism(AlgebraAutomorphism(P, images))
         assert [(v.axiom, v.witness) for v in rep.violations] == [("label", (witness,))]
         assert "'zz'" in rep.violations[0].detail
+
+
+def test_morphism_with_unknown_labels_reports_them():
+    from dgreg.module import ModuleMorphism
+
+    M = free_module(polynomial_algebra(1, QQ))
+    ident = {lbl: {lbl: 1} for lbl in M._deg}
+    # an image naming a label the target lacks, and an image keyed by a
+    # label the source lacks
+    for extra, witness, missing in [({"t1": {"zz": 1}}, "t1", "zz"), ({"qq": {"t1": 1}}, "qq", "qq")]:
+        rep = ModuleMorphism(M, M, {**ident, **extra}).validate()
+        assert [v.to_json() for v in rep.violations if v.axiom == "label"] == [
+            {"axiom": "label", "witness": [witness], "detail": f"{missing!r} is not a basis label"}
+        ]
+        assert (witness,) not in [v.witness for v in rep.violations if v.axiom != "label"]
+    assert ModuleMorphism(M, M, ident).validate().ok

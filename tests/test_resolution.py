@@ -71,7 +71,7 @@ def test_augmentation_induces_h_isomorphism():
         for kind in ("k", "free"):
             M = build_module(A, kind, side="left")
             res = semifree_resolve(M, max_stages=8)
-            report = augmentation_h_report(M, res)
+            report = augmentation_h_report(res)
             bound = res.ledger_bound
             for d, (rank, hp, hm) in report.items():
                 if bound is not None and d >= bound - 1:
@@ -89,6 +89,8 @@ def test_minimality_detects_unit_coefficient():
     )
     flag, witness = is_minimal(L)
     assert not flag and witness == ("e1", "e0")
+    # the flag the reports print reads the same differential
+    assert not L.minimal and L.to_json()["minimal"] is False
 
 
 def test_minimality_of_engine_output():
@@ -183,7 +185,7 @@ def test_residual_classes_trivial_for_square_zero_tower():
     Lam = square_zero_algebra()
     k = canonical_k(Lam, side="left")
     res = semifree_resolve(k, max_stages=4)
-    assert residual_classes_are_trivial(k, res)
+    assert residual_classes_are_trivial(res)
 
 
 def test_truncate_above_noop():
