@@ -37,7 +37,8 @@ class HModule:
 
     Actions are computed on chosen representatives and projected back to
     cohomology classes; this is well defined because a coboundary times
-    a cocycle is a coboundary.
+    a cocycle is a coboundary.  Each action map is computed once and kept;
+    one that leaves the window is not kept, so every call for it raises.
     """
 
     def __init__(self, A: DGAlgebra, M: DGModule):
@@ -45,6 +46,7 @@ class HModule:
         self.M = left_restriction(M)
         self.field = A.field
         self.report = cohomology(self.M)
+        self._act = {}
 
     def dim(self, s: int) -> int:
         return self.report.dim(s)
@@ -67,7 +69,10 @@ class HModule:
 
     def act_columns(self, x: dict, xdeg: int, s: int) -> list:
         """Sparse columns of multiplication by a cocycle x: H^s -> H^{s+xdeg},
-        as coordinate vectors in H^{s+xdeg}."""
+        as coordinate vectors in H^{s+xdeg}; callers must not change them."""
+        key = (tuple(sorted(x.items())), xdeg, s)
+        if key in self._act:
+            return self._act[key]
         M, t = self.M, s + xdeg
         tgt = self.report.quotient(t)
         cols = []
@@ -76,6 +81,7 @@ class HModule:
             if prod is None:
                 raise E2PreconditionError(f"action leaves the window at degree {s}")
             cols.append(tgt.project(M.coords(prod, t)))
+        self._act[key] = cols
         return cols
 
 

@@ -40,18 +40,69 @@ def ledger_cells(L: SemifreeResolution, N, window: GradedWindow, sign: int) -> d
     return cells
 
 
-def _ledger_complex(L, N, window, sign, label, links, coeff, act, side, name):
+def _ledger_cell(N, window, rules, alg, keys, x, g, n):
+    """The cell (x, g) of degree n of the complex of :func:`_ledger_complex`
+    with the given ``rules`` and algebra (label, degree) pairs ``alg``, as
+    (diff, acts, cap): d(x, g) keyed by ``keys[(x2, h)]`` (cells without a
+    key are skipped; empty at the window top or when unrecorded), the
+    (a, sign, terms) of each action landing in the window, and the trust
+    cap the unrecorded entries impose (None when there is none).
+    """
+    links, coeff, act = rules
+    F = N.field
+    cap = None
+    acc = {}
+    if n + 1 <= window.hi:
+        dx = N.diff_of(x)
+        if dx is None:
+            cap = n
+        else:
+            for x2, c in dx.items():
+                key = keys.get((x2, g))
+                if key is not None:
+                    acc[key] = c
+            for h, acomb, s in links(g, n):
+                for a, ca in acomb.items():
+                    terms = coeff(x, a)
+                    if terms is None:
+                        cap = n
+                        break
+                    sc = F.mul(s, ca)
+                    for x2, c in terms.items():
+                        key = keys.get((x2, h))
+                        if key is not None:
+                            v = F.mul(sc, c)
+                            old = acc.get(key)
+                            acc[key] = v if old is None else F.add(old, v)
+                if cap is not None:
+                    acc = {}
+                    break
+    acts = []
+    if act is not None:
+        for a, da in alg:
+            if n + da > window.hi:
+                continue
+            s, terms = act(x, g, a)
+            if terms is None:
+                cap = n + da - 1 if cap is None else min(cap, n + da - 1)
+            else:
+                acts.append((a, s, terms))
+    return acc, acts, cap
+
+
+def _ledger_complex(L, N, window, sign, label, rules, side, name):
     """The loop shared by the complexes over a ledger.
 
     The cell (x, g) of degree n is the basis element ``label(x, g)``.
-    Its differential is d_N(x) on g plus s * coeff(x, a) on h for each
-    (h, acomb, s) in ``links(g, n)`` and each a in acomb.  When ``act``
-    is given, ``act(x, g, a)`` is the action of the algebra label a from
-    ``side`` on the cell, as (sign, combination of N labels on g).
-    coeff and act give None for an unrecorded entry, which caps the
-    trust there.  Without ``act`` the output is a bare complex, kept as
-    a module on the other side with the unit action alone so that
-    validation is meaningful.
+    ``rules`` is (links, coeff, act).  The cell's differential is d_N(x)
+    on g plus s * coeff(x, a) on h for each (h, acomb, s) in
+    ``links(g, n)`` and each a in acomb.  When ``act`` is given,
+    ``act(x, g, a)`` is the action of the algebra label a from ``side``
+    on the cell, as (sign, combination of N labels on g).  coeff and act
+    give None for an unrecorded entry, which caps the trust there.
+    Without ``act`` the output is a bare complex, kept as a module on the
+    other side with the unit action alone so that validation is
+    meaningful.  Each cell is built by :func:`_ledger_cell`.
 
     Returns (module, notes).
     """
@@ -69,48 +120,16 @@ def _ledger_complex(L, N, window, sign, label, links, coeff, act, side, name):
             "models the derived functor up to the recorded frontier contributions"
         )
     alg = [(a, d) for d in A.degrees() for a in A.basis_at(d)]
-    cap = None
     diff, acts = {}, {}
     for n, row in cells.items():
         for x, g in row:
             lab = lbl[(x, g)]
-            if n + 1 <= window.hi:
-                acc = {}
-                dx = N.diff_of(x)
-                ok = dx is not None
-                if ok:
-                    for x2, c in dx.items():
-                        key = lbl.get((x2, g))
-                        if key is not None:
-                            acc[key] = c
-                    for h, acomb, s in links(g, n):
-                        for a, ca in acomb.items():
-                            terms = coeff(x, a)
-                            if terms is None:
-                                ok = False
-                                break
-                            sc = F.mul(s, ca)
-                            for x2, c in terms.items():
-                                key = lbl.get((x2, h))
-                                if key is not None:
-                                    v = F.mul(sc, c)
-                                    old = acc.get(key)
-                                    acc[key] = v if old is None else F.add(old, v)
-                        if not ok:
-                            break
-                if not ok:
-                    cap = n if cap is None else min(cap, n)
-                elif acc:
-                    diff[lab] = acc
-            if act is None:
-                continue
-            for a, da in alg:
-                if n + da > window.hi:
-                    continue
-                s, terms = act(x, g, a)
-                if terms is None:
-                    cap = n + da - 1 if cap is None else min(cap, n + da - 1)
-                    continue
+            dcell, acted, cap = _ledger_cell(N, window, rules, alg, lbl, x, g, n)
+            if cap is not None:
+                trust = trust.cap_hi(cap)
+            if dcell:
+                diff[lab] = dcell
+            for a, s, terms in acted:
                 out = {}
                 for x2, c in terms.items():
                     key = lbl.get((x2, g))
@@ -118,10 +137,8 @@ def _ledger_complex(L, N, window, sign, label, links, coeff, act, side, name):
                         out[key] = F.mul(s, c)
                 if out:
                     acts[(a, lab)] = out
-    if cap is not None:
-        trust = trust.cap_hi(cap)
     basis = {n: tuple(lbl[cell] for cell in row) for n, row in cells.items()}
-    if act is None:
+    if rules[2] is None:
         side = RIGHT if side == LEFT else LEFT
         acts = {(A.unit, m): {m: F.one()} for row in basis.values() for m in row}
     if side == LEFT:
@@ -135,12 +152,26 @@ def _ledger_complex(L, N, window, sign, label, links, coeff, act, side, name):
 
 def _free_bimodule(A):
     """A as a bimodule over itself, built once per algebra object and
-    kept on it (its tables are fixed after construction), so that a
-    resolution realizing its ledger at every stage does not rebuild it."""
+    kept on it (its tables are fixed after construction), so that the
+    many realizations of ledgers over one algebra do not rebuild it."""
     AA = A.__dict__.get("_free_bimodule")
     if AA is None:
         AA = A._free_bimodule = free_module(A)
     return AA
+
+
+def _generator_trust(A, degree: int, window: GradedWindow) -> Trust:
+    """What one generator of the given degree leaves of the trust of |P|
+    realized on the window: A's trust moved onto e_g, capped at the
+    window top when A's top degree times e_g leaves the window, and
+    raised to the window bottom when e_g lies below it."""
+    trust = A.trust.shift(-degree)
+    a_top = A.trust.hi if A.trust.hi is not None else (max(A.basis) if A.basis else 0)
+    if degree + a_top > window.hi:
+        trust = trust.cap_hi(window.hi)
+    if degree < window.lo:
+        trust = trust.raise_lo(window.lo)
+    return trust
 
 
 def realize_ledger(L: SemifreeResolution, window: GradedWindow, name: str | None = None) -> DGModule:
@@ -150,8 +181,8 @@ def realize_ledger(L: SemifreeResolution, window: GradedWindow, name: str | None
     degree n - |g|.  d(b e_g) = d(b) e_g + (-1)^{|b|} sum_h (b a_{gh}) e_h;
     the left action is multiplication into the b coordinate.  Besides
     the caps of the tensor complex, unwritten future generators cap the
-    trust below the ledger bound, and the window cuts it where it
-    truncates honest content of the free module.
+    trust below the ledger bound, and each generator meets it with
+    :func:`_generator_trust`.
     """
     A = L.algebra
     P, _ = tensor_module_ledger(
@@ -161,12 +192,8 @@ def realize_ledger(L: SemifreeResolution, window: GradedWindow, name: str | None
     bound = L.ledger_bound
     if bound is not None:
         P.trust = P.trust.cap_hi(bound - 1)
-    if L.gens:
-        a_top = A.trust.hi if A.trust.hi is not None else (max(A.basis) if A.basis else 0)
-        if max(g.degree for g in L.gens) + a_top > window.hi:
-            P.trust = P.trust.cap_hi(window.hi)
-        if min(g.degree for g in L.gens) < window.lo:
-            P.trust = P.trust.raise_lo(window.lo)
+    for g in L.gens:
+        P.trust = P.trust.meet(_generator_trust(A, g.degree, window))
     return P
 
 
@@ -198,11 +225,27 @@ def hom_from_ledger(L: SemifreeResolution, N: DGModule, window: GradedWindow,
     def act(x, g, a):
         return F.sign(A.degree_of(a) * L.degree_of(g)), N.act_right(x, a)
 
+    rules = (links, lambda x, a: N.act_left(a, x), act if N.has_right else None)
     return _ledger_complex(
-        L, N, window, +1, lambda x, g: f"{g}|{x}", links,
-        lambda x, a: N.act_left(a, x), act if N.has_right else None,
+        L, N, window, +1, lambda x, g: f"{g}|{x}", rules,
         RIGHT, name or f"Hom({L.target.name if L.target else 'P'},{N.name})",
     )
+
+
+def _tensor_rules(N: DGModule, degree_of, ledger_diff: dict):
+    """(links, coeff, act) of N tensor_A P for the ledger with the given
+    generator degrees and differential (see :func:`tensor_module_ledger`)."""
+    F = N.field
+    one = F.one()
+
+    def links(g, n):
+        s = F.sign(n - degree_of(g))
+        return [(h, acomb, s) for h, acomb in ledger_diff.get(g, {}).items()]
+
+    def act(x, g, a):
+        return one, N.act_left(a, x)
+
+    return links, N.act_right, act if N.has_left else None
 
 
 def tensor_module_ledger(N: DGModule, L: SemifreeResolution, window: GradedWindow,
@@ -218,18 +261,7 @@ def tensor_module_ledger(N: DGModule, L: SemifreeResolution, window: GradedWindo
     """
     if not N.has_right:
         raise ValueError("tensor_module_ledger needs a right action on N")
-    F = N.field
-    one = F.one()
-
-    def links(g, n):
-        s = F.sign(n - L.degree_of(g))
-        return [(h, acomb, s) for h, acomb in L.diff.get(g, {}).items()]
-
-    def act(x, g, a):
-        return one, N.act_left(a, x)
-
     return _ledger_complex(
-        L, N, window, -1, lambda x, g: f"{x}|{g}", links,
-        N.act_right, act if N.has_left else None,
+        L, N, window, -1, lambda x, g: f"{x}|{g}", _tensor_rules(N, L.degree_of, L.diff),
         LEFT, name or f"{N.name}(x){L.target.name if L.target else 'P'}",
     )

@@ -263,16 +263,26 @@ def cohomology(X) -> CohomologyReport:
     Certified at degree d when degrees d-1, d, d+1 are all trusted in the
     presentation (computing H costs one degree at each trust boundary).
     """
-    F, window, trust = X.field, X.window, X.trust
+    window = X.window
     if isinstance(X, DGAlgebra):
         window = GradedWindow(min(0, window.lo), window.hi)
+    dims, quotients, certified = _cohomology_of_columns(
+        X.field, window.degrees(), X.dim, lambda d: diff_columns(X, d), X.trust)
+    return CohomologyReport(X.name, dims, quotients, certified, window, X.field)
+
+
+def _cohomology_of_columns(F: FieldSpec, degrees, dim, columns, trust: Trust):
+    """The per-degree loop of :func:`cohomology`, over a complex given by
+    ``dim(d)`` and ``columns(d)``, the sparse differential columns of
+    degree d.  Returns (dims, quotients, certified) for the given run of
+    consecutive degrees, the certified range read off ``trust``."""
     dims, quotients = {}, {}
-    incoming = diff_columns(X, window.lo - 1)
-    for d in window.degrees():
-        outgoing = diff_columns(X, d)
-        if X.basis_at(d):
-            rows = sparse_transpose(outgoing, X.dim(d + 1))
-            quot = quotients[d] = kernel_mod_image(F, X.dim(d), rows, incoming)
+    incoming = columns(degrees[0] - 1)
+    for d in degrees:
+        outgoing = columns(d)
+        if dim(d):
+            rows = sparse_transpose(outgoing, dim(d + 1))
+            quot = quotients[d] = kernel_mod_image(F, dim(d), rows, incoming)
             if quot.dim:
                 dims[d] = quot.dim
         incoming = outgoing
@@ -281,7 +291,7 @@ def cohomology(X) -> CohomologyReport:
         None if trust.lo is None else trust.lo + 1,
         None if trust.hi is None else trust.hi - 1,
     )
-    return CohomologyReport(X.name, dims, quotients, certified, window, F)
+    return dims, quotients, certified
 
 
 # -- constructions --------------------------------------------------------

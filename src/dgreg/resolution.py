@@ -9,20 +9,31 @@ echelonized basis; the generator's differential hits the class's
 P-component and its augmentation its M-component.  Kill degrees never
 decrease, so differential coefficients always land in A^{>= 1} and the
 result is minimal by construction.
+
+The cone is built once and grown in place, degree by degree as in
+Bruner's programs for large Ext modules.  New generators come last in
+the ledger, so their cells come last in each degree and no old cone
+position, column or trust bound moves.  A kill at degree j adds cells
+only in P-degrees >= j, so H is recomputed in cone degrees >= j - 1
+only: below, it is unchanged and holds no certified class, j being the
+lowest.  Reduced echelon forms are canonical, so every class is the one
+``cohomology`` of the rebuilt cone would choose.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import DGAlgebra
+from .algebra import DGAlgebra, diff_columns
 from .ledger import Generator, SemifreeResolution, is_minimal_ledger
-from .homtensor import ledger_cells, realize_ledger, tensor_module_ledger
+from .homtensor import (_free_bimodule, _generator_trust, _ledger_cell, _tensor_rules, ledger_cells,
+                        realize_ledger, tensor_module_ledger)
 from .lincomb import cclean, cneg
 from .module import (
     DGModule,
     LEFT,
     ModuleMorphism,
+    _cohomology_of_columns,
     cohomology,
     cone_of,
     left_restriction,
@@ -40,18 +51,22 @@ class TruncationImpossibleError(ValueError):
     """truncate_above called with cohomology above the requested degree."""
 
 
+def _cell_image(M: DGModule, aug, degree: int, b: str, n: int):
+    """epsilon(b e_g) = b . aug(g) in M^n for a generator g of the given
+    degree; empty when it vanishes or is not recorded."""
+    if not aug:
+        return {}
+    return M.lact_combo({b: M.field.one()}, n - degree, aug, degree) or {}
+
+
 def _augmentation_morphism(L: SemifreeResolution, P: DGModule, M: DGModule) -> ModuleMorphism:
     """epsilon: |P| -> M, b e_g -> b . aug(g), for P = realize_ledger(L, window)."""
-    F = M.field
     images = {}
     for n, cells in ledger_cells(L, L.algebra, P.window, -1).items():
         for lab, (b, g) in zip(P.basis_at(n), cells):
-            aug = L.aug.get(g)
-            if aug:
-                dg = L.degree_of(g)
-                img = M.lact_combo({b: F.one()}, n - dg, aug, dg)
-                if img:
-                    images[lab] = img
+            img = _cell_image(M, L.aug.get(g), L.degree_of(g), b, n)
+            if img:
+                images[lab] = img
     return ModuleMorphism(P, M, images)
 
 
@@ -99,64 +114,75 @@ def semifree_resolve(M: DGModule, max_stages: int = 8) -> SemifreeResolution:
     M = left_restriction(M)
     A = M.algebra
     F = M.field
-    if M.window.hi - M.window.lo < 1:
-        raise DegenerateWindowError(f"window {M.window} cannot certify any cohomology")
+    W = M.window
+    if W.hi - W.lo < 1:
+        raise DegenerateWindowError(f"window {W} cannot certify any cohomology")
 
     gens: list = []
     diff: dict = {}
     aug: dict = {}
-    counter = 0
-    scan = Trust.everywhere()
-    scan_everywhere = False
-    frontier = None
-    residual: dict = {}
-    stage = 0
+    degree: dict = {}
+    AA = _free_bimodule(A)
+    rules = _tensor_rules(AA, degree.__getitem__, diff)
+    alg = [(a, d) for d in A.degrees() for a in A.basis_at(d)]
+    # the cone of |P| -> M: degree d is M^d followed by the cells (b, g) of
+    # P-degree d + 1 in ledger order, ``cells[n]``, at positions ``pos[n]``;
+    # ``columns[d]`` are its differential columns and ``p_trust`` is |P|'s
+    cells: dict = {}
+    pos: dict = {}
+    columns = {d: list(diff_columns(M, d)) for d in range(W.lo - 1, W.hi + 1)}
+    p_trust = Trust.everywhere()
+    dirty = W.lo - 1
+
+    def dim(d):
+        return M.dim(d) + len(cells.get(d + 1, ()))
 
     for stage in range(max_stages + 1):
-        ledger = SemifreeResolution(
-            algebra=A, gens=tuple(gens), diff=dict(diff), aug=dict(aug),
-            target=M, scan=Trust.everywhere(), frontier=None,
-        )
-        cone, _P = _cone(M, ledger)
-        h = cohomology(cone)
-        scan = h.certified
-        scan_everywhere = cone.trust.is_everywhere
-        live = sorted(d for d in h.dims if scan.contains(d))
-        if not live:
-            frontier = None
-            residual = {}
-            break
-        frontier = live[0]
-        residual = {d: h.dims[d] for d in live}
-        if stage == max_stages:
+        cone_trust = p_trust.shift(1).meet(M.trust)
+        dims, quotients, scan = _cohomology_of_columns(
+            F, range(dirty, W.hi + 1), dim, lambda d: columns.get(d, []), cone_trust)
+        scan_everywhere = cone_trust.is_everywhere
+        live = sorted(d for d in dims if scan.contains(d))
+        frontier = live[0] if live else None
+        residual = {d: dims[d] for d in live}
+        if not live or stage == max_stages:
             break
         j = frontier
-        cells = ledger_cells(ledger, A, M.window, -1).get(j + 1, ())
-        for rep in h.quotient(j).representatives:
-            m_part, rows = _split_cone_class(M, cells, j, rep)
-            lab = f"e{counter}"
-            counter += 1
+        new = []
+        for rep in quotients[j].representatives:
+            m_part, rows = _split_cone_class(M, cells.get(j + 1, ()), j, rep)
+            lab = f"e{len(gens)}"
             gens.append(Generator(lab, j, stage))
+            degree[lab] = j
+            new.append(lab)
             if rows:
                 diff[lab] = rows
                 if m_part:
                     aug[lab] = cneg(F, m_part)
             else:
                 aug[lab] = m_part
+            p_trust = p_trust.meet(_generator_trust(A, j, W))
+        # the new cells go last in each P-degree n >= j, top degree first,
+        # so that the positions their columns read in degree n + 1 are set
+        for n in range(W.hi, max(j, W.lo) - 1, -1):
+            row, at, keys = cells.setdefault(n, []), pos.setdefault(n, {}), pos.get(n + 1, {})
+            for g in new:
+                for b in A.basis_at(n - j):
+                    at[(b, g)] = M.dim(n - 1) + len(row)
+                    row.append((b, g))
+                    dcell, _, cap = _ledger_cell(AA, W, rules, alg, keys, b, g, n)
+                    if cap is not None:
+                        p_trust = p_trust.cap_hi(cap)
+                    col = M.coords(_cell_image(M, aug.get(g), j, b, n), n)
+                    col.update((i, F.coerce(F.neg(c))) for i, c in dcell.items() if c)
+                    columns[n - 1].append(col)
+        dirty = max(j - 1, W.lo - 1)
 
-    res = SemifreeResolution(
-        algebra=A,
-        gens=tuple(gens),
-        diff=diff,
-        aug=aug,
-        target=M,
-        scan=scan,
-        scan_everywhere=scan_everywhere,
-        frontier=frontier,
-        residual=residual,
+    return SemifreeResolution(
+        algebra=A, gens=tuple(gens), diff=diff, aug=aug, target=M, scan=scan,
+        scan_everywhere=scan_everywhere, frontier=frontier, residual=residual,
         stages_used=stage,
     )
-    return res
 
 
 def is_minimal(L: SemifreeResolution):

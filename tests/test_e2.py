@@ -123,6 +123,47 @@ def test_sop_warning_for_bad_parameters():
     assert not page_k.warnings
 
 
+
+def test_action_maps_are_computed_once_per_page():
+    # one page asks for the same (parameter, degree) action map many
+    # times; each is computed once, by one lact_combo per class
+    from collections import Counter
+    from unittest import mock
+
+    from dgreg.e2 import HModule
+    from dgreg.module import DGModule
+
+    asked, multiplied = Counter(), Counter()
+    act_columns, lact_combo = HModule.act_columns, DGModule.lact_combo
+
+    def spy_act(self, x, xdeg, s):
+        asked[(tuple(sorted(x.items())), xdeg, s)] += 1
+        return act_columns(self, x, xdeg, s)
+
+    def spy_lact(self, x, dx, m, dm):
+        multiplied[(tuple(sorted(x.items())), dx, tuple(sorted(m.items())), dm)] += 1
+        return lact_combo(self, x, dx, m, dm)
+
+    A = polynomial_algebra(2)
+    with mock.patch.object(HModule, "act_columns", spy_act), \
+            mock.patch.object(DGModule, "lact_combo", spy_lact):
+        cech_e2(A, free_module(A, side="bi"), [{"t1": QQ.one()}, {"t2": QQ.one()}])
+    assert sum(asked.values()) == 2280 and len(asked) == 122
+    assert multiplied and max(multiplied.values()) == 1
+    assert {(x, dx, dm) for x, dx, _m, dm in multiplied} <= set(asked)
+
+
+def test_failed_action_map_raises_on_every_call():
+    from dgreg.e2 import HModule
+
+    A = polynomial_algebra(2)
+    h = HModule(A, free_module(A, side="bi"))
+    top = A.window.hi
+    for _ in range(2):
+        with pytest.raises(E2PreconditionError):
+            h.act_columns({"t1": QQ.one()}, 2, top)
+
+
 # -- the E2 layer, pinned by digest --------------------------------------------
 #
 # Every page and bound below is hashed, so a change to the page's linear

@@ -446,3 +446,29 @@ def test_cohomology_rejects_nonzero_d_squared():
         _ref_cohomology(M)
     with pytest.raises(ContainmentError):
         cohomology(M)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_explicit_zero_entries_change_nothing(field, data):
+    """Vectors padded with explicit zeros give the same rows, pivots,
+    membership and projections as their sparse forms."""
+    m = data.draw(sparse_matrices(field))
+    zero = field.zero()
+
+    def padded(v):
+        extra = data.draw(st.lists(st.integers(0, m.ncols - 1), max_size=3))
+        return {**{j: zero for j in extra}, **v}
+
+    rows = _rows(m)
+    plain, zeros = Echelon(field, m.ncols), Echelon(field, m.ncols)
+    for v in rows:
+        assert plain.add(v) == zeros.add(padded(v))
+    assert repr([sorted(r.items()) for r in zeros.rows]) == repr([sorted(r.items()) for r in plain.rows])
+    assert zeros.pivots == plain.pivots
+    probe = sparse(tuple(field.coerce(x) for x in data.draw(
+        st.lists(st.integers(-1, 1), min_size=m.ncols, max_size=m.ncols))))
+    assert zeros.contains(padded(probe)) == plain.contains(probe)
+    q = kernel_mod_image(field, m.ncols, [], rows)
+    assert q.project(padded(probe)) == q.project(probe)

@@ -1,7 +1,11 @@
 """Resolution engine: cycle killing, minimality, Extreg, Koszulness,
 symmetry, truncation from above."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgreg.catalog import (
     build_module,
@@ -26,6 +30,7 @@ from dgreg.resolution import (
     truncate_above,
 )
 from dgreg.windows import GradedWindow
+from test_fuzz_validation import _generator_pool, _transport, perturb_module
 
 
 def test_resolution_of_k_over_square_zero():
@@ -370,3 +375,228 @@ def test_stage_budget_below_one_is_rejected():
             ext_reg(k, budget)
     assert ext_reg(k, 1).kind != "neg_infinity"
     assert (ext_reg(k, 8).kind, ext_reg(k, 8).n) == ("exact", 1)
+
+
+# -- the incremental cone against the restaging reference ----------------------
+
+
+def _restage_resolve(M, max_stages=8):
+    """The resolution loop that rebuilds the whole cone at every stage:
+    realize the ledger, map it to M, take the cone and its cohomology,
+    and kill the lowest certified classes.  The reference that
+    ``semifree_resolve`` must reproduce exactly."""
+    from dgreg.ledger import Generator, SemifreeResolution
+    from dgreg.lincomb import cneg
+    from dgreg.module import left_restriction
+    from dgreg.resolution import DegenerateWindowError, _cone, _split_cone_class
+    from dgreg.homtensor import ledger_cells
+    from dgreg.windows import Trust
+
+    if max_stages < 1:
+        raise ValueError(f"stage budget {max_stages} is below 1")
+    M = left_restriction(M)
+    A, F = M.algebra, M.field
+    if M.window.hi - M.window.lo < 1:
+        raise DegenerateWindowError(f"window {M.window} cannot certify any cohomology")
+    gens, diff, aug = [], {}, {}
+    for stage in range(max_stages + 1):
+        ledger = SemifreeResolution(algebra=A, gens=tuple(gens), diff=dict(diff), aug=dict(aug),
+                                    target=M, scan=Trust.everywhere(), frontier=None)
+        cone, _P = _cone(M, ledger)
+        h = cohomology(cone)
+        scan, scan_everywhere = h.certified, cone.trust.is_everywhere
+        live = sorted(d for d in h.dims if scan.contains(d))
+        frontier = live[0] if live else None
+        residual = {d: h.dims[d] for d in live}
+        if not live or stage == max_stages:
+            break
+        j = frontier
+        cells = ledger_cells(ledger, A, M.window, -1).get(j + 1, ())
+        for rep in h.quotient(j).representatives:
+            m_part, rows = _split_cone_class(M, cells, j, rep)
+            lab = f"e{len(gens)}"
+            gens.append(Generator(lab, j, stage))
+            if rows:
+                diff[lab] = rows
+                if m_part:
+                    aug[lab] = cneg(F, m_part)
+            else:
+                aug[lab] = m_part
+    return SemifreeResolution(algebra=A, gens=tuple(gens), diff=diff, aug=aug, target=M,
+                              scan=scan, scan_everywhere=scan_everywhere, frontier=frontier,
+                              residual=residual, stages_used=stage)
+
+
+def _outcome(resolve, M, stages):
+    """Everything a resolution reports, or the error it raised."""
+    try:
+        res = resolve(M, stages)
+    except Exception as exc:  # the same error must come out of both loops
+        return type(exc).__name__, str(exc)
+    return (res.to_json(), res.scan, res.scan_everywhere, res.frontier, res.residual,
+            res.stages_used, res.minimal)
+
+
+def _exterior_table(names, field):
+    """The exterior algebra on degree-1 generators, presented by its
+    monomial table, as the benchmark builds it."""
+    from itertools import combinations
+
+    from dgreg.catalog import finite_table_algebra
+
+    subsets = [S for r in range(len(names) + 1) for S in combinations(range(len(names)), r)]
+    label = {S: "".join(names[i] for i in S) or "one" for S in subsets}
+    mul = {}
+    for S in subsets:
+        for T in subsets:
+            seq = S + T
+            sign = (-1) ** sum(1 for i, x in enumerate(seq) for y in seq[i + 1:] if x > y)
+            mul[(label[S], label[T])] = {} if set(S) & set(T) else {label[tuple(sorted(seq))]: field.coerce(sign)}
+    basis = {}
+    for S in subsets:
+        basis.setdefault(len(S), []).append(label[S])
+    return finite_table_algebra(f"E{len(names)}", field, basis, "one", mul, {})
+
+
+def _widened(M, extra):
+    """M with its window top raised by ``extra``: over a truncated
+    algebra, cells near the window top then meet unrecorded entries."""
+    from dgreg.module import DGModule
+
+    return DGModule(name=M.name, algebra=M.algebra, side=M.side,
+                    window=GradedWindow(M.window.lo, M.window.hi + extra), basis=M.basis,
+                    lact=M.lact, ract=M.ract, diff=M.diff, trust=M.trust)
+
+
+def _mixed_class_module(field):
+    """Over Lambda: m0 with t.m0 = m1 and m0' with d(m0') = m1.  Once m0
+    is killed by e0, m0' - t e0 is a cone class with a part in M and a
+    part in P."""
+    from dgreg.module import DGModule
+
+    Lam = square_zero_algebra(field)
+    one = field.one()
+    return DGModule(name="mixed", algebra=Lam, side="left", window=GradedWindow(0, 3),
+                    basis={0: ("m0", "m0'"), 1: ("m1",)},
+                    lact={("one", "m0"): {"m0": one}, ("one", "m0'"): {"m0'": one},
+                          ("one", "m1"): {"m1": one}, ("t", "m0"): {"m1": one}},
+                    ract={}, diff={"m0'": {"m1": one}})
+
+
+def _trusted_past_window(A, extra):
+    """A claiming trust ``extra`` degrees past its window top: the cells at
+    the window top then cap |P| below what the generators allow."""
+    from dgreg.algebra import DGAlgebra
+    from dgreg.windows import Trust
+
+    return DGAlgebra(name=A.name, field=A.field, window=A.window, basis=A.basis, unit=A.unit,
+                     mul=A.mul, diff=A.diff, trust=Trust(None, A.window.hi + extra))
+
+
+def _oracle_inputs():
+    from dgreg.catalog import catalog_pairs
+
+    for F in (QQ, GF(2), GF(7)):
+        for A, M in catalog_pairs(F):
+            if M.has_left:
+                for stages in (1, 2, 4, 8):
+                    yield M, stages
+    Lam = square_zero_algebra()
+    for n in range(6):
+        yield suspend(canonical_k(Lam, side="left"), n), 16
+    for F in (QQ, GF(7)):
+        for names, stages in ((("x", "y"), 6), (("p", "q", "r"), 5)):
+            yield canonical_k(_exterior_table(names, F), side="left"), stages
+    for level in range(1, 5):
+        yield build_module(polynomial_algebra(1), "truncated-free", side="left", level=level), 8
+    for d in (1, 2):
+        yield _widened(canonical_k(polynomial_algebra(d), side="left"), 3), 6
+        A = _trusted_past_window(polynomial_algebra(d, window=GradedWindow(0, 6)), 3)
+        yield _widened(canonical_k(A, side="left"), 6), 6
+    for F in (QQ, GF(7)):
+        yield _mixed_class_module(F), 4
+
+
+def test_incremental_cone_matches_restaging(monkeypatch):
+    from dgreg import resolution
+
+    caps, top_caps = [], []
+    cell, generator_trust = resolution._ledger_cell, resolution._generator_trust
+
+    def spy_cell(*args):
+        out = cell(*args)
+        caps.append(out[2])
+        return out
+
+    def spy_generator_trust(A, degree, window):
+        out = generator_trust(A, degree, window)
+        top_caps.append(out.hi != A.trust.shift(-degree).hi)
+        return out
+
+    monkeypatch.setattr(resolution, "_ledger_cell", spy_cell)
+    monkeypatch.setattr(resolution, "_generator_trust", spy_generator_trust)
+    for M, stages in _oracle_inputs():
+        got = _outcome(semifree_resolve, M, stages)
+        assert got == _outcome(_restage_resolve, M, stages), (M.algebra.name, M.name, stages)
+        if not isinstance(got[0], str):
+            # kill degrees start inside the window and never decrease, so
+            # no generator of the resolver lies below the window
+            assert all(g["degree"] >= M.window.lo for g in got[0]["generators"])
+    assert any(c is not None for c in caps) and any(top_caps)
+    res = semifree_resolve(_mixed_class_module(QQ), 4)
+    assert any(g in res.diff and res.aug.get(g) for g in res.aug)
+
+
+def test_generator_below_the_window_raises_trust():
+    # the resolver never makes one (see above); a hand-built ledger does
+    P = polynomial_algebra(2)
+    L = make_ledger(P, gens=[("e0", -2, 0), ("e1", 0, 1)], diff={"e1": {"e0": {"t1": P.field.one()}}})
+    window = GradedWindow(0, 6)
+    assert realize_ledger(L, window).trust.lo == window.lo
+    assert realize_ledger(L, GradedWindow(-2, 6)).trust.lo is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from([QQ, GF(2), GF(7)]), hi=st.integers(3, 6), pick=st.integers(0, 6),
+       kind=st.sampled_from(["k", "free"]), perturb=st.booleans(), widen=st.integers(0, 3),
+       stages=st.sampled_from([1, 2, 4]), seed=st.integers(0, 2**32 - 1))
+def test_incremental_cone_matches_restaging_on_generated_modules(
+        field, hi, pick, kind, perturb, widen, stages, seed):
+    rng = random.Random(seed)
+    A = _transport(rng, _generator_pool(field, hi)[pick])
+    M = canonical_k(A, side="left") if kind == "k" else free_module(A, side="left")
+    if perturb:
+        M = perturb_module(rng, M)
+    if widen:
+        M = _widened(M, widen)
+    assert _outcome(semifree_resolve, M, stages) == _outcome(_restage_resolve, M, stages)
+
+
+def test_each_cell_is_built_once_and_h_recomputed_from_the_kill_down(monkeypatch):
+    from dgreg import resolution
+
+    built, ranges = [], []
+    cell, h_of_columns = resolution._ledger_cell, resolution._cohomology_of_columns
+
+    def spy_cell(N, window, rules, alg, keys, x, g, n):
+        built.append((x, g, n))
+        return cell(N, window, rules, alg, keys, x, g, n)
+
+    def spy_h(F, degrees, *args):
+        ranges.append(degrees)
+        return h_of_columns(F, degrees, *args)
+
+    monkeypatch.setattr(resolution, "_ledger_cell", spy_cell)
+    monkeypatch.setattr(resolution, "_cohomology_of_columns", spy_h)
+    Lam = square_zero_algebra()
+    for M, stages in ((suspend(canonical_k(Lam, side="left"), 2), 24),
+                      (canonical_k(exterior_algebra(3), side="left"), 5)):
+        built.clear()
+        ranges.clear()
+        res = semifree_resolve(M, stages)
+        P = realize_ledger(res, M.window)
+        assert len(built) == len(set(built)) == P.total_dim()
+        W = M.window
+        assert ranges[0] == range(W.lo - 1, W.hi + 1)
+        kills = [next(g.degree for g in res.gens if g.stage == s) for s in range(res.stages_used)]
+        assert ranges[1:] == [range(max(j - 1, W.lo - 1), W.hi + 1) for j in kills]
