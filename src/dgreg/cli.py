@@ -217,10 +217,12 @@ def cmd_e2(args, M) -> int:
     params = []
     if args.params:
         for chunk in args.params.split(","):
+            if not chunk.strip():
+                raise SystemExit2(f"bad parameter {chunk!r}: empty")
             try:
                 combo = parse_combination(chunk.strip(), A.field)
             except ParseError as exc:
-                raise SystemExit2(f"bad parameter {chunk!r}: {exc}")
+                raise SystemExit2(f"bad parameter {chunk!r}: {exc.message}")
             unknown = sorted(set(combo) - set(A._deg))
             if unknown:
                 raise SystemExit2(f"bad parameter {chunk!r}: {unknown} not algebra basis labels")

@@ -38,6 +38,10 @@ class SemifreeResolution:
     the lowest scanned degree where its cohomology persists (None when
     the cone is acyclic on the whole scan range).  ``residual`` records
     the per-degree cone cohomology left after the last stage.
+    ``bookkeeping_ok`` is True when no class is left, or when H(eps) is
+    onto and every residual class is killed by A^{>=1}: the hypotheses
+    under which the duality checks subtract the residual classes.  Only
+    the resolver decides it, so a ledger built by hand never claims it.
     """
 
     algebra: DGAlgebra
@@ -50,6 +54,7 @@ class SemifreeResolution:
     frontier: int | None = None
     residual: dict = dc_field(default_factory=dict)
     stages_used: int = 0
+    bookkeeping_ok: bool = False
 
     def __post_init__(self):
         F = self.algebra.field

@@ -36,6 +36,7 @@ from .module import (
     _cohomology_of_columns,
     cohomology,
     cone_of,
+    double_dual_embedding,
     left_restriction,
     linear_dual,
     to_opposite,
@@ -98,6 +99,39 @@ def _split_cone_class(M: DGModule, cells, degree: int, vec: dict):
     return m_part, rows
 
 
+def _bookkeeping_holds(M: DGModule, AA: DGModule, alg, h_m: dict, h_cone: dict,
+                       residual: dict, cells: dict, pos: dict, dim) -> bool:
+    """The duality bookkeeping hypotheses, decided on the final cone of
+    |P| -> M, whose H^d is ``h_cone[d]``; ``h_m`` is H(M).
+
+    H(eps) is onto exactly when every class of H(M) is a coboundary of
+    the cone (its long exact sequence); an M class's coordinates are the
+    cone's first ones.  A residual class (m, sum c b e_g~) is killed by
+    a in A^{>=1} when (a.m, (-1)^{|a|} sum c (ab) e_g~) is a coboundary,
+    at every degree where the cone has a basis."""
+    if not all(h_cone[d].sub.contains(rep) for d, q in h_m.items() for rep in q.representatives):
+        return False
+    F = M.field
+    for d in residual:
+        for rep in h_cone[d].representatives:
+            m_part, rows = _split_cone_class(M, cells.get(d + 1, ()), d, rep)
+            for a, da in alg:
+                t = d + da
+                if da < 1 or not dim(t):
+                    continue
+                s, at = F.sign(da), pos.get(t + 1, {})
+                vec = M.coords(M.lact_combo({a: F.one()}, da, m_part, d), t)
+                for g, row in rows.items():
+                    for b, c in row.items():
+                        for x, v in (AA.act_left(a, b) or {}).items():
+                            i = at.get((x, g))
+                            if i is not None:
+                                vec[i] = F.add(vec.get(i, F.zero()), F.mul(s, F.mul(c, v)))
+                if not h_cone[t].sub.contains(vec):
+                    return False
+    return True
+
+
 def semifree_resolve(M: DGModule, max_stages: int = 8) -> SemifreeResolution:
     """Minimal semifree resolution of a left DG module by cycle killing.
 
@@ -133,6 +167,9 @@ def semifree_resolve(M: DGModule, max_stages: int = 8) -> SemifreeResolution:
     columns = {d: list(diff_columns(M, d)) for d in range(W.lo - 1, W.hi + 1)}
     p_trust = Trust.everywhere()
     dirty = W.lo - 1
+    # H of the cone per degree: a kill at j leaves degrees below j - 1 as
+    # they were, so the stages' quotients together are H of the final cone
+    h_cone: dict = {}
 
     def dim(d):
         return M.dim(d) + len(cells.get(d + 1, ()))
@@ -141,6 +178,9 @@ def semifree_resolve(M: DGModule, max_stages: int = 8) -> SemifreeResolution:
         cone_trust = p_trust.shift(1).meet(M.trust)
         dims, quotients, scan = _cohomology_of_columns(
             F, range(dirty, W.hi + 1), dim, lambda d: columns.get(d, []), cone_trust)
+        if stage == 0:
+            h_m = quotients  # the cone of the empty ledger is M
+        h_cone.update(quotients)
         scan_everywhere = cone_trust.is_everywhere
         live = sorted(d for d in dims if scan.contains(d))
         frontier = live[0] if live else None
@@ -182,50 +222,13 @@ def semifree_resolve(M: DGModule, max_stages: int = 8) -> SemifreeResolution:
         algebra=A, gens=tuple(gens), diff=diff, aug=aug, target=M, scan=scan,
         scan_everywhere=scan_everywhere, frontier=frontier, residual=residual,
         stages_used=stage,
+        bookkeeping_ok=not residual or _bookkeeping_holds(
+            M, AA, alg, h_m, h_cone, residual, cells, pos, dim),
     )
 
 
 def is_minimal(L: SemifreeResolution):
     return is_minimal_ledger(L.algebra, L.diff)
-
-
-def residual_classes_are_trivial(L: SemifreeResolution) -> bool:
-    """Whether the leftover cone classes of a resolution are killed by
-    A^{>=1}.
-
-    Each residual class is then a shifted copy of k in the derived
-    category, which is what the duality bookkeeping assumes."""
-    if L.complete:
-        return True
-    M = L.target
-    A = M.algebra
-    F = M.field
-    cone, _ = _cone(M, L)
-    h = cohomology(cone)
-    for d in sorted(L.residual):
-        for a in (l for dd in A.degrees() for l in A.basis_at(dd) if dd >= 1):
-            da = A.degree_of(a)
-            target = d + da
-            if not cone.basis_at(target):
-                continue
-            # the coboundaries of degree d + |a|
-            bound = h.quotient(target).sub
-            for rep in h.quotient(d).representatives:
-                acted = cone.lact_combo({a: F.one()}, da, cone.combo(rep, d), d)
-                if acted is None:
-                    return False
-                if not bound.contains(cone.coords(acted, target)):
-                    return False
-    return True
-
-
-def augmentation_h_report(L: SemifreeResolution) -> dict:
-    """Per-degree (rank, dim H(P), dim H(M)) of the augmentation map of a
-    resolution of M."""
-    M = L.target
-    P = realize_ledger(L, M.window, name="|P|")
-    eps = _augmentation_morphism(L, P, M)
-    return eps.h_isomorphism_degrees()
 
 
 # -- regularity values -----------------------------------------------------
@@ -424,8 +427,6 @@ class TruncationCertificate:
 
 def dual_morphism(f: ModuleMorphism) -> ModuleMorphism:
     """Hom_k(-, k) applied to a degree-0 chain map: g -> g o f."""
-    from .module import linear_dual
-
     Xd = linear_dual(f.target)
     Yd = linear_dual(f.source)
     F = f.source.field
@@ -462,10 +463,7 @@ def truncate_above(M: DGModule, s: int, max_stages: int = 8) -> TruncationCertif
     Qd = linear_dual(Q)               # right module over A^op
     Mprime = to_opposite(Qd)          # left module over (A^op)^op = A
 
-    morphism = None
     note = "dual-resolution truncation"
-    from .module import double_dual_embedding
-
     theta = double_dual_embedding(M)      # M -> (M*)*
     eps_dual = dual_morphism(eps)         # X* -> Q* over A^op
     # (M*)* and X*, and Q* and M', have identical underlying labels; compose.
@@ -473,12 +471,12 @@ def truncate_above(M: DGModule, s: int, max_stages: int = 8) -> TruncationCertif
     morphism = ModuleMorphism(M, Mprime, images)
     ok = morphism.validate().ok
 
-    hm = cohomology(M)
+    # left_restriction keeps M's basis, differential and trust, so h is H(M)
     hp = cohomology(Mprime)
-    window = hm.certified.meet(hp.certified)
+    window = h.certified.meet(hp.certified)
     match = all(
-        hm.dim(d) == hp.dim(d)
-        for d in set(hm.dims) | set(hp.dims)
+        h.dim(d) == hp.dim(d)
+        for d in set(h.dims) | set(hp.dims)
         if window.contains(d)
     ) and (not ok or morphism.is_quasi_iso_on(window))
     if not ok:

@@ -80,7 +80,7 @@ def _named(table: dict, kind: str, name: str | None):
     return table[name]
 
 
-_LABEL = r"[A-Za-z_][A-Za-z0-9_]*"
+_LABEL = r"[A-Za-z_][A-Za-z0-9_'~|]*"
 _label_re = re.compile(_LABEL)
 _window_re = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 

@@ -29,8 +29,10 @@ cohomology met with the scan shifted up one degree (its flip for Hom).
 Bookkeeping hypotheses: the contamination is subtracted only when the
 residual classes are killed by A^{>=1} (so each is a shifted copy of k)
 and the augmentation is surjective on H (so the long exact sequences
-split dimensionwise); both are checked by rank computations, and a
-verdict that needs them is indeterminate when they fail.
+split dimensionwise).  The resolver decides both on the final cone it
+already holds, surjectivity through the cone's long exact sequence, and
+records the verdict as ``SemifreeResolution.bookkeeping_ok``; a verdict
+that needs them is indeterminate when they fail.
 """
 
 from __future__ import annotations
@@ -55,14 +57,7 @@ from .module import (
     suspend,
     to_opposite,
 )
-from .resolution import (
-    RegularityValue,
-    augmentation_h_report,
-    ext_reg,
-    koszul_test,
-    residual_classes_are_trivial,
-    semifree_resolve,
-)
+from .resolution import RegularityValue, ext_reg, koszul_test, semifree_resolve
 from .windows import GLOBAL_DEGREE_BOUND, GradedWindow, Trust
 
 
@@ -293,7 +288,7 @@ def cm_reg(M: DGModule, regime: TorsionRegime, max_stages: int = 8) -> Regularit
     for j in h.dims:
         if j > sup and not cmp_trust.contains(j):
             certified = False
-    if g.contamination and not _bookkeeping_ok(g.resolution):
+    if g.contamination and not g.resolution.bookkeeping_ok:
         certified = False
     if certified:
         return RegularityValue.exact(sup, "sup of H(Gamma M), vanishing above certified")
@@ -325,16 +320,6 @@ def apply_duality(M: DGModule, D: DGModule, max_stages: int = 8,
     X, notes = hom_from_ledger(res, D, window, name=f"RHom({M.name},{D.name})")
     contamination = {-(g + 1): n for g, n in res.residual.items()}
     return X, res, contamination, notes
-
-
-def _bookkeeping_ok(res: SemifreeResolution) -> bool:
-    """The bookkeeping hypotheses for the residual classes of ``res``:
-    each is killed by A^{>=1} and H(eps) is surjective degreewise."""
-    if not res.residual:
-        return True
-    report = augmentation_h_report(res)
-    return (all(rank == hm for rank, _hp, hm in report.values())
-            and residual_classes_are_trivial(res))
 
 
 def _dims_table(cmp_trust: Trust, first, second):
@@ -397,7 +382,7 @@ def local_duality_check(M: DGModule, regime: TorsionRegime, max_stages: int = 8)
     if negative:
         verdict = "indeterminate"
         notes.append("contamination exceeded a computed dimension")
-    elif not _bookkeeping_ok(res):
+    elif not res.bookkeeping_ok:
         verdict = "indeterminate"
         notes.append("frontier bookkeeping hypotheses failed; mismatch not certified" if mismatch
                      else "corrections used but their hypotheses could not be verified")
@@ -451,7 +436,7 @@ def double_duality_check(M: DGModule, regime: TorsionRegime, max_stages: int = 8
         notes.append(f"target cohomology outside the comparison window: {missed_target}")
         negative = True  # cannot certify recovery there
 
-    hypotheses_ok = _bookkeeping_ok(res_in) and _bookkeeping_ok(res_out)
+    hypotheses_ok = res_in.bookkeeping_ok and res_out.bookkeeping_ok
     if negative or (mismatch and not hypotheses_ok):
         verdict = "indeterminate"
         notes.append("contamination bookkeeping not certified")

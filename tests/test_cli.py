@@ -223,7 +223,7 @@ def test_cohomology_of_invalid_presentation_exits_one(tmp_path, capsys):
 # stdout, stderr and --out bytes. Calls argparse itself rejects record
 # only their exit code, because Python versions wrap the usage line
 # differently.
-PINNED_CLI_SHA256 = "fba26ee9bf51039887ea0dcc4eca890edbcc9bff1c2f05fcad49ded6d4dd2f3d"
+PINNED_CLI_SHA256 = "6c45f9a3093496a38e763a4c74d81039a25e630cecc56a9003dab6cdd858c70d"
 
 
 def _pinned_cli_calls(tmp_path):

@@ -20,12 +20,11 @@ from dgreg.ledger import free_ledger, make_ledger
 from dgreg.module import canonical_k, cohomology, free_module, suspend, validate_module
 from dgreg.resolution import (
     TruncationImpossibleError,
-    augmentation_h_report,
+    _augmentation_morphism,
     ext_reg,
     extreg_symmetry,
     is_minimal,
     koszul_test,
-    residual_classes_are_trivial,
     semifree_resolve,
     truncate_above,
 )
@@ -76,7 +75,7 @@ def test_augmentation_induces_h_isomorphism():
         for kind in ("k", "free"):
             M = build_module(A, kind, side="left")
             res = semifree_resolve(M, max_stages=8)
-            report = augmentation_h_report(res)
+            report = _augmentation_morphism(res, realize_ledger(res, M.window), M).h_isomorphism_degrees()
             bound = res.ledger_bound
             for d, (rank, hp, hm) in report.items():
                 if bound is not None and d >= bound - 1:
@@ -190,7 +189,7 @@ def test_residual_classes_trivial_for_square_zero_tower():
     Lam = square_zero_algebra()
     k = canonical_k(Lam, side="left")
     res = semifree_resolve(k, max_stages=4)
-    assert residual_classes_are_trivial(res)
+    assert res.residual and res.bookkeeping_ok
 
 
 def test_truncate_above_noop():
@@ -600,3 +599,86 @@ def test_each_cell_is_built_once_and_h_recomputed_from_the_kill_down(monkeypatch
         assert ranges[0] == range(W.lo - 1, W.hi + 1)
         kills = [next(g.degree for g in res.gens if g.stage == s) for s in range(res.stages_used)]
         assert ranges[1:] == [range(max(j - 1, W.lo - 1), W.hi + 1) for j in kills]
+
+
+# -- the bookkeeping verdict against the cone rebuilt from the ledger ----------
+
+
+def _rebuilt_bookkeeping(res):
+    """(H(eps) onto, residual classes killed by A^{>=1}), decided on the
+    cone rebuilt from the ledger: the two rank checks the resolver's
+    ``bookkeeping_ok`` must reproduce."""
+    from dgreg.resolution import _cone
+
+    M = res.target
+    A, F = M.algebra, M.field
+    P = realize_ledger(res, M.window, name="|P|")
+    onto = all(rank == hm for rank, _hp, hm in
+               _augmentation_morphism(res, P, M).h_isomorphism_degrees().values())
+    cone, _ = _cone(M, res)
+    h = cohomology(cone)
+    trivial = True
+    for d in sorted(res.residual):
+        for a in (l for dd in A.degrees() for l in A.basis_at(dd) if dd >= 1):
+            da = A.degree_of(a)
+            if not cone.basis_at(d + da):
+                continue
+            bound = h.quotient(d + da).sub
+            for rep in h.quotient(d).representatives:
+                acted = cone.lact_combo({a: F.one()}, da, cone.combo(rep, d), d)
+                if acted is None or not bound.contains(cone.coords(acted, d + da)):
+                    trivial = False
+    return onto, trivial
+
+
+def _bookkeeping_inputs():
+    from dataclasses import replace
+
+    from dgreg.catalog import catalog_pairs
+    from dgreg.module import to_opposite
+    from dgreg.torsion import apply_duality, detect_regime, dualizing_module
+    from dgreg.windows import Trust
+
+    for F in (QQ, GF(2), GF(7)):
+        for A, M in catalog_pairs(F):
+            if M.has_left:
+                for stages in (1, 2, 3, 4, 8):
+                    yield M, stages
+                regime = detect_regime(A)
+                if regime.supported:
+                    # the input of double duality's second resolution
+                    X = to_opposite(apply_duality(M, dualizing_module(A, regime))[0])
+                    for stages in (1, 2, 3, 4, 8):
+                        yield X, stages
+    Lam = square_zero_algebra()
+    for n in range(4):
+        yield suspend(canonical_k(Lam, side="left"), n), 8
+    for level in range(1, 5):
+        yield build_module(polynomial_algebra(1), "truncated-free", side="left", level=level), 8
+    for A in (Lam, polynomial_algebra(1), polynomial_algebra(2)):
+        for trust in (Trust(0, 6), Trust(1, 6), Trust(0, None), Trust(None, 4), Trust(3, None)):
+            yield replace(free_module(A, side="left"), trust=trust), 4
+
+
+def test_bookkeeping_verdict_matches_the_rebuilt_cone():
+    not_onto = not_trivial = 0
+    for M, stages in _bookkeeping_inputs():
+        res = semifree_resolve(M, stages)
+        if not res.residual:
+            assert res.bookkeeping_ok, (M.algebra.name, M.name, stages)
+            continue
+        onto, trivial = _rebuilt_bookkeeping(res)
+        assert res.bookkeeping_ok == (onto and trivial), (M.algebra.name, M.name, stages)
+        not_onto += not onto
+        not_trivial += not trivial
+    # each hypothesis fails somewhere, so neither half of the verdict is idle
+    assert not_onto and not_trivial, (not_onto, not_trivial)
+
+
+def test_a_hand_built_ledger_claims_no_bookkeeping():
+    Lam = square_zero_algebra()
+    L = make_ledger(Lam, gens=[("e0", 0, 0)], diff={}, aug={"e0": {"k0": Lam.field.one()}},
+                    target=canonical_k(Lam, side="left"))
+    L.residual, L.frontier = {0: 1}, 0
+    assert not L.bookkeeping_ok
+    assert "bookkeeping_ok" not in L.to_json()

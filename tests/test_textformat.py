@@ -7,7 +7,7 @@ from dgreg.catalog import (
     polynomial_algebra,
     square_zero_algebra,
 )
-from dgreg.fields import QQ
+from dgreg.fields import GF, QQ
 from dgreg.module import canonical_k, free_module
 from dgreg.textformat import (
     Document,
@@ -193,6 +193,42 @@ map t = 0
 @pytest.mark.parametrize("name", ROUND_TRIPS)
 def test_round_trip_beyond_the_catalog(name):
     assert emit_document(parse_document(ROUND_TRIPS[name])) == ROUND_TRIPS[name]
+
+
+def _constructed_modules(field):
+    """Modules the library builds from catalog objects, whose labels carry
+    the marks its constructions add: ' for duals, ~ for cone shifts and
+    | for Hom, tensor and realized cells."""
+    from dgreg.catalog import build_module, catalog_algebras
+    from dgreg.homtensor import hom_from_ledger, realize_ledger, tensor_module_ledger
+    from dgreg.module import linear_dual, to_opposite
+    from dgreg.resolution import semifree_resolve
+    from dgreg.torsion import cech_carrier, detect_regime, dualizing_module
+    from dgreg.windows import GradedWindow
+
+    for A in catalog_algebras(field):
+        k, free = canonical_k(A, side="bi"), free_module(A, side="bi")
+        res = semifree_resolve(canonical_k(A, side="left"), 2)
+        yield linear_dual(k)
+        yield linear_dual(free)
+        yield to_opposite(free)
+        yield to_opposite(linear_dual(k))
+        yield build_module(A, "cone-id", side="bi")
+        yield realize_ledger(res, k.window)
+        yield tensor_module_ledger(k, res, GradedWindow(-2, 4))[0]
+        yield hom_from_ledger(res, free, GradedWindow(-4, 4))[0]
+        regime = detect_regime(A)
+        if regime.supported:
+            yield dualizing_module(A, regime)
+        if regime.kind == "polynomial":
+            yield cech_carrier(A, regime)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
+def test_constructed_modules_round_trip(field):
+    for M in _constructed_modules(field):
+        text = emit_document(Document(algebras={M.algebra.name: M.algebra}, modules={M.name: M}))
+        assert emit_document(parse_document(text)) == text, M.name
 
 
 def test_map_image_labels_are_checked_like_table_targets():
