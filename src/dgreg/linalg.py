@@ -12,7 +12,10 @@ entries.  The ground field is dispatched once per elimination step
 (plain ``int`` arithmetic mod p, or ``Fraction`` over Q) rather than
 once per entry.  :func:`kernel_mod_image` is the one kernel/image/quotient
 routine: cohomology of presentations and of Koszul complexes both go
-through it.  The reduced echelon form is unique, so every result equals
+through it.  :class:`KernelModImage` is its counterpart for a complex
+that grows by appended columns: it keeps the kernel (through the column
+combinations recorded by a :class:`KernelEchelon`) and the image across
+the growth.  The reduced echelon form is unique, so every result equals
 what dense elimination gives.
 """
 
@@ -111,6 +114,17 @@ def _axpy(v: dict, c, row: dict, p: int):
                 v[j] = -c * y
 
 
+def _inverse(x, p: int):
+    return pow(x, -1, p) if p else Fraction(1, x)
+
+
+def _scaled(v: dict, c, p: int) -> dict:
+    """c * v as a new dict (mod p when p)."""
+    if p:
+        return {j: x * c % p for j, x in v.items()}
+    return {j: x * c for j, x in v.items()}
+
+
 class Echelon:
     """Incremental reduced-echelon store for a subspace of k^n.
 
@@ -171,14 +185,8 @@ class Echelon:
         """Insert a nonzero residual; returns it scaled to a unit pivot."""
         p = self.field.p
         q = min(v)
-        lead = v[q]
-        if lead != 1:
-            if p:
-                inv = pow(lead, -1, p)
-                v = {j: x * inv % p for j, x in v.items()}
-            else:
-                inv = Fraction(1, lead)
-                v = {j: x * inv for j, x in v.items()}
+        if v[q] != 1:
+            v = _scaled(v, _inverse(v[q], p), p)
         for row in self.rows:
             c = row.get(q)
             if c is not None:
@@ -210,6 +218,54 @@ class Echelon:
                 v.update(by_free.get(c, {}))
                 out.append(v)
         return out
+
+
+class KernelEchelon:
+    """The kernel of a matrix that grows by appended sparse columns.
+
+    The columns' span is kept in reduced echelon form with unit pivots,
+    as in :class:`Echelon`, and each stored row also records the
+    combination of inserted column indices it equals.  A column that
+    reduces to zero thus yields its kernel vector at once: 1 at its own
+    index minus the combination that cancelled it, which lies on earlier
+    independent columns.  That vector is unique, so ``basis`` is always
+    ``Echelon.spanned_by(rows).kernel()`` of the matrix so far, vector
+    for vector, and old columns keep their vectors as the matrix grows.
+    """
+
+    def __init__(self, field: FieldSpec):
+        self.field = field
+        self.ncols = 0
+        self.basis: list = []
+        self._row_at: dict = {}     # pivot -> (row, combination)
+
+    def append(self, col: dict) -> bool:
+        """Append a column (it may hold zero entries); returns True when
+        it added a kernel vector."""
+        p = self.field.p
+        v = {j: x for j, x in col.items() if x}
+        t = {self.ncols: self.field.one()}
+        self.ncols += 1
+        at = self._row_at
+        for q in [c for c in v if c in at]:
+            c = v[q]
+            row, comb = at[q]
+            _axpy(v, c, row, p)
+            _axpy(t, c, comb, p)
+        if not v:
+            self.basis.append(t)
+            return True
+        q = min(v)
+        if v[q] != 1:
+            inv = _inverse(v[q], p)
+            v, t = _scaled(v, inv, p), _scaled(t, inv, p)
+        for row, comb in at.values():
+            c = row.get(q)
+            if c is not None:
+                _axpy(row, c, v, p)
+                _axpy(comb, c, t, p)
+        at[q] = (v, t)
+        return False
 
 
 @dataclass(frozen=True)
@@ -303,13 +359,47 @@ def kernel_mod_image(field: FieldSpec, n: int, rows, columns) -> QuotientSpace:
     :class:`ContainmentError` when the image is not inside the kernel.
     """
     kernel = Echelon.spanned_by(field, n, rows).kernel()
-    image = Echelon.spanned_by(field, n, columns)
+    return _kernel_mod(Echelon.spanned_by(field, n, columns), kernel)
+
+
+def _kernel_mod(image: Echelon, kernel: list) -> QuotientSpace:
     quot = complement(image, kernel)
     # the kernel vectors are independent, so the span grows past them
     # exactly when some image vector lies outside it
     if len(image) + quot.dim != len(kernel):
         raise ContainmentError("sub vector outside the ambient span")
     return quot
+
+
+class KernelModImage:
+    """:func:`kernel_mod_image` at a position of a complex that grows by
+    appended basis vectors, whose old columns never change.
+
+    The outgoing columns go into a :class:`KernelEchelon` and the
+    incoming ones into an :class:`Echelon`, each once.  The quotient is
+    taken again only after the kernel basis or the image grew; each one
+    handed out keeps a copy of the image as its ``sub``, so later growth
+    leaves it as it was.  Both bases are the ones elimination from
+    scratch gives, so the quotient is too.
+    """
+
+    def __init__(self, field: FieldSpec):
+        self.kernel = KernelEchelon(field)
+        self.image = Echelon(field, 0)
+        self._quotient = None
+
+    def add_outgoing(self, col: dict):
+        if self.kernel.append(col):
+            self._quotient = None
+
+    def add_incoming(self, col: dict):
+        if self.image.add(col):
+            self._quotient = None
+
+    def quotient(self) -> QuotientSpace:
+        if self._quotient is None:
+            self._quotient = _kernel_mod(self.image.copy(), self.kernel.basis)
+        return self._quotient
 
 
 def quotient_by(field: FieldSpec, span, sub) -> QuotientSpace:

@@ -266,32 +266,26 @@ def cohomology(X) -> CohomologyReport:
     window = X.window
     if isinstance(X, DGAlgebra):
         window = GradedWindow(min(0, window.lo), window.hi)
-    dims, quotients, certified = _cohomology_of_columns(
-        X.field, window.degrees(), X.dim, lambda d: diff_columns(X, d), X.trust)
-    return CohomologyReport(X.name, dims, quotients, certified, window, X.field)
-
-
-def _cohomology_of_columns(F: FieldSpec, degrees, dim, columns, trust: Trust):
-    """The per-degree loop of :func:`cohomology`, over a complex given by
-    ``dim(d)`` and ``columns(d)``, the sparse differential columns of
-    degree d.  Returns (dims, quotients, certified) for the given run of
-    consecutive degrees, the certified range read off ``trust``."""
     dims, quotients = {}, {}
-    incoming = columns(degrees[0] - 1)
-    for d in degrees:
-        outgoing = columns(d)
-        if dim(d):
-            rows = sparse_transpose(outgoing, dim(d + 1))
-            quot = quotients[d] = kernel_mod_image(F, dim(d), rows, incoming)
+    incoming = diff_columns(X, window.lo - 1)
+    for d in window.degrees():
+        outgoing = diff_columns(X, d)
+        if X.dim(d):
+            rows = sparse_transpose(outgoing, X.dim(d + 1))
+            quot = quotients[d] = kernel_mod_image(X.field, X.dim(d), rows, incoming)
             if quot.dim:
                 dims[d] = quot.dim
         incoming = outgoing
-    # H at a trust boundary needs one degree of margin on that side
-    certified = Trust(
+    return CohomologyReport(X.name, dims, quotients, _h_certified(X.trust), window, X.field)
+
+
+def _h_certified(trust: Trust) -> Trust:
+    """Where H of a complex trusted on ``trust`` is certified: a trust
+    boundary costs one degree of margin on its side."""
+    return Trust(
         None if trust.lo is None else trust.lo + 1,
         None if trust.hi is None else trust.hi - 1,
     )
-    return dims, quotients, certified
 
 
 # -- constructions --------------------------------------------------------

@@ -13,11 +13,22 @@ result is minimal by construction.
 The cone is built once and grown in place, degree by degree as in
 Bruner's programs for large Ext modules.  New generators come last in
 the ledger, so their cells come last in each degree and no old cone
-position, column or trust bound moves.  A kill at degree j adds cells
-only in P-degrees >= j, so H is recomputed in cone degrees >= j - 1
-only: below, it is unchanged and holds no certified class, j being the
-lowest.  Reduced echelon forms are canonical, so every class is the one
-``cohomology`` of the rebuilt cone would choose.
+position, column or trust bound moves.  Each cone degree keeps, for one
+call, a :class:`~dgreg.linalg.KernelModImage`: a column echelon of its
+outgoing differential, whose rows record the columns they combine, and
+an echelon of its incoming one.  Each new cell's column enters its own
+degree's kernel state and the next degree's image once, and a degree's
+H is taken again only after its kernel basis or image grew; a kill at
+degree j adds cells only in P-degrees >= j, so only cone degrees
+>= j - 1 can change.
+
+This cannot change a representative.  Old columns never change, so an
+old cocycle keeps its kernel vector; a new cell's kernel vector is the
+unique one that is 1 at its column, 0 at the other dependent columns and
+supported on earlier independent ones, which is what elimination of the
+whole degree gives; and the image echelon is the unique reduced echelon
+form of its span.  So every class is the one ``cohomology`` of the
+rebuilt cone would choose.
 """
 
 from __future__ import annotations
@@ -29,11 +40,12 @@ from .ledger import Generator, SemifreeResolution, is_minimal_ledger
 from .homtensor import (_free_bimodule, _generator_trust, _ledger_cell, _tensor_rules, ledger_cells,
                         realize_ledger, tensor_module_ledger)
 from .lincomb import cclean, cneg
+from .linalg import KernelModImage
 from .module import (
     DGModule,
     LEFT,
     ModuleMorphism,
-    _cohomology_of_columns,
+    _h_certified,
     cohomology,
     cone_of,
     double_dual_embedding,
@@ -161,31 +173,34 @@ def semifree_resolve(M: DGModule, max_stages: int = 8) -> SemifreeResolution:
     alg = [(a, d) for d in A.degrees() for a in A.basis_at(d)]
     # the cone of |P| -> M: degree d is M^d followed by the cells (b, g) of
     # P-degree d + 1 in ledger order, ``cells[n]``, at positions ``pos[n]``;
-    # ``columns[d]`` are its differential columns and ``p_trust`` is |P|'s
+    # ``state[d]`` takes the differential columns out of and into degree d,
+    # and ``p_trust`` is |P|'s
     cells: dict = {}
     pos: dict = {}
-    columns = {d: list(diff_columns(M, d)) for d in range(W.lo - 1, W.hi + 1)}
+    state = {d: KernelModImage(F) for d in range(W.lo - 1, W.hi + 2)}
     p_trust = Trust.everywhere()
-    dirty = W.lo - 1
-    # H of the cone per degree: a kill at j leaves degrees below j - 1 as
-    # they were, so the stages' quotients together are H of the final cone
-    h_cone: dict = {}
 
     def dim(d):
         return M.dim(d) + len(cells.get(d + 1, ()))
 
+    def add_column(d, col):
+        state[d].add_outgoing(col)
+        state[d + 1].add_incoming(col)
+
+    for d in range(W.lo - 1, W.hi + 1):
+        for col in diff_columns(M, d):
+            add_column(d, col)
+
     for stage in range(max_stages + 1):
         cone_trust = p_trust.shift(1).meet(M.trust)
-        dims, quotients, scan = _cohomology_of_columns(
-            F, range(dirty, W.hi + 1), dim, lambda d: columns.get(d, []), cone_trust)
+        scan = _h_certified(cone_trust)
+        quotients = {d: s.quotient() for d, s in state.items() if dim(d)}
         if stage == 0:
             h_m = quotients  # the cone of the empty ledger is M
-        h_cone.update(quotients)
         scan_everywhere = cone_trust.is_everywhere
-        live = sorted(d for d in dims if scan.contains(d))
-        frontier = live[0] if live else None
-        residual = {d: dims[d] for d in live}
-        if not live or stage == max_stages:
+        residual = {d: q.dim for d, q in quotients.items() if q.dim and scan.contains(d)}
+        frontier = min(residual, default=None)
+        if not residual or stage == max_stages:
             break
         j = frontier
         new = []
@@ -215,15 +230,14 @@ def semifree_resolve(M: DGModule, max_stages: int = 8) -> SemifreeResolution:
                         p_trust = p_trust.cap_hi(cap)
                     col = M.coords(_cell_image(M, aug.get(g), j, b, n), n)
                     col.update((i, F.coerce(F.neg(c))) for i, c in dcell.items() if c)
-                    columns[n - 1].append(col)
-        dirty = max(j - 1, W.lo - 1)
+                    add_column(n - 1, col)
 
     return SemifreeResolution(
         algebra=A, gens=tuple(gens), diff=diff, aug=aug, target=M, scan=scan,
         scan_everywhere=scan_everywhere, frontier=frontier, residual=residual,
         stages_used=stage,
         bookkeeping_ok=not residual or _bookkeeping_holds(
-            M, AA, alg, h_m, h_cone, residual, cells, pos, dim),
+            M, AA, alg, h_m, quotients, residual, cells, pos, dim),
     )
 
 

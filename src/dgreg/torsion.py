@@ -235,10 +235,16 @@ def gamma(M: DGModule, regime: TorsionRegime, max_stages: int = 8) -> GammaResul
     contribute known extra H (one shifted copy of Gamma k = k per class,
     one degree up), reported as contamination.
     """
+    return _gamma(M, regime, lambda: semifree_resolve(M, max_stages))
+
+
+def _gamma(M: DGModule, regime: TorsionRegime, resolve) -> GammaResult:
+    """:func:`gamma`, taking the resolution of M from ``resolve()`` in the
+    polynomial regime."""
     _require(regime)
     if regime.kind == "finite":
         return GammaResult(M, None, {}, ["finite regime: Gamma is the identity (counit iso)"])
-    return _cech_tensor(M, regime, semifree_resolve(M, max_stages))
+    return _cech_tensor(M, regime, resolve())
 
 
 def _cech_tensor(M: DGModule, regime: TorsionRegime, res: SemifreeResolution) -> GammaResult:
@@ -256,13 +262,18 @@ def _cech_tensor(M: DGModule, regime: TorsionRegime, res: SemifreeResolution) ->
 
 def cm_reg(M: DGModule, regime: TorsionRegime, max_stages: int = 8) -> RegularityValue:
     """CM regularity: sup of the cohomology of Gamma M."""
+    return _cm_reg(M, regime, lambda: gamma(M, regime, max_stages))
+
+
+def _cm_reg(M: DGModule, regime: TorsionRegime, gamma_of_m) -> RegularityValue:
+    """:func:`cm_reg`, taking Gamma M from ``gamma_of_m()`` when H(M) != 0."""
     _require(regime)
     h_m = cohomology(M)
     if not h_m.dims:
         if M.complete:
             return RegularityValue.neg_infinity("zero cohomology")
         return RegularityValue.at_least(M.window.lo, "no cohomology in window")
-    g = gamma(M, regime, max_stages)
+    g = gamma_of_m()
     h = cohomology(g.value)
     cmp_trust = h.certified if g.resolution is None else h.certified.meet(_landing(g.resolution))
     dims = {d: n for d, n in h.dims.items() if cmp_trust.contains(d)}
@@ -502,8 +513,10 @@ def regularity_inequalities(A: DGAlgebra, M: DGModule, regime: TorsionRegime,
     if not h.inf_certified:
         return {"skipped": "H(M) not certified bounded below", "checks": {}}
 
-    extreg_m = ext_reg(M, max_stages)
-    cmreg_m = cm_reg(M, regime, max_stages)
+    # one resolution of M serves both of its regularities
+    res_m = semifree_resolve(M, max_stages)
+    extreg_m = ext_reg(M, max_stages, resolution=res_m)
+    cmreg_m = _cm_reg(M, regime, lambda: _gamma(M, regime, lambda: res_m))
     k_left = canonical_k(A, side=LEFT)
     extreg_k = ext_reg(k_left, max_stages)
     cmreg_a = cm_reg(free_module(A, side=BI), regime, max_stages)

@@ -11,7 +11,8 @@ from dgreg.catalog import catalog_pairs, ground_field_algebra
 from dgreg.fields import QQ, GF, FieldMismatchError
 from dgreg.lincomb import to_vector
 from dgreg.linalg import (
-    ContainmentError, Echelon, Matrix, dense, kernel_mod_image, quotient_by, row_reduce, sparse,
+    ContainmentError, Echelon, KernelModImage, Matrix, dense, kernel_mod_image, quotient_by,
+    row_reduce, sparse, sparse_transpose,
 )
 from dgreg.module import DGModule, cohomology, left_restriction
 from dgreg.resolution import _cone, semifree_resolve
@@ -369,6 +370,60 @@ def test_echelon_matches_dense_reference(field, data):
         assert ech.add(v) == ref.add(row)
         assert repr([dense(field, r, m.ncols) for r in ech.rows]) == repr([tuple(r) for r in ref.rows])
         assert ech.contains(v)
+
+
+def _exact(vectors):
+    """Sparse vectors as sorted (index, value) lists, so that a comparison
+    also sees the scalars' types."""
+    return repr([sorted(v.items()) for v in vectors])
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_growing_kernel_and_image_match_elimination_from_scratch(field, data):
+    """A complex position grown in batches of appended columns, whose
+    rows may grow too (old columns stay zero there), as in the resolver:
+    after every batch the kernel basis, the image echelon and the
+    quotient are those computed from scratch, and no quotient handed out
+    earlier changes."""
+    h = KernelModImage(field)
+    outgoing, incoming, nrows, taken = [], [], 0, []
+    entry = st.integers(-4, 4).map(field.coerce)
+    for _ in range(data.draw(st.integers(1, 4))):
+        nrows += data.draw(st.integers(0, 3))
+        for _ in range(data.draw(st.integers(0, 5))):
+            kind = data.draw(st.sampled_from(["zero", "repeat", "random"]))
+            if kind == "zero" or not nrows:
+                col = {}
+            elif kind == "repeat" and outgoing:
+                col = dict(data.draw(st.sampled_from(outgoing)))
+            else:
+                col = {data.draw(st.integers(0, nrows - 1)): data.draw(entry)
+                       for _ in range(data.draw(st.integers(1, 3)))}
+            outgoing.append(col)
+            h.add_outgoing(col)
+        n = len(outgoing)
+        rows = sparse_transpose(outgoing, nrows)
+        want = Echelon.spanned_by(field, n, rows).kernel()
+        assert _exact(h.kernel.basis) == _exact(want)
+        # coboundaries: combinations of cocycles, so the image is inside
+        for _ in range(data.draw(st.integers(0, 3))):
+            col = {}
+            for v in want:
+                c = data.draw(entry)
+                for i, x in v.items():
+                    col[i] = field.add(col.get(i, field.zero()), field.mul(c, x))
+            incoming.append(col)
+            h.add_incoming(col)
+        assert _exact(h.image.rows) == _exact(Echelon.spanned_by(field, n, incoming).rows)
+        q = h.quotient()
+        ref = kernel_mod_image(field, n, rows, incoming)
+        assert _exact(q.representatives) == _exact(ref.representatives)
+        assert _exact(q.sub.rows) == _exact(ref.sub.rows)
+        taken.append((q, _exact(q.representatives), _exact(q.sub.rows)))
+    for q, reps, sub in taken:
+        assert (_exact(q.representatives), _exact(q.sub.rows)) == (reps, sub)
 
 
 def _ref_cohomology(X):

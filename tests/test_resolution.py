@@ -571,34 +571,113 @@ def test_incremental_cone_matches_restaging_on_generated_modules(
     assert _outcome(semifree_resolve, M, stages) == _outcome(_restage_resolve, M, stages)
 
 
-def test_each_cell_is_built_once_and_h_recomputed_from_the_kill_down(monkeypatch):
-    from dgreg import resolution
+def _spy_on_cone_state(monkeypatch):
+    """Record every cell the resolver builds, every column handed to a
+    cone degree's echelon state, and every time a degree's H is taken
+    afresh.  ``states`` lists the per-degree states in creation order,
+    one per cone degree from one below the window up."""
+    from dgreg import linalg, resolution
+    from dgreg.linalg import KernelModImage
 
-    built, ranges = [], []
-    cell, h_of_columns = resolution._ledger_cell, resolution._cohomology_of_columns
+    built, events, states, asking = [], [], [], []
+    cell, kernel_mod = resolution._ledger_cell, linalg._kernel_mod
+    init, outgoing, incoming, quotient = (
+        KernelModImage.__init__, KernelModImage.add_outgoing, KernelModImage.add_incoming,
+        KernelModImage.quotient)
 
     def spy_cell(N, window, rules, alg, keys, x, g, n):
         built.append((x, g, n))
         return cell(N, window, rules, alg, keys, x, g, n)
 
-    def spy_h(F, degrees, *args):
-        ranges.append(degrees)
-        return h_of_columns(F, degrees, *args)
+    def spy_init(self, field):
+        states.append(self)
+        init(self, field)
+
+    def spy_outgoing(self, col):
+        events.append(("out", self, col))
+        outgoing(self, col)
+
+    def spy_incoming(self, col):
+        events.append(("in", self, col))
+        incoming(self, col)
+
+    def spy_quotient(self):
+        asking.append(self)
+        try:
+            return quotient(self)
+        finally:
+            asking.pop()
+
+    def spy_kernel_mod(image, kernel):
+        events.append(("take", asking[-1], None))
+        return kernel_mod(image, kernel)
 
     monkeypatch.setattr(resolution, "_ledger_cell", spy_cell)
-    monkeypatch.setattr(resolution, "_cohomology_of_columns", spy_h)
+    monkeypatch.setattr(linalg, "_kernel_mod", spy_kernel_mod)
+    monkeypatch.setattr(KernelModImage, "__init__", spy_init)
+    monkeypatch.setattr(KernelModImage, "add_outgoing", spy_outgoing)
+    monkeypatch.setattr(KernelModImage, "add_incoming", spy_incoming)
+    monkeypatch.setattr(KernelModImage, "quotient", spy_quotient)
+    return built, events, states
+
+
+def test_each_column_enters_its_echelons_once_and_h_is_retaken_only_after_growth(monkeypatch):
+    built, events, states = _spy_on_cone_state(monkeypatch)
     Lam = square_zero_algebra()
     for M, stages in ((suspend(canonical_k(Lam, side="left"), 2), 24),
-                      (canonical_k(exterior_algebra(3), side="left"), 5)):
-        built.clear()
-        ranges.clear()
+                      (canonical_k(exterior_algebra(3), side="left"), 5),
+                      (canonical_k(polynomial_algebra(2, field=GF(7)), side="left"), 8)):
+        for log in (built, events, states):
+            log.clear()
         res = semifree_resolve(M, stages)
-        P = realize_ledger(res, M.window)
-        assert len(built) == len(set(built)) == P.total_dim()
         W = M.window
-        assert ranges[0] == range(W.lo - 1, W.hi + 1)
-        kills = [next(g.degree for g in res.gens if g.stage == s) for s in range(res.stages_used)]
-        assert ranges[1:] == [range(max(j - 1, W.lo - 1), W.hi + 1) for j in kills]
+        P = realize_ledger(res, W)
+        assert len(built) == len(set(built)) == P.total_dim()
+        degree = {id(h): d for d, h in enumerate(states, start=W.lo - 1)}
+        # each column goes out of its cone degree once, then into the next
+        # degree's image once, and is never handed over again
+        outs = [(degree[id(h)], col) for kind, h, col in events if kind == "out"]
+        ins = [(degree[id(h)] - 1, col) for kind, h, col in events if kind == "in"]
+        assert len({id(col) for _, col in outs}) == len(outs)
+        assert [(d, id(col)) for d, col in outs] == [(d, id(col)) for d, col in ins]
+        # a degree's columns out are its basis in the final cone
+        for d in degree.values():
+            assert sum(1 for e in outs if e[0] == d) == M.dim(d) + P.dim(d + 1), d
+        # H is taken afresh only in a degree that gained a column since
+        grown = set()
+        for kind, h, _ in events:
+            if kind == "take":
+                assert id(h) in grown
+                grown.discard(id(h))
+            else:
+                grown.add(id(h))
+
+
+def test_echelon_insertions_per_stage_are_constant_over_lambda(monkeypatch):
+    from dgreg.linalg import Echelon, KernelEchelon
+
+    inserted = []
+    add, append = Echelon.add, KernelEchelon.append
+
+    def spy_add(self, vec):
+        inserted.append(vec)
+        return add(self, vec)
+
+    def spy_append(self, col):
+        inserted.append(col)
+        return append(self, col)
+
+    monkeypatch.setattr(Echelon, "add", spy_add)
+    monkeypatch.setattr(KernelEchelon, "append", spy_append)
+    k = canonical_k(square_zero_algebra(), side="left")
+    totals = []
+    for stages in (8, 16, 24):
+        inserted.clear()
+        assert len(semifree_resolve(k, stages).gens) == stages
+        totals.append(len(inserted))
+    # every stage kills one class in degree 0 with the cells e and t e,
+    # whose two columns each go into one kernel state and one image
+    assert totals[1] - totals[0] == totals[2] - totals[1] == 8 * 4
 
 
 # -- the bookkeeping verdict against the cone rebuilt from the ledger ----------

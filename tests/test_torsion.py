@@ -21,7 +21,7 @@ from dgreg.module import (
     suspend,
     validate_module,
 )
-from dgreg.resolution import semifree_resolve
+from dgreg.resolution import ext_reg, semifree_resolve
 from dgreg.torsion import (
     UnsupportedRegimeError,
     apply_duality,
@@ -303,6 +303,27 @@ def test_regularity_inequalities_square_zero():
     for M in (canonical_k(Lam, side="left"), free_module(Lam, side="bi")):
         rep = regularity_inequalities(Lam, M, r)
         assert "violated" not in rep["checks"].values(), (M.name, rep)
+
+
+def test_regularity_inequalities_resolve_the_module_once(monkeypatch):
+    from dgreg import resolution, torsion
+
+    A = polynomial_algebra(2)
+    r = detect_regime(A)
+    M = suspend(canonical_k(A, side="left"), 1)
+    want = (ext_reg(M), cm_reg(M, r))
+    resolved = []
+    resolve = resolution.semifree_resolve
+
+    def spy(N, *args):
+        resolved.append(N)
+        return resolve(N, *args)
+
+    monkeypatch.setattr(resolution, "semifree_resolve", spy)
+    monkeypatch.setattr(torsion, "semifree_resolve", spy)
+    v = regularity_inequalities(A, M, r)["values"]
+    assert sum(N is M for N in resolved) == 1
+    assert (v["extreg_m"], v["cmreg_m"]) == want
 
 
 def test_koszul_truncation_fixtures():
