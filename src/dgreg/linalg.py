@@ -338,13 +338,17 @@ def complement(sub: Echelon, vectors) -> QuotientSpace:
     pushes reduce the stored rows in place, so each representative is a
     copy of its row as pushed.
     """
-    seen = sub.copy()
-    reps = []
+    return QuotientSpace(sub.field, _walk(sub.copy(), vectors, []), sub)
+
+
+def _walk(seen: Echelon, vectors, reps: list) -> list:
+    """The walk of :func:`complement`: push into ``seen`` each vector that
+    enlarges it, appending its residual as pushed to ``reps``."""
     for v in vectors:
         residual = seen.reduce(v)
         if residual:
             reps.append(dict(seen._push(residual)))
-    return QuotientSpace(sub.field, reps, sub)
+    return reps
 
 
 def kernel_mod_image(field: FieldSpec, n: int, rows, columns) -> QuotientSpace:
@@ -359,14 +363,13 @@ def kernel_mod_image(field: FieldSpec, n: int, rows, columns) -> QuotientSpace:
     :class:`ContainmentError` when the image is not inside the kernel.
     """
     kernel = Echelon.spanned_by(field, n, rows).kernel()
-    return _kernel_mod(Echelon.spanned_by(field, n, columns), kernel)
+    return _checked(complement(Echelon.spanned_by(field, n, columns), kernel), kernel)
 
 
-def _kernel_mod(image: Echelon, kernel: list) -> QuotientSpace:
-    quot = complement(image, kernel)
+def _checked(quot: QuotientSpace, kernel: list) -> QuotientSpace:
     # the kernel vectors are independent, so the span grows past them
     # exactly when some image vector lies outside it
-    if len(image) + quot.dim != len(kernel):
+    if len(quot.sub) + quot.dim != len(kernel):
         raise ContainmentError("sub vector outside the ambient span")
     return quot
 
@@ -377,29 +380,59 @@ class KernelModImage:
 
     The outgoing columns go into a :class:`KernelEchelon` and the
     incoming ones into an :class:`Echelon`, each once.  The quotient is
-    taken again only after the kernel basis or the image grew; each one
-    handed out keeps a copy of the image as its ``sub``, so later growth
-    leaves it as it was.  Both bases are the ones elimination from
-    scratch gives, so the quotient is too.
+    taken again only after the kernel basis or the image grew, and each
+    one handed out keeps a copy of the image as its ``sub``, so later
+    growth leaves it as it was.  A new quotient goes on from the last
+    one where the walk of :func:`complement` allows: new kernel vectors
+    continue the walk, and an image vector that is a multiple of the
+    first representative modulo the old image only drops that
+    representative, because the walk's echelons from its kernel vector
+    on span what they spanned.  Otherwise the walk starts again.  Both
+    bases are the ones elimination from scratch gives, so the quotient
+    is too.
     """
 
     def __init__(self, field: FieldSpec):
         self.kernel = KernelEchelon(field)
         self.image = Echelon(field, 0)
         self._quotient = None
+        self._seen = None       # the walk's echelon: image + walked kernel
+        self._walked = 0        # kernel vectors walked
+        self._grown = []        # image vectors added since the last walk
 
     def add_outgoing(self, col: dict):
-        if self.kernel.append(col):
-            self._quotient = None
+        self.kernel.append(col)
 
     def add_incoming(self, col: dict):
         if self.image.add(col):
-            self._quotient = None
+            self._grown.append(col)
 
     def quotient(self) -> QuotientSpace:
-        if self._quotient is None:
-            self._quotient = _kernel_mod(self.image.copy(), self.kernel.basis)
-        return self._quotient
+        basis, quot = self.kernel.basis, self._quotient
+        if quot is not None and not self._grown and self._walked == len(basis):
+            return quot
+        reps = self._kept()
+        if reps is None:
+            self._seen, self._walked, reps = self.image.copy(), 0, []
+        _walk(self._seen, basis[self._walked:], reps)
+        self._walked, self._grown = len(basis), []
+        quot = QuotientSpace(self.image.field, reps, self.image.copy())
+        self._quotient = _checked(quot, basis)
+        return quot
+
+    def _kept(self):
+        """The last quotient's representatives that stay, or None when
+        the walk must start again."""
+        quot, grown = self._quotient, self._grown
+        if quot is None or len(grown) > 1:
+            return None
+        if not grown:
+            return list(quot.representatives)
+        try:
+            coords = quot.project(grown[0])
+        except ContainmentError:    # it needs a new kernel vector
+            return None
+        return quot.representatives[1:] if list(coords) == [0] else None
 
 
 def quotient_by(field: FieldSpec, span, sub) -> QuotientSpace:

@@ -18,17 +18,18 @@ call, a :class:`~dgreg.linalg.KernelModImage`: a column echelon of its
 outgoing differential, whose rows record the columns they combine, and
 an echelon of its incoming one.  Each new cell's column enters its own
 degree's kernel state and the next degree's image once, and a degree's
-H is taken again only after its kernel basis or image grew; a kill at
-degree j adds cells only in P-degrees >= j, so only cone degrees
->= j - 1 can change.
+H is taken again only after its kernel basis or image grew, going on
+from the last one where it can; a kill at degree j adds cells only in
+P-degrees >= j, so only cone degrees >= j - 1 can change.
 
 This cannot change a representative.  Old columns never change, so an
 old cocycle keeps its kernel vector; a new cell's kernel vector is the
 unique one that is 1 at its column, 0 at the other dependent columns and
 supported on earlier independent ones, which is what elimination of the
-whole degree gives; and the image echelon is the unique reduced echelon
-form of its span.  So every class is the one ``cohomology`` of the
-rebuilt cone would choose.
+whole degree gives; the image echelon is the unique reduced echelon
+form of its span; and a quotient that goes on from the last one equals
+the one ``complement`` takes from scratch.  So every class is the one
+``cohomology`` of the rebuilt cone would choose.
 """
 
 from __future__ import annotations

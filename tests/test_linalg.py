@@ -384,12 +384,29 @@ def _exact(vectors):
 def test_growing_kernel_and_image_match_elimination_from_scratch(field, data):
     """A complex position grown in batches of appended columns, whose
     rows may grow too (old columns stay zero there), as in the resolver:
-    after every batch the kernel basis, the image echelon and the
-    quotient are those computed from scratch, and no quotient handed out
-    earlier changes."""
+    after every batch the kernel basis, the image echelon and every
+    quotient taken are those computed from scratch, and no quotient
+    handed out earlier changes."""
     h = KernelModImage(field)
     outgoing, incoming, nrows, taken = [], [], 0, []
     entry = st.integers(-4, 4).map(field.coerce)
+
+    def combo(vectors):
+        out = {}
+        for v in vectors:
+            c = data.draw(entry)
+            for i, x in v.items():
+                out[i] = field.add(out.get(i, field.zero()), field.mul(c, x))
+        return out
+
+    def take():
+        ref = kernel_mod_image(field, len(outgoing), sparse_transpose(outgoing, nrows), incoming)
+        q = h.quotient()
+        assert _exact(q.representatives) == _exact(ref.representatives)
+        assert _exact(q.sub.rows) == _exact(ref.sub.rows)
+        taken.append((q, _exact(q.representatives), _exact(q.sub.rows)))
+        return ref
+
     for _ in range(data.draw(st.integers(1, 4))):
         nrows += data.draw(st.integers(0, 3))
         for _ in range(data.draw(st.integers(0, 5))):
@@ -403,25 +420,22 @@ def test_growing_kernel_and_image_match_elimination_from_scratch(field, data):
                        for _ in range(data.draw(st.integers(1, 3)))}
             outgoing.append(col)
             h.add_outgoing(col)
-        n = len(outgoing)
-        rows = sparse_transpose(outgoing, nrows)
-        want = Echelon.spanned_by(field, n, rows).kernel()
+        want = Echelon.spanned_by(field, len(outgoing), sparse_transpose(outgoing, nrows)).kernel()
         assert _exact(h.kernel.basis) == _exact(want)
-        # coboundaries: combinations of cocycles, so the image is inside
+        ref = take()
+        # coboundaries, so the image stays inside the kernel: combinations
+        # of cocycles, or a multiple of the first class plus old coboundaries
         for _ in range(data.draw(st.integers(0, 3))):
-            col = {}
-            for v in want:
-                c = data.draw(entry)
-                for i, x in v.items():
-                    col[i] = field.add(col.get(i, field.zero()), field.mul(c, x))
+            if ref.representatives and data.draw(st.booleans()):
+                col = combo(ref.representatives[:1] + incoming)
+            else:
+                col = combo(want)
             incoming.append(col)
             h.add_incoming(col)
-        assert _exact(h.image.rows) == _exact(Echelon.spanned_by(field, n, incoming).rows)
-        q = h.quotient()
-        ref = kernel_mod_image(field, n, rows, incoming)
-        assert _exact(q.representatives) == _exact(ref.representatives)
-        assert _exact(q.sub.rows) == _exact(ref.sub.rows)
-        taken.append((q, _exact(q.representatives), _exact(q.sub.rows)))
+            assert _exact(h.image.rows) == _exact(
+                Echelon.spanned_by(field, len(outgoing), incoming).rows)
+            if data.draw(st.booleans()):
+                ref = take()
     for q, reps, sub in taken:
         assert (_exact(q.representatives), _exact(q.sub.rows)) == (reps, sub)
 

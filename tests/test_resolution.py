@@ -576,11 +576,11 @@ def _spy_on_cone_state(monkeypatch):
     cone degree's echelon state, and every time a degree's H is taken
     afresh.  ``states`` lists the per-degree states in creation order,
     one per cone degree from one below the window up."""
-    from dgreg import linalg, resolution
+    from dgreg import resolution
     from dgreg.linalg import KernelModImage
 
-    built, events, states, asking = [], [], [], []
-    cell, kernel_mod = resolution._ledger_cell, linalg._kernel_mod
+    built, events, states, last = [], [], [], {}
+    cell = resolution._ledger_cell
     init, outgoing, incoming, quotient = (
         KernelModImage.__init__, KernelModImage.add_outgoing, KernelModImage.add_incoming,
         KernelModImage.quotient)
@@ -602,18 +602,13 @@ def _spy_on_cone_state(monkeypatch):
         incoming(self, col)
 
     def spy_quotient(self):
-        asking.append(self)
-        try:
-            return quotient(self)
-        finally:
-            asking.pop()
-
-    def spy_kernel_mod(image, kernel):
-        events.append(("take", asking[-1], None))
-        return kernel_mod(image, kernel)
+        quot = quotient(self)
+        if quot is not last.get(id(self)):
+            events.append(("take", self, None))
+            last[id(self)] = quot
+        return quot
 
     monkeypatch.setattr(resolution, "_ledger_cell", spy_cell)
-    monkeypatch.setattr(linalg, "_kernel_mod", spy_kernel_mod)
     monkeypatch.setattr(KernelModImage, "__init__", spy_init)
     monkeypatch.setattr(KernelModImage, "add_outgoing", spy_outgoing)
     monkeypatch.setattr(KernelModImage, "add_incoming", spy_incoming)
