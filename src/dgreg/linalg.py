@@ -412,13 +412,13 @@ class KernelModImage:
         if quot is not None and not self._grown and self._walked == len(basis):
             return quot
         reps = self._kept()
+        self._quotient = None   # a failed check below starts the next walk afresh
         if reps is None:
             self._seen, self._walked, reps = self.image.copy(), 0, []
         _walk(self._seen, basis[self._walked:], reps)
         self._walked, self._grown = len(basis), []
-        quot = QuotientSpace(self.image.field, reps, self.image.copy())
-        self._quotient = _checked(quot, basis)
-        return quot
+        self._quotient = _checked(QuotientSpace(self.image.field, reps, self.image.copy()), basis)
+        return self._quotient
 
     def _kept(self):
         """The last quotient's representatives that stay, or None when

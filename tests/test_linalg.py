@@ -440,6 +440,17 @@ def test_growing_kernel_and_image_match_elimination_from_scratch(field, data):
         assert (_exact(q.representatives), _exact(q.sub.rows)) == (reps, sub)
 
 
+def test_growing_quotient_keeps_rejecting_an_image_outside_the_kernel():
+    h = KernelModImage(QQ)
+    h.add_outgoing({})
+    h.add_outgoing({0: QQ.one()})
+    assert h.quotient().representatives == [{0: QQ.one()}]
+    h.add_incoming({1: QQ.one()})
+    for _ in range(2):
+        with pytest.raises(ContainmentError):
+            h.quotient()
+
+
 def _ref_cohomology(X):
     """dims and reps from dense diff matrices built with to_vector."""
     F = X.field
