@@ -340,7 +340,7 @@ def _generators(A: DGAlgebra):
     for n in A.degrees():
         if n < 1:
             continue
-        decomposables = Echelon(A.field, A.dim(n))
+        decomposables = Echelon(A.field)
         for a, da in positive:
             if da >= n:
                 break
@@ -458,6 +458,6 @@ def validate_automorphism(alpha: AlgebraAutomorphism) -> ValidationReport:
         if not shifted.isdisjoint(lbls) or not unknown.isdisjoint(lbls):
             continue
         rows = [A.coords(alpha.images.get(b, {b: F.one()}), d) for b in lbls]
-        if len(Echelon.spanned_by(F, len(lbls), rows)) != len(lbls):
+        if len(Echelon.spanned_by(F, rows)) != len(lbls):
             out.append(Violation("invertible", tuple(lbls), f"not invertible in degree {d}"))
     return ValidationReport("automorphism", out)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .algebra import DGAlgebra, validate_algebra, validate_automorphism
 from .catalog import ALGEBRA_FAMILIES, document_text
 from .fields import QQ, GF
+from .linalg import ContainmentError
 from .module import SideError, cohomology, validate_module
 from .resolution import DegenerateWindowError, ext_reg, koszul_test, semifree_resolve
 from .textformat import ParseError, emit_module, parse_document, parse_combination
@@ -412,9 +413,9 @@ def main(argv=None) -> int:
         if args.row is None:
             return args.fn(args)
         return args.row.handler(args, *_inputs(args.row, args))
-    except (SystemExit2, SideError, DegenerateWindowError) as exc:
-        # bad input: a module without the left action the command needs,
-        # or a window too narrow to certify any cohomology
+    except (SystemExit2, SideError, DegenerateWindowError, ContainmentError) as exc:
+        # bad input: a module without the left action the command needs, a
+        # window too narrow to certify any cohomology, or d^2 != 0
         print(f"error: {exc}", file=sys.stderr)
         return USAGE
     except UnsupportedRegimeError as exc:

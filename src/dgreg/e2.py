@@ -8,9 +8,9 @@ computed degreewise: the Cech complex on parameters x_1..x_c is the
 colimit of the Koszul cochain complexes on x_1^t..x_c^t, and each entry
 is read off at the deepest stage the window supports, certified when one
 more stage induces an isomorphism on cohomology.  Every map is a list of
-sparse columns over the cohomology bases of H(M), and every stage's
-cohomology goes through the same kernel/image/quotient routine as
-:func:`dgreg.module.cohomology`.
+sparse columns over the cohomology bases of H(M), and each stage's
+positions are read from :func:`dgreg.linalg.kernel_mod_images`, fed
+with those columns as :func:`dgreg.module.cohomology` feeds a module's.
 
 The abutment is H(Gamma M), so max(l + s) over the nonzero entries is an
 upper bound for the CM regularity, exact when the sequence degenerates.
@@ -23,7 +23,7 @@ from itertools import combinations
 
 from .algebra import DGAlgebra
 from .lincomb import cclean, cextend
-from .linalg import ContainmentError, Echelon, QuotientSpace, kernel_mod_image, sparse_transpose
+from .linalg import ContainmentError, Echelon, kernel_mod_images
 from .module import DGModule, cohomology, left_restriction
 from .resolution import RegularityValue
 
@@ -147,20 +147,20 @@ def _koszul_stage(h: HModule, params, s: int, t: int):
 
     Position l is the sum of H^{s + t*e_S} over the l-subsets S of the
     parameters in ``combinations`` order, e_S the sum of their degrees.
-    Returns (dims, diffs): dims[l] is the dimension at position l and
-    diffs[l] the sparse columns of the differential into position l+1,
-    which sends the S block to the S + {j} block by (-1)^p x_j^t, p the
-    place of j in S + {j}."""
+    Returns diffs: diffs[l] holds the sparse columns of the differential
+    out of position l, one per basis element, which sends the S block to
+    the S + {j} block by (-1)^p x_j^t, p the place of j in S + {j}; at
+    the top position c every column is zero."""
     F = h.field
     c = len(params)
-    dims, offsets = {}, {}
+    offsets = {}
     for l in range(c + 1):
-        dims[l] = 0
+        n = 0
         for S in combinations(range(c), l):
-            offsets[S] = dims[l]
-            dims[l] += h.dim(s + t * _weight(params, S))
+            offsets[S] = n
+            n += h.dim(s + t * _weight(params, S))
     diffs = {}
-    for l in range(c):
+    for l in range(c + 1):
         cols = diffs[l] = []
         for S in combinations(range(c), l):
             deg = s + t * _weight(params, S)
@@ -173,7 +173,7 @@ def _koszul_stage(h: HModule, params, s: int, t: int):
             for k in range(h.dim(deg)):
                 cols.append({off + i: F.mul(sgn, y)
                              for off, sgn, power in blocks for i, y in power[k].items()})
-    return dims, diffs
+    return diffs
 
 
 def _weight(params, S) -> int:
@@ -190,11 +190,6 @@ def _product_columns(h: HModule, factors, s: int) -> list:
         cols = [cextend(F, c, step.__getitem__) for c in cols]
         s += d
     return cols
-
-
-def _stage_cohomology(F, dims, diffs, l) -> QuotientSpace:
-    rows = sparse_transpose(diffs.get(l, []), dims.get(l + 1, 0))
-    return kernel_mod_image(F, dims[l], rows, diffs.get(l - 1, []))
 
 
 # the deepest Koszul stage x^t a page entry is read at
@@ -265,18 +260,19 @@ def cech_e2(A: DGAlgebra, M: DGModule, params) -> E2Page:
                   for S in combinations(range(c), l)]
         if not all(h.known(dd) for dd in set(needed)):
             continue
+        positions = range(c + 1)
         try:
-            dims_a, diffs_a = _koszul_stage(h, norm_params, s, T)
+            stage_a = kernel_mod_images(F, positions, _koszul_stage(h, norm_params, s, T).__getitem__)
         except E2PreconditionError:
             continue
         stable_ok = T >= 2
         if stable_ok:
-            dims_b, diffs_b = _koszul_stage(h, norm_params, s, T - 1)
-        for l in range(c + 1):
-            quot_a = _stage_cohomology(F, dims_a, diffs_a, l)
+            stage_b = kernel_mod_images(F, positions, _koszul_stage(h, norm_params, s, T - 1).__getitem__)
+        for l in positions:
+            quot_a = stage_a[l].quotient()
             is_cert = False
             if stable_ok:
-                quot_b = _stage_cohomology(F, dims_b, diffs_b, l)
+                quot_b = stage_b[l].quotient()
                 is_cert = _transition_iso(h, norm_params, s, T - 1, l, quot_b, quot_a)
             if quot_a.dim:
                 if is_cert:
@@ -291,7 +287,7 @@ def cech_e2(A: DGAlgebra, M: DGModule, params) -> E2Page:
         n = h.dim(s)
         if n == 0:
             continue
-        img = Echelon(F, n)
+        img = Echelon(F)
         for x, d in norm_params:
             if h.dim(s - d) == 0:
                 continue
@@ -321,7 +317,7 @@ def _transition_iso(h, params, s, t, l, quot_from, quot_to) -> bool:
         for col in _product_columns(h, [params[i] for i in S], deg):
             columns.append({off + i: y for i, y in col.items()})
         off += h.dim(deg + _weight(params, S))
-    image = Echelon(F, quot_to.dim)
+    image = Echelon(F)
     for rep in quot_from.representatives:
         try:
             image.add(quot_to.project(cextend(F, rep, columns.__getitem__)))

@@ -10,13 +10,17 @@ holding only the nonzero entries.  An :class:`Echelon` stores its rows
 that way, and reduction, insertion and membership visit only nonzero
 entries.  The ground field is dispatched once per elimination step
 (plain ``int`` arithmetic mod p, or ``Fraction`` over Q) rather than
-once per entry.  :func:`kernel_mod_image` is the one kernel/image/quotient
-routine: cohomology of presentations and of Koszul complexes both go
-through it.  :class:`KernelModImage` is its counterpart for a complex
-that grows by appended columns: it keeps the kernel (through the column
-combinations recorded by a :class:`KernelEchelon`) and the image across
-the growth.  The reduced echelon form is unique, so every result equals
-what dense elimination gives.
+once per entry.
+
+Cohomology is computed one way only.  :func:`kernel_mod_images` feeds
+the sparse differential columns of a cochain complex, one per basis
+element, into a :class:`KernelModImage` per degree: each column goes out
+of its own degree, where a :class:`KernelEchelon` turns the columns that
+reduce to zero into kernel vectors, and into the next degree's image.
+Module cohomology, the Koszul stages of the E2 page and the resolver's
+growing cone all read their quotients from these states.  The reduced
+echelon form is unique, so every result equals what dense elimination
+gives.
 """
 
 from __future__ import annotations
@@ -84,15 +88,6 @@ def dense(field: FieldSpec, vec: dict, n: int) -> tuple:
     return tuple(out)
 
 
-def sparse_transpose(columns, nrows: int) -> list:
-    """Rows of the matrix with the given sparse columns."""
-    rows = [{} for _ in range(nrows)]
-    for j, col in enumerate(columns):
-        for i, x in col.items():
-            rows[i][j] = x
-    return rows
-
-
 def _axpy(v: dict, c, row: dict, p: int):
     """v -= c * row in place (mod p when p), dropping entries that cancel."""
     if p:
@@ -133,16 +128,15 @@ class Echelon:
     unit pivots, in pivot order.
     """
 
-    def __init__(self, field: FieldSpec, dim: int):
+    def __init__(self, field: FieldSpec):
         self.field = field
-        self.dim = dim
         self.rows: list = []
         self.pivots: list = []
         self._row_at: dict = {}     # pivot column -> its row
 
     @classmethod
-    def spanned_by(cls, field: FieldSpec, dim: int, vectors) -> "Echelon":
-        ech = cls(field, dim)
+    def spanned_by(cls, field: FieldSpec, vectors) -> "Echelon":
+        ech = cls(field)
         for v in vectors:
             ech.add(v)
         return ech
@@ -151,7 +145,7 @@ class Echelon:
         return len(self.rows)
 
     def copy(self) -> "Echelon":
-        out = Echelon(self.field, self.dim)
+        out = Echelon(self.field)
         out.rows = [dict(r) for r in self.rows]
         out.pivots = list(self.pivots)
         out._row_at = dict(zip(out.pivots, out.rows))
@@ -197,28 +191,6 @@ class Echelon:
         self._row_at[q] = v
         return v
 
-    def kernel(self) -> list:
-        """Sparse basis of the vectors orthogonal to every stored row.
-
-        One vector per free column, in column order, with a 1 in the free
-        coordinate: row r reads x_q + sum_{c > q} a_c x_c = 0 for its
-        pivot q, so x_q = -a_c when only x_c is set.
-        """
-        F = self.field
-        p, one = F.p, F.one()
-        by_free: dict = {}
-        for q, row in zip(self.pivots, self.rows):
-            for c, x in row.items():
-                if c != q:
-                    by_free.setdefault(c, {})[q] = (-x) % p if p else -x
-        out = []
-        for c in range(self.dim):
-            if c not in self._row_at:
-                v = {c: one}
-                v.update(by_free.get(c, {}))
-                out.append(v)
-        return out
-
 
 class KernelEchelon:
     """The kernel of a matrix that grows by appended sparse columns.
@@ -229,8 +201,12 @@ class KernelEchelon:
     reduces to zero thus yields its kernel vector at once: 1 at its own
     index minus the combination that cancelled it, which lies on earlier
     independent columns.  That vector is unique, so ``basis`` is always
-    ``Echelon.spanned_by(rows).kernel()`` of the matrix so far, vector
-    for vector, and old columns keep their vectors as the matrix grows.
+    the kernel basis that leftmost-pivot elimination of the matrix's rows
+    gives: one vector per column that depends on the earlier ones, in
+    column order, 1 there and 0 at the other dependent columns.  Old
+    columns keep their vectors as the matrix grows.  Only appended
+    columns are seen, so a basis element whose column is never appended,
+    even an all-zero one, gets no kernel vector.
     """
 
     def __init__(self, field: FieldSpec):
@@ -283,7 +259,7 @@ def row_reduce(m: Matrix) -> RowReduction:
     row space, with its zero rows last.
     """
     F = m.field
-    ech = Echelon.spanned_by(F, m.ncols, [sparse(row) for row in m.rows])
+    ech = Echelon.spanned_by(F, [sparse(row) for row in m.rows])
     zero_row = (F.zero(),) * m.ncols
     rows = tuple(dense(F, r, m.ncols) for r in ech.rows) + (zero_row,) * (m.nrows - len(ech))
     return RowReduction(Matrix(F, m.nrows, m.ncols, rows), len(ech), tuple(ech.pivots))
@@ -330,20 +306,11 @@ class QuotientSpace:
         return coords
 
 
-def complement(sub: Echelon, vectors) -> QuotientSpace:
-    """Quotient of span(sub + vectors) by sub.
-
-    Walks the sparse vectors in order and keeps the residual of each one
-    that enlarges the span, scaled to a unit leading coefficient.  Later
-    pushes reduce the stored rows in place, so each representative is a
-    copy of its row as pushed.
-    """
-    return QuotientSpace(sub.field, _walk(sub.copy(), vectors, []), sub)
-
-
 def _walk(seen: Echelon, vectors, reps: list) -> list:
-    """The walk of :func:`complement`: push into ``seen`` each vector that
-    enlarges it, appending its residual as pushed to ``reps``."""
+    """Push into ``seen`` each vector that enlarges it, appending its
+    residual as pushed, scaled to a unit leading coefficient, to
+    ``reps``.  Later pushes reduce the stored rows in place, so each
+    representative is a copy of its row as pushed."""
     for v in vectors:
         residual = seen.reduce(v)
         if residual:
@@ -351,50 +318,32 @@ def _walk(seen: Echelon, vectors, reps: list) -> list:
     return reps
 
 
-def kernel_mod_image(field: FieldSpec, n: int, rows, columns) -> QuotientSpace:
-    """The kernel of the map with the given sparse rows modulo the span
-    of the given sparse columns, in k^n: the cohomology of a complex at
-    a position, given the rows of its outgoing differential and the
-    columns of its incoming one.
-
-    The kernel basis comes off the pivots of the rows, the image is the
-    echelon of the columns, and the representatives are the kernel
-    vectors that enlarge the image, in order.  Raises
-    :class:`ContainmentError` when the image is not inside the kernel.
-    """
-    kernel = Echelon.spanned_by(field, n, rows).kernel()
-    return _checked(complement(Echelon.spanned_by(field, n, columns), kernel), kernel)
-
-
-def _checked(quot: QuotientSpace, kernel: list) -> QuotientSpace:
-    # the kernel vectors are independent, so the span grows past them
-    # exactly when some image vector lies outside it
-    if len(quot.sub) + quot.dim != len(kernel):
-        raise ContainmentError("sub vector outside the ambient span")
-    return quot
-
-
 class KernelModImage:
-    """:func:`kernel_mod_image` at a position of a complex that grows by
-    appended basis vectors, whose old columns never change.
+    """The cohomology at one position of a cochain complex, which may
+    grow by appended basis vectors whose old columns never change.
 
-    The outgoing columns go into a :class:`KernelEchelon` and the
-    incoming ones into an :class:`Echelon`, each once.  The quotient is
-    taken again only after the kernel basis or the image grew, and each
-    one handed out keeps a copy of the image as its ``sub``, so later
-    growth leaves it as it was.  A new quotient goes on from the last
-    one where the walk of :func:`complement` allows: new kernel vectors
-    continue the walk, and an image vector that is a multiple of the
-    first representative modulo the old image only drops that
-    representative, because the walk's echelons from its kernel vector
-    on span what they spanned.  Otherwise the walk starts again.  Both
-    bases are the ones elimination from scratch gives, so the quotient
-    is too.
+    The outgoing columns, one per basis element, go into a
+    :class:`KernelEchelon` and the incoming ones into an
+    :class:`Echelon`, each once.  The quotient walks the kernel basis in
+    order on top of the image echelon and keeps, scaled to a unit
+    leading entry, the residual of each kernel vector that enlarges the
+    span.  Raises :class:`ContainmentError` when the image is not inside
+    the kernel, that is when d^2 != 0.
+
+    The quotient is taken again only after the kernel basis or the image
+    grew, and each one handed out keeps a copy of the image as its
+    ``sub``, so later growth leaves it as it was.  A new quotient goes on
+    from the last one where the walk allows: new kernel vectors continue
+    the walk, and an image vector that is a multiple of the first
+    representative modulo the old image only drops that representative,
+    because the walk's echelons from its kernel vector on span what they
+    spanned.  Otherwise the walk starts again.  Both bases are the ones
+    elimination from scratch gives, so the quotient is too.
     """
 
     def __init__(self, field: FieldSpec):
         self.kernel = KernelEchelon(field)
-        self.image = Echelon(field, 0)
+        self.image = Echelon(field)
         self._quotient = None
         self._seen = None       # the walk's echelon: image + walked kernel
         self._walked = 0        # kernel vectors walked
@@ -417,7 +366,11 @@ class KernelModImage:
             self._seen, self._walked, reps = self.image.copy(), 0, []
         _walk(self._seen, basis[self._walked:], reps)
         self._walked, self._grown = len(basis), []
-        self._quotient = _checked(QuotientSpace(self.image.field, reps, self.image.copy()), basis)
+        # the kernel vectors are independent, so the walk's span grows past
+        # them exactly when some image vector lies outside the kernel
+        if len(self.image) + len(reps) != len(basis):
+            raise ContainmentError("d^2 != 0: a coboundary lies outside the cocycles")
+        self._quotient = QuotientSpace(self.image.field, reps, self.image.copy())
         return self._quotient
 
     def _kept(self):
@@ -442,18 +395,31 @@ def quotient_by(field: FieldSpec, span, sub) -> QuotientSpace:
     Raises :class:`ContainmentError` unless sub is contained in the
     ambient span.
     """
-    if span:
-        n = len(span[0])
-    elif sub:
-        n = len(sub[0])
-    else:
-        n = 0
     span = [sparse(v) for v in span]
-    amb = Echelon.spanned_by(field, n, span)
-    sub_ech = Echelon(field, n)
+    amb = Echelon.spanned_by(field, span)
+    sub_ech = Echelon(field)
     for v in sub:
         v = sparse(v)
         if not amb.contains(v):
             raise ContainmentError("sub vector outside the ambient span")
         sub_ech.add(v)
-    return complement(sub_ech, span)
+    return QuotientSpace(field, _walk(sub_ech.copy(), span, []), sub_ech)
+
+
+def kernel_mod_images(field: FieldSpec, degrees, columns) -> dict:
+    """``{d: KernelModImage}`` over ``degrees`` for the cochain complex
+    whose differential out of degree d has the sparse columns
+    ``columns(d)``, one per basis element of degree d.
+
+    Each column goes once out of its own degree and once into the next
+    one, when that degree is in ``degrees``.  A degree with a basis needs
+    its columns even where they are all zero, as at the top of a
+    complex: its kernel vectors come only from the columns fed to it.
+    """
+    state = {d: KernelModImage(field) for d in degrees}
+    for d in degrees:
+        for col in columns(d):
+            state[d].add_outgoing(col)
+            if d + 1 in state:
+                state[d + 1].add_incoming(col)
+    return state

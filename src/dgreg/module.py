@@ -23,7 +23,7 @@ from .algebra import (
 )
 from .fields import FieldSpec
 from .lincomb import ceq, cclean, cextend, cscale, czero
-from .linalg import Echelon, Matrix, QuotientSpace, kernel_mod_image, sparse_transpose
+from .linalg import Echelon, Matrix, QuotientSpace, kernel_mod_images
 from .windows import GLOBAL_DEGREE_BOUND, GradedWindow, Trust, WindowError
 
 LEFT, RIGHT, BI = "left", "right", "bi"
@@ -205,7 +205,7 @@ class CohomologyReport:
     def quotient(self, d: int) -> QuotientSpace:
         """H^d as a quotient space; the zero space at a degree with no basis."""
         q = self.quotients.get(d)
-        return q if q is not None else QuotientSpace(self.field, [], Echelon(self.field, 0))
+        return q if q is not None else QuotientSpace(self.field, [], Echelon(self.field))
 
     def dim(self, d: int) -> int:
         return self.dims.get(d, 0)
@@ -255,8 +255,8 @@ def _ext_json(v):
 
 def cohomology(X) -> CohomologyReport:
     """Degreewise cocycles modulo coboundaries with echelonized
-    representatives.  Each degree's differential columns are read once:
-    they are the outgoing map at d and the incoming one at d + 1.  Raises
+    representatives, read from :func:`~dgreg.linalg.kernel_mod_images`
+    fed with each degree's differential columns.  Raises
     :class:`~dgreg.linalg.ContainmentError` when d^2 != 0 puts a
     coboundary outside the cocycles.
 
@@ -266,16 +266,9 @@ def cohomology(X) -> CohomologyReport:
     window = X.window
     if isinstance(X, DGAlgebra):
         window = GradedWindow(min(0, window.lo), window.hi)
-    dims, quotients = {}, {}
-    incoming = diff_columns(X, window.lo - 1)
-    for d in window.degrees():
-        outgoing = diff_columns(X, d)
-        if X.dim(d):
-            rows = sparse_transpose(outgoing, X.dim(d + 1))
-            quot = quotients[d] = kernel_mod_image(X.field, X.dim(d), rows, incoming)
-            if quot.dim:
-                dims[d] = quot.dim
-        incoming = outgoing
+    state = kernel_mod_images(X.field, window.degrees(), lambda d: diff_columns(X, d))
+    quotients = {d: s.quotient() for d, s in state.items() if X.dim(d)}
+    dims = {d: q.dim for d, q in quotients.items() if q.dim}
     return CohomologyReport(X.name, dims, quotients, _h_certified(X.trust), window, X.field)
 
 

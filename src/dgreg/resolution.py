@@ -16,11 +16,14 @@ the ledger, so their cells come last in each degree and no old cone
 position, column or trust bound moves.  Each cone degree keeps, for one
 call, a :class:`~dgreg.linalg.KernelModImage`: a column echelon of its
 outgoing differential, whose rows record the columns they combine, and
-an echelon of its incoming one.  Each new cell's column enters its own
-degree's kernel state and the next degree's image once, and a degree's
-H is taken again only after its kernel basis or image grew, going on
-from the last one where it can; a kill at degree j adds cells only in
-P-degrees >= j, so only cone degrees >= j - 1 can change.
+an echelon of its incoming one.  The states start from
+:func:`~dgreg.linalg.kernel_mod_images` fed with M's differential
+columns, so stage 0 is the computation ``cohomology(M)`` makes.  Each
+new cell's column then enters its own degree's kernel state and the
+next degree's image once, and a degree's H is taken again only after
+its kernel basis or image grew, going on from the last one where it
+can; a kill at degree j adds cells only in P-degrees >= j, so only cone
+degrees >= j - 1 can change.
 
 This cannot change a representative.  Old columns never change, so an
 old cocycle keeps its kernel vector; a new cell's kernel vector is the
@@ -28,8 +31,8 @@ unique one that is 1 at its column, 0 at the other dependent columns and
 supported on earlier independent ones, which is what elimination of the
 whole degree gives; the image echelon is the unique reduced echelon
 form of its span; and a quotient that goes on from the last one equals
-the one ``complement`` takes from scratch.  So every class is the one
-``cohomology`` of the rebuilt cone would choose.
+the walk taken from scratch.  So every class is the one ``cohomology``
+of the rebuilt cone would choose.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .ledger import Generator, SemifreeResolution, is_minimal_ledger
 from .homtensor import (_free_bimodule, _generator_trust, _ledger_cell, _tensor_rules, ledger_cells,
                         realize_ledger, tensor_module_ledger)
 from .lincomb import cclean, cneg
-from .linalg import KernelModImage
+from .linalg import kernel_mod_images
 from .module import (
     DGModule,
     LEFT,
@@ -178,7 +181,7 @@ def semifree_resolve(M: DGModule, max_stages: int = 8) -> SemifreeResolution:
     # and ``p_trust`` is |P|'s
     cells: dict = {}
     pos: dict = {}
-    state = {d: KernelModImage(F) for d in range(W.lo - 1, W.hi + 2)}
+    state = kernel_mod_images(F, range(W.lo - 1, W.hi + 2), lambda d: diff_columns(M, d))
     p_trust = Trust.everywhere()
 
     def dim(d):
@@ -187,10 +190,6 @@ def semifree_resolve(M: DGModule, max_stages: int = 8) -> SemifreeResolution:
     def add_column(d, col):
         state[d].add_outgoing(col)
         state[d + 1].add_incoming(col)
-
-    for d in range(W.lo - 1, W.hi + 1):
-        for col in diff_columns(M, d):
-            add_column(d, col)
 
     for stage in range(max_stages + 1):
         cone_trust = p_trust.shift(1).meet(M.trust)

@@ -317,7 +317,7 @@ def parse_document(text: str) -> Document:
             labels = [t.strip() for t in m.group(2).split(",")]
             if any(not _label_re.fullmatch(t) for t in labels):
                 raise ParseError(line_no, 0, "bad label in basis list")
-            if current.kind in _MODULES and not current.window.contains(degree):
+            if not current.window.contains(degree):
                 raise ParseError(line_no, 0, f"basis degree {degree} outside window {current.window}")
             current.add_basis(degree, labels, line_no)
             continue

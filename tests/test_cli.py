@@ -98,6 +98,18 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     for cmd in needs_left:
         assert main([cmd, str(odd), "--module", "W"]) == 2, cmd
         assert capsys.readouterr().err == "error: window 0..0 cannot certify any cohomology\n"
+    # a differential that does not square to zero: exit 1 stays for the
+    # commands that validate first and report the violation
+    bad = tmp_path / "bad.dg"
+    bad.write_text(LAMBDA_DOC + "\nmodule B over Lambda side left window 0..4\n"
+                   "basis 0: x\nbasis 1: y\nbasis 2: z\nact one x = x\nact one y = y\n"
+                   "act one z = z\ndiff x = y\ndiff y = z\n")
+    for cmd in needs_left + ["e2"]:
+        assert main([cmd, str(bad), "--module", "B"]) == 2, cmd
+        assert capsys.readouterr().err == "error: d^2 != 0: a coboundary lies outside the cocycles\n"
+    for argv in (["cohomology", str(bad), "--module", "B"], ["validate", str(bad)]):
+        assert main(argv) == 1, argv
+        assert "d-squared" in capsys.readouterr().out
     # a lookup that finds nothing says what is missing, unquoted
     alg = tmp_path / "alg.dg"
     alg.write_text("algebra A over Q window 0..2\nbasis 0: one\nunit one\nmul one one = one\n")

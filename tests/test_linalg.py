@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgreg.algebra import DGAlgebra, diff_columns
-from dgreg.catalog import catalog_pairs, ground_field_algebra
+from dgreg.catalog import catalog_pairs, ground_field_algebra, polynomial_algebra
+from dgreg.e2 import HModule, _koszul_stage
 from dgreg.fields import QQ, GF, FieldMismatchError
 from dgreg.lincomb import to_vector
 from dgreg.linalg import (
-    ContainmentError, Echelon, KernelModImage, Matrix, dense, kernel_mod_image, quotient_by,
-    row_reduce, sparse, sparse_transpose,
+    ContainmentError, Echelon, KernelEchelon, KernelModImage, Matrix, dense, kernel_mod_images,
+    quotient_by, row_reduce, sparse,
 )
-from dgreg.module import DGModule, cohomology, left_restriction
+from dgreg.module import DGModule, cohomology, free_module, left_restriction
 from dgreg.resolution import _cone, semifree_resolve
 from dgreg.windows import GradedWindow
 
@@ -54,14 +55,28 @@ def _rows(m):
     return [sparse(row) for row in m.rows]
 
 
+def _columns(m):
+    """The columns of m as sparse vectors, one per column even when m has
+    no rows."""
+    return [sparse(row[j] for row in m.rows) for j in range(m.ncols)]
+
+
+def _kernel_basis(field, columns) -> list:
+    """The kernel basis a KernelEchelon learns from the sparse columns."""
+    ker = KernelEchelon(field)
+    for col in columns:
+        ker.append(col)
+    return ker.basis
+
+
 def _kernel(m):
-    """Echelon.kernel() of the rows of m, as dense vectors."""
-    return [dense(m.field, v, m.ncols) for v in Echelon.spanned_by(m.field, m.ncols, _rows(m)).kernel()]
+    """The kernel basis of m from its columns, as dense vectors."""
+    return [dense(m.field, v, m.ncols) for v in _kernel_basis(m.field, _columns(m))]
 
 
 def _image(m):
     """The echelon of the columns of m, as dense vectors."""
-    ech = Echelon.spanned_by(m.field, m.nrows, _rows(_transpose(m)))
+    ech = Echelon.spanned_by(m.field, _columns(m))
     return [dense(m.field, r, m.nrows) for r in ech.rows]
 
 
@@ -74,7 +89,7 @@ def test_rref_identity():
 def test_kernel_over_f2():
     m = Matrix.from_rows(GF(2), [[1, 1]])
     assert row_reduce(m).rank == 1
-    assert Echelon.spanned_by(GF(2), 2, _rows(m)).kernel() == [{0: 1, 1: 1}]
+    assert _kernel_basis(GF(2), _columns(m)) == [{0: 1, 1: 1}]
 
 
 def test_image_of_nilpotent():
@@ -121,15 +136,15 @@ def test_quotient_of_int_vectors_stays_exact():
 
 
 def test_zero_entries_in_dict_vectors_are_dropped():
-    ech = Echelon(QQ, 1)
+    ech = Echelon(QQ)
     assert not ech.add({0: Fraction(0)})
     assert len(ech) == 0 and not ech.reduce({0: Fraction(0)})
-    q = kernel_mod_image(QQ, 2, [], [])
+    q = kernel_mod_images(QQ, [0], lambda d: [{}, {}])[0].quotient()
     assert q.project({0: Fraction(0), 1: Fraction(3)}) == {1: Fraction(3)}
 
 
 def test_echelon_of_int_vector_stays_exact():
-    ech = Echelon(QQ, 2)
+    ech = Echelon(QQ)
     assert ech.add({0: 2, 1: 1})
     assert ech.rows == [{0: 1, 1: Fraction(1, 2)}]
     assert _no_floats(ech.rows[0].values())
@@ -333,7 +348,7 @@ def test_sparse_quotient_matches_dense_reference(field, data):
 def test_quotient_project_recovers_coordinates(field, data):
     """project(sum c_i rep_i + boundary) is c; a vector off the kernel raises."""
     m = data.draw(sparse_matrices(field))
-    kernel = Echelon.spanned_by(field, m.ncols, _rows(m)).kernel()
+    kernel = [sparse(v) for v in _ref_kernel(m)]
     scalars = st.integers(-3, 3).map(field.coerce)
 
     def draws(n):
@@ -348,7 +363,14 @@ def test_quotient_project_recovers_coordinates(field, data):
         return out
 
     image = [combo(kernel, draws(len(kernel))) for _ in range(data.draw(st.integers(0, 3)))]
-    q = kernel_mod_image(field, m.ncols, _rows(m), image)
+    h = KernelModImage(field)
+    for col in _columns(m):
+        h.add_outgoing(col)
+    for col in image:
+        h.add_incoming(col)
+    q = h.quotient()
+    want = _ref_quotient(field, _ref_kernel(m), [dense(field, v, m.ncols) for v in image])
+    assert repr([dense(field, r, m.ncols) for r in q.representatives]) == repr(want)
     coords = draws(q.dim)
     vec = combo(image + q.representatives, draws(len(image)) + coords)
     assert q.project(vec) == {i: c for i, c in enumerate(coords) if c}
@@ -363,7 +385,7 @@ def test_quotient_project_recovers_coordinates(field, data):
 @given(data=st.data())
 def test_echelon_matches_dense_reference(field, data):
     m = data.draw(sparse_matrices(field))
-    ech, ref = Echelon(field, m.ncols), _RefEchelon(field, m.ncols)
+    ech, ref = Echelon(field), _RefEchelon(field, m.ncols)
     for row in m.rows:
         v = sparse(row)
         assert repr(dense(field, ech.reduce(v), m.ncols)) == repr(ref.reduce(row))
@@ -399,13 +421,19 @@ def test_growing_kernel_and_image_match_elimination_from_scratch(field, data):
                 out[i] = field.add(out.get(i, field.zero()), field.mul(c, x))
         return out
 
+    def dense_all(vectors):
+        return [dense(field, v, len(outgoing)) for v in vectors]
+
     def take():
-        ref = kernel_mod_image(field, len(outgoing), sparse_transpose(outgoing, nrows), incoming)
+        reps = _ref_quotient(field, dense_all(kernel), dense_all(incoming))
         q = h.quotient()
-        assert _exact(q.representatives) == _exact(ref.representatives)
-        assert _exact(q.sub.rows) == _exact(ref.sub.rows)
+        assert repr(dense_all(q.representatives)) == repr(reps)
+        assert repr(dense_all(q.sub.rows)) == repr(image())
         taken.append((q, _exact(q.representatives), _exact(q.sub.rows)))
-        return ref
+        return [sparse(v) for v in reps]
+
+    def image():
+        return _ref_image(Matrix.from_columns(field, len(outgoing), incoming))
 
     for _ in range(data.draw(st.integers(1, 4))):
         nrows += data.draw(st.integers(0, 3))
@@ -420,22 +448,21 @@ def test_growing_kernel_and_image_match_elimination_from_scratch(field, data):
                        for _ in range(data.draw(st.integers(1, 3)))}
             outgoing.append(col)
             h.add_outgoing(col)
-        want = Echelon.spanned_by(field, len(outgoing), sparse_transpose(outgoing, nrows)).kernel()
-        assert _exact(h.kernel.basis) == _exact(want)
-        ref = take()
+        kernel = [sparse(v) for v in _ref_kernel(Matrix.from_columns(field, nrows, outgoing))]
+        assert repr(dense_all(h.kernel.basis)) == repr(dense_all(kernel))
+        reps = take()
         # coboundaries, so the image stays inside the kernel: combinations
         # of cocycles, or a multiple of the first class plus old coboundaries
         for _ in range(data.draw(st.integers(0, 3))):
-            if ref.representatives and data.draw(st.booleans()):
-                col = combo(ref.representatives[:1] + incoming)
+            if reps and data.draw(st.booleans()):
+                col = combo(reps[:1] + incoming)
             else:
-                col = combo(want)
+                col = combo(kernel)
             incoming.append(col)
             h.add_incoming(col)
-            assert _exact(h.image.rows) == _exact(
-                Echelon.spanned_by(field, len(outgoing), incoming).rows)
+            assert repr(dense_all(h.image.rows)) == repr(image())
             if data.draw(st.booleans()):
-                ref = take()
+                reps = take()
     for q, reps, sub in taken:
         assert (_exact(q.representatives), _exact(q.sub.rows)) == (reps, sub)
 
@@ -449,6 +476,41 @@ def test_growing_quotient_keeps_rejecting_an_image_outside_the_kernel():
     for _ in range(2):
         with pytest.raises(ContainmentError):
             h.quotient()
+
+
+def _units(field, n):
+    return [tuple(field.one() if i == j else field.zero() for j in range(n)) for i in range(n)]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_a_position_without_outgoing_map_is_all_cocycles(field):
+    """At a module's window top, and at the last Koszul position of an E2
+    page, the outgoing columns are all zero: the whole space must come
+    out as cocycles, and H as that space modulo the incoming image."""
+    one = field.one()
+    M = DGModule("top", ground_field_algebra(field), "left", GradedWindow(0, 1),
+                 {0: ("x",), 1: ("y", "z")}, {}, {}, {"x": {"y": one}})
+    state = kernel_mod_images(field, M.window.degrees(), lambda d: diff_columns(M, d))
+    assert state[1].kernel.basis == [{0: one}, {1: one}]
+    assert state[1].quotient().representatives == [{1: one}]
+    assert cohomology(M).dims == {1: 1}
+    # a position fed no columns at all learns no cocycles
+    assert kernel_mod_images(field, [0], lambda d: [])[0].quotient().dim == 0
+
+    A = polynomial_algebra(2, field)
+    h = HModule(A, free_module(A, side="bi"))
+    params, tops = [({"t1": one}, 2), ({"t1": one}, 2)], 0
+    for s in range(-6, 3, 2):
+        diffs = _koszul_stage(h, params, s, 1)
+        n = len(diffs[2])
+        assert diffs[2] == [{}] * n
+        top = kernel_mod_images(field, range(3), diffs.__getitem__)[2]
+        assert repr([dense(field, v, n) for v in top.kernel.basis]) == repr(_units(field, n))
+        want = _ref_quotient(field, _units(field, n), [dense(field, c, n) for c in diffs[1]])
+        got = top.quotient().representatives
+        assert repr([dense(field, r, n) for r in got]) == repr(want)
+        tops += len(got)
+    assert tops  # some top position carries cohomology
 
 
 def _ref_cohomology(X):
@@ -542,7 +604,7 @@ def test_explicit_zero_entries_change_nothing(field, data):
         return {**{j: zero for j in extra}, **v}
 
     rows = _rows(m)
-    plain, zeros = Echelon(field, m.ncols), Echelon(field, m.ncols)
+    plain, zeros = Echelon(field), Echelon(field)
     for v in rows:
         assert plain.add(v) == zeros.add(padded(v))
     assert repr([sorted(r.items()) for r in zeros.rows]) == repr([sorted(r.items()) for r in plain.rows])
@@ -550,5 +612,10 @@ def test_explicit_zero_entries_change_nothing(field, data):
     probe = sparse(tuple(field.coerce(x) for x in data.draw(
         st.lists(st.integers(-1, 1), min_size=m.ncols, max_size=m.ncols))))
     assert zeros.contains(padded(probe)) == plain.contains(probe)
-    q = kernel_mod_image(field, m.ncols, [], rows)
+    h = KernelModImage(field)
+    for _ in range(m.ncols):
+        h.add_outgoing({})
+    for v in rows:
+        h.add_incoming(v)
+    q = h.quotient()
     assert q.project(padded(probe)) == q.project(probe)

@@ -261,9 +261,6 @@ PIN_BLOCKS = {
     "right": "module R over A side right window 0..2\nbasis 0: m\nbasis 1: n\nbasis 2: p",
     "bi": "module B over A side bi window 0..2\nbasis 0: m\nbasis 1: n\nbasis 2: p",
     "auto": "automorphism f of A",
-    # an algebra whose basis reaches past its window top
-    "wide": "algebra W over Q window 0..1\nbasis 0: one\nbasis 2: z\nunit one",
-    "wide-auto": "automorphism g of W",
 }
 
 # (block the line ends, line, None if accepted else a substring of the error);
@@ -326,7 +323,6 @@ PIN_PROBES = [
     ("auto", "map x = x", None),
     ("auto", "map x = 0", None),
     ("auto", "map x = 2*x", None),
-    ("wide-auto", "map z = z", None),
     ("auto", "map x y = x", "expected:"),
     ("algebra", "map x = x", "expected:"),
     ("left", "map m = m", "expected:"),
@@ -335,6 +331,7 @@ PIN_PROBES = [
     ("auto", "map x = y", "degree"),
     ("left", "map x = 2*", "bad label"),
     ("algebra", "mul x x y", "unrecognized"),
+    ("algebra", "basis 3: z", "basis degree 3 outside window 0..2"),
 ]
 
 
