@@ -10,6 +10,9 @@ degree dl + d - 1 with a symmetric left action T e_l = e_{l+1} but a
 *twisted* right action e_l T = (-1)^d e_{l+1} that no change of basis
 removes when d is odd and the characteristic is not 2.
 
+Gamma and CM regularity take a semifree resolution of their module, so
+each module below is resolved once for both.
+
 Run:  python3 demos/duality_tour.py
 """
 
@@ -23,6 +26,7 @@ from dgreg import (
     free_module,
     gamma,
     local_duality_check,
+    semifree_resolve,
     twist_nontriviality,
 )
 from dgreg.catalog import polynomial_algebra, square_zero_algebra
@@ -53,9 +57,10 @@ def main():
         print(f"  twist removable? {not twist_nontriviality(d, QQ)} over Q; "
               f"{not twist_nontriviality(d, GF(2))} over F2")
         M = free_module(A, side="bi")
-        g = gamma(M, regime)
-        h = cohomology(g.value)
-        print(f"  H(Gamma A) sup = {h.sup_degree} (= 1 - d), CMreg A = {cm_reg(M, regime)}")
+        res = semifree_resolve(M)
+        h = cohomology(gamma(M, regime, resolution=res).value)
+        print(f"  H(Gamma A) sup = {h.sup_degree} (= 1 - d), "
+              f"CMreg A = {cm_reg(M, regime, resolution=res)}")
         kp = canonical_k(A, side="left")
         print(f"  CMreg k = {cm_reg(kp, regime)}")
         print(f"  local duality on k: {local_duality_check(kp, regime).verdict}")

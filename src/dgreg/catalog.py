@@ -150,6 +150,10 @@ ALGEBRA_FAMILIES = ("square-zero", "polynomial", "exterior", "ground-field")
 
 def build_algebra(family: str, *, field: FieldSpec = QQ, d: int = 1,
                   window: GradedWindow | None = None) -> DGAlgebra:
+    """The catalog algebra of a family; each is connected, so a given
+    window must start at degree 0."""
+    if window is not None and window.lo != 0:
+        raise ValueError(f"catalog algebras are connected: window starts at {window.lo}, not 0")
     if family == "square-zero":
         return square_zero_algebra(field, window)
     if family == "polynomial":

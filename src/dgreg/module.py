@@ -1,6 +1,6 @@
 """DG modules over a connected cochain DG algebra: presentations,
-validation, cohomology, hard truncation, suspension, linear duals,
-twists, morphisms, and mapping cones.
+validation, cohomology, hard truncation, suspension, linear duals of
+modules and of chain maps, twists, morphisms, and mapping cones.
 
 Sign conventions (fixed once, asserted by the test suite):
 
@@ -214,10 +214,6 @@ class CohomologyReport:
         return {d: n for d, n in self.dims.items() if self.certified.contains(d)}
 
     @property
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
-    @property
     def inf_degree(self):
         """inf of the support; +inf for zero cohomology."""
         nz = sorted(self.dims)
@@ -413,6 +409,11 @@ def suspend(M: DGModule, n: int, name: str | None = None) -> DGModule:
     )
 
 
+def _dual_label(lbl: str) -> str:
+    """The label of the dual basis vector of ``lbl`` in M*."""
+    return lbl + "'"
+
+
 def linear_dual(M: DGModule, name: str | None = None) -> DGModule:
     """The k-linear dual with sides swapped: (M*)^j = (M^{-j})*.
 
@@ -422,7 +423,7 @@ def linear_dual(M: DGModule, name: str | None = None) -> DGModule:
     F = M.field
     A = M.algebra
     deg = M._deg
-    dual_lbl = {lbl: lbl + "'" for lbl in deg}
+    dual_lbl = {lbl: _dual_label(lbl) for lbl in deg}
     basis = {-d: tuple(dual_lbl[l] for l in lbls) for d, lbls in M.basis.items()}
 
     # the transpose: each entry y of a row at x is written once, into the
@@ -680,5 +681,17 @@ def double_dual_embedding(M: DGModule) -> ModuleMorphism:
     on basis labels it is the signed identification b -> (-1)^{|b|} (b')'."""
     dd = linear_dual(linear_dual(M))
     F = M.field
-    images = {lbl: {lbl + "''": F.sign(M.degree_of(lbl))} for lbl in M._deg}
+    images = {lbl: {_dual_label(_dual_label(lbl)): F.sign(M.degree_of(lbl))} for lbl in M._deg}
     return ModuleMorphism(M, dd, images)
+
+
+def dual_morphism(f: ModuleMorphism) -> ModuleMorphism:
+    """Hom_k(-, k) applied to a degree-0 chain map: g -> g o f."""
+    F = f.source.field
+    # the transpose of f: each coefficient f(x)[y] is written once, to y' at x'
+    images: dict = {}
+    for x_lbl in f.source._deg:
+        for y_lbl, c in f.images.get(x_lbl, {}).items():
+            images.setdefault(_dual_label(y_lbl), {})[_dual_label(x_lbl)] = c
+    return ModuleMorphism(linear_dual(f.target), linear_dual(f.source),
+                          {y: cclean(F, img) for y, img in images.items()})

@@ -43,7 +43,7 @@ from .algebra import DGAlgebra, diff_columns
 from .ledger import Generator, SemifreeResolution, is_minimal_ledger
 from .homtensor import (_free_bimodule, _generator_trust, _ledger_cell, _tensor_rules, ledger_cells,
                         realize_ledger, tensor_module_ledger)
-from .lincomb import cclean, cneg
+from .lincomb import cneg
 from .linalg import kernel_mod_images
 from .module import (
     DGModule,
@@ -51,8 +51,8 @@ from .module import (
     ModuleMorphism,
     _h_certified,
     cohomology,
-    cone_of,
     double_dual_embedding,
+    dual_morphism,
     left_restriction,
     linear_dual,
     to_opposite,
@@ -85,15 +85,6 @@ def _augmentation_morphism(L: SemifreeResolution, P: DGModule, M: DGModule) -> M
             if img:
                 images[lab] = img
     return ModuleMorphism(P, M, images)
-
-
-def _cone(M: DGModule, L: SemifreeResolution):
-    """Mapping cone of the augmentation |P| -> M (M itself when P = 0)."""
-    if not L.gens:
-        return M, None
-    P = realize_ledger(L, M.window, name="|P|")
-    eps = _augmentation_morphism(L, P, M)
-    return cone_of(eps, name="cone"), P
 
 
 def _split_cone_class(M: DGModule, cells, degree: int, vec: dict):
@@ -437,19 +428,6 @@ class TruncationCertificate:
     h_match: bool
     certified_window: Trust
     note: str
-
-
-def dual_morphism(f: ModuleMorphism) -> ModuleMorphism:
-    """Hom_k(-, k) applied to a degree-0 chain map: g -> g o f."""
-    Xd = linear_dual(f.target)
-    Yd = linear_dual(f.source)
-    F = f.source.field
-    # the transpose of f: each coefficient f(x)[y] is written once, to y' at x'
-    images: dict = {}
-    for x_lbl in f.source._deg:
-        for y_lbl, c in f.images.get(x_lbl, {}).items():
-            images.setdefault(y_lbl + "'", {})[x_lbl + "'"] = c
-    return ModuleMorphism(Xd, Yd, {y: cclean(F, img) for y, img in images.items()})
 
 
 def truncate_above(M: DGModule, s: int, max_stages: int = 8) -> TruncationCertificate:

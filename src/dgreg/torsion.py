@@ -15,10 +15,18 @@ model:
   in degree dl + d - 1 with T^j e_l = e_{j+l} and
   e_l T^j = (-1)^{jd} e_{j+l}.
 
+Every derived functor is read from one semifree resolution of M, and
+each has one entry point that takes that resolution as ``resolution=``
+(or resolves M itself when given none): :func:`gamma` (N (x) P with the
+Cech carrier), :func:`cm_reg` (sup H of Gamma M) and
+:func:`apply_duality` (Hom(P, D)), as ``resolution.ext_reg`` does.  The
+checks resolve each module once and hand the resolution on.
+
 Partial resolutions contaminate the Hom/tensor complexes with shifted
-copies of k coming from the un-killed cone classes; the duality checks
-account for those contributions explicitly instead of pretending the
-complexes are exact.
+copies of k coming from the un-killed cone classes; :func:`gamma` and
+:func:`apply_duality` each state where theirs land, and the duality
+checks account for those contributions explicitly instead of
+pretending the complexes are exact.
 
 Frontier window: a residual cone class of a resolution P in degree g
 lands at g+1 in N (x) P and at -g-1 in Hom(P, N).  Classes outside the
@@ -225,30 +233,22 @@ class GammaResult:
         return not self.contamination
 
 
-def gamma(M: DGModule, regime: TorsionRegime, max_stages: int = 8) -> GammaResult:
+def gamma(M: DGModule, regime: TorsionRegime, max_stages: int = 8,
+          resolution: SemifreeResolution | None = None) -> GammaResult:
     """A complex computing the derived torsion of M.
 
     Finite regime: M itself (the counit of the adjunction is an
     isomorphism on the whole derived category since A is built from k).
-    Polynomial regime: the Cech carrier tensored against a ledger
-    resolution of M; residual cone classes of an incomplete resolution
+    Polynomial regime: the Cech carrier tensored against ``resolution``,
+    a ledger resolution of M, or one of ``max_stages`` stages when none
+    is given; residual cone classes of an incomplete resolution
     contribute known extra H (one shifted copy of Gamma k = k per class,
     one degree up), reported as contamination.
     """
-    return _gamma(M, regime, lambda: semifree_resolve(M, max_stages))
-
-
-def _gamma(M: DGModule, regime: TorsionRegime, resolve) -> GammaResult:
-    """:func:`gamma`, taking the resolution of M from ``resolve()`` in the
-    polynomial regime."""
     _require(regime)
     if regime.kind == "finite":
         return GammaResult(M, None, {}, ["finite regime: Gamma is the identity (counit iso)"])
-    return _cech_tensor(M, regime, resolve())
-
-
-def _cech_tensor(M: DGModule, regime: TorsionRegime, res: SemifreeResolution) -> GammaResult:
-    """Gamma M in the polynomial regime, from a given resolution of M."""
+    res = resolution if resolution is not None else semifree_resolve(M, max_stages)
     C = cech_carrier(M.algebra, regime)
     lo = C.window.lo + (res.min_gen_degree() or 0)
     hi = max(C.window.hi, M.window.hi) + max(0, res.max_gen_degree() or 0) + 1
@@ -260,20 +260,20 @@ def _cech_tensor(M: DGModule, regime: TorsionRegime, res: SemifreeResolution) ->
     return GammaResult(T, res, contamination, notes)
 
 
-def cm_reg(M: DGModule, regime: TorsionRegime, max_stages: int = 8) -> RegularityValue:
-    """CM regularity: sup of the cohomology of Gamma M."""
-    return _cm_reg(M, regime, lambda: gamma(M, regime, max_stages))
+def cm_reg(M: DGModule, regime: TorsionRegime, max_stages: int = 8,
+           resolution: SemifreeResolution | None = None) -> RegularityValue:
+    """CM regularity: sup of the cohomology of Gamma M.
 
-
-def _cm_reg(M: DGModule, regime: TorsionRegime, gamma_of_m) -> RegularityValue:
-    """:func:`cm_reg`, taking Gamma M from ``gamma_of_m()`` when H(M) != 0."""
+    Gamma M is built from ``resolution`` as in :func:`gamma`, and only
+    when H(M) != 0: a module with zero H is never resolved.
+    """
     _require(regime)
     h_m = cohomology(M)
     if not h_m.dims:
         if M.complete:
             return RegularityValue.neg_infinity("zero cohomology")
         return RegularityValue.at_least(M.window.lo, "no cohomology in window")
-    g = gamma_of_m()
+    g = gamma(M, regime, max_stages, resolution)
     h = cohomology(g.value)
     cmp_trust = h.certified if g.resolution is None else h.certified.meet(_landing(g.resolution))
     dims = {d: n for d, n in h.dims.items() if cmp_trust.contains(d)}
@@ -309,15 +309,6 @@ def _cm_reg(M: DGModule, regime: TorsionRegime, gamma_of_m) -> RegularityValue:
 # -- duality ------------------------------------------------------------------
 
 
-def _hom_window(L: SemifreeResolution, N: DGModule) -> GradedWindow:
-    supp = N.support()
-    if not supp or not L.gens:
-        return GradedWindow(-2, 2)
-    lo = supp[0] - (L.max_gen_degree() or 0) - 1
-    hi = supp[1] - (L.min_gen_degree() or 0) + 1
-    return GradedWindow(max(lo, -GLOBAL_DEGREE_BOUND), min(hi, GLOBAL_DEGREE_BOUND))
-
-
 def apply_duality(M: DGModule, D: DGModule, max_stages: int = 8,
                   resolution: SemifreeResolution | None = None):
     """RHom_A(M, D) as the Hom complex from a ledger resolution of M.
@@ -327,7 +318,13 @@ def apply_duality(M: DGModule, D: DGModule, max_stages: int = 8,
     contributed by un-killed cone classes of a partial resolution.
     """
     res = resolution if resolution is not None else semifree_resolve(M, max_stages)
-    window = _hom_window(res, D)
+    supp = D.support()
+    if not supp or not res.gens:
+        window = GradedWindow(-2, 2)
+    else:
+        lo = supp[0] - (res.max_gen_degree() or 0) - 1
+        hi = supp[1] - (res.min_gen_degree() or 0) + 1
+        window = GradedWindow(max(lo, -GLOBAL_DEGREE_BOUND), min(hi, GLOBAL_DEGREE_BOUND))
     X, notes = hom_from_ledger(res, D, window, name=f"RHom({M.name},{D.name})")
     contamination = {-(g + 1): n for g, n in res.residual.items()}
     return X, res, contamination, notes
@@ -373,12 +370,11 @@ def local_duality_check(M: DGModule, regime: TorsionRegime, max_stages: int = 8)
     """
     _require(regime)
     D = dualizing_module(M.algebra, regime)
-    res = semifree_resolve(M, max_stages)
-    rhs, _res, contam_rhs, notes = apply_duality(M, D, resolution=res)
+    rhs, res, contam_rhs, notes = apply_duality(M, D, max_stages)
     if regime.kind == "finite":
         lhs, contam_lhs = linear_dual(M), {}
     else:
-        g = _cech_tensor(M, regime, res)
+        g = gamma(M, regime, resolution=res)
         lhs, contam_lhs = linear_dual(g.value), contam_rhs
         notes += g.notes
     h_rhs, h_lhs = cohomology(rhs), cohomology(lhs)
@@ -419,16 +415,9 @@ def double_duality_check(M: DGModule, regime: TorsionRegime, max_stages: int = 8
     hypotheses of the module docstring.
     """
     _require(regime)
-    A = M.algebra
-    D = dualizing_module(A, regime)
-    res_in = semifree_resolve(M, max_stages)
-    X, _r, _c, notes = apply_duality(M, D, resolution=res_in)
-
-    X_op = to_opposite(X)
-    D_op = to_opposite(D)
-    res_out = semifree_resolve(X_op, max_stages)
-    window = _hom_window(res_out, D_op)
-    Z, n2 = hom_from_ledger(res_out, D_op, window, name="RHom(RHom(M,D),D)")
+    D = dualizing_module(M.algebra, regime)
+    X, res_in, contam_in, notes = apply_duality(M, D, max_stages)
+    Z, res_out, contam_out, n2 = apply_duality(to_opposite(X), to_opposite(D), max_stages)
     notes += n2
 
     h_z = cohomology(Z)
@@ -436,9 +425,9 @@ def double_duality_check(M: DGModule, regime: TorsionRegime, max_stages: int = 8
     # inner residual classes land as in a tensor, outer ones as in a Hom
     cmp_trust = (h_z.certified.meet(h_m.certified)
                  .meet(_landing(res_out).flip()).meet(_landing(res_in)))
-    contam = {g + 1: n for g, n in res_in.residual.items()}
-    for g, n in res_out.residual.items():
-        contam[-(g + 1)] = contam.get(-(g + 1), 0) + n
+    contam = {-j: n for j, n in contam_in.items()}
+    for j, n in contam_out.items():
+        contam[j] = contam.get(j, 0) + n
 
     table, negative, mismatch = _dims_table(
         cmp_trust, ("recovered", h_z, contam), ("target", h_m, {}))
@@ -516,7 +505,7 @@ def regularity_inequalities(A: DGAlgebra, M: DGModule, regime: TorsionRegime,
     # one resolution of M serves both of its regularities
     res_m = semifree_resolve(M, max_stages)
     extreg_m = ext_reg(M, max_stages, resolution=res_m)
-    cmreg_m = _cm_reg(M, regime, lambda: _gamma(M, regime, lambda: res_m))
+    cmreg_m = cm_reg(M, regime, max_stages, resolution=res_m)
     k_left = canonical_k(A, side=LEFT)
     extreg_k = ext_reg(k_left, max_stages)
     cmreg_a = cm_reg(free_module(A, side=BI), regime, max_stages)

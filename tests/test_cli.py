@@ -123,6 +123,10 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     ]:
         assert main(argv) == 2, argv
         assert capsys.readouterr().err == f"error: {err}\n"
+    # catalog algebras are connected: a window must start at degree 0
+    assert main(["catalog", "--family", "square-zero", "--window=-3..4"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: catalog algebras are connected: window starts at -3, not 0\n")
 
 
 def test_resolve_square_zero_six_stages(lam_file, capsys):

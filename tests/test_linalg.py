@@ -16,8 +16,9 @@ from dgreg.linalg import (
     quotient_by, row_reduce, sparse,
 )
 from dgreg.module import DGModule, cohomology, free_module, left_restriction
-from dgreg.resolution import _cone, semifree_resolve
+from dgreg.resolution import semifree_resolve
 from dgreg.windows import GradedWindow
+from test_resolution import _cone
 
 
 def test_rref_proportional_rows():

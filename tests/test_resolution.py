@@ -235,6 +235,46 @@ def test_truncate_above_drops_contractible_top():
     assert cohomology(cert.module).dims.get(0) == 1
 
 
+def _k_plus_cone(A):
+    """k (+) cone(id_A) as a left module, built by hand: H = k in degree 0."""
+    from dgreg.module import DGModule
+
+    cone = build_module(A, "cone-id", side="left")
+    return DGModule(
+        name="k+cone", algebra=A, side="left",
+        window=GradedWindow(min(cone.window.lo, 0), max(cone.window.hi, 1)),
+        basis={**cone.basis, 0: tuple(cone.basis.get(0, ())) + ("k0",)},
+        lact={**cone.lact, (A.unit, "k0"): {"k0": A.field.one()}},
+        ract={}, diff=dict(cone.diff), trust=cone.trust,
+    )
+
+
+def _assert_sound_truncation(M, s, cert):
+    # nothing above s; a returned certificate morphism is a chain map; and
+    # H agrees with H(M) wherever the certificate claims to have compared
+    assert all(d <= s for d in cert.module.degrees())
+    if cert.morphism is not None:
+        assert cert.morphism.validate().ok
+    h, hp = cohomology(M), cohomology(cert.module)
+    for d in set(h.dims) | set(hp.dims):
+        if cert.certified_window.contains(d):
+            assert h.dim(d) == hp.dim(d), d
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
+def test_truncate_above_is_sound_on_cones_and_sums(field):
+    for A in (square_zero_algebra(field), exterior_algebra(3, field)):
+        cone = build_module(A, "cone-id", side="left")
+        for s in range(-2, 2):
+            _assert_sound_truncation(cone, s, truncate_above(cone, s))
+        glued = _k_plus_cone(A)
+        assert validate_module(glued).ok
+        for s in (0, 1):
+            _assert_sound_truncation(glued, s, truncate_above(glued, s))
+        with pytest.raises(TruncationImpossibleError):
+            truncate_above(free_module(A, side="left"), 0)
+
+
 def test_resolving_a_resolution_is_idempotent_on_counts():
     P = polynomial_algebra(2)
     k = canonical_k(P, side="left")
@@ -379,6 +419,17 @@ def test_stage_budget_below_one_is_rejected():
 # -- the incremental cone against the restaging reference ----------------------
 
 
+def _cone(M, L):
+    """Mapping cone of the augmentation |P| -> M (M itself when P = 0),
+    rebuilt from the ledger."""
+    from dgreg.module import cone_of
+
+    if not L.gens:
+        return M, None
+    P = realize_ledger(L, M.window, name="|P|")
+    return cone_of(_augmentation_morphism(L, P, M), name="cone"), P
+
+
 def _restage_resolve(M, max_stages=8):
     """The resolution loop that rebuilds the whole cone at every stage:
     realize the ledger, map it to M, take the cone and its cohomology,
@@ -387,7 +438,7 @@ def _restage_resolve(M, max_stages=8):
     from dgreg.ledger import Generator, SemifreeResolution
     from dgreg.lincomb import cneg
     from dgreg.module import left_restriction
-    from dgreg.resolution import DegenerateWindowError, _cone, _split_cone_class
+    from dgreg.resolution import DegenerateWindowError, _split_cone_class
     from dgreg.homtensor import ledger_cells
     from dgreg.windows import Trust
 
@@ -682,8 +733,6 @@ def _rebuilt_bookkeeping(res):
     """(H(eps) onto, residual classes killed by A^{>=1}), decided on the
     cone rebuilt from the ledger: the two rank checks the resolver's
     ``bookkeeping_ok`` must reproduce."""
-    from dgreg.resolution import _cone
-
     M = res.target
     A, F = M.algebra, M.field
     P = realize_ledger(res, M.window, name="|P|")

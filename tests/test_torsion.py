@@ -305,13 +305,10 @@ def test_regularity_inequalities_square_zero():
         assert "violated" not in rep["checks"].values(), (M.name, rep)
 
 
-def test_regularity_inequalities_resolve_the_module_once(monkeypatch):
+def _resolve_spy(monkeypatch):
+    """Record every module that ``semifree_resolve`` is called on."""
     from dgreg import resolution, torsion
 
-    A = polynomial_algebra(2)
-    r = detect_regime(A)
-    M = suspend(canonical_k(A, side="left"), 1)
-    want = (ext_reg(M), cm_reg(M, r))
     resolved = []
     resolve = resolution.semifree_resolve
 
@@ -321,9 +318,37 @@ def test_regularity_inequalities_resolve_the_module_once(monkeypatch):
 
     monkeypatch.setattr(resolution, "semifree_resolve", spy)
     monkeypatch.setattr(torsion, "semifree_resolve", spy)
+    return resolved
+
+
+def test_regularity_inequalities_resolve_the_module_once(monkeypatch):
+    A = polynomial_algebra(2)
+    r = detect_regime(A)
+    M = suspend(canonical_k(A, side="left"), 1)
+    want = (ext_reg(M), cm_reg(M, r))
+    resolved = _resolve_spy(monkeypatch)
     v = regularity_inequalities(A, M, r)["values"]
     assert sum(N is M for N in resolved) == 1
     assert (v["extreg_m"], v["cmreg_m"]) == want
+
+
+def test_duality_checks_and_cm_reg_resolve_each_module_once(monkeypatch):
+    A = polynomial_algebra(2)
+    r = detect_regime(A)
+    M = suspend(canonical_k(A, side="left"), 1)
+    res = semifree_resolve(M, 4)
+    want = cm_reg(M, r, 4)
+    resolved = _resolve_spy(monkeypatch)
+    assert cm_reg(M, r, resolution=res) == want
+    assert resolved == []
+    local_duality_check(M, r)
+    assert len(resolved) == 1 and resolved[0] is M
+    resolved.clear()
+    double_duality_check(M, r)
+    # M, then the inner dual RHom(M, D) moved over the opposite algebra
+    assert len(resolved) == 2 and resolved[0] is M
+    assert resolved[1].name == f"RHom({M.name},D)_op"
+    assert resolved[1].algebra.opposite() is A
 
 
 def test_koszul_truncation_fixtures():
