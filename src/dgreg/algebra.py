@@ -12,23 +12,38 @@ bilinear extension of a single-label product or action to
 combinations.  The algebra and module axioms are checked by the same
 three functions (``_d_squared``, ``_leibniz``, ``_associative``).
 
-Associativity is checked over generators.  A is connected, so lifts S
-of a basis of the indecomposables A^{>=1}/(A^{>=1})^2 generate it
-(``_generators`` keeps, in each degree n >= 1, the labels that enlarge
-the echelon of the products A^i A^j with i + j = n and i, j >= 1).  If
-the unit law holds and (xy)z = x(yz) whenever x lies in S, it holds on
-every triple, by induction on word length; every product that
-induction uses lies in a degree <= |x|+|y|+|z|, so it is recorded
+Associativity and Leibniz are checked over generators.  A is connected,
+so lifts S of a basis of the indecomposables A^{>=1}/(A^{>=1})^2
+generate it (``_generators`` keeps, in each degree n >= 1, the labels
+that enlarge the echelon of the products A^i A^j with i + j = n and
+i, j >= 1).  If the unit law holds and (xy)z = x(yz) whenever x lies in
+S, it holds on every triple, by induction on word length; every product
+that induction uses lies in a degree <= |x|+|y|+|z|, so it is recorded
 whenever the triple is.  The same induction covers left-action
 associativity and bimodule commutation with the first factor in S, and
-right-action associativity with the last factor in S.  The reduced
-check only ever decides "no violation", and only when A is connected
-and unital, its product and action tables are graded, the products S
-is computed from are recorded and, for a module, A is associative by
-its own reduced check and the unit acts as the identity on each side
-the module has.  If a precondition fails, or the reduced check finds a
-failing triple, the same enumeration runs over every label and gives
-the report.
+right-action associativity with the last factor in S.
+
+Leibniz, d(xy) = d(x)y + (-1)^{|x|} x d(y), is bilinear in x and y, so
+once A is associative it holds on every pair when it holds with x in
+S u {1}: for a word x = sw with s in S, the rule for (s, wy), (s, w)
+and, by induction on word length, (w, y) gives it for (x, y), and every
+entry that uses lies in a degree <= |x|+|y|+1.  The unit has to be in
+the set, since d(1) = 0 follows from no generator.  Module Leibniz
+d(am) = d(a)m + (-1)^{|a|} a d(m) reduces the same way with a in
+S u {1}, using action associativity and Leibniz in A, and right
+Leibniz d(ma) = d(m)a + (-1)^{|m|} m d(a) with the last factor a in
+S u {1}.
+
+Each reduced check only ever decides "no violation", and only when A is
+connected and unital, its product and action tables are graded and the
+products S is computed from are recorded.  Algebra Leibniz needs A
+associative by its reduced check too.  A module's checks need A's whole
+reduced report empty (``_checked`` decides it once per algebra) and the
+unit to act as the identity on each side the module has, and module
+Leibniz needs action associativity and bimodule commutation over S to
+find nothing.  If a precondition fails, or a reduced check finds a
+violation, the same enumeration runs over every label and gives the
+report.
 
 The above-window rule: an entry whose target degree exceeds the window
 top is zero when the presentation is complete (trusted with no upper
@@ -180,6 +195,9 @@ class DGAlgebra(Presentation):
     ``|a|+|b| <= window.hi``); ``diff[a]`` the combination for da.
     Missing in-window entries mean zero.  ``trust`` is the degree range
     on which the presentation agrees with the unbounded object.
+
+    Tables are not edited after construction: the opposite algebra and
+    the validation verdict are computed once and kept on the object.
     """
 
     name: str
@@ -196,6 +214,7 @@ class DGAlgebra(Presentation):
         self.mul = self._clean(self.mul)
         self.diff = self._clean(self.diff)
         self._opposite = None
+        self._checks = None
 
     def product(self, a: str, b: str):
         """Combination for a*b; None when the target degree is unrecorded."""
@@ -376,11 +395,31 @@ def _associativity(A: DGAlgebra, firsts) -> list:
     return out
 
 
-def _associative_generators(A: DGAlgebra):
-    """The generators of A when its own reduced check certifies it
-    associative, else None."""
-    gens = _generators(A)
-    return None if gens is None or _associativity(A, gens) else gens
+def _algebra_leibniz(A: DGAlgebra, firsts) -> list:
+    """Leibniz violations over the pairs whose first factor is in
+    ``firsts``."""
+    mul, labels = A.product, list(A._deg)
+    return [
+        Violation("leibniz", (x, y), "d(xy) != d(x)y + (-1)^|x| x d(y)")
+        for x in labels if x in firsts
+        for y in labels if _leibniz(A, mul, A, x, A, y)
+    ]
+
+
+def _checked(A: DGAlgebra) -> tuple:
+    """``(verdict, violations)`` for A: the violations of the algebra
+    axioms, and the generators S when there are none, else None.  Decided
+    once per algebra and kept on it."""
+    if A._checks is None:
+        gens = _generators(A)
+        out = _connected_unital(A)
+        out += _d_squared(A, "d(d(b)) is nonzero")
+        assoc = _by_generators(lambda firsts: _associativity(A, firsts), gens, A._deg)
+        firsts = None if gens is None or assoc else gens | {A.unit}
+        out += _by_generators(lambda firsts: _algebra_leibniz(A, firsts), firsts, A._deg)
+        out += assoc
+        A._checks = (None if out else gens, tuple(out))
+    return A._checks
 
 
 def validate_algebra(A: DGAlgebra) -> ValidationReport:
@@ -389,18 +428,7 @@ def validate_algebra(A: DGAlgebra) -> ValidationReport:
     Violations are returned as data (axiom name plus witnessing basis
     tuple); an empty list certifies validity of the recorded tables.
     """
-    out = _connected_unital(A)
-    out += _d_squared(A, "d(d(b)) is nonzero")
-
-    mul = A.product
-    all_labels = list(A._deg)
-    for x in all_labels:
-        for y in all_labels:
-            if _leibniz(A, mul, A, x, A, y):
-                out.append(Violation("leibniz", (x, y), "d(xy) != d(x)y + (-1)^|x| x d(y)"))
-
-    out += _by_generators(lambda firsts: _associativity(A, firsts), _generators(A), A._deg)
-    return ValidationReport(A.name, out)
+    return ValidationReport(A.name, list(_checked(A)[1]))
 
 
 @dataclass

@@ -130,9 +130,13 @@ def cmd_validate(args) -> int:
     return _report(args, payload, "\n".join(lines), VIOLATION if bad else OK)
 
 
-def _h_lines(heading: str, rep) -> list:
-    """A heading, then the dimension of each degree of an H report."""
-    lines = [heading] + [f"  degree {d}: {n}" for d, n in sorted(rep.dims.items())]
+def _h_lines(heading: str, rep, mark: bool = False) -> list:
+    """A heading, then the dimension of each degree of an H report; with
+    ``mark``, each degree outside the certified window says so."""
+    lines = [heading] + [
+        f"  degree {d}: {n}" + ("" if not mark or rep.certified.contains(d) else " (uncertified)")
+        for d, n in sorted(rep.dims.items())
+    ]
     return lines if rep.dims else lines + ["  zero"]
 
 
@@ -191,7 +195,7 @@ def cmd_cmreg(args, M, regime) -> int:
 def cmd_gamma(args, M, regime) -> int:
     g = gamma(M, regime, max_stages=args.stages)
     rep = cohomology(g.value)
-    human = _h_lines(f"H(Gamma {M.name}) [{regime.kind} regime]:", rep)
+    human = _h_lines(f"H(Gamma {M.name}) [{regime.kind} regime] (certified {rep.certified}):", rep, mark=True)
     human += [f"note: {note}" for note in g.notes]
     payload = {"gamma_h": rep.to_json(), "contamination": {str(k): v for k, v in g.contamination.items()},
                "regime": regime.to_json(), "notes": g.notes}

@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import (
-    DGAlgebra, Presentation, ValidationReport, Violation, _associative, _associative_generators,
-    _by_generators, _d_squared, _graded, _labels, _leibniz, diff_columns,
+    DGAlgebra, Presentation, ValidationReport, Violation, _associative, _by_generators, _checked,
+    _d_squared, _graded, _labels, _leibniz, diff_columns,
 )
 from .fields import FieldSpec
 from .lincomb import ceq, cclean, cextend, cscale, czero
@@ -110,16 +110,14 @@ class DGModule(Presentation):
 def validate_module(M: DGModule) -> ValidationReport:
     """Check d^2, module Leibniz, action associativity, unit action, and
     (for bimodules) commutation of the two actions, on recorded entries.
-    Associativity and commutation are checked over the algebra's
-    generators when the rule of ``dgreg.algebra`` applies."""
+    Leibniz, associativity and commutation are checked over the algebra's
+    generators when the rules of ``dgreg.algebra`` apply."""
     A = M.algebra
     F = M.field
     out = _d_squared(M, "d(d(m)) is nonzero")
-    alg_labels = _labels(A)
-    mod_labels = _labels(M)
 
     unital = True
-    for m, _ in mod_labels:
+    for m, _ in _labels(M):
         want = {m: F.one()}
         if M.has_left:
             got = M.act_left(A.unit, m)
@@ -132,19 +130,32 @@ def validate_module(M: DGModule) -> ValidationReport:
                 unital = False
                 out.append(Violation("unit-action-right", (m, A.unit), "m.1 differs from m"))
 
-    left, right = M.act_left, M.act_right
-    for a, _ in alg_labels:
+    gens = None
+    if unital and _graded(M.lact, M, A, M) and _graded(M.ract, M, M, A):
+        gens = _checked(A)[0]
+    assoc = _by_generators(lambda gs: _action_associativity(M, gs), gens, A._deg)
+    firsts = None if gens is None or assoc else gens | {A.unit}
+    out += _by_generators(lambda fs: _module_leibniz(M, fs), firsts, A._deg)
+    out += assoc
+    return ValidationReport(M.name, out)
+
+
+def _module_leibniz(M: DGModule, firsts) -> list:
+    """Left and right Leibniz violations over the pairs whose algebra
+    factor is in ``firsts``: the first factor on the left, the last on the
+    right."""
+    A = M.algebra
+    left, right, mod_labels = M.act_left, M.act_right, _labels(M)
+    out = []
+    for a, _ in _labels(A):
+        if a not in firsts:
+            continue
         for m, _ in mod_labels:
             if M.has_left and _leibniz(M, left, A, a, M, m):
                 out.append(Violation("leibniz-left", (a, m), "d(am) != d(a)m + (-1)^|a| a d(m)"))
             if M.has_right and _leibniz(M, right, M, m, A, a):
                 out.append(Violation("leibniz-right", (m, a), "d(ma) != d(m)a + (-1)^|m| m d(a)"))
-
-    gens = None
-    if unital and _graded(M.lact, M, A, M) and _graded(M.ract, M, M, A):
-        gens = _associative_generators(A)
-    out += _by_generators(lambda gs: _action_associativity(M, gs), gens, A._deg)
-    return ValidationReport(M.name, out)
+    return out
 
 
 def _action_associativity(M: DGModule, gens) -> list:

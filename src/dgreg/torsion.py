@@ -316,6 +316,12 @@ def apply_duality(M: DGModule, D: DGModule, max_stages: int = 8,
     Returns (complex, resolution, contamination, notes); contamination
     maps degree j to the known spurious H-dimension residual(-j-1)
     contributed by un-killed cone classes of a partial resolution.
+
+    D must be the dualizing module (or its opposite): the rule
+    {-(g+1): n} assumes RHom_A(k, D) is k in degree 0, one copy per
+    residual class at degree g.  For another D the correction is wrong:
+    for k over Lambda with D = Lambda, H reads {0: 1, 1: 1} and the rule
+    subtracts at degree -1, yet Ext_Lambda(k, Lambda) is one-dimensional.
     """
     res = resolution if resolution is not None else semifree_resolve(M, max_stages)
     supp = D.support()

@@ -239,7 +239,7 @@ def test_cohomology_of_invalid_presentation_exits_one(tmp_path, capsys):
 # stdout, stderr and --out bytes. Calls argparse itself rejects record
 # only their exit code, because Python versions wrap the usage line
 # differently.
-PINNED_CLI_SHA256 = "6c45f9a3093496a38e763a4c74d81039a25e630cecc56a9003dab6cdd858c70d"
+PINNED_CLI_SHA256 = "57fdb46e492b8eb0573166b6ea46b526c654930231e098ba06e63686c4ad97d4"
 
 
 def _pinned_cli_calls(tmp_path):

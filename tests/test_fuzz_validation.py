@@ -8,11 +8,14 @@ the oracle rejects is rejected by the validator, and (c) every reported
 witness re-evaluates to a nonzero residual in the oracle.
 """
 
+import contextlib
 import hashlib
 import json
 import random
+from dataclasses import replace
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +25,7 @@ from dgreg.catalog import exterior_algebra, polynomial_algebra, square_zero_alge
 from dgreg.fields import QQ, GF
 from dgreg.homtensor import realize_ledger
 from dgreg.lincomb import cadd, cclean, cneg, cscale
-from dgreg.module import DGModule, canonical_k, free_module, validate_module
+from dgreg.module import DGModule, canonical_k, free_module, to_opposite, validate_module
 from dgreg.resolution import semifree_resolve
 from dgreg.windows import GradedWindow, Trust
 
@@ -595,7 +598,10 @@ def _generator_pool(field, hi):
 
 def _full_enumeration(validate, X):
     """The report of ``validate`` with no generator set, so that every
-    associativity loop runs over every label."""
+    associativity and Leibniz loop runs over every label.  It validates
+    fresh copies of X and its algebra, so no verdict kept on the algebra
+    by an earlier validation is read."""
+    X = replace(X, algebra=replace(X.algebra)) if isinstance(X, DGModule) else replace(X)
     with mock.patch.object(algebra, "_generators", lambda A: None):
         return validate(X)
 
@@ -609,14 +615,18 @@ def _changed(rng, F, table, key, labels):
     return {**table, key: new}
 
 
-@settings(max_examples=150, deadline=None)
+PERTURBATIONS = ["none", "unit", "unit-action", "decomposable", "algebra-under-module",
+                 "d-unit", "d-decomposable", "module-diff", "action"]
+
+
+@settings(max_examples=300, deadline=None)
 @given(
     field=st.sampled_from([QQ, GF(2), GF(7)]),
     hi=st.integers(3, 6),
     pick=st.integers(0, 6),
     kind=st.sampled_from(["algebra", "k", "free", "ledger"]),
     side=st.sampled_from(["left", "right", "bi"]),
-    perturbation=st.sampled_from(["none", "unit", "unit-action", "decomposable", "algebra-under-module"]),
+    perturbation=st.sampled_from(PERTURBATIONS),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_generator_rule_reports_equal_full_enumeration(field, hi, pick, kind, side, perturbation, seed):
@@ -626,6 +636,9 @@ def test_generator_rule_reports_equal_full_enumeration(field, hi, pick, kind, si
     assert gens is not None and validate_algebra(A).ok
     F = field
     positive = [l for d in A.degrees() if d >= 1 for l in A.basis_at(d)]
+    # an entry x*y or dx with x outside the generators, which the reduced
+    # checks see only through products of generators
+    x = rng.choice([l for l in positive if l not in gens] or positive)
     base = A
     if perturbation == "unit":
         b = rng.choice(positive)
@@ -634,13 +647,16 @@ def test_generator_rule_reports_equal_full_enumeration(field, hi, pick, kind, si
                       mul=_changed(rng, F, A.mul, key, A.basis_at(A.degree_of(b))),
                       diff=A.diff, trust=A.trust)
     elif perturbation in ("decomposable", "algebra-under-module"):
-        # an entry x*y with x outside the generators, where the reduced
-        # check sees it only through products of generators
-        x = rng.choice([l for l in positive if l not in gens] or positive)
         y = rng.choice([l for l in positive if A.degree_of(x) + A.degree_of(l) in A.basis] or [A.unit])
         target = A.basis_at(A.degree_of(x) + A.degree_of(y))
         A = DGAlgebra(name=A.name, field=F, window=A.window, basis=A.basis, unit=A.unit,
                       mul=_changed(rng, F, A.mul, (x, y), target), diff=A.diff, trust=A.trust)
+    elif perturbation in ("d-unit", "d-decomposable"):
+        lbl = A.unit if perturbation == "d-unit" else x
+        target = A.basis_at(A.degree_of(lbl) + 1)
+        if target:
+            A = DGAlgebra(name=A.name, field=F, window=A.window, basis=A.basis, unit=A.unit,
+                          mul=A.mul, diff=_changed(rng, F, A.diff, lbl, target), trust=A.trust)
 
     if kind == "algebra":
         X, validate = A, validate_algebra
@@ -655,34 +671,96 @@ def test_generator_rule_reports_equal_full_enumeration(field, hi, pick, kind, si
             M = canonical_k(source, side=side)
         else:
             M = free_module(source, side=side)
-        lact, ract = M.lact, M.ract
-        if perturbation == "unit-action":
-            m = rng.choice(list(M._deg))
-            labels = M.basis_at(M.degree_of(m))
-            if M.has_left and (not M.has_right or rng.random() < 0.5):
-                lact = _changed(rng, F, lact, (base.unit, m), labels)
-            else:
-                ract = _changed(rng, F, ract, (m, base.unit), labels)
+        lact, ract, diff = M.lact, M.ract, M.diff
+        m = rng.choice(list(M._deg))
+        on_left = M.has_left and (not M.has_right or rng.random() < 0.5)
+        if perturbation in ("unit-action", "action"):
+            a = base.unit if perturbation == "unit-action" else rng.choice(list(base._deg))
+            labels = M.basis_at(base.degree_of(a) + M.degree_of(m))
+            if labels and on_left:
+                lact = _changed(rng, F, lact, (a, m), labels)
+            elif labels:
+                ract = _changed(rng, F, ract, (m, a), labels)
+        elif perturbation == "module-diff" and M.basis_at(M.degree_of(m) + 1):
+            diff = _changed(rng, F, diff, m, M.basis_at(M.degree_of(m) + 1))
         X = DGModule(name=M.name, algebra=A, side=M.side, window=M.window, basis=M.basis,
-                     lact=lact, ract=ract, diff=M.diff, trust=M.trust)
+                     lact=lact, ract=ract, diff=diff, trust=M.trust)
         validate = validate_module
 
     got = validate(X).to_json()
     assert got == _full_enumeration(validate, X).to_json()
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=["Q", "F2", "F7"])
+def test_leibniz_generator_set_holds_the_unit(field):
+    """Over Lambda with d(one) = t, Leibniz fails only at (one, one): every
+    pair (t, y) satisfies it, so a check over the generators alone would
+    certify the algebra."""
+    L = square_zero_algebra(field, SMALL_WINDOW)
+    P = replace(L, diff={L.unit: {"t": field.one()}})
+    assert algebra._generators(P) == {"t"}
+    assert not algebra._algebra_leibniz(P, {"t"})
+    rep = validate_algebra(P)
+    assert [(v.axiom, v.witness) for v in rep.violations] == [("leibniz", ("one", "one"))]
+    assert rep.to_json() == _full_enumeration(validate_algebra, P).to_json()
+    for M in (canonical_k(P, side="bi"), free_module(P, side="bi")):
+        assert validate_module(M).to_json() == _full_enumeration(validate_module, M).to_json()
+
+
+class _Counted:
+    """A stand-in for a function of ``dgreg.algebra`` that counts its
+    calls, installed in every validation namespace that holds the name."""
+
+    def __init__(self, name):
+        self.name, self.fn, self.calls = name, getattr(algebra, name), 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+    @contextlib.contextmanager
+    def installed(self):
+        with contextlib.ExitStack() as stack:
+            for mod in (algebra, module):
+                if hasattr(mod, self.name):
+                    stack.enter_context(mock.patch.object(mod, self.name, self))
+            yield self
+
+
 def test_generator_rule_bounds_associativity_work():
-    calls = 0
-    check = algebra._associative
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return check(*args)
-
     M = free_module(polynomial_algebra(1, QQ, GradedWindow(0, 48)), side="bi")
-    with mock.patch.object(algebra, "_associative", counted), \
-            mock.patch.object(module, "_associative", counted):
+    with _Counted("_associative").installed() as associative:
         assert validate_module(M).ok
     # the full enumeration makes three passes of 49^3 triples
-    assert calls <= 5 * 49 ** 2
+    assert associative.calls <= 5 * 49 ** 2
+
+
+def test_generator_rule_bounds_leibniz_work():
+    A = polynomial_algebra(1, QQ, GradedWindow(0, 48))
+    with _Counted("_leibniz").installed() as leibniz:
+        assert validate_algebra(A).ok
+        # the full enumeration makes 49^2 calls; S u {1} = {t0, t1} makes 2 * 49
+        assert leibniz.calls <= 3 * 49
+        leibniz.calls = 0
+        assert validate_module(free_module(A, side="bi")).ok
+        assert validate_module(canonical_k(A, side="bi")).ok
+    # the full enumeration makes 2 * 49 * (49 + 1) calls; S u {1} makes 2 * 2 * 50
+    assert leibniz.calls <= 5 * 49
+
+
+def test_algebra_verdict_is_decided_once_per_algebra():
+    A = polynomial_algebra(1, QQ, GradedWindow(0, 48))
+    with _Counted("_generators").installed() as generators:
+        assert validate_algebra(A).ok
+        assert validate_module(free_module(A, side="bi")).ok
+        assert validate_module(canonical_k(A, side="bi")).ok
+        assert generators.calls == 1
+        # the opposite is another algebra and decides its own verdict
+        N = to_opposite(free_module(A, side="right"))
+        op = N.algebra
+        assert validate_module(N).ok
+        assert generators.calls == 2
+        assert algebra._checked(op) == ({"t1"}, ())
+        assert op._checks is not A._checks
+        assert op.opposite() is A and validate_algebra(A).ok
+        assert generators.calls == 2

@@ -21,7 +21,7 @@ from dgreg.module import (
     suspend,
     validate_module,
 )
-from dgreg.resolution import ext_reg, semifree_resolve
+from dgreg.resolution import ext_reg, koszul_test, semifree_resolve
 from dgreg.torsion import (
     UnsupportedRegimeError,
     apply_duality,
@@ -438,3 +438,57 @@ def test_duality_layer_is_pinned():
     assert len(out) == 164
     digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
     assert digest == PINNED_DUALITY_SHA256
+
+
+# ---- a certified value does not move when the window widens -------------------
+
+WIDENING_ALGEBRAS = [
+    square_zero_algebra,
+    lambda F, W: exterior_algebra(1, F, W),
+    lambda F, W: exterior_algebra(3, F, W),
+    lambda F, W: polynomial_algebra(1, F, W),
+    lambda F, W: polynomial_algebra(2, F, W),
+    lambda F, W: polynomial_algebra(3, F, W),
+]
+WIDENING_MODULES = [
+    ("k", {}), ("free", {}), ("suspended-k", {"n": 2}), ("suspended-k", {"n": -3}),
+    ("truncated-free", {"level": 1}), ("truncated-free", {"level": 3}), ("cone-id", {}),
+]
+
+
+def _agree_on_certified(values, where):
+    """Exact (or -inf) regularity values are one value, and no lower bound
+    exceeds it."""
+    exact = [v for v in values if v.certified_exact]
+    assert len({(v.kind, v.n) for v in exact}) <= 1, (where, values)
+    for v in values:
+        if exact and v.lower_bound() is not None:
+            assert v.lower_bound() <= exact[0].upper_bound(), (where, values)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=["Q", "F2", "F7"])
+def test_certified_values_do_not_move_as_the_window_widens(field):
+    """The same module over the algebra on windows 0..8, 0..12 and 0..16:
+    certified H dimensions, exact Extreg and CMreg, decided Koszul values
+    and holds/violated duality verdicts are the same on every window."""
+    for make in WIDENING_ALGEBRAS:
+        for kind, kw in WIDENING_MODULES:
+            h, ext, cm, koszul, local, double = ([] for _ in range(6))
+            for hi in (8, 12, 16):
+                A = make(field, GradedWindow(0, hi))
+                regime = detect_regime(A)
+                M = build_module(A, kind, side="left", **kw)
+                h.append(cohomology(M))
+                ext.append(ext_reg(M))
+                cm.append(cm_reg(M, regime))
+                koszul.append(koszul_test(M).value)
+                local.append(local_duality_check(M, regime).verdict)
+                double.append(double_duality_check(M, regime).verdict)
+            where = (A.name, kind, kw)
+            for d in set().union(*(rep.dims for rep in h)):
+                assert len({rep.dim(d) for rep in h if rep.certified.contains(d)}) <= 1, (where, d)
+            _agree_on_certified(ext, where)
+            _agree_on_certified(cm, where)
+            assert len({v for v in koszul if v is not None}) <= 1, (where, koszul)
+            for verdicts in (local, double):
+                assert len(set(verdicts) & {"holds", "violated"}) <= 1, (where, verdicts)
