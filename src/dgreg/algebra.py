@@ -234,8 +234,8 @@ class DGAlgebra(Presentation):
     def opposite(self) -> "DGAlgebra":
         """The graded-opposite algebra: a *op b = (-1)^{|a||b|} b a.
 
-        An involution: the opposite records A as its own opposite, so
-        ``A.opposite().opposite() is A``.  A does not keep its opposite."""
+        Built once and kept on A, and an involution: the opposite records
+        A as its own opposite, so ``A.opposite().opposite() is A``."""
         if self._opposite is not None:
             return self._opposite
         F = self.field
@@ -254,6 +254,7 @@ class DGAlgebra(Presentation):
             trust=self.trust,
         )
         op._opposite = self
+        self._opposite = op
         return op
 
 

@@ -1,9 +1,18 @@
 """Exact scalar arithmetic over the rationals and prime fields.
 
-Scalars are ``fractions.Fraction`` values over Q and canonical integer
-representatives ``0..p-1`` over F_p.  A :class:`FieldSpec` carries the
-arithmetic so that matrices and coefficient tables never silently mix
-scalars from different ground fields.
+Over F_p scalars are the canonical integer representatives ``0..p-1``.
+Over Q a scalar is a plain ``int`` when it is integral and a
+``fractions.Fraction`` only when it is not.  ``zero``, ``one``, ``sign``,
+``coerce``, ``parse`` and ``inv`` keep to that rule, and so does every
+scalar :mod:`dgreg.linalg` stores, so integral tables are eliminated in
+``int`` arithmetic and a ``Fraction`` is built only where a pivot
+inverse is not integral.  ``add``, ``sub`` and ``mul`` are Python's own
+operators: a sum of two ``Fraction`` values may be an integral
+``Fraction`` until ``coerce`` brings it back.  Either way the value is
+exact, ``3 == Fraction(3)`` with equal hashes, and both print as ``3``,
+so the rule changes no value and no text.  A :class:`FieldSpec` carries
+the arithmetic so that matrices and coefficient tables never silently
+mix scalars from different ground fields.
 """
 
 from __future__ import annotations
@@ -29,6 +38,23 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+def exact(q):
+    """The rational q (an ``int`` or a ``Fraction``) in its one
+    representation: an ``int`` when q is integral, else q itself."""
+    return q.numerator if q.denominator == 1 else q
+
+
+def inverse(a, p: int):
+    """1/a for a nonzero scalar a: mod p when p, else over Q by the
+    representation rule of :func:`exact`, with 1 and -1 their own
+    inverses."""
+    if p:
+        return pow(a, -1, p)
+    if a == 1 or a == -1:
+        return int(a)
+    return exact(Fraction(1, a))
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Ground field: Q when ``p == 0``, otherwise F_p for a prime p < 2**31."""
@@ -49,10 +75,10 @@ class FieldSpec:
         return "Q" if self.p == 0 else f"F{self.p}"
 
     def zero(self):
-        return Fraction(0) if self.p == 0 else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.p == 0 else 1
+        return 1
 
     def coerce(self, x):
         """Bring an int or Fraction into this field.
@@ -61,8 +87,10 @@ class FieldSpec:
         divisible by p is rejected.
         """
         if self.p == 0:
-            if isinstance(x, (int, Fraction)):
-                return Fraction(x)
+            if isinstance(x, int):
+                return int(x)
+            if isinstance(x, Fraction):
+                return exact(x)
             raise FieldMismatchError(f"cannot coerce {x!r} into Q")
         if isinstance(x, int):
             return x % self.p
@@ -89,7 +117,7 @@ class FieldSpec:
     def inv(self, a):
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero field element")
-        return Fraction(1, a) if self.p == 0 else pow(a, -1, self.p)
+        return inverse(a, self.p)
 
     def is_zero(self, a) -> bool:
         return a == 0

@@ -9,8 +9,11 @@ zeros, so elimination works on sparse vectors: dicts ``{index: value}``
 holding only the nonzero entries.  An :class:`Echelon` stores its rows
 that way, and reduction, insertion and membership visit only nonzero
 entries.  The ground field is dispatched once per elimination step
-(plain ``int`` arithmetic mod p, or ``Fraction`` over Q) rather than
-once per entry.
+rather than once per entry: ``int`` arithmetic mod p over F_p, and over
+Q plain ``int`` arithmetic that turns into ``Fraction`` arithmetic only
+where a pivot inverse is not integral.  Every scalar stored or returned
+keeps the representation of :mod:`dgreg.fields`: over Q an ``int`` when
+integral, else a ``Fraction``.
 
 Cohomology is computed one way only.  :func:`kernel_mod_images` feeds
 the sparse differential columns of a cochain complex, one per basis
@@ -27,10 +30,9 @@ from __future__ import annotations
 
 from bisect import bisect
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
-from .fields import FieldSpec
+from .fields import FieldSpec, exact, inverse
 
 
 class ContainmentError(ValueError):
@@ -89,7 +91,9 @@ def dense(field: FieldSpec, vec: dict, n: int) -> tuple:
 
 
 def _axpy(v: dict, c, row: dict, p: int):
-    """v -= c * row in place (mod p when p), dropping entries that cancel."""
+    """v -= c * row in place (mod p when p), dropping entries that cancel.
+    Over Q an integral result is stored as an ``int``: a sum of
+    ``Fraction`` terms is a ``Fraction`` even when it is integral."""
     if p:
         for j, y in row.items():
             x = (v.get(j, 0) - c * y) % p
@@ -101,23 +105,19 @@ def _axpy(v: dict, c, row: dict, p: int):
         for j, y in row.items():
             if j in v:
                 x = v[j] - c * y
-                if x:
-                    v[j] = x
-                else:
+                if not x:
                     del v[j]
+                    continue
             else:
-                v[j] = -c * y
-
-
-def _inverse(x, p: int):
-    return pow(x, -1, p) if p else Fraction(1, x)
+                x = -c * y
+            v[j] = x if type(x) is int else exact(x)
 
 
 def _scaled(v: dict, c, p: int) -> dict:
     """c * v as a new dict (mod p when p)."""
     if p:
         return {j: x * c % p for j, x in v.items()}
-    return {j: x * c for j, x in v.items()}
+    return {j: exact(x * c) for j, x in v.items()}
 
 
 class Echelon:
@@ -180,7 +180,7 @@ class Echelon:
         p = self.field.p
         q = min(v)
         if v[q] != 1:
-            v = _scaled(v, _inverse(v[q], p), p)
+            v = _scaled(v, inverse(v[q], p), p)
         for row in self.rows:
             c = row.get(q)
             if c is not None:
@@ -233,7 +233,7 @@ class KernelEchelon:
             return True
         q = min(v)
         if v[q] != 1:
-            inv = _inverse(v[q], p)
+            inv = inverse(v[q], p)
             v, t = _scaled(v, inv, p), _scaled(t, inv, p)
         for row, comb in at.values():
             c = row.get(q)

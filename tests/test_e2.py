@@ -1,5 +1,7 @@
 """Local cohomology pages via stable Koszul complexes."""
 
+from fractions import Fraction
+
 import pytest
 
 from dgreg.algebra import AlgebraAutomorphism, identity_automorphism, validate_automorphism
@@ -190,6 +192,14 @@ def _param_sets(A):
     return [[], [t], [t, t2], [t, t]]
 
 
+def _params_text(F, params):
+    """``repr(params)`` with every scalar over Q shown as a Fraction, as
+    the pinned digest was recorded; over Q an integral scalar is an int."""
+    if F.p:
+        return repr(params)
+    return repr([{lbl: Fraction(c) for lbl, c in t.items()} for t in params])
+
+
 def _top_degree_map(A, scalar):
     """Multiplies the top degree of A by a raw int: 0 kills it, and 7
     kills it only over F_7."""
@@ -214,7 +224,7 @@ def test_e2_layer_is_pinned():
             if not M.has_left:
                 continue
             for params in _param_sets(A):
-                out.append([A.name, M.name, repr(params), _e2_entry(A, M, params)])
+                out.append([A.name, M.name, _params_text(F, params), _e2_entry(A, M, params)])
     assert len(out) == PINNED_E2_ENTRIES
     digest = hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest()
     assert digest == PINNED_E2_SHA256

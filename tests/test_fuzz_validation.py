@@ -755,10 +755,13 @@ def test_algebra_verdict_is_decided_once_per_algebra():
         assert validate_module(free_module(A, side="bi")).ok
         assert validate_module(canonical_k(A, side="bi")).ok
         assert generators.calls == 1
-        # the opposite is another algebra and decides its own verdict
+        # the opposite is another algebra and decides its own verdict; it
+        # is kept on A, so every transport sits over the same one
         N = to_opposite(free_module(A, side="right"))
+        N2 = to_opposite(canonical_k(A, side="right"))
         op = N.algebra
-        assert validate_module(N).ok
+        assert N2.algebra is op and A.opposite() is op
+        assert validate_module(N).ok and validate_module(N2).ok
         assert generators.calls == 2
         assert algebra._checked(op) == ({"t1"}, ())
         assert op._checks is not A._checks

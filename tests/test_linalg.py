@@ -193,7 +193,20 @@ def test_kernel_vectors_are_killed(m):
 #
 # Dense leftmost-pivot elimination, kept here only as a reference: the
 # reduced echelon form is unique, so the sparse kernel must reproduce it
-# value for value and type for type (compared through repr).
+# value for value.  The reference multiplies with plain field arithmetic,
+# which over Q may leave an integral Fraction, so types are not compared
+# with it; instead every scalar the sparse side gives must have its
+# field's one representation (``_canonical``).
+
+
+def _canonical(field, vectors) -> bool:
+    """Every scalar of the vectors (dicts or tuples) is an int in 0..p-1
+    over F_p; over Q an int (not a bool) when integral, else a Fraction."""
+    def ok(x):
+        if type(x) is int:
+            return not field.p or 0 <= x < field.p
+        return not field.p and type(x) is Fraction and x.denominator != 1
+    return all(ok(x) for v in vectors for x in (v.values() if isinstance(v, dict) else v))
 
 
 def _ref_row_reduce(m):
@@ -311,11 +324,12 @@ def test_sparse_kernel_matches_dense_reference(field, data):
     m = data.draw(sparse_matrices(field))
     red = row_reduce(m)
     rref, pivots = _ref_row_reduce(m)
-    assert repr(red.rref.rows) == repr(tuple(rref))
+    assert red.rref.rows == tuple(rref) and _canonical(field, red.rref.rows)
     assert red.pivot_cols == tuple(pivots)
     assert red.rank == len(pivots)
-    assert repr(_kernel(m)) == repr(_ref_kernel(m))
-    assert repr(_image(m)) == repr(_ref_image(m))
+    kernel, image = _kernel(m), _image(m)
+    assert kernel == _ref_kernel(m) and _canonical(field, kernel)
+    assert image == _ref_image(m) and _canonical(field, image)
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -338,7 +352,8 @@ def test_sparse_quotient_matches_dense_reference(field, data):
             quotient_by(field, span, sub)
         return
     q = quotient_by(field, span, sub)
-    assert repr([dense(field, r, m.ncols) for r in q.representatives]) == repr(want)
+    assert [dense(field, r, m.ncols) for r in q.representatives] == want
+    assert _canonical(field, q.representatives)
     for v in sub:
         assert q.project(sparse(v)) == {}
 
@@ -371,7 +386,8 @@ def test_quotient_project_recovers_coordinates(field, data):
         h.add_incoming(col)
     q = h.quotient()
     want = _ref_quotient(field, _ref_kernel(m), [dense(field, v, m.ncols) for v in image])
-    assert repr([dense(field, r, m.ncols) for r in q.representatives]) == repr(want)
+    assert [dense(field, r, m.ncols) for r in q.representatives] == want
+    assert _canonical(field, q.representatives)
     coords = draws(q.dim)
     vec = combo(image + q.representatives, draws(len(image)) + coords)
     assert q.project(vec) == {i: c for i, c in enumerate(coords) if c}
@@ -389,10 +405,70 @@ def test_echelon_matches_dense_reference(field, data):
     ech, ref = Echelon(field), _RefEchelon(field, m.ncols)
     for row in m.rows:
         v = sparse(row)
-        assert repr(dense(field, ech.reduce(v), m.ncols)) == repr(ref.reduce(row))
+        residual = ech.reduce(v)
+        assert dense(field, residual, m.ncols) == ref.reduce(row) and _canonical(field, [residual])
         assert ech.add(v) == ref.add(row)
-        assert repr([dense(field, r, m.ncols) for r in ech.rows]) == repr([tuple(r) for r in ref.rows])
+        assert [dense(field, r, m.ncols) for r in ech.rows] == [tuple(r) for r in ref.rows]
+        assert _canonical(field, ech.rows)
         assert ech.contains(v)
+
+
+def test_rational_inverse_is_an_int_when_integral():
+    for a, inv in [(1, 1), (-1, -1), (Fraction(1, 3), 3), (Fraction(-1, 2), -2), (Fraction(1), 1)]:
+        assert QQ.inv(a) == inv and type(QQ.inv(a)) is int
+    assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_every_scalar_has_its_fields_one_representation(field, data):
+    """What ``coerce``, ``parse``, ``inv``, ``sign``, ``one`` and ``zero``
+    return, and every scalar of Echelon rows and residuals, KernelEchelon
+    rows, combinations and kernel vectors, and KernelModImage quotient
+    representatives and coordinates: over Q an int (not a bool) when
+    integral, else a Fraction, never a float; over F_p an int in 0..p-1."""
+    F = field
+    literals = data.draw(st.lists(st.tuples(st.integers(-6, 6), st.integers(1, 6)),
+                                  min_size=1, max_size=8))
+    scalars = [F.one(), F.zero()] + [F.sign(n) for n in range(-2, 3)]
+    for n, d in literals:
+        scalars += [F.coerce(n), F.coerce(n % 2 == 1), F.parse(str(n))]
+        q = Fraction(n, d)
+        if F.p and q.denominator % F.p == 0:
+            with pytest.raises(FieldMismatchError):
+                F.parse(f"{n}/{d}")
+            continue
+        scalars += [F.coerce(q), F.parse(f"{n}/{d}"), F.parse(f" {2 * n}/{2 * d} ")]
+    scalars += [F.inv(x) for x in scalars if x]
+    assert _canonical(F, [scalars])
+
+    # matrices whose entries are those scalars, fractions included
+    pool = sorted({x for x in scalars if x}) or [F.one()]
+    nrows, ncols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    cells = data.draw(st.lists(st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1),
+                                         st.sampled_from(pool)), max_size=nrows * ncols // 2 + 1))
+    rows = [dict() for _ in range(nrows)]
+    for i, j, x in cells:
+        rows[i][j] = x
+    ech = Echelon(F)
+    for v in rows:
+        assert _canonical(F, [ech.reduce(v)])
+        ech.add(v)
+    assert _canonical(F, ech.rows)
+    columns = [{i: v[j] for i, v in enumerate(rows) if j in v} for j in range(ncols)]
+    h = KernelModImage(F)
+    for col in columns:
+        h.add_outgoing(col)
+    kernel = h.kernel.basis
+    for col in [{}] + [dict(kernel[k]) for k in range(len(kernel)) if data.draw(st.booleans())]:
+        h.add_incoming(col)
+    q = h.quotient()
+    assert _canonical(F, kernel)
+    assert _canonical(F, [v for pair in h.kernel._row_at.values() for v in pair])
+    assert _canonical(F, q.representatives) and _canonical(F, q.sub.rows)
+    for rep, c in zip(q.representatives, pool):
+        assert _canonical(F, [q.project({j: F.coerce(F.mul(x, c)) for j, x in rep.items()})])
 
 
 def _exact(vectors):
@@ -415,11 +491,14 @@ def test_growing_kernel_and_image_match_elimination_from_scratch(field, data):
     entry = st.integers(-4, 4).map(field.coerce)
 
     def combo(vectors):
+        """A combination of the vectors, its scalars coerced: a product
+        of Fractions may be an integral Fraction, and the image echelon
+        keeps its input's scalars."""
         out = {}
         for v in vectors:
             c = data.draw(entry)
             for i, x in v.items():
-                out[i] = field.add(out.get(i, field.zero()), field.mul(c, x))
+                out[i] = field.coerce(field.add(out.get(i, field.zero()), field.mul(c, x)))
         return out
 
     def dense_all(vectors):
@@ -428,8 +507,8 @@ def test_growing_kernel_and_image_match_elimination_from_scratch(field, data):
     def take():
         reps = _ref_quotient(field, dense_all(kernel), dense_all(incoming))
         q = h.quotient()
-        assert repr(dense_all(q.representatives)) == repr(reps)
-        assert repr(dense_all(q.sub.rows)) == repr(image())
+        assert dense_all(q.representatives) == reps and _canonical(field, q.representatives)
+        assert dense_all(q.sub.rows) == image() and _canonical(field, q.sub.rows)
         taken.append((q, _exact(q.representatives), _exact(q.sub.rows)))
         return [sparse(v) for v in reps]
 
@@ -450,7 +529,7 @@ def test_growing_kernel_and_image_match_elimination_from_scratch(field, data):
             outgoing.append(col)
             h.add_outgoing(col)
         kernel = [sparse(v) for v in _ref_kernel(Matrix.from_columns(field, nrows, outgoing))]
-        assert repr(dense_all(h.kernel.basis)) == repr(dense_all(kernel))
+        assert dense_all(h.kernel.basis) == dense_all(kernel) and _canonical(field, h.kernel.basis)
         reps = take()
         # coboundaries, so the image stays inside the kernel: combinations
         # of cocycles, or a multiple of the first class plus old coboundaries
@@ -461,7 +540,7 @@ def test_growing_kernel_and_image_match_elimination_from_scratch(field, data):
                 col = combo(kernel)
             incoming.append(col)
             h.add_incoming(col)
-            assert repr(dense_all(h.image.rows)) == repr(image())
+            assert dense_all(h.image.rows) == image() and _canonical(field, h.image.rows)
             if data.draw(st.booleans()):
                 reps = take()
     for q, reps, sub in taken:

@@ -1,5 +1,7 @@
 """Text format: grammar, errors, round-trips."""
 
+from fractions import Fraction
+
 import pytest
 
 from dgreg.catalog import (
@@ -7,6 +9,7 @@ from dgreg.catalog import (
     polynomial_algebra,
     square_zero_algebra,
 )
+from dgreg.cli import main
 from dgreg.fields import GF, QQ
 from dgreg.module import canonical_k, free_module
 from dgreg.textformat import (
@@ -353,3 +356,115 @@ def test_table_line_errors_are_pinned(where, line, condition):
     col = 1 if condition == "bad label" else 0
     assert (err.value.line_no, err.value.column) == (probe_no, col)
     assert condition in err.value.message
+
+
+# A Q document whose tables hold the literals 1/2, 2/4, 4/2, -6/3 and -1:
+# over Q an integral literal parses to an int and a non-integral one to a
+# Fraction, and neither the emitted text nor the validation report may see
+# the difference.  RATIONAL_EMITTED and RATIONAL_VALIDATE were recorded
+# when every scalar over Q was a Fraction.
+RATIONAL_DOC = """\
+algebra P over Q window 0..4
+basis 0: one
+basis 2: x
+basis 4: y
+unit one
+mul one one = one
+mul one x = x
+mul x one = x
+mul one y = y
+mul y one = y
+mul x x = 4/2*y
+
+module M over P side left window 0..5
+basis 0: a
+basis 1: b
+basis 2: xa
+basis 3: xb
+basis 4: ya
+basis 5: yb
+act one a = a
+act one b = b
+act one xa = xa
+act one xb = xb
+act one ya = ya
+act one yb = yb
+act x a = 1/2*xa
+act x b = -1*xb
+act x xa = 2/4*ya
+act x xb = -6/3*yb
+act y a = 1/8*ya
+act y b = yb
+diff a = -6/3*b
+diff xa = 4*xb
+
+automorphism flip of P
+map one = one
+map x = -1*x
+map y = y
+"""
+
+RATIONAL_EMITTED = """\
+algebra P over Q window 0..4
+basis 0: one
+basis 2: x
+basis 4: y
+unit one
+mul one one = one
+mul one x = x
+mul one y = y
+mul x one = x
+mul x x = 2*y
+mul y one = y
+
+module M over P side left window 0..5
+basis 0: a
+basis 1: b
+basis 2: xa
+basis 3: xb
+basis 4: ya
+basis 5: yb
+act one a = a
+act one b = b
+act one xa = xa
+act one xb = xb
+act one ya = ya
+act one yb = yb
+act x a = 1/2*xa
+act x b = -1*xb
+act x xa = 1/2*ya
+act x xb = -2*yb
+act y a = 1/8*ya
+act y b = yb
+diff a = -2*b
+diff xa = 4*xb
+
+automorphism flip of P
+map one = one
+map x = -1*x
+map y = y
+"""
+
+RATIONAL_VALIDATE = """\
+algebra P: valid
+module M: 2 violation(s)
+  leibniz-left at ('x', 'xa'): d(am) != d(a)m + (-1)^|a| a d(m)
+  leibniz-left at ('y', 'a'): d(am) != d(a)m + (-1)^|a| a d(m)
+automorphism flip: valid
+"""
+
+
+def test_non_integral_and_reducible_literals_round_trip(tmp_path, capsys):
+    doc = parse_document(RATIONAL_DOC)
+    assert emit_document(doc) == RATIONAL_EMITTED
+    assert emit_document(parse_document(RATIONAL_EMITTED)) == RATIONAL_EMITTED
+    M = doc.modules["M"]
+    assert doc.algebras["P"].mul[("x", "x")] == {"y": 2}
+    assert (M.lact[("x", "a")], M.lact[("x", "xa")]) == ({"xa": Fraction(1, 2)}, {"ya": Fraction(1, 2)})
+    assert (M.lact[("x", "b")], M.diff["a"]) == ({"xb": -1}, {"b": -2})
+    assert all(type(c) is (int if c.denominator == 1 else Fraction)
+               for table in (M.lact, M.diff) for combo in table.values() for c in combo.values())
+    path = tmp_path / "rational.dg"
+    path.write_text(RATIONAL_DOC)
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().out == RATIONAL_VALIDATE
