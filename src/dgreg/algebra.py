@@ -53,6 +53,7 @@ never silently zero there.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field as dc_field
 
 from .fields import FieldSpec
@@ -92,16 +93,18 @@ class Presentation:
     """The core that DGAlgebra and DGModule share: a degreewise basis on a
     window, coefficient tables keyed by labels, and the rule for entries
     that land above the window top.  A subclass sets ``basis``,
-    ``window``, ``trust``, ``diff`` and ``field`` and calls
-    :meth:`_index` from its ``__post_init__``.
+    ``window``, ``trust``, ``diff`` and ``field``, names its coefficient
+    tables in ``_tables``, and calls :meth:`_index` from its ``_prepare``,
+    which the constructor and :meth:`_built` run.
     """
 
     _label_kind = "basis"
 
-    def _index(self):
+    def _index(self, clean: bool):
         """Sort the basis by degree, map each label to its degree and to
-        its position in its degree, and keep the field's zero and one for
-        the hot loops."""
+        its position in its degree, keep the field's zero and one for the
+        hot loops, and with ``clean`` replace each table named in
+        ``_tables`` by its :meth:`_clean` copy."""
         self._zero, self._one = self.field.zero(), self.field.one()
         self.basis = {d: tuple(lbls) for d, lbls in sorted(self.basis.items()) if lbls}
         self._deg, self._pos = {}, {}
@@ -112,11 +115,31 @@ class Presentation:
                     raise ValueError(f"duplicate {self._label_kind} label {lbl!r}")
                 self._deg[lbl] = d
                 pos[lbl] = i
+        if clean:
+            for name in self._tables:
+                setattr(self, name, self._clean(getattr(self, name)))
 
     def _clean(self, table: dict) -> dict:
         """A fresh copy of a table with zero coefficients and entries dropped."""
         F = self.field
         return {k: v for k, v in ((k, cclean(F, c)) for k, c in table.items()) if v}
+
+    def __post_init__(self):
+        self._prepare(clean=True)
+
+    @classmethod
+    def _built(cls, **fields):
+        """An instance on tables the library built itself, each already
+        clean (no zero scalar, no empty combination): the constructor,
+        given every field, without the :meth:`_clean` copies.  Parsed,
+        catalog and user-built presentations go through the constructor
+        and are cleaned."""
+        self = cls.__new__(cls)
+        # in the constructor's order, so that instances share one key layout
+        for f in dataclasses.fields(cls):
+            setattr(self, f.name, fields[f.name])
+        self._prepare(clean=False)
+        return self
 
     def degree_of(self, lbl: str) -> int:
         return self._deg[lbl]
@@ -196,8 +219,13 @@ class DGAlgebra(Presentation):
     Missing in-window entries mean zero.  ``trust`` is the degree range
     on which the presentation agrees with the unbounded object.
 
-    Tables are not edited after construction: the opposite algebra and
-    the validation verdict are computed once and kept on the object.
+    Tables are not edited after construction, so what is derived from A
+    alone is computed once and kept on the object, in one store read
+    through :meth:`kept`: the opposite algebra, the validation verdict, A
+    as a bimodule over itself, and the torsion objects of
+    ``dgreg.torsion`` (the detected regime, the dualizing module and its
+    opposite, the Cech carrier, and Extreg k with CMreg A per stage
+    budget).  The opposite keeps its own store.
     """
 
     name: str
@@ -209,12 +237,18 @@ class DGAlgebra(Presentation):
     diff: dict           # label -> combination
     trust: Trust = dc_field(default_factory=Trust.everywhere)
 
-    def __post_init__(self):
-        self._index()
-        self.mul = self._clean(self.mul)
-        self.diff = self._clean(self.diff)
-        self._opposite = None
-        self._checks = None
+    _tables = ("mul", "diff")
+
+    def _prepare(self, clean: bool):
+        self._index(clean)
+        self._kept = {}
+
+    def kept(self, key, build):
+        """The value ``build()`` computed once for A and kept under ``key``."""
+        store = self._kept
+        if key not in store:
+            store[key] = build()
+        return store[key]
 
     def product(self, a: str, b: str):
         """Combination for a*b; None when the target degree is unrecorded."""
@@ -236,14 +270,14 @@ class DGAlgebra(Presentation):
 
         Built once and kept on A, and an involution: the opposite records
         A as its own opposite, so ``A.opposite().opposite() is A``."""
-        if self._opposite is not None:
-            return self._opposite
+        if "opposite" in self._kept:
+            return self._kept["opposite"]
         F = self.field
         mul_op = {}
         for (a, b), combo in self.mul.items():
             s = F.sign(self._deg[a] * self._deg[b])
             mul_op[(b, a)] = cscale(F, s, combo)
-        op = DGAlgebra(
+        op = DGAlgebra._built(
             name=self.name + "_op",
             field=F,
             window=self.window,
@@ -253,8 +287,8 @@ class DGAlgebra(Presentation):
             diff=self.diff,
             trust=self.trust,
         )
-        op._opposite = self
-        self._opposite = op
+        op._kept["opposite"] = self
+        self._kept["opposite"] = op
         return op
 
 
@@ -411,7 +445,7 @@ def _checked(A: DGAlgebra) -> tuple:
     """``(verdict, violations)`` for A: the violations of the algebra
     axioms, and the generators S when there are none, else None.  Decided
     once per algebra and kept on it."""
-    if A._checks is None:
+    def decide():
         gens = _generators(A)
         out = _connected_unital(A)
         out += _d_squared(A, "d(d(b)) is nonzero")
@@ -419,8 +453,9 @@ def _checked(A: DGAlgebra) -> tuple:
         firsts = None if gens is None or assoc else gens | {A.unit}
         out += _by_generators(lambda firsts: _algebra_leibniz(A, firsts), firsts, A._deg)
         out += assoc
-        A._checks = (None if out else gens, tuple(out))
-    return A._checks
+        return (None if out else gens, tuple(out))
+
+    return A.kept("checks", decide)
 
 
 def validate_algebra(A: DGAlgebra) -> ValidationReport:

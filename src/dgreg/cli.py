@@ -12,6 +12,7 @@ Exit codes: 0 success/holds, 1 certified violation, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from collections.abc import Callable
@@ -210,8 +211,11 @@ def cmd_dualizing(args, A, regime) -> int:
 
 
 def cmd_duality(args, M, regime) -> int:
-    """duality-check and local-duality: the check comes from the row."""
-    rep = args.row.check(M, regime, max_stages=args.stages)
+    """duality-check and local-duality.  The check is looked up by name
+    here, when it runs, so that a wrapper installed on this module after
+    the parser was built (bench/tracer.py) sees the call."""
+    check = double_duality_check if args.command == "duality-check" else local_duality_check
+    rep = check(M, regime, max_stages=args.stages)
     code = {"holds": OK, "violated": VIOLATION, "indeterminate": INDETERMINATE}[rep.verdict]
     return _report(args, {"check": rep.to_json()},
                    f"{rep.name.replace('-', ' ')} on {M.name}: {rep.verdict}", code)
@@ -324,14 +328,14 @@ class Command:
     handler: Callable[..., int]
     stages: bool = False
     regime: bool = False
-    check: Callable | None = None
     extra: tuple = ()
 
 
 def _commands() -> tuple:
-    """The table, built per parser as argparse defaults are: a row's
-    check is whatever this module's name for it holds when main runs,
-    so a wrapper installed on the module (bench/tracer.py) sees the call."""
+    """The table the parser is built from, once per process.  A row holds
+    no library function but its handler, and a handler looks up what it
+    calls when it runs, so a wrapper installed on this module later
+    (bench/tracer.py) sees the call."""
     return (
         Command("cohomology", "degreewise cohomology", EITHER, cmd_cohomology),
         Command("resolve", "minimal semifree resolution ledger", MODULE, cmd_resolve, stages=True),
@@ -341,9 +345,9 @@ def _commands() -> tuple:
         Command("gamma", "cohomology of the derived torsion", MODULE, cmd_gamma, stages=True, regime=True),
         Command("dualizing", "the dualizing DG module", ALGEBRA, cmd_dualizing, regime=True),
         Command("duality-check", "double duality recovers H(M)", MODULE, cmd_duality,
-                stages=True, regime=True, check=double_duality_check),
+                stages=True, regime=True),
         Command("local-duality", "(Gamma M)* against RHom(M, D)", MODULE, cmd_duality,
-                stages=True, regime=True, check=local_duality_check),
+                stages=True, regime=True),
         Command("e2", "local cohomology page of H(M)", MODULE, cmd_e2,
                 extra=(("--params", "comma-separated algebra cocycles, e.g. t1 or 2*t1"),)),
     )
@@ -407,8 +411,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call to main and reused."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -43,8 +43,9 @@ def ledger_cells(L: SemifreeResolution, N, window: GradedWindow, sign: int) -> d
 def _ledger_cell(N, window, rules, alg, keys, x, g, n):
     """The cell (x, g) of degree n of the complex of :func:`_ledger_complex`
     with the given ``rules`` and algebra (label, degree) pairs ``alg``, as
-    (diff, acts, cap): d(x, g) keyed by ``keys[(x2, h)]`` (cells without a
-    key are skipped; empty at the window top or when unrecorded), the
+    (diff, acts, cap): d(x, g) keyed by ``keys[(x2, h)]`` with no zero
+    coefficient (cells without a key are skipped; empty at the window top
+    or when unrecorded), the
     (a, sign, terms) of each action landing in the window, and the trust
     cap the unrecorded entries impose (None when there is none).
     """
@@ -73,7 +74,12 @@ def _ledger_cell(N, window, rules, alg, keys, x, g, n):
                         if key is not None:
                             v = F.mul(sc, c)
                             old = acc.get(key)
-                            acc[key] = v if old is None else F.add(old, v)
+                            if old is not None:
+                                v = F.add(old, v)
+                            if F.is_zero(v):
+                                del acc[key]
+                            else:
+                                acc[key] = v
                 if cap is not None:
                     acc = {}
                     break
@@ -145,19 +151,18 @@ def _ledger_complex(L, N, window, sign, label, rules, side, name):
         lact, ract = acts, {}
     else:
         lact, ract = {}, {(m, a): combo for (a, m), combo in acts.items()}
-    out = DGModule(name=name, algebra=A, side=side, window=window, basis=basis,
-                   lact=lact, ract=ract, diff=diff, trust=trust)
+    # each cell's differential is clean and each action entry a product of
+    # nonzero scalars at distinct cells, so every table is already clean
+    out = DGModule._built(name=name, algebra=A, side=side, window=window, basis=basis,
+                          lact=lact, ract=ract, diff=diff, trust=trust)
     return out, notes
 
 
 def _free_bimodule(A):
     """A as a bimodule over itself, built once per algebra object and
-    kept on it (its tables are fixed after construction), so that the
-    many realizations of ledgers over one algebra do not rebuild it."""
-    AA = A.__dict__.get("_free_bimodule")
-    if AA is None:
-        AA = A._free_bimodule = free_module(A)
-    return AA
+    kept on it, so that the many realizations of ledgers over one
+    algebra do not rebuild it."""
+    return A.kept("free bimodule", lambda: free_module(A))
 
 
 def _generator_trust(A, degree: int, window: GradedWindow) -> Trust:

@@ -52,17 +52,15 @@ class DGModule(Presentation):
     trust: Trust = dc_field(default_factory=Trust.everywhere)
 
     _label_kind = "module"
+    _tables = ("lact", "ract", "diff")
 
-    def __post_init__(self):
+    def _prepare(self, clean: bool):
         if self.side not in (LEFT, RIGHT, BI):
             raise ValueError(f"bad side {self.side!r}")
         for d in sorted(self.basis):
             if self.basis[d] and not self.window.contains(d):
                 raise WindowError(f"basis degree {d} outside window {self.window}")
-        self._index()
-        self.lact = self._clean(self.lact)
-        self.ract = self._clean(self.ract)
-        self.diff = self._clean(self.diff)
+        self._index(clean)
 
     # -- lookups ---------------------------------------------------------
 
@@ -301,7 +299,7 @@ def canonical_k(A: DGAlgebra, side: str = BI, name: str = "k") -> DGModule:
         lact[(A.unit, lbl)] = {lbl: F.one()}
     if side in (RIGHT, BI):
         ract[(lbl, A.unit)] = {lbl: F.one()}
-    return DGModule(
+    return DGModule._built(
         name=name,
         algebra=A,
         side=side,
@@ -316,7 +314,7 @@ def canonical_k(A: DGAlgebra, side: str = BI, name: str = "k") -> DGModule:
 
 def free_module(A: DGAlgebra, name: str | None = None, side: str = BI) -> DGModule:
     """A as a DG (bi)module over itself."""
-    return DGModule(
+    return DGModule._built(
         name=name or (A.name + "_free"),
         algebra=A,
         side=side,
@@ -359,7 +357,7 @@ def hard_truncate(M: DGModule, level: int) -> Truncation:
     sub_trust = M.trust
     if M.trust.lo is None or M.trust.lo <= level:
         sub_trust = Trust(None, M.trust.hi)  # below level the truncation is zero by fiat
-    sub = DGModule(
+    sub = DGModule._built(
         name=f"{M.name}>= {level}".replace(" ", ""),
         algebra=M.algebra,
         side=M.side,
@@ -372,7 +370,7 @@ def hard_truncate(M: DGModule, level: int) -> Truncation:
     )
     quot_window = GradedWindow(M.window.lo, min(M.window.hi, level - 1)) if drop else GradedWindow(M.window.lo, M.window.lo)
     quot_trust = Trust(M.trust.lo, None) if (M.trust.hi is None or M.trust.hi >= level - 1) else M.trust
-    quot = DGModule(
+    quot = DGModule._built(
         name=f"{M.name}/>={level}",
         algebra=M.algebra,
         side=M.side,
@@ -407,7 +405,7 @@ def suspend(M: DGModule, n: int, name: str | None = None) -> DGModule:
     for (m, a), combo in M.ract.items():
         s = F.sign(n * M.algebra.degree_of(a))
         ract[(m, a)] = cscale(F, s, combo)
-    return DGModule(
+    return DGModule._built(
         name=name or f"S{n}({M.name})",
         algebra=M.algebra,
         side=M.side,
@@ -458,7 +456,7 @@ def linear_dual(M: DGModule, name: str | None = None) -> DGModule:
                     lact.setdefault((a, dual_lbl[y]), {})[dual_lbl[x]] = F.mul(F.sign(da), c)
 
     side = {LEFT: RIGHT, RIGHT: LEFT, BI: BI}[M.side]
-    return DGModule(
+    return DGModule._built(
         name=name or f"{M.name}*",
         algebra=A,
         side=side,
@@ -490,7 +488,7 @@ def twist(M: DGModule, alpha, name: str | None = None) -> DGModule:
                 out = M.ract_combo({m: F.one()}, d, img, A.degree_of(a))
                 if out:
                     ract[(m, a)] = out
-    return DGModule(
+    return DGModule._built(
         name=name or f"{M.name}^tw",
         algebra=A,
         side=M.side,
@@ -626,7 +624,7 @@ def cone_of(f: ModuleMorphism, name: str | None = None) -> DGModule:
     for (m, a), combo in X.ract.items():
         ract[(sx[m], a)] = {sx[t]: c for t, c in combo.items()}
 
-    return DGModule(
+    return DGModule._built(
         name=name or f"cone({f.source.name}->{f.target.name})",
         algebra=A,
         side=X.side,
@@ -645,14 +643,14 @@ def left_restriction(M: DGModule) -> DGModule:
         return M
     if not M.has_left:
         raise SideError(f"{M.name} has no left structure")
-    return DGModule(
+    return DGModule._built(
         name=M.name, algebra=M.algebra, side=LEFT, window=M.window,
         basis=M.basis, lact=M.lact, ract={}, diff=M.diff, trust=M.trust,
     )
 
 
 def zero_module(A: DGAlgebra, side: str = LEFT, name: str = "0") -> DGModule:
-    return DGModule(
+    return DGModule._built(
         name=name, algebra=A, side=side, window=GradedWindow(0, A.window.hi),
         basis={}, lact={}, ract={}, diff={}, trust=Trust.everywhere(),
     )
@@ -666,15 +664,17 @@ def to_opposite(M: DGModule) -> DGModule:
     (and vice versa) via a .op m = (-1)^{|a||m|} m a.  Applied twice it
     gives M's tables back over M's own algebra."""
     F = M.field
+    one = F.one()
     lact, ract = {}, {}
+    # tables are never edited, so a combination the sign leaves alone is shared
     for (m, a), combo in M.ract.items():
         s = F.sign(M.algebra.degree_of(a) * M.degree_of(m))
-        lact[(a, m)] = cscale(F, s, combo)
+        lact[(a, m)] = combo if s == one else cscale(F, s, combo)
     for (a, m), combo in M.lact.items():
         s = F.sign(M.algebra.degree_of(a) * M.degree_of(m))
-        ract[(m, a)] = cscale(F, s, combo)
+        ract[(m, a)] = combo if s == one else cscale(F, s, combo)
     side = {LEFT: RIGHT, RIGHT: LEFT, BI: BI}[M.side]
-    return DGModule(
+    return DGModule._built(
         name=M.name + "_op",
         algebra=M.algebra.opposite(),
         side=side,

@@ -220,7 +220,7 @@ def semifree_resolve(M: DGModule, max_stages: int = 8) -> SemifreeResolution:
                     if cap is not None:
                         p_trust = p_trust.cap_hi(cap)
                     col = M.coords(_cell_image(M, aug.get(g), j, b, n), n)
-                    col.update((i, F.coerce(F.neg(c))) for i, c in dcell.items() if c)
+                    col.update((i, F.coerce(F.neg(c))) for i, c in dcell.items())
                     add_column(n - 1, col)
 
     return SemifreeResolution(
@@ -463,14 +463,16 @@ def truncate_above(M: DGModule, s: int, max_stages: int = 8) -> TruncationCertif
     morphism = ModuleMorphism(M, Mprime, images)
     ok = morphism.validate().ok
 
-    # left_restriction keeps M's basis, differential and trust, so h is H(M)
+    # left_restriction keeps M's basis, differential and trust, so h is H(M);
+    # H can match only where it was compared, so the window must hold all of it
     hp = cohomology(Mprime)
     window = h.certified.meet(hp.certified)
-    match = all(
-        h.dim(d) == hp.dim(d)
-        for d in set(h.dims) | set(hp.dims)
-        if window.contains(d)
-    ) and (not ok or morphism.is_quasi_iso_on(window))
+    support = set(h.dims) | set(hp.dims)
+    missed = sorted(d for d in support if not window.contains(d))
+    match = not missed and all(h.dim(d) == hp.dim(d) for d in support) and (
+        not ok or morphism.is_quasi_iso_on(window))
+    if missed:
+        note += f"; H outside the certified window {window} at degrees {missed}"
     if not ok:
         note += "; certificate morphism failed validation"
         morphism = None

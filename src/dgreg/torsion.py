@@ -22,6 +22,15 @@ Cech carrier), :func:`cm_reg` (sup H of Gamma M) and
 :func:`apply_duality` (Hom(P, D)), as ``resolution.ext_reg`` does.  The
 checks resolve each module once and hand the resolution on.
 
+What depends on A alone is computed once and kept on A (see
+``DGAlgebra.kept``): the detected regime, the dualizing module D and
+its opposite, the Cech carrier, and the pair (Extreg k, CMreg A) of
+:func:`regularity_inequalities` for each stage budget.  Only the regime
+:func:`detect_regime` returns for A is answered from there; any other
+regime, one built by hand among them, gets freshly computed objects.
+The carriers and the Hom/tensor complexes are built on tables that are
+clean by construction, so they skip ``Presentation._clean``.
+
 Partial resolutions contaminate the Hom/tensor complexes with shifted
 copies of k coming from the un-killed cone classes; :func:`gamma` and
 :func:`apply_duality` each state where theirs land, and the duality
@@ -92,7 +101,12 @@ class TorsionRegime:
 
 def detect_regime(A: DGAlgebra) -> TorsionRegime:
     """Classify A as finite dimensional, polynomial on one generator, or
-    unsupported for torsion computations."""
+    unsupported for torsion computations.  Detected once per algebra and
+    kept on it."""
+    return A.kept("regime", lambda: _detect_regime(A))
+
+
+def _detect_regime(A: DGAlgebra) -> TorsionRegime:
     if A.complete:
         top = max(A.basis) if A.basis else 0
         return TorsionRegime("finite", evidence=f"presentation complete, basis exhausted by degree {top}")
@@ -135,6 +149,15 @@ def _require(regime: TorsionRegime):
         raise UnsupportedRegimeError(regime.evidence)
 
 
+def _kept_on(A: DGAlgebra, regime: TorsionRegime, key, build):
+    """``build()`` kept on A under ``key`` when ``regime`` is A's own
+    detected regime; for any other regime, one built by hand among them,
+    it is computed fresh."""
+    if regime is detect_regime(A):
+        return A.kept(key, build)
+    return build()
+
+
 def _landing(res: SemifreeResolution) -> Trust:
     """The degrees of N (x) P where the residual cone classes of ``res``
     are recorded; its flip is the same window for Hom(P, N)."""
@@ -158,9 +181,10 @@ def _power_bimodule(A: DGAlgebra, regime: TorsionRegime, name: str, degrees: dic
             target = labels.get(l + step * p)
             if target is not None:
                 inv = F.inv(psc)
-                lact[(plbl, lbl)] = {target: inv}
-                ract[(lbl, plbl)] = {target: F.mul(F.sign(p * d), inv)}
-    return DGModule(
+                left = lact[(plbl, lbl)] = {target: inv}
+                sign = F.sign(p * d)
+                ract[(lbl, plbl)] = left if sign == F.one() else {target: F.mul(sign, inv)}
+    return DGModule._built(
         name=name,
         algebra=A,
         side=BI,
@@ -184,10 +208,14 @@ def cech_carrier(A: DGAlgebra, regime: TorsionRegime) -> DGModule:
     _require(regime)
     if regime.kind != "polynomial":
         raise UnsupportedRegimeError("the Cech carrier is a polynomial-regime object")
-    d = regime.d
-    window = GradedWindow(-A.window.hi, A.window.hi)
-    degrees = {j: 1 - d * j for j in range(1, (1 - window.lo) // d + 1)}
-    return _power_bimodule(A, regime, "S-1C", degrees, "c", -1, window, Trust(window.lo, None))
+
+    def build():
+        d = regime.d
+        window = GradedWindow(-A.window.hi, A.window.hi)
+        degrees = {j: 1 - d * j for j in range(1, (1 - window.lo) // d + 1)}
+        return _power_bimodule(A, regime, "S-1C", degrees, "c", -1, window, Trust(window.lo, None))
+
+    return _kept_on(A, regime, "cech carrier", build)
 
 
 def dualizing_module(A: DGAlgebra, regime: TorsionRegime) -> DGModule:
@@ -198,12 +226,16 @@ def dualizing_module(A: DGAlgebra, regime: TorsionRegime) -> DGModule:
     T^j e_l = e_{j+l}, e_l T^j = (-1)^{jd} e_{j+l}.
     """
     _require(regime)
-    if regime.kind == "finite":
-        return linear_dual(free_module(A, side=BI), name="D")
-    d = regime.d
-    window = GradedWindow(-A.window.hi, A.window.hi)
-    degrees = {l: d * l + d - 1 for l in range((window.hi + 1 - d) // d + 1)}
-    return _power_bimodule(A, regime, "D", degrees, "e", 1, window, Trust(None, window.hi))
+
+    def build():
+        if regime.kind == "finite":
+            return linear_dual(free_module(A, side=BI), name="D")
+        d = regime.d
+        window = GradedWindow(-A.window.hi, A.window.hi)
+        degrees = {l: d * l + d - 1 for l in range((window.hi + 1 - d) // d + 1)}
+        return _power_bimodule(A, regime, "D", degrees, "e", 1, window, Trust(None, window.hi))
+
+    return _kept_on(A, regime, "dualizing", build)
 
 
 def twist_nontriviality(d: int, field: FieldSpec) -> bool:
@@ -421,9 +453,11 @@ def double_duality_check(M: DGModule, regime: TorsionRegime, max_stages: int = 8
     hypotheses of the module docstring.
     """
     _require(regime)
-    D = dualizing_module(M.algebra, regime)
+    A = M.algebra
+    D = dualizing_module(A, regime)
     X, res_in, contam_in, notes = apply_duality(M, D, max_stages)
-    Z, res_out, contam_out, n2 = apply_duality(to_opposite(X), to_opposite(D), max_stages)
+    D_op = _kept_on(A, regime, "dualizing opposite", lambda: to_opposite(D))
+    Z, res_out, contam_out, n2 = apply_duality(to_opposite(X), D_op, max_stages)
     notes += n2
 
     h_z = cohomology(Z)
@@ -508,13 +542,14 @@ def regularity_inequalities(A: DGAlgebra, M: DGModule, regime: TorsionRegime,
     if not h.inf_certified:
         return {"skipped": "H(M) not certified bounded below", "checks": {}}
 
-    # one resolution of M serves both of its regularities
+    # one resolution of M serves both of its regularities; those of k and
+    # A belong to A and are kept on it per stage budget
     res_m = semifree_resolve(M, max_stages)
     extreg_m = ext_reg(M, max_stages, resolution=res_m)
     cmreg_m = cm_reg(M, regime, max_stages, resolution=res_m)
-    k_left = canonical_k(A, side=LEFT)
-    extreg_k = ext_reg(k_left, max_stages)
-    cmreg_a = cm_reg(free_module(A, side=BI), regime, max_stages)
+    extreg_k, cmreg_a = _kept_on(A, regime, ("extreg k, cmreg A", max_stages), lambda: (
+        ext_reg(canonical_k(A, side=LEFT), max_stages),
+        cm_reg(free_module(A, side=BI), regime, max_stages)))
 
     checks = {}
     checks["cmreg-not-minus-infinity"] = (

@@ -184,6 +184,29 @@ def test_duality_checks(lam_file, capsys):
     assert "holds" in capsys.readouterr().out
 
 
+def test_parser_is_built_once_and_checks_are_looked_up_when_they_run(lam_file, monkeypatch, capsys):
+    import dgreg.cli as cli
+
+    assert main(["local-duality", lam_file, "--module", "k"]) == 0
+    # a wrapper installed after the first call, as bench/tracer.py does,
+    # sees the next one; the parser built on the first call is reused
+    seen, real = [], cli.local_duality_check
+
+    def spy(M, regime, **kw):
+        seen.append(M.name)
+        return real(M, regime, **kw)
+
+    def no_rebuild():
+        raise AssertionError("the parser was built again")
+
+    monkeypatch.setattr(cli, "local_duality_check", spy)
+    monkeypatch.setattr(cli, "build_parser", no_rebuild)
+    assert main(["local-duality", lam_file, "--module", "k"]) == 0
+    assert main(["duality-check", lam_file, "--module", "k"]) == 0
+    assert seen == ["k"]
+    assert "local duality on k: holds" in capsys.readouterr().out
+
+
 def test_e2_page(tmp_path, capsys):
     p = tmp_path / "p2.dg"
     p.write_text(POLY2_DOC)

@@ -764,6 +764,6 @@ def test_algebra_verdict_is_decided_once_per_algebra():
         assert validate_module(N).ok and validate_module(N2).ok
         assert generators.calls == 2
         assert algebra._checked(op) == ({"t1"}, ())
-        assert op._checks is not A._checks
+        assert op._kept["checks"] is not A._kept["checks"]
         assert op.opposite() is A and validate_algebra(A).ok
         assert generators.calls == 2

@@ -231,7 +231,9 @@ def test_truncate_above_drops_contractible_top():
     assert cohomology(glued).dims == {0: 1}
     cert = truncate_above(glued, 0, max_stages=8)
     assert all(d <= 0 for d in cert.module.degrees())
-    assert cert.h_match
+    # the certified window starts above degree 0, where H lives
+    assert not cert.certified_window.contains(0)
+    assert not cert.h_match
     assert cohomology(cert.module).dims.get(0) == 1
 
 
@@ -250,15 +252,19 @@ def _k_plus_cone(A):
 
 
 def _assert_sound_truncation(M, s, cert):
-    # nothing above s; a returned certificate morphism is a chain map; and
-    # H agrees with H(M) wherever the certificate claims to have compared
+    # nothing above s; a returned certificate morphism is a chain map; H
+    # agrees with H(M) wherever the certificate claims to have compared;
+    # and a replacement claims a match only on a window holding all of H
     assert all(d <= s for d in cert.module.degrees())
     if cert.morphism is not None:
         assert cert.morphism.validate().ok
     h, hp = cohomology(M), cohomology(cert.module)
-    for d in set(h.dims) | set(hp.dims):
+    support = set(h.dims) | set(hp.dims)
+    for d in support:
         if cert.certified_window.contains(d):
             assert h.dim(d) == hp.dim(d), d
+    if cert.h_match and cert.module is not M:
+        assert all(cert.certified_window.contains(d) for d in support), (cert.certified_window, support)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
@@ -320,7 +326,9 @@ def test_truncate_above_polynomial_glued():
     assert cohomology(glued).certified_dims() == {0: 1}
     cert = truncate_above(glued, 0, max_stages=6)
     assert all(d <= 0 for d in cert.module.degrees())
-    assert cert.h_match
+    # the certified window starts above degree 0, where H lives
+    assert not cert.certified_window.contains(0)
+    assert not cert.h_match
     assert cohomology(cert.module).dims.get(0) == 1
 
 

@@ -1,5 +1,8 @@
 """Torsion regimes, Gamma, CM regularity, dualizing modules, duality checks."""
 
+import json
+from dataclasses import replace
+
 import pytest
 
 from dgreg.catalog import (
@@ -349,6 +352,162 @@ def test_duality_checks_and_cm_reg_resolve_each_module_once(monkeypatch):
     assert len(resolved) == 2 and resolved[0] is M
     assert resolved[1].name == f"RHom({M.name},D)_op"
     assert resolved[1].algebra.opposite() is A
+
+
+# ---- objects kept on the algebra ------------------------------------------------
+
+def _fresh_pair_values(A, stages):
+    """Extreg k and CMreg A computed on a fresh copy of A, so nothing kept
+    on A is read."""
+    B = replace(A)
+    return (ext_reg(canonical_k(B, side="left"), stages).to_json(),
+            cm_reg(free_module(B, side="bi"), detect_regime(B), stages).to_json())
+
+
+def test_check_regularity_sweep_computes_extreg_k_and_cmreg_a_once_per_algebra(monkeypatch, tmp_path):
+    from dgreg import torsion
+    from dgreg.catalog import catalog_algebras
+    from dgreg.cli import main
+
+    computed = []   # (which value, algebra, stage budget) of each computation
+
+    def spy(name, real):
+        def wrapped(M, *args, resolution=None, **kwargs):
+            # the module's own values come from its resolution; those of
+            # k and A are the ones computed without one
+            if resolution is None:
+                computed.append((name, M.algebra, args[-1]))
+            return real(M, *args, resolution=resolution, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(torsion, "ext_reg", spy("extreg k", torsion.ext_reg))
+    monkeypatch.setattr(torsion, "cm_reg", spy("cmreg A", torsion.cm_reg))
+    out = tmp_path / "sweep.json"
+    assert main(["check-regularity", "--stages", "6", "--out", str(out)]) in (0, 3)
+    monkeypatch.undo()
+
+    keys = [(name, id(A), stages) for name, A, stages in computed]
+    assert len(keys) == len(set(keys)), "a value was computed twice for one algebra"
+    results = [r for r in json.loads(out.read_text())["results"] if "values" in r]
+    algebras = {id(A) for _, A, _ in computed}
+    assert len(keys) == 2 * len(algebras) < 2 * len(results)
+    fresh = {A.name: _fresh_pair_values(A, 6) for A in catalog_algebras(QQ)}
+    for r in results:
+        assert (r["values"]["extreg_k"], r["values"]["cmreg_a"]) == fresh[r["algebra"]], r
+
+
+def test_algebra_and_opposite_keep_their_own_objects():
+    A = polynomial_algebra(2)
+    op = A.opposite()
+    r, r_op = detect_regime(A), detect_regime(op)
+    assert r is detect_regime(A) and r_op is detect_regime(op) and r_op is not r
+    D, D_op = dualizing_module(A, r), dualizing_module(op, r_op)
+    assert D is dualizing_module(A, r) and D.algebra is A
+    assert D_op is dualizing_module(op, r_op) and D_op.algebra is op
+    assert cech_carrier(op, r_op).algebra is op
+    # A's regime handed over with A^op is not A^op's own: nothing is kept
+    assert dualizing_module(op, r) is not dualizing_module(op, r)
+    assert op._kept is not A._kept
+
+
+def test_hand_built_regime_is_never_served_a_kept_value(monkeypatch):
+    from dgreg import torsion
+
+    A = polynomial_algebra(2)
+    kept = detect_regime(A)
+    by_hand = replace(kept)
+    assert by_hand == kept and by_hand is not kept
+    for build in (dualizing_module, cech_carrier):
+        first = build(A, kept)
+        assert build(A, kept) is first
+        fresh = build(A, by_hand)
+        assert fresh is not first and build(A, by_hand) is not fresh
+        assert _tables(fresh) == _tables(first)
+    # a regime that does not describe A at all is answered on its own terms
+    finite = replace(kept, kind="finite")
+    assert dualizing_module(A, finite).name == "D" and dualizing_module(A, finite) is not first
+
+    M = suspend(canonical_k(A, side="left"), 1)
+    ks = []
+    real = torsion.ext_reg
+
+    def spy(N, *args, resolution=None, **kwargs):
+        if resolution is None:
+            ks.append(N)
+        return real(N, *args, resolution=resolution, **kwargs)
+
+    monkeypatch.setattr(torsion, "ext_reg", spy)
+    for regime in (by_hand, by_hand, kept, kept):
+        regularity_inequalities(A, M, regime)
+    assert len(ks) == 3
+
+
+def _cancelling_complexes():
+    """N (x) P and Hom(P, N) over the exterior algebra on x, y in degree 1,
+    for the ledger d(e1) = (x - y) e0 and the bimodule N spanned by m and
+    n with x.m = y.m = m.x = m.y = n."""
+    from dgreg.homtensor import tensor_module_ledger
+    from dgreg.ledger import make_ledger
+    from dgreg.module import DGModule
+
+    F = QQ
+    one = F.one()
+    mul = {("one", b): {b: one} for b in ("one", "x", "y", "xy")}
+    mul.update({(b, "one"): {b: one} for b in ("x", "y", "xy")})
+    mul.update({("x", "y"): {"xy": one}, ("y", "x"): {"xy": F.neg(one)}})
+    A = finite_table_algebra("E", F, {0: ("one",), 1: ("x", "y"), 2: ("xy",)}, "one", mul, {})
+    N = DGModule(
+        name="N", algebra=A, side="bi", window=GradedWindow(0, 2),
+        basis={0: ("m",), 1: ("n",)},
+        lact={("one", "m"): {"m": one}, ("one", "n"): {"n": one},
+              ("x", "m"): {"n": one}, ("y", "m"): {"n": one}},
+        ract={("m", "one"): {"m": one}, ("n", "one"): {"n": one},
+              ("m", "x"): {"n": one}, ("m", "y"): {"n": one}},
+        diff={},
+    )
+    assert validate_module(N).ok
+    L = make_ledger(A, [("e0", 0, 0), ("e1", 0, 1)], {"e1": {"e0": {"x": one, "y": F.neg(one)}}})
+    T, _ = tensor_module_ledger(N, L, GradedWindow(-1, 2))
+    X, _ = hom_from_ledger(L, N, GradedWindow(-1, 2))
+    return T, X
+
+
+def test_internal_constructions_build_clean_tables(monkeypatch):
+    # every presentation the library builds without Presentation._clean,
+    # over the catalog pairs and everything the checks construct from
+    # them, must already be clean
+    from dgreg.algebra import Presentation
+    from dgreg.catalog import catalog_pairs
+    from dgreg.e2 import cech_e2
+
+    built = []
+    real = Presentation._built.__func__
+
+    def spy(cls, **fields):
+        X = real(cls, **fields)
+        built.append(X)
+        return X
+
+    monkeypatch.setattr(Presentation, "_built", classmethod(spy))
+    for F in (QQ, GF(7)):
+        for A, M in catalog_pairs(F):
+            regime = detect_regime(A)
+            cm_reg(M, regime)
+            local_duality_check(M, regime)
+            double_duality_check(M, regime)
+            regularity_inequalities(A, M, regime)
+            if A.name == "Poly2" and M.has_left:
+                cech_e2(A, M, [{"t1": F.one()}])
+    # a ledger coefficient x - y against m.x = m.y = n (and x.m = y.m = n):
+    # the two terms of a cell's differential cancel, in both complexes
+    T, X = _cancelling_complexes()
+    assert "m|e1" not in T.diff and "e0|m" not in X.diff
+    assert T in built and X in built
+    assert {type(X).__name__ for X in built} == {"DGAlgebra", "DGModule"}
+    for X in built:
+        for name in X._tables:
+            table = getattr(X, name)
+            assert table == X._clean(table), (X.name, name)
 
 
 def test_koszul_truncation_fixtures():
