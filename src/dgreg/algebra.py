@@ -10,7 +10,9 @@ violated axioms as data with witnessing basis tuples.
 indexing, table cleaning, degree lookups, the differential, and one
 bilinear extension of a single-label product or action to
 combinations.  The algebra and module axioms are checked by the same
-three functions (``_d_squared``, ``_leibniz``, ``_associative``).
+three functions (``_d_squared``, ``_leibniz``, ``_associative``), and
+maps on basis labels by one label rule and two per-label checks
+(``_unknown_label``, ``_chain``, ``_multiplicative``).
 
 Associativity and Leibniz are checked over generators.  A is connected,
 so lifts S of a basis of the indecomposables A^{>=1}/(A^{>=1})^2
@@ -120,9 +122,19 @@ class Presentation:
                 setattr(self, name, self._clean(getattr(self, name)))
 
     def _clean(self, table: dict) -> dict:
-        """A fresh copy of a table with zero coefficients and entries dropped."""
-        F = self.field
-        return {k: v for k, v in ((k, cclean(F, c)) for k, c in table.items()) if v}
+        """A fresh copy of a table with each scalar brought into the field by
+        ``FieldSpec.coerce`` (a float is a ``FieldMismatchError``) and the
+        scalars and entries that vanish there dropped."""
+        coerce, out = self.field.coerce, {}
+        for k, c in table.items():
+            row = {}
+            for t, v in c.items():
+                v = coerce(v)
+                if v:
+                    row[t] = v
+            if row:
+                out[k] = row
+        return out
 
     def __post_init__(self):
         self._prepare(clean=True)
@@ -130,7 +142,7 @@ class Presentation:
     @classmethod
     def _built(cls, **fields):
         """An instance on tables the library built itself, each already
-        clean (no zero scalar, no empty combination): the constructor,
+        what :meth:`_clean` would make of it: the constructor,
         given every field, without the :meth:`_clean` copies.  Parsed,
         catalog and user-built presentations go through the constructor
         and are cleaned."""
@@ -343,6 +355,34 @@ def _associative(X, x, dx, y, dy, z, dz, xy_of, yz_of, xy_z, x_yz) -> bool:
     return lhs is not None and rhs is not None and not ceq(X.field, lhs, rhs)
 
 
+def _unknown_label(X, Y, lbl, img):
+    """The "label" violation of the entry lbl -> img of a map X -> Y when
+    lbl is not a label of X or img names none of Y, else None; no check
+    can read such an entry, so the validators skip its label."""
+    missing = lbl if lbl not in X._deg else next((t for t in img if t not in Y._deg), None)
+    return None if missing is None else Violation("label", (lbl,), f"{missing!r} is not a basis label")
+
+
+def _chain(X, Y, phi, x, image) -> bool:
+    """Whether phi(dx) = d(phi(x)) fails on recorded entries, for a label x
+    of X with the given image in Y and phi the map on combinations."""
+    dx = X.diff_of(x)
+    if dx is None:
+        return False
+    rhs = Y.diff_combo(image, X.degree_of(x))
+    return rhs is not None and not ceq(Y.field, phi(dx), rhs)
+
+
+def _multiplicative(Y, phi, xy, x, dx, y, dy, entry) -> bool:
+    """Whether phi(xy) = phi(x)phi(y) fails on recorded entries, for the
+    product or action ``xy`` of two source labels with images x and y
+    and ``entry`` the single-label product or action of Y."""
+    if xy is None:
+        return False
+    rhs = Y._bilinear(x, dx, y, dy, entry)
+    return rhs is not None and not ceq(Y.field, phi(xy), rhs)
+
+
 def _labels(X) -> list:
     """The ``(label, degree)`` pairs of an algebra or module, in basis order."""
     return [(lbl, d) for d in X.degrees() for lbl in X.basis_at(d)]
@@ -488,34 +528,23 @@ def validate_automorphism(alpha: AlgebraAutomorphism) -> ValidationReport:
     F = A.field
     out, shifted, unknown = [], set(), set()
     for lbl, img in alpha.images.items():
-        missing = [t for t in (lbl, *img) if t not in A._deg]
-        if missing:
-            # no loop below can read such an image, so they skip its label
+        bad = _unknown_label(A, A, lbl, img)
+        if bad:
             unknown.add(lbl)
-            out.append(Violation("label", (lbl,), f"{missing[0]!r} is not a basis label"))
+            out.append(bad)
         elif any(A.degree_of(t) != A.degree_of(lbl) for t in img):
             shifted.add(lbl)
             out.append(Violation("degree", (lbl,), "image is not degree-preserving"))
     if not ceq(F, alpha.apply(A.unit_combo()), A.unit_combo()):
         out.append(Violation("unital", (A.unit,), "unit not fixed"))
-    labels = [lbl for d in A.degrees() for lbl in A.basis_at(d) if lbl not in unknown]
-    for a in labels:
-        for b in labels:
-            prod = A.product(a, b)
-            if prod is None:
-                continue
-            lhs = alpha.apply(prod)
-            rhs = A.mul_combo(
-                alpha.apply({a: F.one()}), A.degree_of(a), alpha.apply({b: F.one()}), A.degree_of(b)
-            )
-            if rhs is not None and not ceq(F, lhs, rhs):
+    labels = [(lbl, d) for lbl, d in _labels(A) if lbl not in unknown]
+    image = {a: alpha.apply({a: A._one}) for a, _ in labels}
+    for a, da in labels:
+        for b, db in labels:
+            if _multiplicative(A, alpha.apply, A.product(a, b), image[a], da, image[b], db, A.product):
                 out.append(Violation("multiplicative", (a, b), "alpha(ab) != alpha(a)alpha(b)"))
-        da = A.diff_of(a)
-        if da is not None:
-            lhs = alpha.apply(da)
-            rhs = A.diff_combo(alpha.apply({a: F.one()}), A.degree_of(a))
-            if rhs is not None and not ceq(F, lhs, rhs):
-                out.append(Violation("chain", (a,), "alpha does not commute with d"))
+        if _chain(A, A, alpha.apply, a, image[a]):
+            out.append(Violation("chain", (a,), "alpha does not commute with d"))
     # degreewise invertibility, in the degrees where alpha is graded
     for d in A.degrees():
         lbls = A.basis_at(d)

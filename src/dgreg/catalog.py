@@ -219,14 +219,13 @@ def catalog_algebras(field: FieldSpec = QQ):
 
 
 def catalog_pairs(field: FieldSpec = QQ):
-    """(algebra, module) pairs for the regularity and duality sweeps."""
-    pairs = []
-    for A in catalog_algebras(field):
-        pairs.append((A, build_module(A, "k")))
-        pairs.append((A, build_module(A, "free")))
-    Lam = square_zero_algebra(field)
+    """(algebra, module) pairs for the regularity and duality sweeps, over
+    the six algebra objects of :func:`catalog_algebras`, so that what is
+    kept on an algebra is computed once per sweep."""
+    algebras = catalog_algebras(field)
+    pairs = [(A, build_module(A, which)) for A in algebras for which in ("k", "free")]
+    Lam, P2 = algebras[0], algebras[4]
     pairs.append((Lam, build_module(Lam, "suspended-k", n=2)))
     pairs.append((Lam, build_module(Lam, "truncated-free", level=1)))
-    P2 = polynomial_algebra(2, field)
     pairs.append((P2, build_module(P2, "truncated-free", level=1)))
     return pairs

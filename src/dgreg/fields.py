@@ -86,6 +86,8 @@ class FieldSpec:
         Over F_p a fraction a/b maps to a * b^-1 mod p; a denominator
         divisible by p is rejected.
         """
+        if type(x) is int:  # the common case first: table scalars are mostly ints
+            return x % self.p if self.p else x
         if self.p == 0:
             if isinstance(x, int):
                 return int(x)

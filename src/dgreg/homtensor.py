@@ -40,75 +40,59 @@ def ledger_cells(L: SemifreeResolution, N, window: GradedWindow, sign: int) -> d
     return cells
 
 
-def _ledger_cell(N, window, rules, alg, keys, x, g, n):
+def _ledger_cell(N, window, rules, keys, x, g, n):
     """The cell (x, g) of degree n of the complex of :func:`_ledger_complex`
-    with the given ``rules`` and algebra (label, degree) pairs ``alg``, as
-    (diff, acts, cap): d(x, g) keyed by ``keys[(x2, h)]`` with no zero
-    coefficient (cells without a key are skipped; empty at the window top
-    or when unrecorded), the
-    (a, sign, terms) of each action landing in the window, and the trust
-    cap the unrecorded entries impose (None when there is none).
+    with the given ``rules`` (links, coeff), as (diff, cap): d(x, g) keyed
+    by ``keys[(x2, h)]`` with no zero coefficient (cells without a key are
+    skipped; empty at the window top or when unrecorded), and the trust
+    cap its unrecorded entries impose (None when there is none).  Only a
+    complex has actions; what they cap on |P| is :func:`_generator_trust`'s.
     """
-    links, coeff, act = rules
+    links, coeff = rules
     F = N.field
-    cap = None
     acc = {}
-    if n + 1 <= window.hi:
-        dx = N.diff_of(x)
-        if dx is None:
-            cap = n
-        else:
-            for x2, c in dx.items():
-                key = keys.get((x2, g))
-                if key is not None:
-                    acc[key] = c
-            for h, acomb, s in links(g, n):
-                for a, ca in acomb.items():
-                    terms = coeff(x, a)
-                    if terms is None:
-                        cap = n
-                        break
-                    sc = F.mul(s, ca)
-                    for x2, c in terms.items():
-                        key = keys.get((x2, h))
-                        if key is not None:
-                            v = F.mul(sc, c)
-                            old = acc.get(key)
-                            if old is not None:
-                                v = F.add(old, v)
-                            if F.is_zero(v):
-                                del acc[key]
-                            else:
-                                acc[key] = v
-                if cap is not None:
-                    acc = {}
-                    break
-    acts = []
-    if act is not None:
-        for a, da in alg:
-            if n + da > window.hi:
-                continue
-            s, terms = act(x, g, a)
+    if n + 1 > window.hi:
+        return acc, None
+    dx = N.diff_of(x)
+    if dx is None:
+        return acc, n
+    for x2, c in dx.items():
+        key = keys.get((x2, g))
+        if key is not None:
+            acc[key] = c
+    for h, acomb, s in links(g, n):
+        for a, ca in acomb.items():
+            terms = coeff(x, a)
             if terms is None:
-                cap = n + da - 1 if cap is None else min(cap, n + da - 1)
-            else:
-                acts.append((a, s, terms))
-    return acc, acts, cap
+                return {}, n
+            sc = F.mul(s, ca)
+            for x2, c in terms.items():
+                key = keys.get((x2, h))
+                if key is not None:
+                    v = F.mul(sc, c)
+                    old = acc.get(key)
+                    if old is not None:
+                        v = F.add(old, v)
+                    if F.is_zero(v):
+                        del acc[key]
+                    else:
+                        acc[key] = v
+    return acc, None
 
 
-def _ledger_complex(L, N, window, sign, label, rules, side, name):
+def _ledger_complex(L, N, window, sign, label, rules, act, side, name):
     """The loop shared by the complexes over a ledger.
 
     The cell (x, g) of degree n is the basis element ``label(x, g)``.
-    ``rules`` is (links, coeff, act).  The cell's differential is d_N(x)
-    on g plus s * coeff(x, a) on h for each (h, acomb, s) in
-    ``links(g, n)`` and each a in acomb.  When ``act`` is given,
-    ``act(x, g, a)`` is the action of the algebra label a from ``side``
-    on the cell, as (sign, combination of N labels on g).  coeff and act
-    give None for an unrecorded entry, which caps the trust there.
-    Without ``act`` the output is a bare complex, kept as a module on the
-    other side with the unit action alone so that validation is
-    meaningful.  Each cell is built by :func:`_ledger_cell`.
+    ``rules`` is (links, coeff).  The cell's differential is d_N(x) on g
+    plus s * coeff(x, a) on h for each (h, acomb, s) in ``links(g, n)``
+    and each a in acomb; it is built by :func:`_ledger_cell`.  When
+    ``act`` is given, ``act(x, g, a)`` is the action of the algebra label
+    a from ``side`` on the cell, as (sign, combination of N labels on g).
+    coeff and act give None for an unrecorded entry, which caps the trust
+    there.  Without ``act`` the output is a bare complex, kept as a
+    module on the other side with the unit action alone so that
+    validation is meaningful.
 
     Returns (module, notes).
     """
@@ -125,17 +109,23 @@ def _ledger_complex(L, N, window, sign, label, rules, side, name):
             f"ledger not known complete beyond degree {L.ledger_bound}; the complex "
             "models the derived functor up to the recorded frontier contributions"
         )
-    alg = [(a, d) for d in A.degrees() for a in A.basis_at(d)]
+    alg = [(a, d) for d in A.degrees() for a in A.basis_at(d)] if act is not None else ()
     diff, acts = {}, {}
     for n, row in cells.items():
         for x, g in row:
             lab = lbl[(x, g)]
-            dcell, acted, cap = _ledger_cell(N, window, rules, alg, lbl, x, g, n)
+            dcell, cap = _ledger_cell(N, window, rules, lbl, x, g, n)
             if cap is not None:
                 trust = trust.cap_hi(cap)
             if dcell:
                 diff[lab] = dcell
-            for a, s, terms in acted:
+            for a, da in alg:
+                if n + da > window.hi:
+                    continue
+                s, terms = act(x, g, a)
+                if terms is None:
+                    trust = trust.cap_hi(n + da - 1)
+                    continue
                 out = {}
                 for x2, c in terms.items():
                     key = lbl.get((x2, g))
@@ -144,7 +134,7 @@ def _ledger_complex(L, N, window, sign, label, rules, side, name):
                 if out:
                     acts[(a, lab)] = out
     basis = {n: tuple(lbl[cell] for cell in row) for n, row in cells.items()}
-    if rules[2] is None:
+    if act is None:
         side = RIGHT if side == LEFT else LEFT
         acts = {(A.unit, m): {m: F.one()} for row in basis.values() for m in row}
     if side == LEFT:
@@ -165,15 +155,28 @@ def _free_bimodule(A):
     return A.kept("free bimodule", lambda: free_module(A))
 
 
+def _unrecorded_degree(A):
+    """u(A), kept on A: the lowest degree |a| + |b| of an unrecorded product
+    of basis labels (one above the window top of a truncated A); None when
+    A records every product."""
+    return A.kept("unrecorded product degree", lambda: None if A.trust.hi is None else min(
+        (i + j for i in A.degrees() for j in A.degrees() if i + j > A.window.hi), default=None))
+
+
 def _generator_trust(A, degree: int, window: GradedWindow) -> Trust:
     """What one generator of the given degree leaves of the trust of |P|
-    realized on the window: A's trust moved onto e_g, capped at the
-    window top when A's top degree times e_g leaves the window, and
-    raised to the window bottom when e_g lies below it."""
+    realized on the window, actions included: A's trust moved onto e_g,
+    capped at the window top when A's top degree times e_g leaves the
+    window and below |g| + u(A), where a.(b e_g) turns unrecorded (this
+    binds only when A is trusted past its window top), and raised to the
+    window bottom when e_g lies below it."""
     trust = A.trust.shift(-degree)
     a_top = A.trust.hi if A.trust.hi is not None else (max(A.basis) if A.basis else 0)
     if degree + a_top > window.hi:
         trust = trust.cap_hi(window.hi)
+    u = _unrecorded_degree(A)
+    if u is not None:
+        trust = trust.cap_hi(degree + u - 1)
     if degree < window.lo:
         trust = trust.raise_lo(window.lo)
     return trust
@@ -230,27 +233,23 @@ def hom_from_ledger(L: SemifreeResolution, N: DGModule, window: GradedWindow,
     def act(x, g, a):
         return F.sign(A.degree_of(a) * L.degree_of(g)), N.act_right(x, a)
 
-    rules = (links, lambda x, a: N.act_left(a, x), act if N.has_right else None)
     return _ledger_complex(
-        L, N, window, +1, lambda x, g: f"{g}|{x}", rules,
+        L, N, window, +1, lambda x, g: f"{g}|{x}", (links, lambda x, a: N.act_left(a, x)),
+        act if N.has_right else None,
         RIGHT, name or f"Hom({L.target.name if L.target else 'P'},{N.name})",
     )
 
 
 def _tensor_rules(N: DGModule, degree_of, ledger_diff: dict):
-    """(links, coeff, act) of N tensor_A P for the ledger with the given
+    """(links, coeff) of N tensor_A P for the ledger with the given
     generator degrees and differential (see :func:`tensor_module_ledger`)."""
     F = N.field
-    one = F.one()
 
     def links(g, n):
         s = F.sign(n - degree_of(g))
         return [(h, acomb, s) for h, acomb in ledger_diff.get(g, {}).items()]
 
-    def act(x, g, a):
-        return one, N.act_left(a, x)
-
-    return links, N.act_right, act if N.has_left else None
+    return links, N.act_right
 
 
 def tensor_module_ledger(N: DGModule, L: SemifreeResolution, window: GradedWindow,
@@ -266,7 +265,9 @@ def tensor_module_ledger(N: DGModule, L: SemifreeResolution, window: GradedWindo
     """
     if not N.has_right:
         raise ValueError("tensor_module_ledger needs a right action on N")
+    one = N.field.one()
     return _ledger_complex(
         L, N, window, -1, lambda x, g: f"{x}|{g}", _tensor_rules(N, L.degree_of, L.diff),
+        (lambda x, g, a: (one, N.act_left(a, x))) if N.has_left else None,
         LEFT, name or f"{N.name}(x){L.target.name if L.target else 'P'}",
     )

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import DGAlgebra
-from .lincomb import cclean
 from .module import DGModule
 from .windows import Trust
 
@@ -57,11 +56,8 @@ class SemifreeResolution:
     bookkeeping_ok: bool = False
 
     def __post_init__(self):
-        F = self.algebra.field
-        self.diff = {
-            g: {h: combo for h, combo in ((h2, cclean(F, c)) for h2, c in row.items()) if combo}
-            for g, row in self.diff.items()
-        }
+        # each row is a table {h: algebra combination}, cleaned as A's own are
+        self.diff = {g: self.algebra._clean(row) for g, row in self.diff.items()}
         self._by_label = {g.label: g for g in self.gens}
 
     @property

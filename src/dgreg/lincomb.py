@@ -1,12 +1,14 @@
 """Linear combinations of basis labels: the coefficient dictionaries used
 by every multiplication, differential, and action table.
 
-A combination is a plain dict ``{label: scalar}`` with no zero entries;
-the degree is contextual (all labels of one combination live in a single
-degree of a single presentation).  ``cadd`` and ``cscale`` return new
-cleaned dicts; ``cextend`` applies a map on labels to a combination,
-accumulating every term into one dict in place, so a combination of n
-terms costs n scaled additions rather than n copies.
+A combination is a plain dict ``{label: scalar}`` of nonzero field
+elements, canonical since its table was built; the degree is contextual
+(all labels of one combination live in a single degree of a single
+presentation).  ``cadd`` and ``cextend`` drop what cancels, ``cscale``
+cannot make a term vanish over a field, and ``ceq`` compares directly.
+``cextend`` applies a map on labels to a combination, accumulating every
+term into one dict in place, so a combination of n terms costs n scaled
+additions rather than n copies.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ def cadd(field: FieldSpec, a: dict, b: dict) -> dict:
 def cscale(field: FieldSpec, s, a: dict) -> dict:
     if field.is_zero(s):
         return {}
-    return cclean(field, {k: field.mul(s, v) for k, v in a.items()})
+    return {k: field.mul(s, v) for k, v in a.items()}
 
 
 def cextend(field: FieldSpec, x: dict, image):
@@ -56,7 +58,7 @@ def cneg(field: FieldSpec, a: dict) -> dict:
 
 
 def ceq(field: FieldSpec, a: dict, b: dict) -> bool:
-    return cclean(field, a) == cclean(field, b)
+    return a == b
 
 
 # to_vector and from_vector have no caller in the package; the benchmark's

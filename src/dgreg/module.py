@@ -1,6 +1,6 @@
 """DG modules over a connected cochain DG algebra: presentations,
-validation, cohomology, hard truncation, suspension, linear duals of
-modules and of chain maps, twists, morphisms, and mapping cones.
+validation, cohomology, hard truncation, suspension, linear duals,
+twists, morphisms, and mapping cones.
 
 Sign conventions (fixed once, asserted by the test suite):
 
@@ -18,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import (
-    DGAlgebra, Presentation, ValidationReport, Violation, _associative, _by_generators, _checked,
-    _d_squared, _graded, _labels, _leibniz, diff_columns,
+    DGAlgebra, Presentation, ValidationReport, Violation, _associative, _by_generators, _chain,
+    _checked, _d_squared, _graded, _labels, _leibniz, _multiplicative, _unknown_label, diff_columns,
 )
 from .fields import FieldSpec
-from .lincomb import ceq, cclean, cextend, cscale, czero
+from .lincomb import ceq, cextend, cscale, czero
 from .linalg import Echelon, Matrix, QuotientSpace, kernel_mod_images
 from .windows import GLOBAL_DEGREE_BOUND, GradedWindow, Trust, WindowError
 
@@ -516,44 +516,24 @@ class ModuleMorphism:
         return cextend(self.source.field, c, lambda lbl: self.images.get(lbl, {}))
 
     def validate(self) -> ValidationReport:
-        M, N = self.source, self.target
-        F = M.field
-        A = M.algebra
-        out, unknown = [], set()
-        for lbl, img in self.images.items():
-            missing = [t for t in img if t not in N._deg] if lbl in M._deg else [lbl]
-            if missing:
-                # no loop below can read such an image, so they skip its label
-                unknown.add(lbl)
-                out.append(Violation("label", (lbl,), f"{missing[0]!r} is not a basis label"))
-        labels = [lbl for lbl in M._deg if lbl not in unknown]
-        for lbl in labels:
-            img = self.images.get(lbl, {})
-            d = M.degree_of(lbl)
-            if any(N.degree_of(t) != d for t in img):
+        M, N, f = self.source, self.target, self.apply
+        one = M._one
+        out = [v for v in (_unknown_label(M, N, lbl, img) for lbl, img in self.images.items()) if v]
+        unknown = {v.witness[0] for v in out}
+        image = {lbl: self.images.get(lbl, {}) for lbl in M._deg if lbl not in unknown}
+        for lbl, img in image.items():
+            if any(N.degree_of(t) != M.degree_of(lbl) for t in img):
                 out.append(Violation("degree", (lbl,), "image changes degree"))
-        for lbl in labels:
-            d = M.degree_of(lbl)
-            dm = M.diff_of(lbl)
-            lhs = None if dm is None else self.apply(dm)
-            rhs = N.diff_combo(self.images.get(lbl, {}), d)
-            if None not in (lhs, rhs) and not ceq(F, lhs, rhs):
-                out.append(Violation("chain-map", (lbl,), "f(dm) != d(f(m))"))
-        alg_labels = [l for dd in A.degrees() for l in A.basis_at(dd)]
-        for a in alg_labels:
-            for lbl in labels:
-                if M.has_left and N.has_left:
-                    am = M.act_left(a, lbl)
-                    lhs = None if am is None else self.apply(am)
-                    rhs = N.lact_combo({a: F.one()}, A.degree_of(a), self.images.get(lbl, {}), M.degree_of(lbl))
-                    if None not in (lhs, rhs) and not ceq(F, lhs, rhs):
-                        out.append(Violation("linearity", (a, lbl), "f(am) != a f(m)"))
-                if M.has_right and N.has_right:
-                    ma = M.act_right(lbl, a)
-                    lhs = None if ma is None else self.apply(ma)
-                    rhs = N.ract_combo(self.images.get(lbl, {}), M.degree_of(lbl), {a: F.one()}, A.degree_of(a))
-                    if None not in (lhs, rhs) and not ceq(F, lhs, rhs):
-                        out.append(Violation("linearity", (lbl, a), "f(ma) != f(m) a"))
+        out += [Violation("chain-map", (lbl,), "f(dm) != d(f(m))")
+                for lbl, img in image.items() if _chain(M, N, f, lbl, img)]
+        left, right = M.has_left and N.has_left, M.has_right and N.has_right
+        for a, da in _labels(M.algebra):
+            for lbl, img in image.items():
+                d = M.degree_of(lbl)
+                if left and _multiplicative(N, f, M.act_left(a, lbl), {a: one}, da, img, d, N.act_left):
+                    out.append(Violation("linearity", (a, lbl), "f(am) != a f(m)"))
+                if right and _multiplicative(N, f, M.act_right(lbl, a), img, d, {a: one}, da, N.act_right):
+                    out.append(Violation("linearity", (lbl, a), "f(ma) != f(m) a"))
         return ValidationReport(f"{M.name}->{N.name}", out)
 
     def h_isomorphism_degrees(self) -> dict:
@@ -607,15 +587,12 @@ def cone_of(f: ModuleMorphism, name: str | None = None) -> DGModule:
         min([Y.window.lo, X.window.lo - 1]), max([Y.window.hi, X.window.hi - 1])
     )
 
-    diff = dict(Y.diff)
+    shifted = {}  # f's images come from outside, so these rows are cleaned
     for lbl in X._deg:
-        combo = dict(f.images.get(lbl, {}))
-        dx = X.diff.get(lbl, {})
-        for t, c in dx.items():
+        combo = shifted[sx[lbl]] = dict(f.images.get(lbl, {}))
+        for t, c in X.diff.get(lbl, {}).items():
             combo[sx[t]] = F.neg(c)
-        combo = cclean(F, combo)
-        if combo:
-            diff[sx[lbl]] = combo
+    diff = {**Y.diff, **Y._clean(shifted)}
 
     lact, ract = dict(Y.lact), dict(Y.ract)
     for (a, m), combo in X.lact.items():
@@ -694,15 +671,3 @@ def double_dual_embedding(M: DGModule) -> ModuleMorphism:
     F = M.field
     images = {lbl: {_dual_label(_dual_label(lbl)): F.sign(M.degree_of(lbl))} for lbl in M._deg}
     return ModuleMorphism(M, dd, images)
-
-
-def dual_morphism(f: ModuleMorphism) -> ModuleMorphism:
-    """Hom_k(-, k) applied to a degree-0 chain map: g -> g o f."""
-    F = f.source.field
-    # the transpose of f: each coefficient f(x)[y] is written once, to y' at x'
-    images: dict = {}
-    for x_lbl in f.source._deg:
-        for y_lbl, c in f.images.get(x_lbl, {}).items():
-            images.setdefault(_dual_label(y_lbl), {})[_dual_label(x_lbl)] = c
-    return ModuleMorphism(linear_dual(f.target), linear_dual(f.source),
-                          {y: cclean(F, img) for y, img in images.items()})

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import DGAlgebra, diff_columns
+from .algebra import DGAlgebra, _labels, diff_columns
 from .ledger import Generator, SemifreeResolution, is_minimal_ledger
 from .homtensor import (_free_bimodule, _generator_trust, _ledger_cell, _tensor_rules, ledger_cells,
                         realize_ledger, tensor_module_ledger)
@@ -49,10 +49,9 @@ from .module import (
     DGModule,
     LEFT,
     ModuleMorphism,
+    _dual_label,
     _h_certified,
     cohomology,
-    double_dual_embedding,
-    dual_morphism,
     left_restriction,
     linear_dual,
     to_opposite,
@@ -106,7 +105,7 @@ def _split_cone_class(M: DGModule, cells, degree: int, vec: dict):
     return m_part, rows
 
 
-def _bookkeeping_holds(M: DGModule, AA: DGModule, alg, h_m: dict, h_cone: dict,
+def _bookkeeping_holds(M: DGModule, AA: DGModule, h_m: dict, h_cone: dict,
                        residual: dict, cells: dict, pos: dict, dim) -> bool:
     """The duality bookkeeping hypotheses, decided on the final cone of
     |P| -> M, whose H^d is ``h_cone[d]``; ``h_m`` is H(M).
@@ -118,7 +117,7 @@ def _bookkeeping_holds(M: DGModule, AA: DGModule, alg, h_m: dict, h_cone: dict,
     at every degree where the cone has a basis."""
     if not all(h_cone[d].sub.contains(rep) for d, q in h_m.items() for rep in q.representatives):
         return False
-    F = M.field
+    F, alg = M.field, _labels(M.algebra)
     for d in residual:
         for rep in h_cone[d].representatives:
             m_part, rows = _split_cone_class(M, cells.get(d + 1, ()), d, rep)
@@ -165,7 +164,6 @@ def semifree_resolve(M: DGModule, max_stages: int = 8) -> SemifreeResolution:
     degree: dict = {}
     AA = _free_bimodule(A)
     rules = _tensor_rules(AA, degree.__getitem__, diff)
-    alg = [(a, d) for d in A.degrees() for a in A.basis_at(d)]
     # the cone of |P| -> M: degree d is M^d followed by the cells (b, g) of
     # P-degree d + 1 in ledger order, ``cells[n]``, at positions ``pos[n]``;
     # ``state[d]`` takes the differential columns out of and into degree d,
@@ -216,7 +214,7 @@ def semifree_resolve(M: DGModule, max_stages: int = 8) -> SemifreeResolution:
                 for b in A.basis_at(n - j):
                     at[(b, g)] = M.dim(n - 1) + len(row)
                     row.append((b, g))
-                    dcell, _, cap = _ledger_cell(AA, W, rules, alg, keys, b, g, n)
+                    dcell, cap = _ledger_cell(AA, W, rules, keys, b, g, n)
                     if cap is not None:
                         p_trust = p_trust.cap_hi(cap)
                     col = M.coords(_cell_image(M, aug.get(g), j, b, n), n)
@@ -228,7 +226,7 @@ def semifree_resolve(M: DGModule, max_stages: int = 8) -> SemifreeResolution:
         scan_everywhere=scan_everywhere, frontier=frontier, residual=residual,
         stages_used=stage,
         bookkeeping_ok=not residual or _bookkeeping_holds(
-            M, AA, alg, h_m, quotients, residual, cells, pos, dim),
+            M, AA, h_m, quotients, residual, cells, pos, dim),
     )
 
 
@@ -437,7 +435,9 @@ def truncate_above(M: DGModule, s: int, max_stages: int = 8) -> TruncationCertif
     dual of M over the opposite algebra (its generators live in degrees
     >= -s) and dualize back: semifree modules over a nonnegatively
     graded algebra with generators in degrees >= -s live in degrees
-    >= -s, so the dual vanishes above s.
+    >= -s, so the dual vanishes above s.  The certificate M -> M' is the
+    transpose of eps: Q -> M* after M -> M**, m -> (-1)^{|m|} sum_q
+    eps(q)[m'] q', read off eps's images.
     """
     h = cohomology(M)
     bad = [d for d in h.dims if d > s and h.certified.contains(d)]
@@ -447,6 +447,7 @@ def truncate_above(M: DGModule, s: int, max_stages: int = 8) -> TruncationCertif
         return TruncationCertificate(M, None, True, h.certified, "already vanishes above s")
 
     M = left_restriction(M)
+    F = M.field
     Mdual = linear_dual(M)            # right module
     X = to_opposite(Mdual)            # left module over A^op
     res = semifree_resolve(X, max_stages)
@@ -456,10 +457,12 @@ def truncate_above(M: DGModule, s: int, max_stages: int = 8) -> TruncationCertif
     Mprime = to_opposite(Qd)          # left module over (A^op)^op = A
 
     note = "dual-resolution truncation"
-    theta = double_dual_embedding(M)      # M -> (M*)*
-    eps_dual = dual_morphism(eps)         # X* -> Q* over A^op
-    # (M*)* and X*, and Q* and M', have identical underlying labels; compose.
-    images = {lbl: eps_dual.apply(theta.images.get(lbl, {})) for lbl in M._deg}
+    images = {m: {} for m in M._deg}  # M' has the labels of Q*
+    of_dual = {_dual_label(m): m for m in M._deg}
+    for q in Q._deg:
+        for x, c in eps.images.get(q, {}).items():
+            m = of_dual[x]
+            images[m][_dual_label(q)] = F.mul(F.sign(M.degree_of(m)), c)
     morphism = ModuleMorphism(M, Mprime, images)
     ok = morphism.validate().ok
 

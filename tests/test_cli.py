@@ -207,6 +207,25 @@ def test_parser_is_built_once_and_checks_are_looked_up_when_they_run(lam_file, m
     assert "local duality on k: holds" in capsys.readouterr().out
 
 
+def test_every_name_the_benchmark_tracer_wraps_resolves():
+    # bench/tracer.py wraps these names only in a traced benchmark run, so
+    # a renamed function would otherwise go unnoticed by the test suite
+    import importlib
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("dgreg_bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for name, modname, attr, *_ in tracer.TARGETS:
+        module = importlib.import_module(modname)
+        owner, _, leaf = attr.rpartition(".")
+        namespace = vars(getattr(module, owner)) if owner else vars(module)
+        assert callable(namespace.get(leaf)), (name, modname, attr)
+
+
 def test_e2_page(tmp_path, capsys):
     p = tmp_path / "p2.dg"
     p.write_text(POLY2_DOC)

@@ -108,6 +108,56 @@ def test_catalog_modules_are_valid():
             assert validate_module(M).ok, (A.name, kind)
 
 
+# ---- scalars are brought into the field at construction ----------------------
+
+def _f7_module(lact):
+    return DGModule(name="M", algebra=square_zero_algebra(GF(7)), side="left",
+                    window=GradedWindow(0, 1), basis={0: ("m",), 1: ("n",)},
+                    lact=lact, ract={}, diff={})
+
+
+def test_unit_action_is_read_in_the_field():
+    # 8 = 1 in F_7
+    M = _f7_module({("one", "m"): {"m": 8}, ("one", "n"): {"n": 1}})
+    assert M.lact[("one", "m")] == {"m": 1}
+    assert validate_module(M).ok
+
+
+def test_unit_law_is_read_in_the_field():
+    from dgreg.catalog import finite_table_algebra
+
+    A = finite_table_algebra("A", GF(7), {0: ("one",)}, "one", {("one", "one"): {"one": 8}}, {})
+    assert validate_algebra(A).ok
+
+
+def test_a_vanishing_scalar_is_neither_stored_nor_emitted():
+    from dgreg.textformat import Document, emit_document, parse_document
+
+    M = _f7_module({("one", "m"): {"m": 1}, ("one", "n"): {"n": 1}, ("t", "m"): {"n": 7}})
+    assert ("t", "m") not in M.lact
+    text = emit_document(Document(algebras={"Lambda": M.algebra}, modules={"M": M}))
+    assert "7*" not in text
+    back = parse_document(text).module("M")
+    assert (back.lact, back.ract, back.diff) == (M.lact, M.ract, M.diff)
+
+
+def test_rational_scalars_are_stored_in_their_one_representation():
+    A = DGAlgebra(name="k", field=QQ, window=GradedWindow(0, 2), basis={0: ("one",)}, unit="one",
+                  mul={("one", "one"): {"one": Fraction(2, 2)}}, diff={})
+    c = A.mul[("one", "one")]["one"]
+    assert c == 1 and type(c) is int
+
+
+def test_a_float_scalar_is_refused_at_construction():
+    from dgreg.fields import FieldMismatchError
+
+    with pytest.raises(FieldMismatchError):
+        _f7_module({("one", "m"): {"m": 1}, ("one", "n"): {"n": 0.5}})
+    with pytest.raises(FieldMismatchError):
+        DGAlgebra(name="k", field=QQ, window=GradedWindow(0, 2), basis={0: ("one",)}, unit="one",
+                  mul={("one", "one"): {"one": 0.5}}, diff={})
+
+
 # ---- cohomology -----------------------------------------------------------
 
 def test_cohomology_of_square_zero_algebra():

@@ -551,6 +551,14 @@ def _trusted_past_window(A, extra):
                      mul=A.mul, diff=A.diff, trust=Trust(None, A.window.hi + extra))
 
 
+def _recorded_below_trust():
+    """k[T]_2 recorded up to degree 5 but trusted up to 9, as a free left
+    module on the window 0..16: T T^2 (degree 6) is unrecorded, so the
+    cells of e_0 can be trusted only up to degree 5."""
+    A = _trusted_past_window(polynomial_algebra(2, window=GradedWindow(0, 5)), 4)
+    return _widened(free_module(A, side="left"), 11)
+
+
 def _oracle_inputs():
     from dgreg.catalog import catalog_pairs
 
@@ -571,6 +579,7 @@ def _oracle_inputs():
         yield _widened(canonical_k(polynomial_algebra(d), side="left"), 3), 6
         A = _trusted_past_window(polynomial_algebra(d, window=GradedWindow(0, 6)), 3)
         yield _widened(canonical_k(A, side="left"), 6), 6
+    yield _recorded_below_trust(), 4
     for F in (QQ, GF(7)):
         yield _mixed_class_module(F), 4
 
@@ -583,7 +592,7 @@ def test_incremental_cone_matches_restaging(monkeypatch):
 
     def spy_cell(*args):
         out = cell(*args)
-        caps.append(out[2])
+        caps.append(out[1])
         return out
 
     def spy_generator_trust(A, degree, window):
@@ -603,6 +612,17 @@ def test_incremental_cone_matches_restaging(monkeypatch):
     assert any(c is not None for c in caps) and any(top_caps)
     res = semifree_resolve(_mixed_class_module(QQ), 4)
     assert any(g in res.diff and res.aug.get(g) for g in res.aug)
+
+
+def test_unrecorded_products_cap_p_when_trust_passes_the_window_top():
+    from dgreg.homtensor import _generator_trust
+    from dgreg.windows import Trust
+
+    M = _recorded_below_trust()
+    assert (M.algebra.window.hi, M.algebra.trust.hi, M.window.hi) == (5, 9, 16)
+    res = semifree_resolve(M, 4)
+    assert res.scan == Trust(None, 3) and str(res.scan) == "[-inf, 3]"
+    assert _generator_trust(M.algebra, 0, M.window).hi == 5
 
 
 def test_generator_below_the_window_raises_trust():
@@ -644,9 +664,9 @@ def _spy_on_cone_state(monkeypatch):
         KernelModImage.__init__, KernelModImage.add_outgoing, KernelModImage.add_incoming,
         KernelModImage.quotient)
 
-    def spy_cell(N, window, rules, alg, keys, x, g, n):
+    def spy_cell(N, window, rules, keys, x, g, n):
         built.append((x, g, n))
-        return cell(N, window, rules, alg, keys, x, g, n)
+        return cell(N, window, rules, keys, x, g, n)
 
     def spy_init(self, field):
         states.append(self)

@@ -390,10 +390,23 @@ def test_check_regularity_sweep_computes_extreg_k_and_cmreg_a_once_per_algebra(m
     assert len(keys) == len(set(keys)), "a value was computed twice for one algebra"
     results = [r for r in json.loads(out.read_text())["results"] if "values" in r]
     algebras = {id(A) for _, A, _ in computed}
-    assert len(keys) == 2 * len(algebras) < 2 * len(results)
+    assert len(keys) == 2 * len(algebras) == 12 < 2 * len(results)
     fresh = {A.name: _fresh_pair_values(A, 6) for A in catalog_algebras(QQ)}
     for r in results:
         assert (r["values"]["extreg_k"], r["values"]["cmreg_a"]) == fresh[r["algebra"]], r
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=str)
+def test_catalog_pairs_span_the_six_catalog_algebras(field):
+    from dgreg.catalog import catalog_algebras, catalog_pairs
+
+    # pairs over one algebra share its object, and with it what is kept on it
+    pairs = catalog_pairs(field)
+    assert len(pairs) == 15
+    assert len({id(A) for A, _ in pairs}) == 6
+    assert [(A.name, M.name) for A, M in pairs] == [
+        (A.name, name) for A in catalog_algebras(field) for name in ("k", f"{A.name}_free")
+    ] + [("Lambda", "S2k"), ("Lambda", "Lambda_free>=1"), ("Poly2", "Poly2_free>=1")]
 
 
 def test_algebra_and_opposite_keep_their_own_objects():
@@ -504,10 +517,14 @@ def test_internal_constructions_build_clean_tables(monkeypatch):
     assert "m|e1" not in T.diff and "e0|m" not in X.diff
     assert T in built and X in built
     assert {type(X).__name__ for X in built} == {"DGAlgebra", "DGModule"}
+    # clean and canonical: _clean brings each scalar into the field, and
+    # each one is already in the form FieldSpec.coerce gives it
     for X in built:
         for name in X._tables:
             table = getattr(X, name)
             assert table == X._clean(table), (X.name, name)
+            assert all(type(v) is type(X.field.coerce(v)) for c in table.values() for v in c.values()), (
+                X.name, name)
 
 
 def test_koszul_truncation_fixtures():
