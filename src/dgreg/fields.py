@@ -86,16 +86,12 @@ class FieldSpec:
         Over F_p a fraction a/b maps to a * b^-1 mod p; a denominator
         divisible by p is rejected.
         """
-        if type(x) is int:  # the common case first: table scalars are mostly ints
-            return x % self.p if self.p else x
+        if isinstance(x, int):
+            return x % self.p if self.p else int(x)
         if self.p == 0:
-            if isinstance(x, int):
-                return int(x)
             if isinstance(x, Fraction):
                 return exact(x)
             raise FieldMismatchError(f"cannot coerce {x!r} into Q")
-        if isinstance(x, int):
-            return x % self.p
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise FieldMismatchError(f"{x} has no image in F_{self.p}")

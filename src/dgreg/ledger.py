@@ -56,8 +56,10 @@ class SemifreeResolution:
     bookkeeping_ok: bool = False
 
     def __post_init__(self):
-        # each row is a table {h: algebra combination}, cleaned as A's own are
+        # each row is a table {h: algebra combination}, cleaned as A's own are;
+        # aug is one table {g: combination of the target's basis}
         self.diff = {g: self.algebra._clean(row) for g, row in self.diff.items()}
+        self.aug = self.algebra._clean(self.aug)
         self._by_label = {g.label: g for g in self.gens}
 
     @property

@@ -833,3 +833,12 @@ def test_a_hand_built_ledger_claims_no_bookkeeping():
     L.residual, L.frontier = {0: 1}, 0
     assert not L.bookkeeping_ok
     assert "bookkeeping_ok" not in L.to_json()
+
+
+def test_a_ledger_brings_its_augmentation_into_the_field():
+    Lam = square_zero_algebra(GF(7))
+    L = make_ledger(Lam, gens=[("e0", 0, 0), ("e1", 1, 1)], diff={},
+                    aug={"e0": {"k0": 8}, "e1": {"k0": 7}}, target=canonical_k(Lam, side="left"))
+    assert L.aug == {"e0": {"k0": 1}}
+    augs = {row["label"]: row["augmentation"] for row in L.to_json()["generators"]}
+    assert augs == {"e0": {"k0": "1"}, "e1": {}}
