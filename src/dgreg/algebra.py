@@ -98,6 +98,11 @@ class Presentation:
     ``window``, ``trust``, ``diff`` and ``field``, names its coefficient
     tables in ``_tables``, and calls :meth:`_index` from its ``_prepare``,
     which the constructor and :meth:`_built` run.
+
+    No field is assigned after a presentation is built, so tables can be
+    shared and what is derived from an object can be kept on it.  A
+    construction derived from one presentation is :meth:`_with`, a copy
+    that names only the fields it changes.
     """
 
     _label_kind = "basis"
@@ -141,17 +146,24 @@ class Presentation:
 
     @classmethod
     def _built(cls, **fields):
-        """An instance on tables the library built itself, each already
-        what :meth:`_clean` would make of it: the constructor,
-        given every field, without the :meth:`_clean` copies.  Parsed,
-        catalog and user-built presentations go through the constructor
-        and are cleaned."""
+        """A new instance on tables the library built itself, each already
+        what :meth:`_clean` would make of it: the constructor, given
+        every field, without the :meth:`_clean` copies.  Parsed, catalog
+        and user-built presentations go through the constructor and are
+        cleaned; one derived from another presentation is :meth:`_with`."""
         self = cls.__new__(cls)
         # in the constructor's order, so that instances share one key layout
         for f in dataclasses.fields(cls):
             setattr(self, f.name, fields[f.name])
         self._prepare(clean=False)
         return self
+
+    def _with(self, **changes):
+        """A copy built as :meth:`_built` builds, with the named fields
+        replaced by values that are already clean, and every other field,
+        tables included, shared with this presentation."""
+        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        return self._built(**{**fields, **changes})
 
     def degree_of(self, lbl: str) -> int:
         return self._deg[lbl]
@@ -289,16 +301,7 @@ class DGAlgebra(Presentation):
         for (a, b), combo in self.mul.items():
             s = F.sign(self._deg[a] * self._deg[b])
             mul_op[(b, a)] = cscale(F, s, combo)
-        op = DGAlgebra._built(
-            name=self.name + "_op",
-            field=F,
-            window=self.window,
-            basis=self.basis,
-            unit=self.unit,
-            mul=mul_op,
-            diff=self.diff,
-            trust=self.trust,
-        )
+        op = self._with(name=self.name + "_op", mul=mul_op)
         op._kept["opposite"] = self
         self._kept["opposite"] = op
         return op

@@ -173,7 +173,7 @@ def cmd_resolve(args, M) -> int:
 
 def cmd_extreg(args, M) -> int:
     v = ext_reg(M, max_stages=args.stages)
-    code = OK if v.kind in ("exact", "neg_infinity") else INDETERMINATE
+    code = OK if v.certified_exact else INDETERMINATE
     return _report(args, {"extreg": v.to_json()}, f"Extreg {M.name} = {v} ({v.note})", code)
 
 
@@ -186,7 +186,7 @@ def cmd_koszul(args, X) -> int:
 
 def cmd_cmreg(args, M, regime) -> int:
     v = cm_reg(M, regime, max_stages=args.stages)
-    code = OK if v.kind in ("exact", "neg_infinity") else INDETERMINATE
+    code = OK if v.certified_exact else INDETERMINATE
     return _report(
         args, {"cmreg": v.to_json(), "regime": regime.to_json()},
         f"CMreg {M.name} = {v} [{regime.kind} regime] ({v.note})", code,

@@ -203,7 +203,9 @@ def cech_e2(A: DGAlgebra, M: DGModule, params) -> E2Page:
     empty list in the finite-dimensional regime: everything is torsion
     and the page is H(M) itself in column 0).  Requires the classes to
     be central in H(A): even degrees, or characteristic 2, with graded
-    commutativity checked on representatives.
+    commutativity checked on representatives.  Each parameter's scalars
+    are brought into A's field as A's own tables are (a scalar that
+    vanishes there is dropped, a float is a ``FieldMismatchError``).
     """
     F = A.field
     h = HModule(A, M)
@@ -211,7 +213,7 @@ def cech_e2(A: DGAlgebra, M: DGModule, params) -> E2Page:
 
     norm_params = []
     for x in params:
-        combo = cclean(F, dict(x))
+        combo = A._clean({0: x}).get(0)
         if not combo:
             raise E2PreconditionError("zero parameter")
         degs = {A.degree_of(lbl) for lbl in combo}

@@ -20,8 +20,9 @@ builders use.
 
 from __future__ import annotations
 
+from .algebra import _labels
 from .ledger import SemifreeResolution
-from .module import DGModule, LEFT, RIGHT, SideError, free_module
+from .module import _MIRROR, DGModule, LEFT, RIGHT, SideError, free_module
 from .windows import GradedWindow, Trust
 
 
@@ -109,7 +110,7 @@ def _ledger_complex(L, N, window, sign, label, rules, act, side, name):
             f"ledger not known complete beyond degree {L.ledger_bound}; the complex "
             "models the derived functor up to the recorded frontier contributions"
         )
-    alg = [(a, d) for d in A.degrees() for a in A.basis_at(d)] if act is not None else ()
+    alg = _labels(A) if act is not None else ()
     diff, acts = {}, {}
     for n, row in cells.items():
         for x, g in row:
@@ -135,7 +136,7 @@ def _ledger_complex(L, N, window, sign, label, rules, act, side, name):
                     acts[(a, lab)] = out
     basis = {n: tuple(lbl[cell] for cell in row) for n, row in cells.items()}
     if act is None:
-        side = RIGHT if side == LEFT else LEFT
+        side = _MIRROR[side]
         acts = {(A.unit, m): {m: F.one()} for row in basis.values() for m in row}
     if side == LEFT:
         lact, ract = acts, {}
@@ -190,19 +191,20 @@ def realize_ledger(L: SemifreeResolution, window: GradedWindow, name: str | None
     the left action is multiplication into the b coordinate.  Besides
     the caps of the tensor complex, unwritten future generators cap the
     trust below the ledger bound, and each generator meets it with
-    :func:`_generator_trust`.
+    :func:`_generator_trust`.  That trust is worked out first, and |P| is
+    the copy of the tensor complex that carries it.
     """
     A = L.algebra
-    P, _ = tensor_module_ledger(
+    T, _ = tensor_module_ledger(
         _free_bimodule(A), L, window,
         name=name or f"|{L.target.name if L.target else 'ledger'}|",
     )
-    bound = L.ledger_bound
-    if bound is not None:
-        P.trust = P.trust.cap_hi(bound - 1)
+    trust = T.trust
+    if L.ledger_bound is not None:
+        trust = trust.cap_hi(L.ledger_bound - 1)
     for g in L.gens:
-        P.trust = P.trust.meet(_generator_trust(A, g.degree, window))
-    return P
+        trust = trust.meet(_generator_trust(A, g.degree, window))
+    return T._with(trust=trust)
 
 
 def hom_from_ledger(L: SemifreeResolution, N: DGModule, window: GradedWindow,

@@ -141,28 +141,11 @@ def is_minimal_ledger(A: DGAlgebra, diff: dict):
 
 def make_ledger(algebra: DGAlgebra, gens, diff, aug=None, target=None) -> SemifreeResolution:
     """Assemble a standalone ledger from raw (label, degree, stage) rows."""
-    gen_objs = tuple(Generator(*g) for g in gens)
-    return SemifreeResolution(
-        algebra=algebra,
-        gens=gen_objs,
-        diff=dict(diff),
-        aug=dict(aug or {}),
-        target=target,
-        scan=Trust.everywhere(),
-        scan_everywhere=False,
-        frontier=None,
-    )
+    return SemifreeResolution(algebra=algebra, gens=tuple(Generator(*g) for g in gens), diff=diff,
+                              aug=aug or {}, target=target)
 
 
 def free_ledger(A: DGAlgebra, degree: int = 0, label: str = "e0") -> SemifreeResolution:
     """The rank-one free ledger: A itself, one generator, zero differential."""
-    return SemifreeResolution(
-        algebra=A,
-        gens=(Generator(label, degree, 0),),
-        diff={},
-        aug={},
-        target=None,
-        scan=Trust.everywhere(),
-        scan_everywhere=True,
-        frontier=None,
-    )
+    return SemifreeResolution(algebra=A, gens=(Generator(label, degree, 0),), diff={},
+                              scan_everywhere=True)

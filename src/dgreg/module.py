@@ -27,6 +27,7 @@ from .linalg import Echelon, Matrix, QuotientSpace, kernel_mod_images
 from .windows import GLOBAL_DEGREE_BOUND, GradedWindow, Trust, WindowError
 
 LEFT, RIGHT, BI = "left", "right", "bi"
+_MIRROR = {LEFT: RIGHT, RIGHT: LEFT, BI: BI}  # the side of the dual or opposite
 
 
 class SideError(ValueError):
@@ -357,10 +358,8 @@ def hard_truncate(M: DGModule, level: int) -> Truncation:
     sub_trust = M.trust
     if M.trust.lo is None or M.trust.lo <= level:
         sub_trust = Trust(None, M.trust.hi)  # below level the truncation is zero by fiat
-    sub = DGModule._built(
+    sub = M._with(
         name=f"{M.name}>= {level}".replace(" ", ""),
-        algebra=M.algebra,
-        side=M.side,
         window=sub_window if keep else GradedWindow(level, max(level, M.window.hi)),
         basis=keep,
         lact={k: v for k, v in M.lact.items() if k[1] in kept},
@@ -370,10 +369,8 @@ def hard_truncate(M: DGModule, level: int) -> Truncation:
     )
     quot_window = GradedWindow(M.window.lo, min(M.window.hi, level - 1)) if drop else GradedWindow(M.window.lo, M.window.lo)
     quot_trust = Trust(M.trust.lo, None) if (M.trust.hi is None or M.trust.hi >= level - 1) else M.trust
-    quot = DGModule._built(
+    quot = M._with(
         name=f"{M.name}/>={level}",
-        algebra=M.algebra,
-        side=M.side,
         window=quot_window,
         basis=drop,
         lact=project(M.lact, lambda k: k[1] not in kept),
@@ -405,17 +402,8 @@ def suspend(M: DGModule, n: int, name: str | None = None) -> DGModule:
     for (m, a), combo in M.ract.items():
         s = F.sign(n * M.algebra.degree_of(a))
         ract[(m, a)] = cscale(F, s, combo)
-    return DGModule._built(
-        name=name or f"S{n}({M.name})",
-        algebra=M.algebra,
-        side=M.side,
-        window=GradedWindow(new_lo, new_hi),
-        basis=basis,
-        lact=M.lact,
-        ract=ract,
-        diff=M.diff,
-        trust=M.trust.shift(n),
-    )
+    return M._with(name=name or f"S{n}({M.name})", window=GradedWindow(new_lo, new_hi),
+                   basis=basis, ract=ract, trust=M.trust.shift(n))
 
 
 def _dual_label(lbl: str) -> str:
@@ -455,18 +443,8 @@ def linear_dual(M: DGModule, name: str | None = None) -> DGModule:
                 if deg[y] == da + deg[x]:
                     lact.setdefault((a, dual_lbl[y]), {})[dual_lbl[x]] = F.mul(F.sign(da), c)
 
-    side = {LEFT: RIGHT, RIGHT: LEFT, BI: BI}[M.side]
-    return DGModule._built(
-        name=name or f"{M.name}*",
-        algebra=A,
-        side=side,
-        window=M.window.flip(),
-        basis=basis,
-        lact=lact,
-        ract=ract,
-        diff=diff,
-        trust=M.trust.flip(),
-    )
+    return M._with(name=name or f"{M.name}*", side=_MIRROR[M.side], window=M.window.flip(),
+                   basis=basis, lact=lact, ract=ract, diff=diff, trust=M.trust.flip())
 
 
 def twist(M: DGModule, alpha, name: str | None = None) -> DGModule:
@@ -480,25 +458,15 @@ def twist(M: DGModule, alpha, name: str | None = None) -> DGModule:
         raise ValueError(f"invalid automorphism: {rep.violations[0].detail}")
     F = M.field
     A = M.algebra
-    ract = {}
+    ract, alg_labels = {}, _labels(A)
     for d, lbls in M.basis.items():
-        for a in [lbl for dd in A.degrees() for lbl in A.basis_at(dd)]:
+        for a, da in alg_labels:
             img = alpha.apply({a: F.one()})
             for m in lbls:
-                out = M.ract_combo({m: F.one()}, d, img, A.degree_of(a))
+                out = M.ract_combo({m: F.one()}, d, img, da)
                 if out:
                     ract[(m, a)] = out
-    return DGModule._built(
-        name=name or f"{M.name}^tw",
-        algebra=A,
-        side=M.side,
-        window=M.window,
-        basis=M.basis,
-        lact=M.lact,
-        ract=ract,
-        diff=M.diff,
-        trust=M.trust,
-    )
+    return M._with(name=name or f"{M.name}^tw", ract=ract)
 
 
 # -- morphisms and cones ---------------------------------------------------
@@ -620,10 +588,7 @@ def left_restriction(M: DGModule) -> DGModule:
         return M
     if not M.has_left:
         raise SideError(f"{M.name} has no left structure")
-    return DGModule._built(
-        name=M.name, algebra=M.algebra, side=LEFT, window=M.window,
-        basis=M.basis, lact=M.lact, ract={}, diff=M.diff, trust=M.trust,
-    )
+    return M._with(side=LEFT, ract={})
 
 
 def zero_module(A: DGAlgebra, side: str = LEFT, name: str = "0") -> DGModule:
@@ -650,18 +615,8 @@ def to_opposite(M: DGModule) -> DGModule:
     for (a, m), combo in M.lact.items():
         s = F.sign(M.algebra.degree_of(a) * M.degree_of(m))
         ract[(m, a)] = combo if s == one else cscale(F, s, combo)
-    side = {LEFT: RIGHT, RIGHT: LEFT, BI: BI}[M.side]
-    return DGModule._built(
-        name=M.name + "_op",
-        algebra=M.algebra.opposite(),
-        side=side,
-        window=M.window,
-        basis=M.basis,
-        lact=lact,
-        ract=ract,
-        diff=M.diff,
-        trust=M.trust,
-    )
+    return M._with(name=M.name + "_op", algebra=M.algebra.opposite(), side=_MIRROR[M.side],
+                   lact=lact, ract=ract)
 
 
 def double_dual_embedding(M: DGModule) -> ModuleMorphism:

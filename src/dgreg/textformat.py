@@ -40,7 +40,7 @@ from itertools import product
 from operator import getitem
 
 from .algebra import AlgebraAutomorphism, DGAlgebra
-from .fields import QQ, GF, FieldSpec
+from .fields import QQ, GF, FieldMismatchError, FieldSpec
 from .module import BI, DGModule, LEFT, RIGHT
 from .windows import GradedWindow, Trust, WindowError
 
@@ -137,7 +137,7 @@ def parse_combination(text: str, field: FieldSpec, line_no: int = 0):
             raise ParseError(line_no, text.find(term) + 1, f"bad label {lbl!r}")
         try:
             coeff = field.parse(coeff_txt)
-        except ValueError:
+        except (ValueError, FieldMismatchError):  # over F_p, a denominator p divides
             raise ParseError(line_no, text.find(term) + 1, f"bad coefficient {coeff_txt!r}") from None
         if sgn < 0:
             coeff = field.neg(coeff)

@@ -129,6 +129,20 @@ def test_usage_errors_exit_two(tmp_path, capsys):
         "", "error: catalog algebras are connected: window starts at -3, not 0\n")
 
 
+def test_a_coefficient_with_no_image_in_fp_exits_two(tmp_path, capsys):
+    # 1/7 has no image in F_7: a usage error with its line and column, not a traceback
+    doc = tmp_path / "f7.dg"
+    doc.write_text("algebra A over F7 window 0..4\nbasis 0: one\nbasis 2: t\nunit one\n"
+                   "mul one one = one\nmul one t = 1/7*t\nmul t one = t\n")
+    assert main(["validate", str(doc)]) == 2
+    assert capsys.readouterr().err == "error: line 6, column 1: bad coefficient '1/7'\n"
+    p2 = tmp_path / "p2f7.dg"
+    assert main(["catalog", "--family", "polynomial", "--param", "2", "--p", "7"]) == 0
+    p2.write_text(capsys.readouterr().out)
+    assert main(["e2", str(p2), "--module", "free", "--params", "1/7*t1"]) == 2
+    assert capsys.readouterr().err == "error: bad parameter '1/7*t1': bad coefficient '1/7'\n"
+
+
 def test_resolve_square_zero_six_stages(lam_file, capsys):
     assert main(["resolve", lam_file, "--module", "k", "--stages", "6"]) == 0
     out = capsys.readouterr().out

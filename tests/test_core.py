@@ -1,5 +1,7 @@
 """dg-core: validation, cohomology, truncation, suspension, duals, twists."""
 
+import copy
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -384,6 +386,65 @@ def test_opposite_transport_is_an_involution(field):
         assert (back.basis, back.lact, back.ract, back.diff) == (M.basis, M.lact, M.ract, M.diff)
         checked += 1
     assert checked == 15
+
+
+def _fields(X) -> dict:
+    """Each dataclass field of X but its algebra or ground field: the
+    object X holds, and a deep copy of its value."""
+    return {f.name: (getattr(X, f.name), copy.deepcopy(getattr(X, f.name)))
+            for f in dataclasses.fields(X) if f.name not in ("algebra", "field")}
+
+
+def _unchanged(X, fields) -> bool:
+    return all(getattr(X, name) is obj and obj == value for name, (obj, value) in fields.items())
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["Q", "F7"])
+def test_derived_presentations_share_every_table_they_do_not_replace(field, monkeypatch):
+    # each derived construction is a copy of its source with some tables
+    # replaced: the source is left as it was, and every other table is the
+    # source's own object
+    from dgreg.algebra import Presentation
+    from dgreg.catalog import catalog_pairs
+    from dgreg.homtensor import realize_ledger
+    from dgreg.module import left_restriction, to_opposite
+    from dgreg.resolution import semifree_resolve
+
+    copies = []
+    real = Presentation._with
+
+    def spy(self, **changes):
+        out = real(self, **changes)
+        copies.append((self, out, set(changes)))
+        return out
+
+    monkeypatch.setattr(Presentation, "_with", spy)
+
+    def copied(src, out, replaced):
+        assert out is not src, src.name
+        for name in src._tables:
+            assert (getattr(out, name) is getattr(src, name)) == (name not in replaced), (out.name, name)
+
+    for A, M in catalog_pairs(field):
+        sources = [(X, _fields(X)) for X in (A, M)]
+        copied(A, A.opposite(), {"mul"})
+        copied(M, suspend(M, 2), {"ract"})
+        copied(M, twist(M, identity_automorphism(A)), {"ract"})
+        copied(M, left_restriction(M), {"ract"})
+        copied(M, to_opposite(M), {"lact", "ract"})
+        copied(M, linear_dual(M), {"lact", "ract", "diff"})
+        cut = hard_truncate(M, 1)
+        copied(M, cut.sub, {"lact", "ract", "diff"})
+        copied(M, cut.quot, {"lact", "ract", "diff"})
+        L = semifree_resolve(left_restriction(M), 3)
+        ledger = {name: (getattr(L, name), copy.deepcopy(getattr(L, name))) for name in ("gens", "diff", "aug")}
+        P = realize_ledger(L, M.window)
+        T, out, replaced = copies[-1]
+        assert out is P and replaced == {"trust"}
+        copied(T, P, set())
+        assert _unchanged(L, ledger), M.name
+        for X, fields in sources:
+            assert _unchanged(X, fields), (A.name, M.name, X.name)
 
 
 def test_double_dual_embedding_is_chain_map():

@@ -101,6 +101,19 @@ def test_parameter_validation():
         cech_e2(P1, canonical_k(P1, side="left"), [{"t1": QQ.one()}])  # odd degree over Q
 
 
+def test_parameters_are_brought_into_the_field_as_tables_are():
+    # over F_7 a parameter 7*t1 is zero and 0.5*t1 has no image in the field
+    from dgreg.fields import FieldMismatchError
+
+    A = polynomial_algebra(2, GF(7))
+    k = canonical_k(A, side="left")
+    with pytest.raises(E2PreconditionError, match="zero parameter"):
+        cech_e2(A, k, [{"t1": 7}])
+    with pytest.raises(FieldMismatchError):
+        cech_e2(A, k, [{"t1": 0.5}])
+    assert cech_e2(A, k, [{"t1": 8}]).entries == cech_e2(A, k, [{"t1": 1}]).entries == {(0, 0): 1}
+
+
 def test_odd_parameter_allowed_in_char2():
     P1 = polynomial_algebra(1, GF(2))
     k = canonical_k(P1, side="left")

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgreg.catalog import (
     document_text,
@@ -110,6 +112,44 @@ def test_combination_parsing():
     got2 = parse_combination("x - y", QQ)
     assert got2 == {"x": QQ.one(), "y": QQ.neg(QQ.one())}
     assert parse_combination("x + -1*x", QQ) == {}
+
+
+def test_a_coefficient_with_no_image_in_fp_is_a_parse_error():
+    # over F_p a literal whose denominator p divides has no image
+    with pytest.raises(ParseError, match="bad coefficient '1/7'") as err:
+        parse_combination("t + 1/7*t", GF(7), line_no=3)
+    assert (err.value.line_no, err.value.column) == (3, 5)
+    assert parse_combination("1/7*t", QQ) == {"t": Fraction(1, 7)}
+    assert parse_combination("1/7*t", GF(5)) == {"t": 3}
+    with pytest.raises(ParseError, match="bad coefficient '1/2'"):
+        parse_combination("1/2*t", GF(2))
+
+
+def _literal(p):
+    """``a/b`` literals, with denominators p divides (0 over Q) among them."""
+    denominators = st.one_of(st.integers(1, 30), st.integers(0, 4).map(lambda k: k * p))
+    return st.tuples(st.integers(-30, 30), denominators).map(lambda ab: f"{ab[0]}/{ab[1]}")
+
+
+@st.composite
+def _documents(draw):
+    field = draw(st.sampled_from(["Q", "F2", "F7"]))
+    c = [draw(_literal(0 if field == "Q" else int(field[1:]))) for _ in range(6)]
+    return (
+        f"algebra A over {field} window 0..4\nbasis 0: one\nbasis 2: t\nbasis 4: u\nunit one\n"
+        f"mul one one = {c[0]}*one\nmul one t = {c[1]}*t\nmul t one = t\nmul t t = {c[2]}*u\n"
+        "module M over A side left window 0..3\nbasis 0: m\nbasis 1: x\nbasis 2: n\n"
+        f"act one m = {c[3]}*m + 0*m\nact t m = n - {c[4]}*n\ndiff m = {c[5]}*x\n"
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_documents())
+def test_parse_document_lets_only_parse_errors_escape(text):
+    try:
+        parse_document(text)
+    except ParseError:
+        pass
 
 
 def test_polynomial_chain_document():
