@@ -148,9 +148,11 @@ class Presentation:
     def _built(cls, **fields):
         """A new instance on tables the library built itself, each already
         what :meth:`_clean` would make of it: the constructor, given
-        every field, without the :meth:`_clean` copies.  Parsed, catalog
-        and user-built presentations go through the constructor and are
-        cleaned; one derived from another presentation is :meth:`_with`."""
+        every field, without the :meth:`_clean` copies.  The text-format
+        parser builds its objects here, as its tables are canonical as
+        parsed.  Catalog and user-built presentations go through the
+        constructor and are cleaned; one derived from another presentation
+        is :meth:`_with`."""
         self = cls.__new__(cls)
         # in the constructor's order, so that instances share one key layout
         for f in dataclasses.fields(cls):

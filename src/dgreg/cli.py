@@ -47,6 +47,8 @@ def _load(path: str):
             return parse_document(fh.read())
     except FileNotFoundError:
         raise SystemExit2(f"no such file: {path}")
+    except UnicodeDecodeError as exc:
+        raise SystemExit2(f"{path}: byte {exc.start} is not UTF-8 text")
     except ParseError as exc:
         raise SystemExit2(str(exc))
 

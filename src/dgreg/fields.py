@@ -3,10 +3,10 @@
 Over F_p scalars are the canonical integer representatives ``0..p-1``.
 Over Q a scalar is a plain ``int`` when it is integral and a
 ``fractions.Fraction`` only when it is not.  ``zero``, ``one``, ``sign``,
-``coerce``, ``parse`` and ``inv`` keep to that rule, and so does every
-scalar :mod:`dgreg.linalg` stores, so integral tables are eliminated in
-``int`` arithmetic and a ``Fraction`` is built only where a pivot
-inverse is not integral.  ``add``, ``sub`` and ``mul`` are Python's own
+``coerce``, ``literal``, ``parse`` and ``inv`` keep to that rule, and so
+does every scalar :mod:`dgreg.linalg` stores, so integral tables are
+eliminated in ``int`` arithmetic and a ``Fraction`` is built only where a
+pivot inverse is not integral.  ``add``, ``sub`` and ``mul`` are Python's own
 operators: a sum of two ``Fraction`` values may be an integral
 ``Fraction`` until ``coerce`` brings it back.  Either way the value is
 exact, ``3 == Fraction(3)`` with equal hashes, and both print as ``3``,
@@ -17,8 +17,16 @@ mix scalars from different ground fields.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+
+# A scalar literal: an integer or ``a/b``, in ASCII digits only, as the
+# pattern ``[+-]?[0-9]+(/[0-9]+)?``.  Group 1 is the signed numerator and
+# group 2 the denominator, None for an integer; FieldSpec.literal builds
+# the scalar from them.  The text format's term pattern embeds it.
+LITERAL = r"([+-]?[0-9]+)(?:/([0-9]+))?"
+LITERAL_RE = re.compile(LITERAL)
 
 
 class FieldMismatchError(TypeError):
@@ -133,14 +141,27 @@ class FieldSpec:
         """Canonical text form: lowest-terms p/q over Q, 0..p-1 over F_p."""
         return str(a)
 
+    def literal(self, num: str, den: str | None = None):
+        """The scalar num/den of this field, from the digit strings a match
+        of ``LITERAL`` gives: an integer is ``int(num)``, reduced mod p over
+        F_p; a fraction is built from two ints and brought in by
+        :meth:`coerce`.  A zero denominator is a ValueError, and over F_p one
+        that p divides a FieldMismatchError."""
+        if den is None:
+            n = int(num)
+            return n % self.p if self.p else n
+        d = int(den)
+        if not d:
+            raise ValueError(f"bad scalar literal {num}/{den}: zero denominator")
+        return self.coerce(Fraction(int(num), d))
+
     def parse(self, text: str):
-        """Parse an integer or p/q literal into this field."""
-        text = text.strip()
-        try:
-            value = Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"bad scalar literal {text!r}") from exc
-        return self.coerce(value)
+        """Parse an integer or a/b literal, ``LITERAL`` with surrounding
+        whitespace, into this field."""
+        m = LITERAL_RE.fullmatch(text.strip())
+        if m is None:
+            raise ValueError(f"bad scalar literal {text.strip()!r}")
+        return self.literal(*m.groups())
 
 
 QQ = FieldSpec(0)

@@ -19,7 +19,19 @@ Grammar (one declaration per line, `#` starts a comment):
 
 Combinations are sums `c1*lbl1 + c2*lbl2` with integer or rational
 coefficients (`t`, `2*t`, `-1/2*t + u`); unspecified entries default to
-zero.
+zero.  A coefficient is the literal `[+-]?[0-9]+(/[0-9]+)?` of
+:mod:`dgreg.fields`, and every number of the format, windows, basis
+degrees and the p of `Fp` included, is in ASCII digits: a decimal, an
+exponent, an underscore or a non-ASCII digit is a ParseError.  Each term
+after the first starts with its sign, and a literal's own sign, if it has
+one, is written against its digits (`x + -1*y`).
+
+Each table line is read once: `parse_combination` scans its combination
+with one compiled term pattern and builds each scalar from the literal's
+digits, so a parsed table is canonical (scalars in the field, no zero
+entries) and its object is built without the constructor's second
+cleaning pass.  A ParseError carries the line and the 1-based column of
+the token at fault.
 
 The five table lines are stated once, in `_TABLE_LINES`: the objects
 each belongs to, its usage, what its left-hand labels name, the table it
@@ -40,12 +52,16 @@ from itertools import product
 from operator import getitem
 
 from .algebra import AlgebraAutomorphism, DGAlgebra
-from .fields import QQ, GF, FieldMismatchError, FieldSpec
+from .fields import GF, LITERAL, LITERAL_RE, QQ, FieldMismatchError, FieldSpec
 from .module import BI, DGModule, LEFT, RIGHT
-from .windows import GradedWindow, Trust, WindowError
+from .windows import GradedWindow, Trust
 
 
 class ParseError(ValueError):
+    """A document line outside the grammar: its ``line_no``, the 1-based
+    ``column`` in the source line of the token at fault (of its first
+    token when the line as a whole has the wrong shape) and the message."""
+
     def __init__(self, line_no: int, column: int, message: str):
         self.line_no = line_no
         self.column = column
@@ -81,73 +97,114 @@ def _named(table: dict, kind: str, name: str | None):
 
 
 _LABEL = r"[A-Za-z_][A-Za-z0-9_'~|]*"
+_INT = r"-?[0-9]+"
 _label_re = re.compile(_LABEL)
-_window_re = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
+_token_re = re.compile(r"\S+")
+_window_re = re.compile(rf"({_INT})\.\.({_INT})")
+_field_re = re.compile(r"F([0-9]+)")
+_basis_re = re.compile(rf"\s*basis\s+({_INT})\s*:\s*(\S.*?)\s*$")
+# One term of a combination: a sign (optional on the first term), an
+# optional literal and `*`, and a label (groups 1-4: sign, numerator,
+# denominator, label), then the next term's sign or the end.
+_term_re = re.compile(rf"\s*([+-]?)\s*(?:{LITERAL}\s*\*\s*)?({_LABEL})\s*(?=[+-]|\Z)")
+_term_end_re = re.compile(r"\s+[+-]|\s*\Z")
+_sign_re = re.compile(r"\s*[+-]?\s*")
 
 
-def _parse_window(tok: str, line_no: int) -> GradedWindow:
-    m = _window_re.match(tok)
+def _col(line: str, i: int) -> int:
+    """The 1-based column of the i-th whitespace-separated token of line."""
+    return [m.start() for m in _token_re.finditer(line)][i] + 1
+
+
+def _token_error(line_no: int, line: str, i: int, message: str) -> ParseError:
+    """A ParseError at the i-th whitespace-separated token of line."""
+    return ParseError(line_no, _col(line, i), message)
+
+
+def _parse_window(tok: str, line_no: int, column: int) -> GradedWindow:
+    m = _window_re.fullmatch(tok)
     if not m:
-        raise ParseError(line_no, 0, f"bad window {tok!r} (expected LO..HI)")
+        raise ParseError(line_no, column, f"bad window {tok!r} (expected LO..HI)")
     try:
         return GradedWindow(int(m.group(1)), int(m.group(2)))
-    except WindowError as exc:
-        raise ParseError(line_no, 0, str(exc)) from None
+    except ValueError as exc:  # a WindowError, or an int too long to convert
+        raise ParseError(line_no, column, str(exc)) from None
 
 
-def _parse_field(tok: str, line_no: int) -> FieldSpec:
+def _parse_field(tok: str, line_no: int, column: int) -> FieldSpec:
     if tok == "Q":
         return QQ
-    m = re.match(r"^F(\d+)$", tok)
+    m = _field_re.fullmatch(tok)
     if m:
         try:
             return GF(int(m.group(1)))
         except ValueError as exc:
-            raise ParseError(line_no, 0, str(exc)) from None
-    raise ParseError(line_no, 0, f"unknown field {tok!r} (expected Q or Fp)")
+            raise ParseError(line_no, column, str(exc)) from None
+    raise ParseError(line_no, column, f"unknown field {tok!r} (expected Q or Fp)")
 
-def parse_combination(text: str, field: FieldSpec, line_no: int = 0):
-    """Parse `c1*lbl1 + c2*lbl2`-style combinations; `0` is the zero one."""
-    text = text.strip()
-    if text == "0":
-        return {}
+
+def parse_combination(text: str, field: FieldSpec, line_no: int = 0, col_offset: int = 0):
+    """Parse `c1*lbl1 + c2*lbl2`-style combinations; `0` is the zero one.
+
+    One scan of `_term_re` over the text; each scalar is built from its
+    literal's digits, so the result is canonical: scalars in the field and
+    no zero entries.  A ParseError's column is ``col_offset`` plus the
+    1-based position in text of the token it names."""
+    match, literal, neg, coerce = _term_re.match, field.literal, field.neg, field.coerce
     out: dict = {}
-    # split into (+|-) separated terms, honoring leading sign
-    terms = re.split(r"\s*([+-])\s*", text)
-    pending_sign = 1
-    items = []
-    for chunk in terms:
-        if chunk == "+":
-            continue
-        if chunk == "-":
-            pending_sign = -pending_sign
-            continue
-        if chunk == "":
-            continue
-        items.append((pending_sign, chunk))
-        pending_sign = 1
-    for sgn, term in items:
-        if "*" in term:
-            coeff_txt, _, lbl = term.partition("*")
-            coeff_txt = coeff_txt.strip()
-            lbl = lbl.strip()
+    pos, end = 0, len(text)
+    while True:
+        m = match(text, pos)
+        if m is None:
+            if not pos and text.strip() == "0":
+                return out
+            raise _term_error(text, pos, line_no, col_offset)
+        sign, num, den, lbl = m.groups()
+        if num is None:
+            c = 1
         else:
-            coeff_txt, lbl = "1", term.strip()
-        if not _label_re.fullmatch(lbl):
-            raise ParseError(line_no, text.find(term) + 1, f"bad label {lbl!r}")
-        try:
-            coeff = field.parse(coeff_txt)
-        except (ValueError, FieldMismatchError):  # over F_p, a denominator p divides
-            raise ParseError(line_no, text.find(term) + 1, f"bad coefficient {coeff_txt!r}") from None
-        if sgn < 0:
-            coeff = field.neg(coeff)
+            try:
+                c = literal(num, den)
+            except (ValueError, FieldMismatchError):  # a zero denominator, or one p divides
+                lit = num if den is None else f"{num}/{den}"
+                raise ParseError(line_no, col_offset + m.start(2) + 1, f"bad coefficient {lit!r}") from None
+        if sign == "-":
+            c = neg(c)
         if lbl in out:
-            coeff = field.add(out[lbl], coeff)
-        if field.is_zero(coeff):
-            out.pop(lbl, None)
+            c = coerce(out[lbl] + c)
+        if c:
+            out[lbl] = c
         else:
-            out[lbl] = coeff
-    return out
+            out.pop(lbl, None)
+        pos = m.end()
+        if pos == end:
+            return out
+
+
+def _term_error(text: str, pos: int, line_no: int, col_offset: int) -> ParseError:
+    """The error for the term at pos that `_term_re` does not match: the
+    term runs from after its sign to the next sign that follows a space,
+    and is named by its coefficient when that is no literal, else by its
+    label."""
+    start = _sign_re.match(text, pos).end()
+    term = text[start:_term_end_re.search(text, start).start()]
+    coeff, star, lbl = term.partition("*")
+    if not star:
+        lbl = term
+    elif not LITERAL_RE.fullmatch(coeff.strip()):
+        return ParseError(line_no, col_offset + start + 1, f"bad coefficient {coeff.strip()!r}")
+    at = start + len(term) - len(lbl.lstrip())
+    return ParseError(line_no, col_offset + at + 1, f"bad label {lbl.strip()!r}")
+
+
+def _label_col(line: str, pos: int, lbl: str) -> int:
+    """The 1-based column of the first term labelled lbl in the parsed
+    combination that starts at line[pos]."""
+    while True:
+        m = _term_re.match(line, pos)
+        if m.group(4) == lbl:
+            return m.start(4) + 1
+        pos = m.end()
 
 
 _ALG, _OWN = "algebra", "own"  # what a left-hand label names
@@ -172,16 +229,17 @@ _TABLE_LINES = {
     "diff": _TableLine(("algebra",) + _MODULES, "diff X = COMBO", (_OWN,), "diff", 1),
     "map": _TableLine(("automorphism",), "map LBL = COMBO", (_ALG,), "images", 0),
 }
-_table_line_re = re.compile(rf"^({'|'.join(_TABLE_LINES)})\s+(.*?)=(.*)$")
+_table_line_re = re.compile(rf"\s*({'|'.join(_TABLE_LINES)})\s+(.*?)=(.*)$")
 
 
 class _Builder:
     """Accumulates the lines of one object until finalized.  ``kind`` is
     "algebra", "automorphism" or "<side> module"; an automorphism's own
-    labels are its algebra's, and it has no window."""
+    labels are its algebra's, and it has no window.  ``where`` is the line
+    and column of the name in the object's header."""
 
-    def __init__(self, kind, name, line_no, field, window, trust=None, algebra=None, side=None):
-        self.kind, self.name, self.line_no = kind, name, line_no
+    def __init__(self, kind, name, where, field, window, trust=None, algebra=None, side=None):
+        self.kind, self.name, self.where = kind, name, where
         self.field, self.window, self.trust, self.algebra, self.side = field, window, trust, algebra, side
         self.basis: dict = {}
         self.unit = None
@@ -192,37 +250,62 @@ class _Builder:
         if algebra is not None:
             self.names[_ALG] = (algebra._deg, "algebra label")
 
-    def add_basis(self, degree, labels, line_no):
+    def add_basis(self, m, line_no):
+        """Check the basis line `_basis_re` matched as m and record it."""
+        try:
+            degree = int(m.group(1))
+        except ValueError as exc:  # too long to convert
+            raise ParseError(line_no, m.start(1) + 1, str(exc)) from None
+        labels, cols, col = [], [], m.start(2) + 1
+        for piece in m.group(2).split(","):
+            labels.append(piece.strip())
+            cols.append(col + len(piece) - len(piece.lstrip()))
+            col += len(piece) + 1
+        for lbl, col in zip(labels, cols):
+            if not _label_re.fullmatch(lbl):
+                raise ParseError(line_no, col, "bad label in basis list")
+        if not self.window.contains(degree):
+            raise ParseError(line_no, m.start(1) + 1, f"basis degree {degree} outside window {self.window}")
         if degree in self.basis:
-            raise ParseError(line_no, 0, f"duplicate basis line for degree {degree}")
-        for lbl in labels:
+            raise ParseError(line_no, m.start(1) + 1, f"duplicate basis line for degree {degree}")
+        for lbl, col in zip(labels, cols):
             if lbl in self.deg:
-                raise ParseError(line_no, 0, f"duplicate label {lbl!r}")
+                raise ParseError(line_no, col, f"duplicate label {lbl!r}")
             self.deg[lbl] = degree
         self.basis[degree] = tuple(labels)
 
-    def require(self, lbl, line_no, names=_OWN):
-        degrees, noun = self.names[names]
-        if lbl not in degrees:
-            raise ParseError(line_no, 0, f"unknown {noun} {lbl!r}")
-        return degrees[lbl]
-
-    def table_line(self, op, lhs, combo, line_no):
-        """Check a table line against its `_TABLE_LINES` entry and record it."""
-        spec = _TABLE_LINES[op]
+    def table_line(self, m, line_no):
+        """Check the table line `_table_line_re` matched as m against its
+        `_TABLE_LINES` entry and record it.  A zero entry of a table is
+        dropped, as absent means zero there; an automorphism keeps a zero
+        image, as an absent one is the identity."""
+        line, op = m.string, m.group(1)
+        combo = parse_combination(m.group(3), self.field, line_no, m.start(3))
+        lhs, spec = m.group(2).split(), _TABLE_LINES[op]
         if self.kind not in spec.objects or len(lhs) != len(spec.labels):
-            raise ParseError(line_no, 0, f"expected: {spec.usage} (in: {', '.join(spec.objects)})")
-        target = spec.offset
-        for lbl, names in zip(lhs, spec.labels):
-            target += self.require(lbl, line_no, names)
+            raise ParseError(line_no, m.start(1) + 1, f"expected: {spec.usage} (in: {', '.join(spec.objects)})")
+        degrees = [self.names[names][0].get(lbl) for lbl, names in zip(lhs, spec.labels)]
+        if None in degrees:
+            i = degrees.index(None)
+            noun = self.names[spec.labels[i]][1]
+            raise ParseError(line_no, _col(line, i + 1), f"unknown {noun} {lhs[i]!r}")
+        target = spec.offset + sum(degrees)
         # a zero differential out of the top degree is the one line allowed above it
         if self.window is not None and target > self.window.hi and (combo or not spec.offset):
-            raise ParseError(line_no, 0,
+            raise ParseError(line_no, _col(line, 1),
                              f"{op} target degree {target} above window top (unrecorded, not assignable)")
+        own, noun = self.names[_OWN]
         for lbl in combo:
-            if self.require(lbl, line_no) != target:
-                raise ParseError(line_no, 0, f"degree mismatch: {lbl!r} is not in degree {target}")
-        self.tables[spec.table][lhs[0] if len(lhs) == 1 else tuple(lhs)] = combo
+            degree = own.get(lbl)
+            if degree != target:
+                message = (f"unknown {noun} {lbl!r}" if degree is None
+                           else f"degree mismatch: {lbl!r} is not in degree {target}")
+                raise ParseError(line_no, _label_col(line, m.start(3), lbl), message)
+        table, key = self.tables[spec.table], lhs[0] if len(lhs) == 1 else tuple(lhs)
+        if combo or self.kind == "automorphism":
+            table[key] = combo
+        else:
+            table.pop(key, None)
 
 
 def parse_document(text: str) -> Document:
@@ -234,106 +317,103 @@ def parse_document(text: str) -> Document:
         if current is None:
             return
         b, t = current, current.tables
+        # the tables are canonical as parsed, so the objects are built without _clean
         if b.kind == "algebra":
             if b.unit is None:
-                raise ParseError(b.line_no, 0, f"algebra {b.name!r} has no unit line")
-            doc.algebras[b.name] = DGAlgebra(
+                raise ParseError(*b.where, f"algebra {b.name!r} has no unit line")
+            doc.algebras[b.name] = DGAlgebra._built(
                 name=b.name, field=b.field, window=b.window, basis=b.basis,
                 unit=b.unit, mul=t["mul"], diff=t["diff"], trust=b.trust,
             )
         elif b.kind == "automorphism":
             doc.automorphisms[b.name] = AlgebraAutomorphism(b.algebra, t["images"])
         else:
-            doc.modules[b.name] = DGModule(
+            doc.modules[b.name] = DGModule._built(
                 name=b.name, algebra=b.algebra, side=b.side, window=b.window,
                 basis=b.basis, lact=t["lact"], ract=t["ract"], diff=t["diff"], trust=b.trust,
             )
         current = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        line = raw.partition("#")[0]  # not stripped, so that match positions are columns
+        if current is not None:
+            m = _table_line_re.match(line)
+            if m is not None:
+                current.table_line(m, line_no)
+                continue
         toks = line.split()
+        if not toks:
+            continue
         head = toks[0]
 
         if head == "algebra":
             finalize()
             if len(toks) < 6 or toks[2] != "over" or toks[4] != "window":
-                raise ParseError(line_no, 0, "expected: algebra NAME over FIELD window LO..HI [truncated]")
+                raise _token_error(line_no, line, 0, "expected: algebra NAME over FIELD window LO..HI [truncated]")
             name = toks[1]
             if name in doc.algebras:
-                raise ParseError(line_no, 0, f"duplicate algebra {name!r}")
-            field = _parse_field(toks[3], line_no)
-            window = _parse_window(toks[5], line_no)
+                raise _token_error(line_no, line, 1, f"duplicate algebra {name!r}")
+            field = _parse_field(toks[3], line_no, _col(line, 3))
+            window = _parse_window(toks[5], line_no, _col(line, 5))
             truncated = len(toks) > 6 and toks[6] == "truncated"
             if len(toks) > (7 if truncated else 6):
-                raise ParseError(line_no, 0, "trailing tokens on algebra line")
+                raise _token_error(line_no, line, 7 if truncated else 6, "trailing tokens on algebra line")
             trust = Trust(None, window.hi) if truncated else Trust.everywhere()
-            current = _Builder("algebra", name, line_no, field, window, trust)
+            current = _Builder("algebra", name, (line_no, _col(line, 1)), field, window, trust)
             continue
 
         if head == "module":
             finalize()
             if len(toks) < 8 or toks[2] != "over" or toks[4] != "side" or toks[6] != "window":
-                raise ParseError(line_no, 0, "expected: module NAME over ALG side SIDE window LO..HI")
+                raise _token_error(line_no, line, 0, "expected: module NAME over ALG side SIDE window LO..HI")
             name = toks[1]
             if name in doc.modules:
-                raise ParseError(line_no, 0, f"duplicate module {name!r}")
+                raise _token_error(line_no, line, 1, f"duplicate module {name!r}")
             if toks[3] not in doc.algebras:
-                raise ParseError(line_no, 0, f"unknown algebra {toks[3]!r}")
+                raise _token_error(line_no, line, 3, f"unknown algebra {toks[3]!r}")
             side = toks[5]
             if side not in (LEFT, RIGHT, BI):
-                raise ParseError(line_no, 0, f"bad side {side!r}")
-            window = _parse_window(toks[7], line_no)
+                raise _token_error(line_no, line, 5, f"bad side {side!r}")
+            window = _parse_window(toks[7], line_no, _col(line, 7))
             rest = toks[8:]
             if rest and (rest[0] != "truncated" or not rest[1:] or not set(rest[1:]) <= {"above", "below"}):
-                raise ParseError(line_no, 0, "expected: truncated above|below")
+                raise _token_error(line_no, line, 8, "expected: truncated above|below")
             trust = Trust(window.lo if "below" in rest else None, window.hi if "above" in rest else None)
             A = doc.algebras[toks[3]]
-            current = _Builder(f"{side} module", name, line_no, A.field, window, trust, A, side)
+            current = _Builder(f"{side} module", name, (line_no, _col(line, 1)), A.field, window, trust, A, side)
             continue
 
         if head == "automorphism":
             finalize()
             if len(toks) != 4 or toks[2] != "of":
-                raise ParseError(line_no, 0, "expected: automorphism NAME of ALG")
+                raise _token_error(line_no, line, 0, "expected: automorphism NAME of ALG")
             if toks[3] not in doc.algebras:
-                raise ParseError(line_no, 0, f"unknown algebra {toks[3]!r}")
+                raise _token_error(line_no, line, 3, f"unknown algebra {toks[3]!r}")
             A = doc.algebras[toks[3]]
-            current = _Builder("automorphism", toks[1], line_no, A.field, None, algebra=A)
+            current = _Builder("automorphism", toks[1], (line_no, _col(line, 1)), A.field, None, algebra=A)
             continue
 
         if current is None:
-            raise ParseError(line_no, 0, f"declaration line outside any object: {line!r}")
+            raise _token_error(line_no, line, 0, f"declaration line outside any object: {line.strip()!r}")
 
         if head == "basis":
             if current.kind == "automorphism":
-                raise ParseError(line_no, 0, "automorphisms have no basis lines")
-            m = re.match(r"^basis\s+(-?\d+)\s*:\s*(.+)$", line)
+                raise _token_error(line_no, line, 0, "automorphisms have no basis lines")
+            m = _basis_re.match(line)
             if not m:
-                raise ParseError(line_no, 0, "expected: basis DEG: lbl[, lbl ...]")
-            degree = int(m.group(1))
-            labels = [t.strip() for t in m.group(2).split(",")]
-            if any(not _label_re.fullmatch(t) for t in labels):
-                raise ParseError(line_no, 0, "bad label in basis list")
-            if not current.window.contains(degree):
-                raise ParseError(line_no, 0, f"basis degree {degree} outside window {current.window}")
-            current.add_basis(degree, labels, line_no)
+                raise _token_error(line_no, line, 0, "expected: basis DEG: lbl[, lbl ...]")
+            current.add_basis(m, line_no)
             continue
 
         if head == "unit":
             if current.kind != "algebra" or len(toks) != 2:
-                raise ParseError(line_no, 0, "unit lines belong to algebras: unit LBL")
-            current.require(toks[1], line_no)
+                raise _token_error(line_no, line, 0, "unit lines belong to algebras: unit LBL")
+            if toks[1] not in current.deg:
+                raise _token_error(line_no, line, 1, f"unknown label {toks[1]!r}")
             current.unit = toks[1]
             continue
 
-        m = _table_line_re.match(line)
-        if not m:
-            raise ParseError(line_no, 0, f"unrecognized line {line!r}")
-        combo = parse_combination(m.group(3), current.field, line_no)
-        current.table_line(m.group(1), m.group(2).split(), combo, line_no)
+        raise _token_error(line_no, line, 0, f"unrecognized line {line.strip()!r}")
 
     finalize()
     return doc

@@ -135,12 +135,36 @@ def test_a_coefficient_with_no_image_in_fp_exits_two(tmp_path, capsys):
     doc.write_text("algebra A over F7 window 0..4\nbasis 0: one\nbasis 2: t\nunit one\n"
                    "mul one one = one\nmul one t = 1/7*t\nmul t one = t\n")
     assert main(["validate", str(doc)]) == 2
-    assert capsys.readouterr().err == "error: line 6, column 1: bad coefficient '1/7'\n"
+    assert capsys.readouterr().err == "error: line 6, column 13: bad coefficient '1/7'\n"
     p2 = tmp_path / "p2f7.dg"
     assert main(["catalog", "--family", "polynomial", "--param", "2", "--p", "7"]) == 0
     p2.write_text(capsys.readouterr().out)
     assert main(["e2", str(p2), "--module", "free", "--params", "1/7*t1"]) == 2
     assert capsys.readouterr().err == "error: bad parameter '1/7*t1': bad coefficient '1/7'\n"
+
+
+def test_numbers_outside_the_grammar_exit_two(tmp_path, capsys):
+    # a decimal, and a window in non-ASCII digits, are usage errors
+    doc = tmp_path / "decimal.dg"
+    doc.write_text("algebra A over Q window 0..4\nbasis 0: one\nbasis 2: t\nunit one\n"
+                   "mul one one = one\nmul one t = 1.5*t\nmul t one = t\n")
+    assert main(["validate", str(doc)]) == 2
+    assert capsys.readouterr().err == "error: line 6, column 13: bad coefficient '1.5'\n"
+    doc.write_text("algebra A over Q window 0..\u0662\nbasis 0: one\nunit one\n", encoding="utf-8")
+    assert main(["validate", str(doc)]) == 2
+    assert capsys.readouterr().err == "error: line 1, column 25: bad window '0..\u0662' (expected LO..HI)\n"
+    p2 = tmp_path / "p2.dg"
+    assert main(["catalog", "--family", "polynomial", "--param", "2"]) == 0
+    p2.write_text(capsys.readouterr().out)
+    assert main(["e2", str(p2), "--module", "free", "--params", "0.5*t1"]) == 2
+    assert capsys.readouterr().err == "error: bad parameter '0.5*t1': bad coefficient '0.5'\n"
+
+
+def test_a_file_that_is_not_utf8_exits_two(tmp_path, capsys):
+    doc = tmp_path / "latin1.dg"
+    doc.write_bytes(b"algebra A over Q window 0..2\nbasis 0: one\xff\nunit one\n")
+    assert main(["validate", str(doc)]) == 2
+    assert capsys.readouterr().err == f"error: {doc}: byte 41 is not UTF-8 text\n"
 
 
 def test_resolve_square_zero_six_stages(lam_file, capsys):

@@ -1,19 +1,24 @@
 """Text format: grammar, errors, round-trips."""
 
+import sys
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgreg.algebra import DGAlgebra
 from dgreg.catalog import (
+    ALGEBRA_FAMILIES,
+    build_algebra,
     document_text,
     polynomial_algebra,
     square_zero_algebra,
 )
 from dgreg.cli import main
 from dgreg.fields import GF, QQ
-from dgreg.module import canonical_k, free_module
+from dgreg.module import DGModule, canonical_k, free_module
 from dgreg.textformat import (
     Document,
     ParseError,
@@ -125,10 +130,17 @@ def test_a_coefficient_with_no_image_in_fp_is_a_parse_error():
         parse_combination("1/2*t", GF(2))
 
 
+# numbers Python reads but the grammar does not: decimals, exponents,
+# underscores and non-ASCII digits
+OFF_GRAMMAR = ["1.5", "-0.5", "1.0", "1e1", "2E-3", "1_0", "\u0663", "1/\u0662", "\u0661\u0660"]
+
+
 def _literal(p):
-    """``a/b`` literals, with denominators p divides (0 over Q) among them."""
+    """``a/b`` literals, with denominators p divides (0 over Q) among them,
+    and numbers outside the grammar."""
     denominators = st.one_of(st.integers(1, 30), st.integers(0, 4).map(lambda k: k * p))
-    return st.tuples(st.integers(-30, 30), denominators).map(lambda ab: f"{ab[0]}/{ab[1]}")
+    fractions = st.tuples(st.integers(-30, 30), denominators).map(lambda ab: f"{ab[0]}/{ab[1]}")
+    return st.one_of(fractions, st.sampled_from(OFF_GRAMMAR))
 
 
 @st.composite
@@ -150,6 +162,183 @@ def test_parse_document_lets_only_parse_errors_escape(text):
         parse_document(text)
     except ParseError:
         pass
+
+
+@pytest.mark.parametrize("number", OFF_GRAMMAR)
+def test_numbers_outside_the_grammar_are_parse_errors(number):
+    head = "algebra A over Q window 0..2\nbasis 0: one\nbasis 2: t\nunit one\n"
+    unsigned = number.lstrip("-")  # a first term's sign is its own, not its literal's
+    for text, line_no, column, message in [
+        (head + f"mul one t = {number}*t\n", 5, 13 + len(number) - len(unsigned), f"bad coefficient {unsigned!r}"),
+        (head + f"mul one t = t - {number}*t\n", 5, 17, f"bad coefficient {number!r}"),
+        (f"algebra A over Q window 0..{number}\n", 1, 25, f"bad window '0..{number}'"),
+        (f"algebra A over F{number} window 0..2\n", 1, 16, f"unknown field 'F{number}'"),
+        (f"algebra A over Q window 0..2\nbasis {number}: t\n", 2, 1, "expected: basis DEG"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_document(text)
+        assert (err.value.line_no, err.value.column) == (line_no, column), text
+        assert err.value.message.startswith(message), text
+    with pytest.raises(ValueError, match="bad scalar literal"):
+        QQ.parse(number)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on int conversion")
+def test_numbers_too_long_to_convert_are_parse_errors():
+    big = "9" * (sys.get_int_max_str_digits() + 1)
+    head = "algebra A over Q window 0..2\nbasis 0: one\nbasis 2: t\nunit one\n"
+    for text, line_no, column in [
+        (f"algebra A over Q window 0..{big}\n", 1, 25),
+        (f"algebra A over Q window 0..2\nbasis {big}: t\n", 2, 7),
+        (f"algebra A over F{big} window 0..2\n", 1, 16),
+        (head + f"mul one t = {big}*t\n", 5, 13),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_document(text)
+        assert (err.value.line_no, err.value.column) == (line_no, column)
+
+
+@st.composite
+def _terms(draw, p):
+    """A combination's text over F_p (Q when p is 0), written with every
+    sign, spacing and literal form the grammar allows and with labels that
+    repeat and cancel, and the combination built from it term by term with
+    Fraction and coerce."""
+    field = GF(p) if p else QQ
+    space = st.sampled_from(["", " ", "  ", "\t"])
+    label = st.sampled_from(["x", "y", "t'", "c~|1"])
+    terms = draw(st.lists(st.tuples(
+        st.sampled_from([1, -1]), st.sampled_from(["", "+", "-"]),
+        st.integers(0, 12), st.integers(1, 9).filter(lambda d: not p or d % p),
+        st.sampled_from(["none", "int", "frac"]), label), min_size=1, max_size=6))
+    if draw(st.booleans()):  # the first term again, with the opposite sign
+        sign, *rest = terms[0]
+        terms.append((-sign, *rest))
+    parts, totals = [], {}
+    for i, (sign, lit_sign, n, d, form, lbl) in enumerate(terms):
+        if i or sign < 0 or draw(st.booleans()):
+            parts.append(f"{draw(space)}{'-' if sign < 0 else '+'}{draw(space)}")
+        if form == "none":
+            value = Fraction(sign)
+        else:
+            lit = f"{lit_sign}{n}" + (f"/{d}" if form == "frac" else "")
+            parts.append(f"{lit}{draw(space)}*{draw(space)}")
+            value = sign * (-1 if lit_sign == "-" else 1) * Fraction(n, d if form == "frac" else 1)
+        parts.append(f"{lbl}{draw(space)}")
+        totals[lbl] = totals.get(lbl, Fraction(0)) + value
+    expected = {lbl: field.coerce(q) for lbl, q in totals.items() if field.coerce(q)}
+    return "".join(parts), expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0, 2, 7]).flatmap(lambda p: st.tuples(st.just(p), _terms(p))))
+def test_the_tokenizer_agrees_with_a_term_by_term_reference(case):
+    p, (text, expected) = case
+    got = parse_combination(text, GF(p) if p else QQ)
+    assert got == expected, text
+    # the same scalars, of the same types: ints, and a Fraction only where not integral
+    assert {lbl: type(c) for lbl, c in got.items()} == {lbl: type(c) for lbl, c in expected.items()}
+
+
+def _typed(table):
+    return {key: {lbl: (type(c), c) for lbl, c in combo.items()} for key, combo in table.items()}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
+def test_parsed_tables_are_what_the_constructor_makes_of_them(field):
+    """The parser builds its objects without _clean, as its tables are
+    canonical already: the constructor, which cleans, builds equal tables
+    from them, and so do the catalog's own constructions."""
+    for family, d in product(ALGEBRA_FAMILIES, (1, 3)):
+        A0 = build_algebra(family, field=field, d=d)
+        doc = parse_document(document_text(family, field=field, d=d))
+        A = doc.algebra()
+        B = DGAlgebra(name=A.name, field=A.field, window=A.window, basis=A.basis, unit=A.unit,
+                      mul=A.mul, diff=A.diff, trust=A.trust)
+        for table in ("mul", "diff"):
+            assert _typed(getattr(A, table)) == _typed(getattr(B, table)) == _typed(getattr(A0, table))
+        for name, M0 in (("k", canonical_k(A0, side="bi")), ("free", free_module(A0, side="bi"))):
+            M = doc.module(name)
+            N = DGModule(name=M.name, algebra=M.algebra, side=M.side, window=M.window, basis=M.basis,
+                         lact=M.lact, ract=M.ract, diff=M.diff, trust=M.trust)
+            for table in ("lact", "ract", "diff"):
+                assert _typed(getattr(M, table)) == _typed(getattr(N, table)) == _typed(getattr(M0, table))
+
+
+# zero lines, lines a later one overrides, terms that cancel and fractions
+# that sum to integers; ZERO_EMITTED was recorded when the parser built its
+# objects through the constructor's _clean
+ZERO_DOC = """\
+algebra P over {field} window 0..4
+basis 0: one
+basis 2: x
+basis 4: y, z
+unit one
+mul one one = one
+mul one x = x - x + x
+mul x one = 8*x
+mul one y = y
+mul y one = y + 0*z
+mul one z = 1/2*z + 1/2*z
+mul z one = z
+mul x x = y
+mul x x = 0
+mul x x = 3*y - 3*y + z - 1/2*y
+diff one = 0
+diff x = y - y
+
+module M over P side bi window 0..3
+basis 0: m
+basis 2: n
+act one m = m
+act one n = n
+act x m = 0
+act x m = n - n
+act x m = 2*n + -2*n + -1/3*n
+actr m one = m
+actr n one = n
+actr m x = 0
+diff m = 0
+
+automorphism a of P
+map x = x - x
+map y = -y + y + y
+"""
+
+ZERO_EMITTED = """\
+algebra P over {field} window 0..4
+basis 0: one
+basis 2: x
+basis 4: y, z
+unit one
+mul one one = one
+mul one x = x
+mul one y = y
+mul one z = z
+mul x one = {x}
+mul x x = {xx} + z
+mul y one = y
+mul z one = z
+
+module M over P side bi window 0..3
+basis 0: m
+basis 2: n
+act one m = m
+act one n = n
+act x m = {xm}*n
+actr m one = m
+actr n one = n
+
+automorphism a of P
+map x = 0
+map y = y
+"""
+
+
+@pytest.mark.parametrize("field,x,xx,xm", [("Q", "8*x", "-1/2*y", "-1/3"), ("F7", "x", "3*y", "2")])
+def test_zero_lines_and_cancelling_terms_emit_the_same_bytes(field, x, xx, xm):
+    emitted = emit_document(parse_document(ZERO_DOC.format(field=field)))
+    assert emitted == ZERO_EMITTED.format(field=field, x=x, xx=xx, xm=xm)
 
 
 def test_polynomial_chain_document():
@@ -306,81 +495,82 @@ PIN_BLOCKS = {
     "auto": "automorphism f of A",
 }
 
-# (block the line ends, line, None if accepted else a substring of the error);
-# "degree" and "window top" stand where the wording differs by keyword.
-# A rejected row whose substring is "" is checked by position only.
+# (block the line ends, line, None if accepted else a substring of the error,
+# the error's 1-based column in the line); "degree" and "window top" stand
+# where the wording differs by keyword.  A rejected row whose substring is
+# "" is checked by position only.
 PIN_PROBES = [
-    ("algebra", "mul x x = y", None),
-    ("algebra", "mul x = y", "expected:"),
-    ("left", "mul x x = y", "expected:"),
-    ("auto", "mul x x = y", "expected:"),
-    ("algebra", "mul q x = y", "unknown"),
-    ("algebra", "mul q r = y", "unknown"),
-    ("algebra", "mul x x = q", "unknown"),
-    ("algebra", "mul x x = x", "degree mismatch"),
-    ("algebra", "mul x y = 0", "above window top"),
-    ("algebra", "mul y y = x", "above window top"),
-    ("left", "mul x x = 2*", "bad label"),
-    ("algebra", "diff x = y", None),
-    ("left", "diff m = n", None),
-    ("bi", "diff n = p", None),
-    ("algebra", "diff y = 0", None),
-    ("left", "diff p = 0", None),
-    ("algebra", "diff x y = y", "expected:"),
-    ("auto", "diff x = y", "expected:"),
-    ("algebra", "diff q = y", "unknown"),
-    ("left", "diff q = n", "unknown"),
-    ("algebra", "diff x = q", "unknown"),
-    ("left", "diff m = q", "unknown"),
-    ("algebra", "diff x = x", "degree mismatch"),
-    ("left", "diff m = m", "degree mismatch"),
-    ("algebra", "diff y = x", "window top"),
-    ("left", "diff p = m", "window top"),
-    ("auto", "diff x = x y", "bad label"),
-    ("left", "act x m = n", None),
-    ("bi", "act x m = n", None),
-    ("left", "act x = n", "expected:"),
-    ("algebra", "act x x = y", "expected:"),
-    ("auto", "act x m = n", "expected:"),
-    ("left", "act q m = n", "unknown"),
-    ("left", "act x q = n", "unknown"),
-    ("left", "act q r = n", "unknown"),
-    ("left", "act x m = q", "unknown"),
-    ("left", "act x m = m", "degree mismatch"),
-    ("left", "act y n = 0", "above window top"),
-    ("right", "act x m = n", "module"),
-    ("algebra", "act x m = 2*", "bad label"),
-    ("right", "actr m x = n", None),
-    ("bi", "actr m x = n", None),
-    ("right", "actr m = n", "expected:"),
-    ("algebra", "actr x x = y", "expected:"),
-    ("auto", "actr m x = n", "expected:"),
-    ("right", "actr m q = n", "unknown"),
-    ("right", "actr q x = n", "unknown"),
-    ("right", "actr q r = n", "unknown"),
-    ("right", "actr m x = q", "unknown"),
-    ("right", "actr m x = p", "degree mismatch"),
-    ("right", "actr n y = 0", "above window top"),
-    ("left", "actr m x = n", "module"),
-    ("auto", "actr m x = 2*", "bad label"),
-    ("auto", "map x = x", None),
-    ("auto", "map x = 0", None),
-    ("auto", "map x = 2*x", None),
-    ("auto", "map x y = x", "expected:"),
-    ("algebra", "map x = x", "expected:"),
-    ("left", "map m = m", "expected:"),
-    ("auto", "map q = x", "unknown"),
-    ("auto", "map x = q", ""),
-    ("auto", "map x = y", "degree"),
-    ("left", "map x = 2*", "bad label"),
-    ("algebra", "mul x x y", "unrecognized"),
-    ("algebra", "basis 3: z", "basis degree 3 outside window 0..2"),
+    ("algebra", "mul x x = y", None, None),
+    ("algebra", "mul x = y", "expected:", 1),
+    ("left", "mul x x = y", "expected:", 1),
+    ("auto", "mul x x = y", "expected:", 1),
+    ("algebra", "mul q x = y", "unknown", 5),
+    ("algebra", "mul q r = y", "unknown", 5),
+    ("algebra", "mul x x = q", "unknown", 11),
+    ("algebra", "mul x x = x", "degree mismatch", 11),
+    ("algebra", "mul x y = 0", "above window top", 5),
+    ("algebra", "mul y y = x", "above window top", 5),
+    ("left", "mul x x = 2*", "bad label", 13),
+    ("algebra", "diff x = y", None, None),
+    ("left", "diff m = n", None, None),
+    ("bi", "diff n = p", None, None),
+    ("algebra", "diff y = 0", None, None),
+    ("left", "diff p = 0", None, None),
+    ("algebra", "diff x y = y", "expected:", 1),
+    ("auto", "diff x = y", "expected:", 1),
+    ("algebra", "diff q = y", "unknown", 6),
+    ("left", "diff q = n", "unknown", 6),
+    ("algebra", "diff x = q", "unknown", 10),
+    ("left", "diff m = q", "unknown", 10),
+    ("algebra", "diff x = x", "degree mismatch", 10),
+    ("left", "diff m = m", "degree mismatch", 10),
+    ("algebra", "diff y = x", "window top", 6),
+    ("left", "diff p = m", "window top", 6),
+    ("auto", "diff x = x y", "bad label", 10),
+    ("left", "act x m = n", None, None),
+    ("bi", "act x m = n", None, None),
+    ("left", "act x = n", "expected:", 1),
+    ("algebra", "act x x = y", "expected:", 1),
+    ("auto", "act x m = n", "expected:", 1),
+    ("left", "act q m = n", "unknown", 5),
+    ("left", "act x q = n", "unknown", 7),
+    ("left", "act q r = n", "unknown", 5),
+    ("left", "act x m = q", "unknown", 11),
+    ("left", "act x m = m", "degree mismatch", 11),
+    ("left", "act y n = 0", "above window top", 5),
+    ("right", "act x m = n", "module", 1),
+    ("algebra", "act x m = 2*", "bad label", 13),
+    ("right", "actr m x = n", None, None),
+    ("bi", "actr m x = n", None, None),
+    ("right", "actr m = n", "expected:", 1),
+    ("algebra", "actr x x = y", "expected:", 1),
+    ("auto", "actr m x = n", "expected:", 1),
+    ("right", "actr m q = n", "unknown", 8),
+    ("right", "actr q x = n", "unknown", 6),
+    ("right", "actr q r = n", "unknown", 6),
+    ("right", "actr m x = q", "unknown", 12),
+    ("right", "actr m x = p", "degree mismatch", 12),
+    ("right", "actr n y = 0", "above window top", 6),
+    ("left", "actr m x = n", "module", 1),
+    ("auto", "actr m x = 2*", "bad label", 14),
+    ("auto", "map x = x", None, None),
+    ("auto", "map x = 0", None, None),
+    ("auto", "map x = 2*x", None, None),
+    ("auto", "map x y = x", "expected:", 1),
+    ("algebra", "map x = x", "expected:", 1),
+    ("left", "map m = m", "expected:", 1),
+    ("auto", "map q = x", "unknown", 5),
+    ("auto", "map x = q", "", 9),
+    ("auto", "map x = y", "degree", 9),
+    ("left", "map x = 2*", "bad label", 11),
+    ("algebra", "mul x x y", "unrecognized", 1),
+    ("algebra", "basis 3: z", "basis degree 3 outside window 0..2", 7),
 ]
 
 
-@pytest.mark.parametrize("where,line,condition", PIN_PROBES,
-                         ids=[f"{w}: {ln}" for w, ln, _ in PIN_PROBES])
-def test_table_line_errors_are_pinned(where, line, condition):
+@pytest.mark.parametrize("where,line,condition,column", PIN_PROBES,
+                         ids=[f"{w}: {ln}" for w, ln, *_ in PIN_PROBES])
+def test_table_line_errors_are_pinned(where, line, condition, column):
     lines, probe_no = [], None
     for name, block in PIN_BLOCKS.items():
         lines += block.split("\n")
@@ -393,8 +583,7 @@ def test_table_line_errors_are_pinned(where, line, condition):
         return
     with pytest.raises(ParseError) as err:
         parse_document(text)
-    col = 1 if condition == "bad label" else 0
-    assert (err.value.line_no, err.value.column) == (probe_no, col)
+    assert (err.value.line_no, err.value.column) == (probe_no, column)
     assert condition in err.value.message
 
 
