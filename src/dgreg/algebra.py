@@ -100,9 +100,10 @@ class Presentation:
     which the constructor and :meth:`_built` run.
 
     No field is assigned after a presentation is built, so tables can be
-    shared and what is derived from an object can be kept on it.  A
-    construction derived from one presentation is :meth:`_with`, a copy
-    that names only the fields it changes.
+    shared and what is derived from an object alone can be kept on it, in
+    one store read through :meth:`kept`.  A construction derived from one
+    presentation is :meth:`_with`, a copy that names only the fields it
+    changes, and starts with an empty store of its own.
     """
 
     _label_kind = "basis"
@@ -110,9 +111,11 @@ class Presentation:
     def _index(self, clean: bool):
         """Sort the basis by degree, map each label to its degree and to
         its position in its degree, keep the field's zero and one for the
-        hot loops, and with ``clean`` replace each table named in
-        ``_tables`` by its :meth:`_clean` copy."""
+        hot loops, start the empty store of :meth:`kept`, and with
+        ``clean`` replace each table named in ``_tables`` by its
+        :meth:`_clean` copy."""
         self._zero, self._one = self.field.zero(), self.field.one()
+        self._kept = {}
         self.basis = {d: tuple(lbls) for d, lbls in sorted(self.basis.items()) if lbls}
         self._deg, self._pos = {}, {}
         for d, lbls in self.basis.items():
@@ -166,6 +169,14 @@ class Presentation:
         tables included, shared with this presentation."""
         fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         return self._built(**{**fields, **changes})
+
+    def kept(self, key, build):
+        """The value ``build()`` computed once for this presentation and
+        kept under ``key``."""
+        store = self._kept
+        if key not in store:
+            store[key] = build()
+        return store[key]
 
     def degree_of(self, lbl: str) -> int:
         return self._deg[lbl]
@@ -246,9 +257,10 @@ class DGAlgebra(Presentation):
     on which the presentation agrees with the unbounded object.
 
     Tables are not edited after construction, so what is derived from A
-    alone is computed once and kept on the object, in one store read
-    through :meth:`kept`: the opposite algebra, the validation verdict, A
-    as a bimodule over itself, and the torsion objects of
+    alone is computed once and kept on the object, in the store read
+    through :meth:`Presentation.kept`: the opposite algebra, the
+    validation verdict, the H report, A as a bimodule over itself, and
+    the torsion objects of
     ``dgreg.torsion`` (the detected regime, the dualizing module and its
     opposite, the Cech carrier, and Extreg k with CMreg A per stage
     budget).  The opposite keeps its own store.
@@ -267,14 +279,6 @@ class DGAlgebra(Presentation):
 
     def _prepare(self, clean: bool):
         self._index(clean)
-        self._kept = {}
-
-    def kept(self, key, build):
-        """The value ``build()`` computed once for A and kept under ``key``."""
-        store = self._kept
-        if key not in store:
-            store[key] = build()
-        return store[key]
 
     def product(self, a: str, b: str):
         """Combination for a*b; None when the target degree is unrecorded."""

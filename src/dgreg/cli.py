@@ -399,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--module", help="module name")
     sp.add_argument("--stages", type=_stages, default=8)
     sp.add_argument("--p", type=int, help="sweep over F_p instead of Q")
-    sp.add_argument("--out")
+    sp.add_argument("--out", help="write the machine-readable JSON report here")
     sp.set_defaults(fn=cmd_check_regularity, row=None)
 
     sp = sub.add_parser("catalog", help="emit a catalog family as a document")
@@ -407,7 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--param", type=int, default=1, help="generator degree d where applicable")
     sp.add_argument("--p", type=int, help="use F_p instead of Q")
     sp.add_argument("--window", help="LO..HI")
-    sp.add_argument("--out")
+    sp.add_argument("--out", help="write the JSON report here; its \"document\" field holds "
+                                  "the text, which stdout prints as it is")
     sp.set_defaults(fn=cmd_catalog, row=None)
 
     return p

@@ -24,7 +24,7 @@ from itertools import combinations
 from .algebra import DGAlgebra
 from .lincomb import cclean, cextend
 from .linalg import ContainmentError, Echelon, kernel_mod_images
-from .module import DGModule, cohomology, left_restriction
+from .module import DGModule, kept_cohomology, left_restriction
 from .resolution import RegularityValue
 
 
@@ -45,7 +45,8 @@ class HModule:
         self.A = A
         self.M = left_restriction(M)
         self.field = A.field
-        self.report = cohomology(self.M)
+        # a left restriction has M's basis, differential and trust, so its H is M's
+        self.report = kept_cohomology(M)
         self._act = {}
 
     def dim(self, s: int) -> int:
@@ -88,7 +89,7 @@ class HModule:
 def graded_commutativity_violations(A: DGAlgebra) -> list:
     """Pairs of H(A)-classes with xy != (-1)^{|x||y|} yx up to coboundary."""
     F = A.field
-    h = cohomology(A)
+    h = kept_cohomology(A)
     out = []
     degs = [d for d in A.degrees() if h.dim(d)]
     for p in degs:

@@ -40,6 +40,12 @@ class DGModule(Presentation):
 
     ``lact[(a, m)]`` is the combination for a.m and ``ract[(m, a)]`` for
     m.a; entries with target degree above ``window.hi`` are unrecorded.
+
+    A module keeps what is derived from it alone in the store of
+    :meth:`Presentation.kept`: its H report (:func:`kept_cohomology`) and
+    its semifree resolution for each stage budget
+    (``dgreg.resolution.resolved``).  Nothing built from it together with
+    another object, such as a Hom or tensor complex, is kept there.
     """
 
     name: str
@@ -278,6 +284,13 @@ def cohomology(X) -> CohomologyReport:
     return CohomologyReport(X.name, dims, quotients, _h_certified(X.trust), window, X.field)
 
 
+def kept_cohomology(X) -> CohomologyReport:
+    """The H report of an algebra or module, computed by :func:`cohomology`
+    once and kept on X.  The library reads H through here; callers must not
+    change the report.  :func:`cohomology` itself keeps nothing."""
+    return X.kept("cohomology", lambda: cohomology(X))
+
+
 def _h_certified(trust: Trust) -> Trust:
     """Where H of a complex trusted on ``trust`` is certified: a trust
     boundary costs one degree of margin on its side."""
@@ -507,7 +520,7 @@ class ModuleMorphism:
     def h_isomorphism_degrees(self) -> dict:
         """Per-degree (rank, dim source H, dim target H) of the induced map."""
         M, N = self.source, self.target
-        hs, ht = cohomology(M), cohomology(N)
+        hs, ht = kept_cohomology(M), kept_cohomology(N)
         out = {}
         for d in sorted(set(hs.dims) | set(ht.dims)):
             # the rank is how far the images of the source classes grow

@@ -51,7 +51,7 @@ from .module import (
     ModuleMorphism,
     _dual_label,
     _h_certified,
-    cohomology,
+    kept_cohomology,
     left_restriction,
     linear_dual,
     to_opposite,
@@ -147,7 +147,9 @@ def semifree_resolve(M: DGModule, max_stages: int = 8) -> SemifreeResolution:
     differential of each generator lies in earlier stages with
     coefficients in A^{>=1}.  A budget below one stage is a ValueError:
     with no stage run, the empty ledger would read as complete.  A
-    module without a left action is a SideError.
+    module without a left action is a SideError.  It keeps nothing: each
+    call resolves M again, and :func:`resolved` is the resolution kept
+    on M.
     """
     if max_stages < 1:
         raise ValueError(f"stage budget {max_stages} is below 1")
@@ -230,6 +232,14 @@ def semifree_resolve(M: DGModule, max_stages: int = 8) -> SemifreeResolution:
     )
 
 
+def resolved(M: DGModule, max_stages: int = 8) -> SemifreeResolution:
+    """The resolution :func:`semifree_resolve` gives M at ``max_stages``,
+    computed once and kept on M for that stage budget.  Every entry point
+    that resolves M itself when given no ``resolution=`` reads it here;
+    callers must not change it."""
+    return M.kept(("resolution", max_stages), lambda: semifree_resolve(M, max_stages))
+
+
 def is_minimal(L: SemifreeResolution):
     return is_minimal_ledger(L.algebra, L.diff)
 
@@ -291,7 +301,7 @@ def _sup_h_algebra(A: DGAlgebra):
     """sup of H(A) when fully certifiable, else None."""
     if not A.complete:
         return None
-    h = cohomology(A)
+    h = kept_cohomology(A)
     return h.sup_degree if h.dims else float("-inf")
 
 
@@ -306,12 +316,12 @@ def ext_reg(M: DGModule, max_stages: int = 8, resolution: SemifreeResolution | N
     classes in degree j, so the kill frontier never climbs past the
     residual top).
     """
-    h = cohomology(M)
+    h = kept_cohomology(M)
     if not h.dims:
         if M.complete:
             return RegularityValue.neg_infinity("zero cohomology")
         return RegularityValue.at_least(M.window.lo, "no cohomology seen in window")
-    res = resolution if resolution is not None else semifree_resolve(M, max_stages)
+    res = resolution if resolution is not None else resolved(M, max_stages)
     if not res.gens:
         return RegularityValue.neg_infinity("empty resolution")
     n = res.max_gen_degree()
@@ -357,7 +367,7 @@ def koszul_test(X, max_stages: int = 8) -> KoszulReport:
     from .module import canonical_k
 
     M = canonical_k(X, side=LEFT) if isinstance(X, DGAlgebra) else X
-    h = cohomology(M)
+    h = kept_cohomology(M)
     if not h.dims:
         if M.complete:
             return KoszulReport(True, True, "zero cohomology")
@@ -439,7 +449,7 @@ def truncate_above(M: DGModule, s: int, max_stages: int = 8) -> TruncationCertif
     transpose of eps: Q -> M* after M -> M**, m -> (-1)^{|m|} sum_q
     eps(q)[m'] q', read off eps's images.
     """
-    h = cohomology(M)
+    h = kept_cohomology(M)
     bad = [d for d in h.dims if d > s and h.certified.contains(d)]
     if bad:
         raise TruncationImpossibleError(f"H^{bad[0]}(M) != 0 above s = {s}")
@@ -468,7 +478,7 @@ def truncate_above(M: DGModule, s: int, max_stages: int = 8) -> TruncationCertif
 
     # left_restriction keeps M's basis, differential and trust, so h is H(M);
     # H can match only where it was compared, so the window must hold all of it
-    hp = cohomology(Mprime)
+    hp = kept_cohomology(Mprime)
     window = h.certified.meet(hp.certified)
     support = set(h.dims) | set(hp.dims)
     missed = sorted(d for d in support if not window.contains(d))

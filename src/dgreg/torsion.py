@@ -16,14 +16,18 @@ model:
   e_l T^j = (-1)^{jd} e_{j+l}.
 
 Every derived functor is read from one semifree resolution of M, and
-each has one entry point that takes that resolution as ``resolution=``
-(or resolves M itself when given none): :func:`gamma` (N (x) P with the
-Cech carrier), :func:`cm_reg` (sup H of Gamma M) and
-:func:`apply_duality` (Hom(P, D)), as ``resolution.ext_reg`` does.  The
-checks resolve each module once and hand the resolution on.
+each has one entry point that takes that resolution as ``resolution=``:
+:func:`gamma` (N (x) P with the Cech carrier), :func:`cm_reg` (sup H of
+Gamma M) and :func:`apply_duality` (Hom(P, D)), as ``resolution.ext_reg``
+does.  Given none, each reads the resolution kept on M for its stage
+budget (``resolution.resolved``), so M is resolved once however many
+checks run on it, in any order.  A module also keeps its H report
+(``module.kept_cohomology``); ``semifree_resolve`` and ``cohomology``
+keep nothing.  Nothing built from M together with another object is
+kept: not Gamma M, RHom(M, D) or an opposite.
 
 What depends on A alone is computed once and kept on A (see
-``DGAlgebra.kept``): the detected regime, the dualizing module D and
+``Presentation.kept``): the detected regime, the dualizing module D and
 its opposite, the Cech carrier, and the pair (Extreg k, CMreg A) of
 :func:`regularity_inequalities` for each stage budget.  Only the regime
 :func:`detect_regime` returns for A is answered from there; any other
@@ -67,14 +71,14 @@ from .module import (
     DGModule,
     LEFT,
     canonical_k,
-    cohomology,
     free_module,
     hard_truncate,
+    kept_cohomology,
     linear_dual,
     suspend,
     to_opposite,
 )
-from .resolution import RegularityValue, ext_reg, koszul_test, semifree_resolve
+from .resolution import RegularityValue, ext_reg, koszul_test, resolved
 from .windows import GLOBAL_DEGREE_BOUND, GradedWindow, Trust
 
 
@@ -280,7 +284,7 @@ def gamma(M: DGModule, regime: TorsionRegime, max_stages: int = 8,
     _require(regime)
     if regime.kind == "finite":
         return GammaResult(M, None, {}, ["finite regime: Gamma is the identity (counit iso)"])
-    res = resolution if resolution is not None else semifree_resolve(M, max_stages)
+    res = resolution if resolution is not None else resolved(M, max_stages)
     C = cech_carrier(M.algebra, regime)
     lo = C.window.lo + (res.min_gen_degree() or 0)
     hi = max(C.window.hi, M.window.hi) + max(0, res.max_gen_degree() or 0) + 1
@@ -300,13 +304,13 @@ def cm_reg(M: DGModule, regime: TorsionRegime, max_stages: int = 8,
     when H(M) != 0: a module with zero H is never resolved.
     """
     _require(regime)
-    h_m = cohomology(M)
+    h_m = kept_cohomology(M)
     if not h_m.dims:
         if M.complete:
             return RegularityValue.neg_infinity("zero cohomology")
         return RegularityValue.at_least(M.window.lo, "no cohomology in window")
     g = gamma(M, regime, max_stages, resolution)
-    h = cohomology(g.value)
+    h = kept_cohomology(g.value)
     cmp_trust = h.certified if g.resolution is None else h.certified.meet(_landing(g.resolution))
     dims = {d: n for d, n in h.dims.items() if cmp_trust.contains(d)}
     indeterminate = False
@@ -355,7 +359,7 @@ def apply_duality(M: DGModule, D: DGModule, max_stages: int = 8,
     for k over Lambda with D = Lambda, H reads {0: 1, 1: 1} and the rule
     subtracts at degree -1, yet Ext_Lambda(k, Lambda) is one-dimensional.
     """
-    res = resolution if resolution is not None else semifree_resolve(M, max_stages)
+    res = resolution if resolution is not None else resolved(M, max_stages)
     supp = D.support()
     if not supp or not res.gens:
         window = GradedWindow(-2, 2)
@@ -412,10 +416,10 @@ def local_duality_check(M: DGModule, regime: TorsionRegime, max_stages: int = 8)
     if regime.kind == "finite":
         lhs, contam_lhs = linear_dual(M), {}
     else:
-        g = gamma(M, regime, resolution=res)
+        g = gamma(M, regime, max_stages)
         lhs, contam_lhs = linear_dual(g.value), contam_rhs
         notes += g.notes
-    h_rhs, h_lhs = cohomology(rhs), cohomology(lhs)
+    h_rhs, h_lhs = kept_cohomology(rhs), kept_cohomology(lhs)
     cmp_trust = h_rhs.certified.meet(h_lhs.certified).meet(_landing(res).flip())
     table, negative, mismatch = _dims_table(
         cmp_trust, ("gamma_dual", h_lhs, contam_lhs), ("rhom", h_rhs, contam_rhs))
@@ -460,8 +464,8 @@ def double_duality_check(M: DGModule, regime: TorsionRegime, max_stages: int = 8
     Z, res_out, contam_out, n2 = apply_duality(to_opposite(X), D_op, max_stages)
     notes += n2
 
-    h_z = cohomology(Z)
-    h_m = cohomology(M)
+    h_z = kept_cohomology(Z)
+    h_m = kept_cohomology(M)
     # inner residual classes land as in a tensor, outer ones as in a Hom
     cmp_trust = (h_z.certified.meet(h_m.certified)
                  .meet(_landing(res_out).flip()).meet(_landing(res_in)))
@@ -536,17 +540,16 @@ def regularity_inequalities(A: DGAlgebra, M: DGModule, regime: TorsionRegime,
     values; a certified violation would indicate an implementation bug.
     """
     _require(regime)
-    h = cohomology(M)
+    h = kept_cohomology(M)
     if not h.dims:
         return {"skipped": "H(M) = 0 in window; preconditions fail", "checks": {}}
     if not h.inf_certified:
         return {"skipped": "H(M) not certified bounded below", "checks": {}}
 
-    # one resolution of M serves both of its regularities; those of k and
-    # A belong to A and are kept on it per stage budget
-    res_m = semifree_resolve(M, max_stages)
-    extreg_m = ext_reg(M, max_stages, resolution=res_m)
-    cmreg_m = cm_reg(M, regime, max_stages, resolution=res_m)
+    # M's regularities read the resolution kept on M; those of k and A
+    # belong to A and are kept on it per stage budget
+    extreg_m = ext_reg(M, max_stages)
+    cmreg_m = cm_reg(M, regime, max_stages)
     extreg_k, cmreg_a = _kept_on(A, regime, ("extreg k, cmreg A", max_stages), lambda: (
         ext_reg(canonical_k(A, side=LEFT), max_stages),
         cm_reg(free_module(A, side=BI), regime, max_stages)))

@@ -1,11 +1,19 @@
 """CLI: subcommands, exit codes, determinism of machine reports."""
 
+import io
 import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from dgreg import cli
 from dgreg.catalog import document_text
 from dgreg.cli import main
+from dgreg.fields import GF, QQ
+from dgreg.windows import GradedWindow
+from test_textformat import _documents, _literal
 
 LAMBDA_DOC = document_text("square-zero")
 POLY1_DOC = document_text("polynomial", d=1)
@@ -419,3 +427,83 @@ def _pinned_cli_digest(tmp_path):
 
 def test_cli_reports_are_pinned(tmp_path):
     assert _pinned_cli_digest(tmp_path) == PINNED_CLI_SHA256
+
+
+# ---- every subcommand of the command table, fuzzed ----------------------------
+
+def _in_field(p):
+    """``a/b`` literals that all have an image in F_p (Q when p is 0)."""
+    denominators = st.integers(1, 30).filter(lambda b: not p or b % p)
+    return st.tuples(st.integers(-30, 30), denominators).map(lambda ab: f"{ab[0]}/{ab[1]}")
+
+
+# small catalog documents, which every command can run on
+CATALOG_DOCS = [
+    document_text(family, field=field, d=d, window=GradedWindow(0, top))
+    for family in ("square-zero", "polynomial", "exterior", "ground-field")
+    for field in (QQ, GF(2), GF(7)) for d in (1, 2) for top in (2, 4)
+    if family == "polynomial" or d == 1
+]
+
+
+@st.composite
+def _invocations(draw, path, out):
+    """argv for one row of the command table on a document: one drawn by
+    the parse fuzz strategy, with literals in and out of the grammar or
+    only with literals the field has, or a small catalog document.  Names
+    that exist or not, stage budgets in and out of range, every regime
+    choice and a bad one, --params built from the same literals, --out, and
+    a stray argument."""
+    row = draw(st.sampled_from(cli._commands()))
+    text = draw(st.one_of(_documents(), _documents(literal=_in_field), st.sampled_from(CATALOG_DOCS)))
+    field = text.split()[3]
+    p = 0 if field == "Q" else int(field[1:])
+    names = {kind: re.findall(rf"^{kind} (\S+)", text, re.M) + ["nope"] for kind in ("algebra", "module")}
+
+    def maybe(values):
+        return draw(st.one_of(st.none(), st.sampled_from(values)))
+
+    argv = [row.name, path]
+    options = []
+    if row.on != cli.ALGEBRA:
+        options.append(("--module", maybe(names["module"])))
+    if row.on != cli.MODULE:
+        options.append(("--algebra", maybe(names["algebra"])))
+    if row.stages:
+        options.append(("--stages", maybe(["1", "2", "3", "0", "-1", "x", "1.5", "\u0662"])))
+    if row.regime:
+        options.append(("--regime", maybe(["auto", "finite", "poly", "torsion"])))
+    for flag, _ in row.extra:
+        lit = draw(st.one_of(_literal(p), _in_field(p)))
+        options.append((flag, maybe([f"{lit}*t", "t", "t1", f"t1,{lit}*t1", "t,", ",", "m", "", f"t + {lit}*u"])))
+    options.append(("--out", maybe([out])))
+    for flag, value in options:
+        if value is not None:
+            argv += [flag, value]
+    if draw(st.integers(0, 9)) == 0:
+        argv.append(draw(st.sampled_from(["--bogus", "extra-file", "--stages"])))
+    return text, argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_paths(tmp_path_factory):
+    base = tmp_path_factory.mktemp("cli-fuzz")
+    return str(base / "doc.dg"), str(base / "report.json")
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_command_row_exits_with_a_documented_code(fuzz_paths, data):
+    path, out = fuzz_paths
+    text, argv = data.draw(_invocations(path, out))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    err = stderr.getvalue()
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    # a rejection is exit 2 with one error line; nothing else prints one
+    assert len(errors) == (1 if code == 2 else 0), (argv, err)

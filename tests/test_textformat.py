@@ -144,9 +144,9 @@ def _literal(p):
 
 
 @st.composite
-def _documents(draw):
+def _documents(draw, literal=_literal):
     field = draw(st.sampled_from(["Q", "F2", "F7"]))
-    c = [draw(_literal(0 if field == "Q" else int(field[1:]))) for _ in range(6)]
+    c = [draw(literal(0 if field == "Q" else int(field[1:]))) for _ in range(6)]
     return (
         f"algebra A over {field} window 0..4\nbasis 0: one\nbasis 2: t\nbasis 4: u\nunit one\n"
         f"mul one one = {c[0]}*one\nmul one t = {c[1]}*t\nmul t one = t\nmul t t = {c[2]}*u\n"

@@ -20,11 +20,12 @@ from dgreg.module import (
     canonical_k,
     cohomology,
     free_module,
+    kept_cohomology,
     linear_dual,
     suspend,
     validate_module,
 )
-from dgreg.resolution import ext_reg, koszul_test, semifree_resolve
+from dgreg.resolution import ext_reg, koszul_test, resolved, semifree_resolve
 from dgreg.torsion import (
     UnsupportedRegimeError,
     apply_duality,
@@ -309,49 +310,120 @@ def test_regularity_inequalities_square_zero():
 
 
 def _resolve_spy(monkeypatch):
-    """Record every module that ``semifree_resolve`` is called on."""
-    from dgreg import resolution, torsion
+    """Record every module that ``semifree_resolve`` is called on: the
+    resolution kept on a module (``resolution.resolved``) is computed
+    there."""
+    from dgreg import resolution
 
-    resolved = []
+    seen = []
     resolve = resolution.semifree_resolve
 
     def spy(N, *args):
-        resolved.append(N)
+        seen.append(N)
         return resolve(N, *args)
 
     monkeypatch.setattr(resolution, "semifree_resolve", spy)
-    monkeypatch.setattr(torsion, "semifree_resolve", spy)
-    return resolved
+    return seen
+
+
+# the four checks of a catalog pair, as the duality sweep runs them
+PAIR_CHECKS = {
+    "cm_reg": lambda A, M, r: cm_reg(M, r),
+    "local": lambda A, M, r: local_duality_check(M, r),
+    "double": lambda A, M, r: double_duality_check(M, r),
+    "inequalities": lambda A, M, r: regularity_inequalities(A, M, r),
+}
 
 
 def test_regularity_inequalities_resolve_the_module_once(monkeypatch):
     A = polynomial_algebra(2)
     r = detect_regime(A)
     M = suspend(canonical_k(A, side="left"), 1)
-    want = (ext_reg(M), cm_reg(M, r))
-    resolved = _resolve_spy(monkeypatch)
+    fresh = replace(M)
+    want = (ext_reg(fresh), cm_reg(fresh, r))
+    seen = _resolve_spy(monkeypatch)
     v = regularity_inequalities(A, M, r)["values"]
-    assert sum(N is M for N in resolved) == 1
+    # M first, for both of its regularities; then k and A as a bimodule,
+    # whose values are kept on A
+    assert len(seen) == 3 and seen[0] is M
+    assert [N.name for N in seen[1:]] == ["k", "Poly2_free"]
     assert (v["extreg_m"], v["cmreg_m"]) == want
+    again = regularity_inequalities(A, M, r)["values"]
+    assert len(seen) == 3
+    assert {k: x.to_json() for k, x in again.items()} == {k: x.to_json() for k, x in v.items()}
 
 
 def test_duality_checks_and_cm_reg_resolve_each_module_once(monkeypatch):
+    from itertools import permutations
+
     A = polynomial_algebra(2)
     r = detect_regime(A)
     M = suspend(canonical_k(A, side="left"), 1)
     res = semifree_resolve(M, 4)
-    want = cm_reg(M, r, 4)
-    resolved = _resolve_spy(monkeypatch)
+    want = cm_reg(replace(M), r, 4)
+    # k and A are resolved for the values kept on A, once, here
+    regularity_inequalities(A, replace(M), r)
+    seen = _resolve_spy(monkeypatch)
     assert cm_reg(M, r, resolution=res) == want
-    assert resolved == []
-    local_duality_check(M, r)
-    assert len(resolved) == 1 and resolved[0] is M
-    resolved.clear()
-    double_duality_check(M, r)
-    # M, then the inner dual RHom(M, D) moved over the opposite algebra
-    assert len(resolved) == 2 and resolved[0] is M
-    assert resolved[1].name == f"RHom({M.name},D)_op"
-    assert resolved[1].algebra.opposite() is A
+    assert seen == []
+    for order in permutations(PAIR_CHECKS):
+        M = suspend(canonical_k(A, side="left"), 1)
+        seen.clear()
+        for name in order:
+            PAIR_CHECKS[name](A, M, r)
+        assert sum(N is M for N in seen) == 1, order
+        # besides M, only the inner dual RHom(M, D) moved over the opposite
+        # algebra, which double_duality_check builds afresh
+        others = [N for N in seen if N is not M]
+        assert [N.name for N in others] == [f"RHom({M.name},D)_op"], order
+        assert others[0].algebra.opposite() is A
+
+
+def _check_json(out) -> str:
+    """The bytes of a check's output: a value, a report, or the dict of
+    ``regularity_inequalities``."""
+    if isinstance(out, dict):
+        out = {k: ({n: v.to_json() for n, v in x.items()} if k == "values" else x)
+               for k, x in out.items()}
+    else:
+        out = out.to_json()
+    return json.dumps(out, sort_keys=True)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
+def test_what_a_module_keeps_is_shared_without_leaking(field):
+    import random
+
+    from dgreg.catalog import catalog_pairs
+
+    shuffle = random.Random(5).shuffle
+    for A, M in catalog_pairs(field):
+        r = detect_regime(A)
+        # each check on a fresh copy of M, so nothing kept on M is read
+        want = {name: _check_json(check(A, replace(M), r)) for name, check in PAIR_CHECKS.items()}
+        for _ in range(2):
+            order = list(PAIR_CHECKS)
+            shuffle(order)
+            for name in order:
+                out = PAIR_CHECKS[name](A, M, r)
+                assert _check_json(out) == want[name], (A.name, M.name, name)
+                # a caller that extends what it was handed changes no later call
+                if name in ("local", "double"):
+                    out.notes.append("extended by the caller")
+                elif name == "inequalities" and "values" in out:
+                    out["values"].clear()
+                    out["checks"].clear()
+        if r.kind == "polynomial":
+            first = gamma(M, r)
+            first.notes.append("extended by the caller")
+            first.contamination[99] = 1
+            again = gamma(M, r)
+            assert "extended by the caller" not in again.notes and 99 not in again.contamination
+        # the primitive keeps nothing; the kept resolution is one object
+        assert semifree_resolve(M, 2) is not semifree_resolve(M, 2)
+        assert resolved(M, 2) is resolved(M, 2) is not resolved(M, 3)
+        assert cohomology(M) is not cohomology(M)
+        assert kept_cohomology(M) is kept_cohomology(M)
 
 
 # ---- objects kept on the algebra ------------------------------------------------
@@ -365,21 +437,29 @@ def _fresh_pair_values(A, stages):
 
 
 def test_check_regularity_sweep_computes_extreg_k_and_cmreg_a_once_per_algebra(monkeypatch, tmp_path):
-    from dgreg import torsion
+    from dgreg import catalog, torsion
     from dgreg.catalog import catalog_algebras
     from dgreg.cli import main
 
     computed = []   # (which value, algebra, stage budget) of each computation
+    swept = []      # the modules of the sweep's pairs
+    real_pairs = catalog.catalog_pairs
+
+    def pairs(field):
+        out = real_pairs(field)
+        swept.extend(M for _, M in out)
+        return out
 
     def spy(name, real):
-        def wrapped(M, *args, resolution=None, **kwargs):
-            # the module's own values come from its resolution; those of
-            # k and A are the ones computed without one
-            if resolution is None:
+        def wrapped(M, *args, **kwargs):
+            # the values of k and A are computed on modules built for them,
+            # and a pair's own values on the pair's module
+            if not any(M is N for N in swept):
                 computed.append((name, M.algebra, args[-1]))
-            return real(M, *args, resolution=resolution, **kwargs)
+            return real(M, *args, **kwargs)
         return wrapped
 
+    monkeypatch.setattr(catalog, "catalog_pairs", pairs)
     monkeypatch.setattr(torsion, "ext_reg", spy("extreg k", torsion.ext_reg))
     monkeypatch.setattr(torsion, "cm_reg", spy("cmreg A", torsion.cm_reg))
     out = tmp_path / "sweep.json"
@@ -444,10 +524,10 @@ def test_hand_built_regime_is_never_served_a_kept_value(monkeypatch):
     ks = []
     real = torsion.ext_reg
 
-    def spy(N, *args, resolution=None, **kwargs):
-        if resolution is None:
+    def spy(N, *args, **kwargs):
+        if N is not M:   # Extreg k, computed on a k built for it
             ks.append(N)
-        return real(N, *args, resolution=resolution, **kwargs)
+        return real(N, *args, **kwargs)
 
     monkeypatch.setattr(torsion, "ext_reg", spy)
     for regime in (by_hand, by_hand, kept, kept):
