@@ -7,19 +7,21 @@ heuristics, no randomization.
 The differential and action tables behind these spaces are almost all
 zeros, so elimination works on sparse vectors: dicts ``{index: value}``
 holding only the nonzero entries.  An :class:`Echelon` stores its rows
-that way, and reduction, insertion and membership visit only nonzero
-entries.  The ground field is dispatched once per elimination step
-rather than once per entry: ``int`` arithmetic mod p over F_p, and over
-Q plain ``int`` arithmetic that turns into ``Fraction`` arithmetic only
-where a pivot inverse is not integral.  Every scalar stored or returned
-keeps the representation of :mod:`dgreg.fields`: over Q an ``int`` when
-integral, else a ``Fraction``.
+that way, one per pivot, and is the one elimination: a
+:class:`KernelEchelon` is an echelon of [A^T | I].  Reduction, insertion
+and membership visit only nonzero entries, and the ground field is
+dispatched once per elimination step rather than once per entry: ``int``
+arithmetic mod p over F_p, and over Q plain ``int`` arithmetic that
+turns into ``Fraction`` arithmetic only where a pivot inverse is not
+integral.  Every scalar stored or returned keeps the representation of
+:mod:`dgreg.fields`: over Q an ``int`` when integral, else a
+``Fraction``.
 
 Cohomology is computed one way only.  :func:`kernel_mod_images` feeds
 the sparse differential columns of a cochain complex, one per basis
 element, into a :class:`KernelModImage` per degree: each column goes out
-of its own degree, where a :class:`KernelEchelon` turns the columns that
-reduce to zero into kernel vectors, and into the next degree's image.
+of its own degree, where a :class:`KernelEchelon` turns the dependent
+columns into kernel vectors, and into the next degree's image.
 Module cohomology, the Koszul stages of the E2 page and the resolver's
 growing cone all read their quotients from these states.  The reduced
 echelon form is unique, so every result equals what dense elimination
@@ -28,7 +30,6 @@ gives.
 
 from __future__ import annotations
 
-from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -113,6 +114,10 @@ def _axpy(v: dict, c, row: dict, p: int):
             v[j] = x if type(x) is int else exact(x)
 
 
+def _nonzero(vec: dict) -> dict:
+    return {j: x for j, x in vec.items() if x}
+
+
 def _scaled(v: dict, c, p: int) -> dict:
     """c * v as a new dict (mod p when p)."""
     if p:
@@ -125,13 +130,12 @@ class Echelon:
 
     Supports exact membership, residual reduction, and growth one vector
     at a time, on sparse dict vectors; rows are kept fully reduced with
-    unit pivots, in pivot order.
+    unit pivots, in one dict from pivot to row.  Only the public methods
+    drop zero entries.
     """
 
     def __init__(self, field: FieldSpec):
         self.field = field
-        self.rows: list = []
-        self.pivots: list = []
         self._row_at: dict = {}     # pivot column -> its row
 
     @classmethod
@@ -142,23 +146,32 @@ class Echelon:
         return ech
 
     def __len__(self):
-        return len(self.rows)
+        return len(self._row_at)
+
+    @property
+    def pivots(self) -> list:
+        return sorted(self._row_at)
+
+    @property
+    def rows(self) -> list:
+        return [self._row_at[q] for q in self.pivots]
 
     def copy(self) -> "Echelon":
         out = Echelon(self.field)
-        out.rows = [dict(r) for r in self.rows]
-        out.pivots = list(self.pivots)
-        out._row_at = dict(zip(out.pivots, out.rows))
+        out._row_at = {q: dict(r) for q, r in self._row_at.items()}
         return out
 
     def reduce(self, vec: dict) -> dict:
-        """Residual of vec modulo the stored subspace, as a new dict with
-        no zero entries (vec may hold some).
+        """Residual of vec (it may hold zero entries) modulo the stored
+        subspace, as a new dict with none."""
+        return self._reduce(_nonzero(vec))
+
+    def _reduce(self, v: dict) -> dict:
+        """Reduce v, which holds no zero entries, in place and return it.
 
         Rows are zero at every other row's pivot, so each stored pivot
-        present in vec is cleared exactly once, by its original entry.
+        present in v is cleared exactly once, by its original entry.
         """
-        v = {j: x for j, x in vec.items() if x}
         at, p = self._row_at, self.field.p
         for q in [c for c in v if c in at]:
             _axpy(v, v[q], at[q], p)
@@ -176,32 +189,34 @@ class Echelon:
         return True
 
     def _push(self, v: dict) -> dict:
-        """Insert a nonzero residual; returns it scaled to a unit pivot."""
+        """Insert a nonzero residual; returns it scaled to a unit pivot,
+        its leftmost entry."""
         p = self.field.p
         q = min(v)
         if v[q] != 1:
             v = _scaled(v, inverse(v[q], p), p)
-        for row in self.rows:
+        for row in self._row_at.values():
             c = row.get(q)
             if c is not None:
                 _axpy(row, c, v, p)
-        at = bisect(self.pivots, q)
-        self.rows.insert(at, v)
-        self.pivots.insert(at, q)
         self._row_at[q] = v
         return v
+
+
+_TAG = 1 << 62      # above every basis position, so a tag key is never a pivot
 
 
 class KernelEchelon:
     """The kernel of a matrix that grows by appended sparse columns.
 
-    The columns' span is kept in reduced echelon form with unit pivots,
-    as in :class:`Echelon`, and each stored row also records the
-    combination of inserted column indices it equals.  A column that
-    reduces to zero thus yields its kernel vector at once: 1 at its own
-    index minus the combination that cancelled it, which lies on earlier
-    independent columns.  That vector is unique, so ``basis`` is always
-    the kernel basis that leftmost-pivot elimination of the matrix's rows
+    This is the elimination of [A^T | I]: column j goes into an
+    :class:`Echelon` with the tag key ``_TAG + j`` set to 1, so each row
+    records in its tag keys the combination of columns it equals.  A
+    column whose residual is all tag depends on the earlier ones, and the
+    residual, shifted back by ``_TAG``, is its kernel vector: 1 at its own
+    index minus the combination of earlier independent columns that
+    cancelled it.  That vector is unique, so ``basis`` is always the
+    kernel basis that leftmost-pivot elimination of the matrix's rows
     gives: one vector per column that depends on the earlier ones, in
     column order, 1 there and 0 at the other dependent columns.  Old
     columns keep their vectors as the matrix grows.  Only appended
@@ -213,35 +228,18 @@ class KernelEchelon:
         self.field = field
         self.ncols = 0
         self.basis: list = []
-        self._row_at: dict = {}     # pivot -> (row, combination)
+        self._ech = Echelon(field)
 
     def append(self, col: dict) -> bool:
         """Append a column (it may hold zero entries); returns True when
         it added a kernel vector."""
-        p = self.field.p
-        v = {j: x for j, x in col.items() if x}
-        t = {self.ncols: self.field.one()}
+        v = self._ech._reduce({**_nonzero(col), _TAG + self.ncols: 1})
         self.ncols += 1
-        at = self._row_at
-        for q in [c for c in v if c in at]:
-            c = v[q]
-            row, comb = at[q]
-            _axpy(v, c, row, p)
-            _axpy(t, c, comb, p)
-        if not v:
-            self.basis.append(t)
-            return True
-        q = min(v)
-        if v[q] != 1:
-            inv = inverse(v[q], p)
-            v, t = _scaled(v, inv, p), _scaled(t, inv, p)
-        for row, comb in at.values():
-            c = row.get(q)
-            if c is not None:
-                _axpy(row, c, v, p)
-                _axpy(comb, c, t, p)
-        at[q] = (v, t)
-        return False
+        if min(v) < _TAG:
+            self._ech._push(v)
+            return False
+        self.basis.append({j - _TAG: x for j, x in v.items()})
+        return True
 
 
 @dataclass(frozen=True)
@@ -312,7 +310,7 @@ def _walk(seen: Echelon, vectors, reps: list) -> list:
     ``reps``.  Later pushes reduce the stored rows in place, so each
     representative is a copy of its row as pushed."""
     for v in vectors:
-        residual = seen.reduce(v)
+        residual = seen._reduce(dict(v))
         if residual:
             reps.append(dict(seen._push(residual)))
     return reps

@@ -14,11 +14,11 @@ The cone is built once and grown in place, degree by degree as in
 Bruner's programs for large Ext modules.  New generators come last in
 the ledger, so their cells come last in each degree and no old cone
 position, column or trust bound moves.  Each cone degree keeps, for one
-call, a :class:`~dgreg.linalg.KernelModImage`: a column echelon of its
-outgoing differential, whose rows record the columns they combine, and
-an echelon of its incoming one.  The states start from
-:func:`~dgreg.linalg.kernel_mod_images` fed with M's differential
-columns, so stage 0 is the computation ``cohomology(M)`` makes.  Each
+call, a :class:`~dgreg.linalg.KernelModImage`: an echelon of its
+outgoing differential's columns, each tagged with its index (the
+elimination of [d^T | I]), and an echelon of its incoming one.  The
+states start from :func:`~dgreg.linalg.kernel_mod_images` fed with M's
+differential columns, so stage 0 is the computation ``cohomology(M)`` makes.  Each
 new cell's column then enters its own degree's kernel state and the
 next degree's image once, and a degree's H is taken again only after
 its kernel basis or image grew, going on from the last one where it

@@ -465,7 +465,7 @@ def test_every_scalar_has_its_fields_one_representation(field, data):
         h.add_incoming(col)
     q = h.quotient()
     assert _canonical(F, kernel)
-    assert _canonical(F, [v for pair in h.kernel._row_at.values() for v in pair])
+    assert _canonical(F, list(h.kernel._ech._row_at.values()))
     assert _canonical(F, q.representatives) and _canonical(F, q.sub.rows)
     for rep, c in zip(q.representatives, pool):
         assert _canonical(F, [q.project({j: F.coerce(F.mul(x, c)) for j, x in rep.items()})])
@@ -675,12 +675,12 @@ def test_cohomology_rejects_nonzero_d_squared():
 @given(data=st.data())
 def test_explicit_zero_entries_change_nothing(field, data):
     """Vectors padded with explicit zeros give the same rows, pivots,
-    membership and projections as their sparse forms."""
+    membership, kernel bases and projections as their sparse forms."""
     m = data.draw(sparse_matrices(field))
     zero = field.zero()
 
-    def padded(v):
-        extra = data.draw(st.lists(st.integers(0, m.ncols - 1), max_size=3))
+    def padded(v, n=m.ncols):
+        extra = data.draw(st.lists(st.integers(0, n - 1), max_size=3))
         return {**{j: zero for j in extra}, **v}
 
     rows = _rows(m)
@@ -692,6 +692,11 @@ def test_explicit_zero_entries_change_nothing(field, data):
     probe = sparse(tuple(field.coerce(x) for x in data.draw(
         st.lists(st.integers(-1, 1), min_size=m.ncols, max_size=m.ncols))))
     assert zeros.contains(padded(probe)) == plain.contains(probe)
+    plain_ker, zeros_ker, zeros_h = KernelEchelon(field), KernelEchelon(field), KernelModImage(field)
+    for col in _columns(m):
+        assert zeros_ker.append(padded(col, m.nrows)) == plain_ker.append(col)
+        zeros_h.add_outgoing(padded(col, m.nrows))
+    assert _exact(zeros_ker.basis) == _exact(zeros_h.kernel.basis) == _exact(plain_ker.basis)
     h = KernelModImage(field)
     for _ in range(m.ncols):
         h.add_outgoing({})

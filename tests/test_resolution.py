@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgreg.algebra import validate_algebra
 from dgreg.catalog import (
     build_module,
     exterior_algebra,
+    finite_table_algebra,
     ground_field_algebra,
     polynomial_algebra,
     square_zero_algebra,
@@ -173,6 +175,29 @@ def test_koszul_examples():
     assert rep.value is False and rep.certified
     rep3 = koszul_test(exterior_algebra(3), max_stages=4)
     assert rep3.value is False and rep3.certified  # Extreg >= 2 > 0
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
+def test_koszul_dual_oracle_on_the_square_zero_plane(field):
+    # A = k[x, y]/(x, y)^2 with |x| = |y| = 1 is quadratic with R = V (x) V,
+    # so it is Koszul and A^! = T(V*) is free on two generators: the
+    # minimal resolution of k has dim A^!_s = 2^s generators at stage s,
+    # all in degree 0
+    one = field.one()
+    mul = {("one", b): {b: one} for b in ("one", "x", "y")}
+    mul.update({(b, "one"): {b: one} for b in ("x", "y")})
+    A = finite_table_algebra("A", field, {0: ("one",), 1: ("x", "y")}, "one", mul, {},
+                             window=GradedWindow(0, 2))
+    assert validate_algebra(A).ok
+    k = canonical_k(A, side="left")
+    res = semifree_resolve(k, max_stages=8)
+    assert [sum(g.stage == s for g in res.gens) for s in range(8)] == [2 ** s for s in range(8)]
+    assert {g.degree for g in res.gens} == {0}
+    assert res.minimal and is_minimal(res)
+    v = ext_reg(k, max_stages=8)
+    assert (v.kind, v.n) == ("exact", 0)
+    rep = koszul_test(A)
+    assert rep.value is True and rep.certified
 
 
 def test_extreg_symmetry():
