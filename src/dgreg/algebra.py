@@ -37,15 +37,23 @@ Leibniz d(ma) = d(m)a + (-1)^{|m|} m d(a) with the last factor a in
 S u {1}.
 
 Each reduced check only ever decides "no violation", and only when A is
-connected and unital, its product and action tables are graded and the
-products S is computed from are recorded.  Algebra Leibniz needs A
-associative by its reduced check too.  A module's checks need A's whole
-reduced report empty (``_checked`` decides it once per algebra) and the
-unit to act as the identity on each side the module has, and module
-Leibniz needs action associativity and bimodule commutation over S to
-find nothing.  If a precondition fails, or a reduced check finds a
-violation, the same enumeration runs over every label and gives the
-report.
+connected and unital and its product and action tables are graded; the
+products S is computed from are recorded, as every basis degree lies in
+the window.  Algebra Leibniz needs A associative by its reduced check
+too.  A module's checks need A's whole reduced report empty
+(``_checked`` decides it once per algebra) and the unit to act as the
+identity on each side the module has, and module Leibniz needs action
+associativity and bimodule commutation over S to find nothing.  If a
+precondition fails, or a reduced check finds a violation, the same
+enumeration runs over every label and gives the report.
+
+How a check is evaluated: each loop computes the inner product that
+depends only on its outer pair once (xy in A, ab for action
+associativity, am for commutation) and runs the third factor over the
+labels, which ascend by degree, up to the first triple above the window
+top.  ``_differs`` sums (xy)z - x(yz), or for ``_leibniz``
+d(uv) - d(u)v - (-1)^{|u|} u d(v), into one dict; a violation is an
+entry nonzero in the field, and an unrecorded entry means none.
 
 The above-window rule: an entry whose target degree exceeds the window
 top is zero when the presentation is complete (trusted with no upper
@@ -59,9 +67,9 @@ import dataclasses
 from dataclasses import dataclass, field as dc_field
 
 from .fields import FieldSpec
-from .lincomb import cadd, ceq, cclean, cextend, cscale, czero, to_sparse
+from .lincomb import cclean, ceq, cextend, cneg, cscale, czero, to_sparse
 from .linalg import Echelon
-from .windows import GradedWindow, Trust
+from .windows import GradedWindow, Trust, WindowError
 
 
 @dataclass(frozen=True)
@@ -109,14 +117,18 @@ class Presentation:
     _label_kind = "basis"
 
     def _index(self, clean: bool):
-        """Sort the basis by degree, map each label to its degree and to
-        its position in its degree, keep the field's zero and one for the
-        hot loops, start the empty store of :meth:`kept`, and with
-        ``clean`` replace each table named in ``_tables`` by its
-        :meth:`_clean` copy."""
+        """Refuse a basis degree outside the window (a WindowError), sort
+        the basis by degree, map each label to its degree and to its
+        position in its degree, keep the field's zero and one for the hot
+        loops, start the empty store of :meth:`kept`, and with ``clean``
+        replace each table named in ``_tables`` by its :meth:`_clean`
+        copy."""
         self._zero, self._one = self.field.zero(), self.field.one()
         self._kept = {}
         self.basis = {d: tuple(lbls) for d, lbls in sorted(self.basis.items()) if lbls}
+        outside = next((d for d in self.basis if not self.window.contains(d)), None)
+        if outside is not None:
+            raise WindowError(f"basis degree {outside} outside window {self.window}")
         self._deg, self._pos = {}, {}
         for d, lbls in self.basis.items():
             pos = self._pos[d] = {}
@@ -337,31 +349,42 @@ def _d_squared(X, detail: str) -> list:
 def _leibniz(X, entry, U, u, V, v) -> bool:
     """Whether d(uv) = d(u)v + (-1)^{|u|} u d(v) fails on recorded entries,
     where ``entry(u, v)`` is the product of a label of U by a label of V
-    in X (the multiplication of an algebra, or an action on a module)."""
+    in X (the multiplication of an algebra, or an action on a module);
+    ``_differs`` takes d(u)v and (-1)^{|u|} u d(v) from d(uv), a fresh dict."""
     du, dv = U.degree_of(u), V.degree_of(v)
     if du + dv + 1 > X.window.hi:
         return False
-    F = X.field
-    lhs = X.diff_combo(entry(u, v), du + dv)
-    t1 = X._bilinear(U.diff_of(u), du + 1, {v: X._one}, dv, entry)
-    t2 = X._bilinear({u: X._one}, du, V.diff_of(v), dv + 1, entry)
-    if lhs is None or t1 is None or t2 is None:
+    duv, d_u, d_v, F = X.diff_combo(entry(u, v), du + dv), U.diff_of(u), V.diff_of(v), X.field
+    if duv is None or d_u is None or d_v is None:
         return False
-    return not ceq(F, lhs, cadd(F, t1, cscale(F, F.sign(du), t2)))
+    return _differs(X, duv, u, cneg(F, d_u), v, cscale(F, F.sign(du), d_v), entry, entry)
 
 
-def _associative(X, x, dx, y, dy, z, dz, xy_of, yz_of, xy_z, x_yz) -> bool:
-    """Whether (xy)z = x(yz) fails on recorded entries in X.  ``xy_of`` and
-    ``yz_of`` are the single-label lookups of the inner products; ``xy_z``
-    multiplies a label of xy by z, and ``x_yz`` x by a label of yz."""
-    if dx + dy + dz > X.window.hi:
-        return False
-    xy, yz = xy_of(x, y), yz_of(y, z)
-    if xy is None or yz is None:
-        return False
-    lhs = X._bilinear(xy, dx + dy, {z: X._one}, dz, xy_z)
-    rhs = X._bilinear({x: X._one}, dx, yz, dy + dz, x_yz)
-    return lhs is not None and rhs is not None and not ceq(X.field, lhs, rhs)
+def _associative(X, x, xy, z, yz, xy_z, x_yz) -> bool:
+    """Whether (xy)z = x(yz) fails on recorded entries in X, for a triple
+    in the window whose inner products xy and yz are given (None when
+    unrecorded); ``xy_z`` multiplies a label of xy by z, and ``x_yz`` x by
+    a label of yz."""
+    return xy is not None and yz is not None and _differs(X, {}, x, xy, z, yz, xy_z, x_yz)
+
+
+def _differs(X, acc, x, xy, z, yz, xy_z, x_yz) -> bool:
+    """Whether acc + (xy)z - x(yz), summed into ``acc``, has an entry that
+    is nonzero in X's field; False when some entry is unrecorded."""
+    for t, c in xy.items():
+        e = xy_z(t, z)
+        if e is None:
+            return False
+        for w, v in e.items():
+            acc[w] = acc.get(w, 0) + c * v
+    for t, c in yz.items():
+        e = x_yz(x, t)
+        if e is None:
+            return False
+        for w, v in e.items():
+            acc[w] = acc.get(w, 0) - c * v
+    p = X.field.p
+    return any(v % p for v in acc.values()) if p else any(acc.values())
 
 
 def _unknown_label(X, Y, lbl, img):
@@ -434,8 +457,8 @@ def _connected_unital(A: DGAlgebra) -> list:
 
 def _generators(A: DGAlgebra):
     """The generators S of the module docstring, or None when A is not
-    connected and unital, its product table is not graded, or a product
-    S is computed from is unrecorded."""
+    connected and unital or its product table is not graded.  A degree's
+    products stop once they span it."""
     if _connected_unital(A) or not _graded(A.mul, A, A, A):
         return None
     positive = [(a, da) for a, da in _labels(A) if da >= 1]
@@ -443,15 +466,14 @@ def _generators(A: DGAlgebra):
     for n in A.degrees():
         if n < 1:
             continue
-        decomposables = Echelon(A.field)
+        decomposables, dim = Echelon(A.field), A.dim(n)
         for a, da in positive:
-            if da >= n:
+            if da >= n or len(decomposables) == dim:
                 break
             for b in A.basis_at(n - da):
-                ab = A.product(a, b)
-                if ab is None:
-                    return None
-                decomposables.add(A.coords(ab, n))
+                if len(decomposables) == dim:
+                    break
+                decomposables.add(A.coords(A.product(a, b), n))
         gens.update(lbl for i, lbl in enumerate(A.basis_at(n)) if decomposables.add({i: A._one}))
     return gens
 
@@ -467,14 +489,17 @@ def _by_generators(enumerate_, gens, labels) -> list:
 def _associativity(A: DGAlgebra, firsts) -> list:
     """Associativity violations over the triples whose first factor is in
     ``firsts``."""
-    mul, graded = A.product, _labels(A)
+    mul, graded, hi = A.product, _labels(A), A.window.hi
     out = []
     for x, dx in graded:
         if x not in firsts:
             continue
         for y, dy in graded:
+            xy = mul(x, y)
             for z, dz in graded:
-                if _associative(A, x, dx, y, dy, z, dz, mul, mul, mul, mul):
+                if dx + dy + dz > hi:
+                    break
+                if _associative(A, x, xy, z, mul(y, z), mul, mul):
                     out.append(Violation("associativity", (x, y, z), "(xy)z != x(yz)"))
     return out
 

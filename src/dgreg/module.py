@@ -64,9 +64,6 @@ class DGModule(Presentation):
     def _prepare(self, clean: bool):
         if self.side not in (LEFT, RIGHT, BI):
             raise ValueError(f"bad side {self.side!r}")
-        for d in sorted(self.basis):
-            if self.basis[d] and not self.window.contains(d):
-                raise WindowError(f"basis degree {d} outside window {self.window}")
         self._index(clean)
 
     # -- lookups ---------------------------------------------------------
@@ -169,7 +166,7 @@ def _action_associativity(M: DGModule, gens) -> list:
     the first factor on the left and in commutation, the last on the
     right."""
     A = M.algebra
-    alg_labels, mod_labels = _labels(A), _labels(M)
+    alg_labels, mod_labels, hi = _labels(A), _labels(M), M.window.hi
     left, right, mul = M.act_left, M.act_right, A.product
     out = []
     for a, da in alg_labels:
@@ -178,10 +175,13 @@ def _action_associativity(M: DGModule, gens) -> list:
             on_right = M.has_right and b in gens
             if not (on_left or on_right):
                 continue
+            ab = mul(a, b)
             for m, dm in mod_labels:
-                if on_left and _associative(M, a, da, b, db, m, dm, mul, left, left, left):
+                if da + db + dm > hi:
+                    break
+                if on_left and _associative(M, a, ab, m, left(b, m), left, left):
                     out.append(Violation("action-associativity-left", (a, b, m), "(ab)m != a(bm)"))
-                if on_right and _associative(M, m, dm, a, da, b, db, right, mul, right, right):
+                if on_right and _associative(M, m, right(m, a), b, ab, right, right):
                     out.append(Violation("action-associativity-right", (m, a, b), "m(ab) != (ma)b"))
 
     if M.side == BI:
@@ -189,8 +189,11 @@ def _action_associativity(M: DGModule, gens) -> list:
             if a not in gens:
                 continue
             for m, dm in mod_labels:
+                am = left(a, m)
                 for b, db in alg_labels:
-                    if _associative(M, a, da, m, dm, b, db, left, right, right, left):
+                    if da + dm + db > hi:
+                        break
+                    if _associative(M, a, am, b, right(m, b), right, left):
                         out.append(Violation("bimodule-commutation", (a, m, b), "(am)b != a(mb)"))
     return out
 

@@ -510,3 +510,24 @@ def test_morphism_with_unknown_labels_reports_them():
         ]
         assert (witness,) not in [v.witness for v in rep.violations if v.axiom != "label"]
     assert ModuleMorphism(M, M, ident).validate().ok
+
+
+@pytest.mark.parametrize("kind", ["algebra", "built algebra", "module"])
+def test_a_basis_degree_outside_the_window_is_refused(kind):
+    """Algebras and modules share the window check of their core: a basis
+    degree above the window top is a WindowError, not a presentation
+    whose unit law reads products above the window."""
+    from dgreg.windows import WindowError
+
+    one = QQ.one()
+    algebra = dict(name="A", field=QQ, window=GradedWindow(0, 1), basis={0: ("one",), 2: ("z",)},
+                   unit="one", mul={("one", "one"): {"one": one}, ("one", "z"): {"z": one},
+                                    ("z", "one"): {"z": one}}, diff={}, trust=Trust.everywhere())
+    with pytest.raises(WindowError, match="basis degree 2 outside window 0..1"):
+        if kind == "algebra":
+            DGAlgebra(**algebra)
+        elif kind == "built algebra":
+            DGAlgebra._built(**algebra)
+        else:
+            DGModule(name="M", algebra=square_zero_algebra(), side="left", window=GradedWindow(0, 1),
+                     basis={0: ("m",), 2: ("n",)}, lact={}, ract={}, diff={})

@@ -24,8 +24,8 @@ from dgreg.algebra import DGAlgebra, validate_algebra
 from dgreg.catalog import exterior_algebra, polynomial_algebra, square_zero_algebra
 from dgreg.fields import QQ, GF
 from dgreg.homtensor import realize_ledger
-from dgreg.lincomb import cadd, cclean, cneg, cscale
-from dgreg.module import DGModule, canonical_k, free_module, to_opposite, validate_module
+from dgreg.lincomb import cadd, ceq, cclean, cneg, cscale
+from dgreg.module import DGModule, canonical_k, free_module, suspend, to_opposite, validate_module
 from dgreg.resolution import semifree_resolve
 from dgreg.windows import GradedWindow, Trust
 
@@ -707,6 +707,124 @@ def test_leibniz_generator_set_holds_the_unit(field):
         assert validate_module(M).to_json() == _full_enumeration(validate_module, M).to_json()
 
 
+# ---- per-triple reference -----------------------------------------------------
+
+def _reference_leibniz(X, entry, U, u, V, v):
+    """The Leibniz rule on one pair: d(uv), d(u)v and u d(v) each built by
+    ``_bilinear`` or ``diff_combo``, then compared with ``ceq``."""
+    du, dv = U.degree_of(u), V.degree_of(v)
+    if du + dv + 1 > X.window.hi:
+        return False
+    F = X.field
+    lhs = X.diff_combo(entry(u, v), du + dv)
+    t1 = X._bilinear(U.diff_of(u), du + 1, {v: F.one()}, dv, entry)
+    t2 = X._bilinear({u: F.one()}, du, V.diff_of(v), dv + 1, entry)
+    if lhs is None or t1 is None or t2 is None:
+        return False
+    return not ceq(F, lhs, cadd(F, t1, cscale(F, F.sign(du), t2)))
+
+
+def _reference_associative(X, x, dx, y, dy, z, dz, xy_of, yz_of, xy_z, x_yz):
+    """The associativity rule on one triple: (xy)z and x(yz) each built by
+    ``_bilinear`` from the single-label lookups, then compared with
+    ``ceq``; a triple above the window is no violation."""
+    if dx + dy + dz > X.window.hi:
+        return False
+    xy, yz = xy_of(x, y), yz_of(y, z)
+    if xy is None or yz is None:
+        return False
+    one = X.field.one()
+    lhs = X._bilinear(xy, dx + dy, {z: one}, dz, xy_z)
+    rhs = X._bilinear({x: one}, dx, yz, dy + dz, x_yz)
+    return lhs is not None and rhs is not None and not ceq(X.field, lhs, rhs)
+
+
+def _reference_report(X):
+    """The Leibniz, associativity and commutation violations of X as
+    ``(axiom, witness)`` pairs, in the validators' order, from the rules
+    above run on every pair and every triple of labels."""
+    def labels(P):
+        return [(lbl, d) for d in P.degrees() for lbl in P.basis_at(d)]
+
+    if isinstance(X, DGAlgebra):
+        mul, L = X.product, labels(X)
+        out = [("leibniz", (x, y)) for x, _ in L for y, _ in L
+               if _reference_leibniz(X, mul, X, x, X, y)]
+        return out + [("associativity", (x, y, z)) for x, dx in L for y, dy in L for z, dz in L
+                      if _reference_associative(X, x, dx, y, dy, z, dz, mul, mul, mul, mul)]
+    M, A = X, X.algebra
+    left, right, mul, LA, LM = M.act_left, M.act_right, A.product, labels(A), labels(M)
+    out = []
+    for a, _ in LA:
+        for m, _ in LM:
+            if M.has_left and _reference_leibniz(M, left, A, a, M, m):
+                out.append(("leibniz-left", (a, m)))
+            if M.has_right and _reference_leibniz(M, right, M, m, A, a):
+                out.append(("leibniz-right", (m, a)))
+    for a, da in LA:
+        for b, db in LA:
+            for m, dm in LM:
+                if M.has_left and _reference_associative(M, a, da, b, db, m, dm, mul, left, left, left):
+                    out.append(("action-associativity-left", (a, b, m)))
+                if M.has_right and _reference_associative(M, m, dm, a, da, b, db, right, mul, right, right):
+                    out.append(("action-associativity-right", (m, a, b)))
+    if M.side == "bi":
+        out += [("bimodule-commutation", (a, m, b)) for a, da in LA for m, dm in LM for b, db in LA
+                if _reference_associative(M, a, da, m, dm, b, db, left, right, right, left)]
+    return out
+
+
+_REFERENCE_AXIOMS = {"leibniz", "associativity", "leibniz-left", "leibniz-right",
+                     "action-associativity-left", "action-associativity-right", "bimodule-commutation"}
+
+
+def _edited(rng, X):
+    """X with one entry of a table, its own or its algebra's, replaced by a
+    random combination of the labels of a random degree, which need not be
+    the degree the entry belongs in."""
+    A = X.algebra if isinstance(X, DGModule) else X
+    P = X if rng.random() < 0.7 else A
+    a, b, p = rng.choice(list(A._deg)), rng.choice(list(A._deg)), rng.choice(list(P._deg))
+    key = {"mul": (a, b), "diff": p, "lact": (a, p), "ract": (p, a)}
+    name = rng.choice(P._tables)
+    combo = _random_combo(rng, P.field, P.basis_at(rng.choice(P.degrees())))
+    edited = replace(P, **{name: {**getattr(P, name), key[name]: combo}})
+    return edited if P is X else replace(X, algebra=edited)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    field=st.sampled_from([QQ, GF(2), GF(7)]),
+    hi=st.integers(3, 4),
+    pick=st.integers(0, 6),
+    truncated=st.booleans(),
+    kind=st.sampled_from(["algebra", "k", "free"]),
+    side=st.sampled_from(["left", "right", "bi"]),
+    shift=st.sampled_from([0, 1, -1, 2, -2]),
+    edits=st.integers(0, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_full_enumeration_equals_the_per_triple_reference(field, hi, pick, truncated, kind, side, shift,
+                                                          edits, seed):
+    """The full-enumeration reports list exactly the violations the
+    per-triple reference finds on every pair and triple, in order: on
+    perturbed tables, whose new entries may lie in any degree, over
+    truncated windows, where entries above the top are unrecorded, and on
+    suspensions, whose degrees go negative and whose right action is
+    signed."""
+    rng = random.Random(seed)
+    A = _generator_pool(field, hi)[pick]
+    if truncated:
+        A = replace(A, trust=Trust(None, A.window.hi))
+    X = A if kind == "algebra" else suspend((canonical_k if kind == "k" else free_module)(A, side=side), shift)
+    for _ in range(edits):
+        X = _edited(rng, X)
+    validate = validate_algebra if isinstance(X, DGAlgebra) else validate_module
+    got = [(v.axiom, tuple(v.witness)) for v in _full_enumeration(validate, X).violations
+           if v.axiom in _REFERENCE_AXIOMS]
+    assert got == _reference_report(X)
+
+
 class _Counted:
     """A stand-in for a function of ``dgreg.algebra`` that counts its
     calls, installed in every validation namespace that holds the name."""
@@ -731,8 +849,28 @@ def test_generator_rule_bounds_associativity_work():
     M = free_module(polynomial_algebra(1, QQ, GradedWindow(0, 48)), side="bi")
     with _Counted("_associative").installed() as associative:
         assert validate_module(M).ok
-    # the full enumeration makes three passes of 49^3 triples
-    assert associative.calls <= 5 * 49 ** 2
+    # A's associativity, left and right action associativity and
+    # commutation each visit the triples with one factor t1 and total
+    # degree <= 48, sum_{j=0}^{47} (48 - j) = 1176 of them; the full
+    # enumeration would visit 49^3 per check
+    assert associative.calls == 4 * 1176
+
+
+def test_generators_form_one_product_per_degree():
+    """Over k[T]_1 on 0..48 the first product t1 * t_{n-1} spans degree
+    n, so the generator search forms no other; without the stop it
+    forms sum_{n=1}^{48} (n - 1) = 1128."""
+    A = polynomial_algebra(1, QQ, GradedWindow(0, 48))
+    product, formed = DGAlgebra.product, []
+
+    def counted(self, a, b):
+        if self.unit not in (a, b):  # the unit law's lookups are not products S is computed from
+            formed.append((a, b))
+        return product(self, a, b)
+
+    with mock.patch.object(DGAlgebra, "product", counted):
+        assert algebra._generators(A) == {"t1"}
+    assert len(formed) <= 49
 
 
 def test_generator_rule_bounds_leibniz_work():
