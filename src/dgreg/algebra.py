@@ -456,10 +456,10 @@ def _connected_unital(A: DGAlgebra) -> list:
 
 
 def _generators(A: DGAlgebra):
-    """The generators S of the module docstring, or None when A is not
-    connected and unital or its product table is not graded.  A degree's
-    products stop once they span it."""
-    if _connected_unital(A) or not _graded(A.mul, A, A, A):
+    """The generators S of the module docstring for a connected unital A,
+    or None when its product table is not graded.  A degree's products
+    stop once they span it."""
+    if not _graded(A.mul, A, A, A):
         return None
     positive = [(a, da) for a, da in _labels(A) if da >= 1]
     gens = set()
@@ -520,8 +520,8 @@ def _checked(A: DGAlgebra) -> tuple:
     axioms, and the generators S when there are none, else None.  Decided
     once per algebra and kept on it."""
     def decide():
-        gens = _generators(A)
         out = _connected_unital(A)
+        gens = None if out else _generators(A)
         out += _d_squared(A, "d(d(b)) is nonzero")
         assoc = _by_generators(lambda firsts: _associativity(A, firsts), gens, A._deg)
         firsts = None if gens is None or assoc else gens | {A.unit}

@@ -51,6 +51,7 @@ from .module import (
     ModuleMorphism,
     _dual_label,
     _h_certified,
+    canonical_k,
     kept_cohomology,
     left_restriction,
     linear_dual,
@@ -360,13 +361,19 @@ class KoszulReport:
         }
 
 
+def kept_k(A: DGAlgebra) -> DGModule:
+    """A's canonical left module k, built once per algebra object and kept
+    on it, so that its resolution per stage budget (:func:`resolved`) is
+    kept too."""
+    return A.kept("canonical k", lambda: canonical_k(A, side=LEFT))
+
+
 def koszul_test(X, max_stages: int = 8) -> KoszulReport:
     """A module is Koszul when it has a semifree resolution generated in
     degree 0, i.e. H(X) = 0 or inf X = Extreg X = 0; an algebra is Koszul
-    when its canonical module is."""
-    from .module import canonical_k
-
-    M = canonical_k(X, side=LEFT) if isinstance(X, DGAlgebra) else X
+    when its canonical module is, the k kept on it (:func:`kept_k`), so
+    that k is resolved once per stage budget."""
+    M = kept_k(X) if isinstance(X, DGAlgebra) else X
     h = kept_cohomology(M)
     if not h.dims:
         if M.complete:
@@ -389,16 +396,12 @@ def koszul_test(X, max_stages: int = 8) -> KoszulReport:
 
 def extreg_symmetry(A: DGAlgebra, max_stages: int = 8) -> dict:
     """Extreg of k agrees over A and its opposite; cross-checks the
-    generator counts against both one-sided tensor complexes k (x) P."""
-    from .module import canonical_k
-
+    generator counts against both one-sided tensor complexes k (x) P.
+    Both sides read the k kept on their algebra (:func:`kept_k`)."""
     A_op = A.opposite()
-    k_left = canonical_k(A, side=LEFT, name="k")
-    k_right_op = canonical_k(A_op, side=LEFT, name="k_op")
-    res_l = semifree_resolve(k_left, max_stages)
-    res_r = semifree_resolve(k_right_op, max_stages)
-    val_l = ext_reg(k_left, max_stages, resolution=res_l)
-    val_r = ext_reg(k_right_op, max_stages, resolution=res_r)
+    k_left, k_right_op = kept_k(A), kept_k(A_op)
+    res_l, res_r = resolved(k_left, max_stages), resolved(k_right_op, max_stages)
+    val_l, val_r = ext_reg(k_left, max_stages), ext_reg(k_right_op, max_stages)
 
     window = GradedWindow(min(-1, -abs(A.window.hi)), A.window.hi)
     kr = canonical_k(A, side="right", name="k")

@@ -22,16 +22,19 @@ Gamma M) and :func:`apply_duality` (Hom(P, D)), as ``resolution.ext_reg``
 does.  Given none, each reads the resolution kept on M for its stage
 budget (``resolution.resolved``), so M is resolved once however many
 checks run on it, in any order.  A module also keeps its H report
-(``module.kept_cohomology``); ``semifree_resolve`` and ``cohomology``
-keep nothing.  Nothing built from M together with another object is
-kept: not Gamma M, RHom(M, D) or an opposite.
+(``module.kept_cohomology``) and its CMreg value per stage budget, but
+no complex; ``semifree_resolve`` and ``cohomology`` keep nothing.
+Nothing built from M together with another object is kept: not Gamma
+M, RHom(M, D) or an opposite.
 
 What depends on A alone is computed once and kept on A (see
 ``Presentation.kept``): the detected regime, the dualizing module D and
-its opposite, the Cech carrier, and the pair (Extreg k, CMreg A) of
-:func:`regularity_inequalities` for each stage budget.  Only the regime
+its opposite, the Cech carrier, the canonical left module k
+(``resolution.kept_k``) and A as a bimodule over itself, which keep
+Extreg k's resolution and CMreg A as any module does.  Only the regime
 :func:`detect_regime` returns for A is answered from there; any other
-regime, one built by hand among them, gets freshly computed objects.
+regime, one built by hand among them, gets freshly computed objects and
+values (Extreg k does not depend on the regime).
 The carriers and the Hom/tensor complexes are built on tables that are
 clean by construction, so they skip ``Presentation._clean``.
 
@@ -63,14 +66,12 @@ from dataclasses import dataclass, field as dc_field
 from .algebra import DGAlgebra
 from .catalog import polynomial_algebra
 from .fields import FieldSpec
-from .homtensor import hom_from_ledger, tensor_module_ledger
+from .homtensor import _free_bimodule, hom_from_ledger, tensor_module_ledger
 from .ledger import SemifreeResolution
 from .lincomb import ceq
 from .module import (
     BI,
     DGModule,
-    LEFT,
-    canonical_k,
     free_module,
     hard_truncate,
     kept_cohomology,
@@ -78,7 +79,7 @@ from .module import (
     suspend,
     to_opposite,
 )
-from .resolution import RegularityValue, ext_reg, koszul_test, resolved
+from .resolution import RegularityValue, ext_reg, kept_k, koszul_test, resolved
 from .windows import GLOBAL_DEGREE_BOUND, GradedWindow, Trust
 
 
@@ -301,9 +302,18 @@ def cm_reg(M: DGModule, regime: TorsionRegime, max_stages: int = 8,
     """CM regularity: sup of the cohomology of Gamma M.
 
     Gamma M is built from ``resolution`` as in :func:`gamma`, and only
-    when H(M) != 0: a module with zero H is never resolved.
+    when H(M) != 0: a module with zero H is never resolved.  Given no
+    ``resolution=`` and the regime :func:`detect_regime` returns for M's
+    algebra, the value (not Gamma M) is kept on M per stage budget.
     """
     _require(regime)
+    if resolution is None and regime is detect_regime(M.algebra):
+        return M.kept(("cmreg", max_stages), lambda: _cm_reg(M, regime, max_stages, None))
+    return _cm_reg(M, regime, max_stages, resolution)
+
+
+def _cm_reg(M: DGModule, regime: TorsionRegime, max_stages: int,
+            resolution: SemifreeResolution | None) -> RegularityValue:
     h_m = kept_cohomology(M)
     if not h_m.dims:
         if M.complete:
@@ -538,6 +548,8 @@ def regularity_inequalities(A: DGAlgebra, M: DGModule, regime: TorsionRegime,
 
     each reported holds / violated / indeterminate with the certified
     values; a certified violation would indicate an implementation bug.
+    Each value reads what is kept on its own module: M, the k kept on A
+    and A as a bimodule over itself.
     """
     _require(regime)
     h = kept_cohomology(M)
@@ -546,13 +558,10 @@ def regularity_inequalities(A: DGAlgebra, M: DGModule, regime: TorsionRegime,
     if not h.inf_certified:
         return {"skipped": "H(M) not certified bounded below", "checks": {}}
 
-    # M's regularities read the resolution kept on M; those of k and A
-    # belong to A and are kept on it per stage budget
     extreg_m = ext_reg(M, max_stages)
     cmreg_m = cm_reg(M, regime, max_stages)
-    extreg_k, cmreg_a = _kept_on(A, regime, ("extreg k, cmreg A", max_stages), lambda: (
-        ext_reg(canonical_k(A, side=LEFT), max_stages),
-        cm_reg(free_module(A, side=BI), regime, max_stages)))
+    extreg_k = ext_reg(kept_k(A), max_stages)
+    cmreg_a = cm_reg(_free_bimodule(A), regime, max_stages)
 
     checks = {}
     checks["cmreg-not-minus-infinity"] = (

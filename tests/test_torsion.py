@@ -25,7 +25,7 @@ from dgreg.module import (
     suspend,
     validate_module,
 )
-from dgreg.resolution import ext_reg, koszul_test, resolved, semifree_resolve
+from dgreg.resolution import ext_reg, extreg_symmetry, kept_k, koszul_test, resolved, semifree_resolve
 from dgreg.torsion import (
     UnsupportedRegimeError,
     apply_duality,
@@ -381,13 +381,8 @@ def test_duality_checks_and_cm_reg_resolve_each_module_once(monkeypatch):
 
 def _check_json(out) -> str:
     """The bytes of a check's output: a value, a report, or the dict of
-    ``regularity_inequalities``."""
-    if isinstance(out, dict):
-        out = {k: ({n: v.to_json() for n, v in x.items()} if k == "values" else x)
-               for k, x in out.items()}
-    else:
-        out = out.to_json()
-    return json.dumps(out, sort_keys=True)
+    ``regularity_inequalities`` or ``extreg_symmetry``."""
+    return json.dumps(out, sort_keys=True, default=lambda v: v.to_json())
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
@@ -437,11 +432,12 @@ def _fresh_pair_values(A, stages):
 
 
 def test_check_regularity_sweep_computes_extreg_k_and_cmreg_a_once_per_algebra(monkeypatch, tmp_path):
-    from dgreg import catalog, torsion
+    from dgreg import catalog, resolution, torsion
     from dgreg.catalog import catalog_algebras
     from dgreg.cli import main
+    from dgreg.homtensor import _free_bimodule
 
-    computed = []   # (which value, algebra, stage budget) of each computation
+    computed = []   # (which computation, module, stage budget) of each computation
     swept = []      # the modules of the sweep's pairs
     real_pairs = catalog.catalog_pairs
 
@@ -451,26 +447,38 @@ def test_check_regularity_sweep_computes_extreg_k_and_cmreg_a_once_per_algebra(m
         return out
 
     def spy(name, real):
-        def wrapped(M, *args, **kwargs):
-            # the values of k and A are computed on modules built for them,
-            # and a pair's own values on the pair's module
+        def wrapped(M, *args):
+            # k and A are resolved, and CMreg A computed, on modules kept on
+            # A for them, and a pair's own values on the pair's module
             if not any(M is N for N in swept):
-                computed.append((name, M.algebra, args[-1]))
-            return real(M, *args, **kwargs)
+                computed.append((name, M, args[-1] if name == "resolve" else args[1]))
+            return real(M, *args)
         return wrapped
 
     monkeypatch.setattr(catalog, "catalog_pairs", pairs)
-    monkeypatch.setattr(torsion, "ext_reg", spy("extreg k", torsion.ext_reg))
-    monkeypatch.setattr(torsion, "cm_reg", spy("cmreg A", torsion.cm_reg))
+    monkeypatch.setattr(resolution, "semifree_resolve", spy("resolve", resolution.semifree_resolve))
+    monkeypatch.setattr(torsion, "_cm_reg", spy("cmreg", torsion._cm_reg))
     out = tmp_path / "sweep.json"
     assert main(["check-regularity", "--stages", "6", "--out", str(out)]) in (0, 3)
     monkeypatch.undo()
 
-    keys = [(name, id(A), stages) for name, A, stages in computed]
-    assert len(keys) == len(set(keys)), "a value was computed twice for one algebra"
+    def which(name, M):
+        A = M.algebra
+        if M is kept_k(A):
+            return name + " k"
+        assert M is _free_bimodule(A), M.name
+        return name + " A"
+
+    keys = [(which(name, M), id(M.algebra), stages) for name, M, stages in computed]
+    assert len(keys) == len(set(keys)), "a computation ran twice for one algebra"
+    assert {stages for _, _, stages in keys} == {6}
     results = [r for r in json.loads(out.read_text())["results"] if "values" in r]
-    algebras = {id(A) for _, A, _ in computed}
-    assert len(keys) == 2 * len(algebras) == 12 < 2 * len(results)
+    algebras = {id(M.algebra) for _, M, _ in computed}
+    # one resolution of k and one CMreg A per algebra; A itself is resolved
+    # only where Gamma is not the identity
+    once = [key for key in keys if key[0] in ("resolve k", "cmreg A")]
+    assert len(once) == 2 * len(algebras) == 12 < 2 * len(results)
+    assert {key[0] for key in keys} <= {"resolve k", "cmreg A", "resolve A"}
     fresh = {A.name: _fresh_pair_values(A, 6) for A in catalog_algebras(QQ)}
     for r in results:
         assert (r["values"]["extreg_k"], r["values"]["cmreg_a"]) == fresh[r["algebra"]], r
@@ -520,19 +528,94 @@ def test_hand_built_regime_is_never_served_a_kept_value(monkeypatch):
     finite = replace(kept, kind="finite")
     assert dualizing_module(A, finite).name == "D" and dualizing_module(A, finite) is not first
 
+    from dgreg import resolution
+    from dgreg.homtensor import _free_bimodule
+
     M = suspend(canonical_k(A, side="left"), 1)
-    ks = []
-    real = torsion.ext_reg
+    cmregs, resolutions = [], []
+    real_cm, real_resolve = torsion._cm_reg, resolution.semifree_resolve
 
-    def spy(N, *args, **kwargs):
-        if N is not M:   # Extreg k, computed on a k built for it
-            ks.append(N)
-        return real(N, *args, **kwargs)
+    def spy_cm(N, *args):
+        cmregs.append(N)
+        return real_cm(N, *args)
 
-    monkeypatch.setattr(torsion, "ext_reg", spy)
-    for regime in (by_hand, by_hand, kept, kept):
+    def spy_resolve(N, *args):
+        resolutions.append(N)
+        return real_resolve(N, *args)
+
+    monkeypatch.setattr(torsion, "_cm_reg", spy_cm)
+    monkeypatch.setattr(resolution, "semifree_resolve", spy_resolve)
+    outs = [_check_json(regularity_inequalities(A, M, regime)) for regime in (by_hand, by_hand, kept, kept)]
+    monkeypatch.undo()
+    assert len(set(outs)) == 1
+    # CMreg of M and of A, regime-dependent, is computed afresh on every
+    # hand-built call and once for the kept regime
+    AA = _free_bimodule(A)
+    assert sum(N is M for N in cmregs) == sum(N is AA for N in cmregs) == 3 and len(cmregs) == 6
+    # Extreg k is read from the k kept on A in any regime: k, like M and A,
+    # is resolved once
+    assert sorted(map(id, resolutions)) == sorted(map(id, (M, AA, kept_k(A))))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
+def test_one_resolution_of_k_per_algebra_and_budget(field, monkeypatch):
+    from dgreg import resolution, torsion
+
+    def checks(A, M, regime, s):
+        return {
+            "koszul": lambda: koszul_test(A, s),
+            "inequalities": lambda: regularity_inequalities(A, M, regime, s),
+            "symmetry": lambda: extreg_symmetry(A, s),
+        }
+
+    def subject(build):
+        A = build(field)
+        return A, suspend(canonical_k(A, side="left"), 1)
+
+    resolutions, gammas = [], []
+    real_resolve, real_tensor = resolution.semifree_resolve, torsion.tensor_module_ledger
+
+    def spy_resolve(N, *args):
+        resolutions.append((N, args[-1]))
+        return real_resolve(N, *args)
+
+    def spy_tensor(C, res, *args, **kwargs):
+        gammas.append(res)
+        return real_tensor(C, res, *args, **kwargs)
+
+    monkeypatch.setattr(resolution, "semifree_resolve", spy_resolve)
+    monkeypatch.setattr(torsion, "tensor_module_ledger", spy_tensor)
+    for build in (square_zero_algebra, lambda F: polynomial_algebra(2, F)):
+        # the checks on a fresh copy of A and M, so nothing kept is read
+        B, N = subject(build)
+        want = {s: {name: _check_json(check()) for name, check in checks(B, N, detect_regime(B), s).items()}
+                for s in (3, 5)}
+        for order in (1, -1):
+            A, M = subject(build)
+            regime = detect_regime(A)
+            resolutions.clear()
+            for s in (3, 5):
+                for name, check in list(checks(A, M, regime, s).items())[::order]:
+                    assert _check_json(check()) == want[s][name], (A.name, name, s)
+                    assert _check_json(check()) == want[s][name], (A.name, name, s)
+            # k over A and over A^op: once per stage budget, whatever the order
+            for k in (kept_k(A), kept_k(A.opposite())):
+                assert [s for N, s in resolutions if N is k] == [3, 5], (A.name, order)
+            assert len(resolutions) == len({(id(N), s) for N, s in resolutions})
+
+        # CMreg M is kept on M: two calls and the inequalities build Gamma M once
+        A, M = subject(build)
+        regime = detect_regime(A)
+        gammas.clear()
+        assert cm_reg(M, regime) is cm_reg(M, regime)
         regularity_inequalities(A, M, regime)
-    assert len(ks) == 3
+        built_on_m = sum(res is resolved(M, 8) for res in gammas)
+        assert built_on_m == (1 if regime.kind == "polynomial" else 0)
+        # a hand-built regime gets CMreg computed afresh, Gamma M built again
+        by_hand = replace(regime)
+        fresh = cm_reg(M, by_hand)
+        assert fresh is not cm_reg(M, regime) and fresh == cm_reg(M, regime)
+        assert sum(res is resolved(M, 8) for res in gammas) == 2 * built_on_m
 
 
 def _cancelling_complexes():
