@@ -10,8 +10,9 @@ degree dl + d - 1 with a symmetric left action T e_l = e_{l+1} but a
 *twisted* right action e_l T = (-1)^d e_{l+1} that no change of basis
 removes when d is odd and the characteristic is not 2.
 
-Gamma and CM regularity take a semifree resolution of their module, so
-each module below is resolved once for both.
+Every function reads the regime A's detection gives, and Gamma and CM
+regularity read the resolution kept on their module, so each module
+below is resolved once for both.
 
 Run:  python3 demos/duality_tour.py
 """
@@ -26,7 +27,6 @@ from dgreg import (
     free_module,
     gamma,
     local_duality_check,
-    semifree_resolve,
     twist_nontriviality,
 )
 from dgreg.catalog import polynomial_algebra, square_zero_algebra
@@ -38,18 +38,17 @@ def main():
     Lam = square_zero_algebra()
     regime = detect_regime(Lam)
     print(f"  regime: {regime.kind} ({regime.evidence})")
-    D = dualizing_module(Lam, regime)
+    D = dualizing_module(Lam)
     print(f"  D = A* with dims {dict((d, D.dim(d)) for d in D.degrees())}")
     k = canonical_k(Lam, side="left")
-    print(f"  local duality on k: {local_duality_check(k, regime).verdict}")
-    print(f"  double duality on k: {double_duality_check(k, regime).verdict}")
+    print(f"  local duality on k: {local_duality_check(k).verdict}")
+    print(f"  double duality on k: {double_duality_check(k).verdict}")
     print()
 
     for d in (1, 2, 3):
         print(f"== k[T] with |T| = {d}: polynomial regime ==")
         A = polynomial_algebra(d)
-        regime = detect_regime(A)
-        D = dualizing_module(A, regime)
+        D = dualizing_module(A)
         left = D.act_left("t1", "e0")
         right = D.act_right("e0", "t1")
         print(f"  generator degrees: e_l in degree {d}*l + {d - 1}")
@@ -57,14 +56,12 @@ def main():
         print(f"  twist removable? {not twist_nontriviality(d, QQ)} over Q; "
               f"{not twist_nontriviality(d, GF(2))} over F2")
         M = free_module(A, side="bi")
-        res = semifree_resolve(M)
-        h = cohomology(gamma(M, regime, resolution=res).value)
-        print(f"  H(Gamma A) sup = {h.sup_degree} (= 1 - d), "
-              f"CMreg A = {cm_reg(M, regime, resolution=res)}")
+        h = cohomology(gamma(M).value)
+        print(f"  H(Gamma A) sup = {h.sup_degree} (= 1 - d), CMreg A = {cm_reg(M)}")
         kp = canonical_k(A, side="left")
-        print(f"  CMreg k = {cm_reg(kp, regime)}")
-        print(f"  local duality on k: {local_duality_check(kp, regime).verdict}")
-        print(f"  double duality on k: {double_duality_check(kp, regime).verdict}")
+        print(f"  CMreg k = {cm_reg(kp)}")
+        print(f"  local duality on k: {local_duality_check(kp).verdict}")
+        print(f"  double duality on k: {double_duality_check(kp).verdict}")
         print()
 
 

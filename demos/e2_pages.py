@@ -9,7 +9,7 @@ every instance here).
 Run:  python3 demos/e2_pages.py
 """
 
-from dgreg import canonical_k, cech_e2, cm_reg, cmreg_bound_from_e2, detect_regime, free_module
+from dgreg import canonical_k, cech_e2, cm_reg, cmreg_bound_from_e2, free_module
 from dgreg.catalog import polynomial_algebra, square_zero_algebra
 from dgreg.fields import QQ
 
@@ -29,25 +29,24 @@ def main():
     M = free_module(Lam, side="bi")
     page = cech_e2(Lam, M, [])
     show(page)
-    print(f"  bound {cmreg_bound_from_e2(page)} vs CMreg {cm_reg(M, detect_regime(Lam))}")
+    print(f"  bound {cmreg_bound_from_e2(page)} vs CMreg {cm_reg(M)}")
     print()
 
     print("== polynomial regime: H(A) = k[x] with |x| = 2, parameter x ==")
     A = polynomial_algebra(2)
-    regime = detect_regime(A)
     x = {"t1": QQ.one()}
 
     print("  M = A (the page is the top local cohomology of k[x]):")
     page_a = cech_e2(A, free_module(A, side="bi"), [x])
     show(page_a)
-    print(f"  bound {cmreg_bound_from_e2(page_a)} vs CMreg {cm_reg(free_module(A, side='bi'), regime)}")
+    print(f"  bound {cmreg_bound_from_e2(page_a)} vs CMreg {cm_reg(free_module(A, side='bi'))}")
     print()
 
     print("  M = k (torsion already, column 0 only):")
     k = canonical_k(A, side="left")
     page_k = cech_e2(A, k, [x])
     show(page_k)
-    print(f"  bound {cmreg_bound_from_e2(page_k)} vs CMreg {cm_reg(k, regime)}")
+    print(f"  bound {cmreg_bound_from_e2(page_k)} vs CMreg {cm_reg(k)}")
 
 
 if __name__ == "__main__":

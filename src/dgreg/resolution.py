@@ -236,8 +236,7 @@ def semifree_resolve(M: DGModule, max_stages: int = 8) -> SemifreeResolution:
 def resolved(M: DGModule, max_stages: int = 8) -> SemifreeResolution:
     """The resolution :func:`semifree_resolve` gives M at ``max_stages``,
     computed once and kept on M for that stage budget.  Every entry point
-    that resolves M itself when given no ``resolution=`` reads it here;
-    callers must not change it."""
+    that resolves M itself reads it here; callers must not change it."""
     return M.kept(("resolution", max_stages), lambda: semifree_resolve(M, max_stages))
 
 

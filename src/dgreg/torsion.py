@@ -15,12 +15,14 @@ model:
   in degree dl + d - 1 with T^j e_l = e_{j+l} and
   e_l T^j = (-1)^{jd} e_{j+l}.
 
-Every derived functor is read from one semifree resolution of M, and
-each has one entry point that takes that resolution as ``resolution=``:
-:func:`gamma` (N (x) P with the Cech carrier), :func:`cm_reg` (sup H of
-Gamma M) and :func:`apply_duality` (Hom(P, D)), as ``resolution.ext_reg``
-does.  Given none, each reads the resolution kept on M for its stage
-budget (``resolution.resolved``), so M is resolved once however many
+The regime is A's: every entry point reads :func:`detect_regime`, and
+the ``regime`` it may be handed is a claim checked against detection (a
+claim that is not A's regime raises :class:`UnsupportedRegimeError`).
+
+Every derived functor is read from the semifree resolution kept on M
+for its stage budget (``resolution.resolved``): :func:`gamma` (N (x) P
+with the Cech carrier), :func:`cm_reg` (sup H of Gamma M) and
+:func:`apply_duality` (Hom(P, D)), so M is resolved once however many
 checks run on it, in any order.  A module also keeps its H report
 (``module.kept_cohomology``) and its CMreg value per stage budget, but
 no complex; ``semifree_resolve`` and ``cohomology`` keep nothing.
@@ -31,10 +33,7 @@ What depends on A alone is computed once and kept on A (see
 ``Presentation.kept``): the detected regime, the dualizing module D and
 its opposite, the Cech carrier, the canonical left module k
 (``resolution.kept_k``) and A as a bimodule over itself, which keep
-Extreg k's resolution and CMreg A as any module does.  Only the regime
-:func:`detect_regime` returns for A is answered from there; any other
-regime, one built by hand among them, gets freshly computed objects and
-values (Extreg k does not depend on the regime).
+Extreg k's resolution and CMreg A as any module does.
 The carriers and the Hom/tensor complexes are built on tables that are
 clean by construction, so they skip ``Presentation._clean``.
 
@@ -87,7 +86,7 @@ class UnsupportedRegimeError(ValueError):
     """Gamma-dependent operations outside the two computable regimes."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class TorsionRegime:
     kind: str                 # "finite" | "polynomial" | "unsupported"
     d: int | None = None      # polynomial generator degree
@@ -149,18 +148,17 @@ def _detect_regime(A: DGAlgebra) -> TorsionRegime:
     )
 
 
-def _require(regime: TorsionRegime):
+def _regime(A: DGAlgebra, claimed: TorsionRegime | None = None) -> TorsionRegime:
+    """A's detected regime, which must be supported and equal ``claimed``
+    when one is given."""
+    regime = detect_regime(A)
+    if claimed is not None and claimed != regime:
+        raise UnsupportedRegimeError(
+            f"claimed {claimed.kind} regime is not {A.name}'s: detection says {regime.kind} ({regime.evidence})"
+        )
     if not regime.supported:
         raise UnsupportedRegimeError(regime.evidence)
-
-
-def _kept_on(A: DGAlgebra, regime: TorsionRegime, key, build):
-    """``build()`` kept on A under ``key`` when ``regime`` is A's own
-    detected regime; for any other regime, one built by hand among them,
-    it is computed fresh."""
-    if regime is detect_regime(A):
-        return A.kept(key, build)
-    return build()
+    return regime
 
 
 def _landing(res: SemifreeResolution) -> Trust:
@@ -202,7 +200,7 @@ def _power_bimodule(A: DGAlgebra, regime: TorsionRegime, name: str, degrees: dic
     )
 
 
-def cech_carrier(A: DGAlgebra, regime: TorsionRegime) -> DGModule:
+def cech_carrier(A: DGAlgebra, regime: TorsionRegime | None = None) -> DGModule:
     """The shifted Cech bimodule S^{-1}(k[T,T^{-1}]/k[T]) over k[T].
 
     Basis c_j (the class of T^{-j}) in degree 1 - dj for j >= 1, zero
@@ -210,7 +208,7 @@ def cech_carrier(A: DGAlgebra, regime: TorsionRegime) -> DGModule:
     action c_j T = (-1)^d c_{j-1}.  Continues below every window: trusted
     down to the stored bottom only.
     """
-    _require(regime)
+    regime = _regime(A, regime)
     if regime.kind != "polynomial":
         raise UnsupportedRegimeError("the Cech carrier is a polynomial-regime object")
 
@@ -220,17 +218,17 @@ def cech_carrier(A: DGAlgebra, regime: TorsionRegime) -> DGModule:
         degrees = {j: 1 - d * j for j in range(1, (1 - window.lo) // d + 1)}
         return _power_bimodule(A, regime, "S-1C", degrees, "c", -1, window, Trust(window.lo, None))
 
-    return _kept_on(A, regime, "cech carrier", build)
+    return A.kept("cech carrier", build)
 
 
-def dualizing_module(A: DGAlgebra, regime: TorsionRegime) -> DGModule:
+def dualizing_module(A: DGAlgebra, regime: TorsionRegime | None = None) -> DGModule:
     """The dualizing DG module in a supported regime.
 
     Finite regime: A* as a bimodule.  Polynomial regime: the twisted
     shift (S^{-(d-1)}A)^alpha realized by its closed-form action tables
     T^j e_l = e_{j+l}, e_l T^j = (-1)^{jd} e_{j+l}.
     """
-    _require(regime)
+    regime = _regime(A, regime)
 
     def build():
         if regime.kind == "finite":
@@ -240,16 +238,15 @@ def dualizing_module(A: DGAlgebra, regime: TorsionRegime) -> DGModule:
         degrees = {l: d * l + d - 1 for l in range((window.hi + 1 - d) // d + 1)}
         return _power_bimodule(A, regime, "D", degrees, "e", 1, window, Trust(None, window.hi))
 
-    return _kept_on(A, regime, "dualizing", build)
+    return A.kept("dualizing", build)
 
 
 def twist_nontriviality(d: int, field: FieldSpec) -> bool:
     """Whether the left and right actions on the polynomial dualizing
     module genuinely differ: compares T e_0 with e_0 T."""
     A = polynomial_algebra(d, field)
-    regime = detect_regime(A)
-    D = dualizing_module(A, regime)
-    gen = regime.generator
+    D = dualizing_module(A)
+    gen = detect_regime(A).generator
     left = D.act_left(gen, "e0")
     right = D.act_right("e0", gen)
     return not ceq(field, left or {}, right or {})
@@ -270,23 +267,20 @@ class GammaResult:
         return not self.contamination
 
 
-def gamma(M: DGModule, regime: TorsionRegime, max_stages: int = 8,
-          resolution: SemifreeResolution | None = None) -> GammaResult:
+def gamma(M: DGModule, regime: TorsionRegime | None = None, max_stages: int = 8) -> GammaResult:
     """A complex computing the derived torsion of M.
 
     Finite regime: M itself (the counit of the adjunction is an
     isomorphism on the whole derived category since A is built from k).
-    Polynomial regime: the Cech carrier tensored against ``resolution``,
-    a ledger resolution of M, or one of ``max_stages`` stages when none
-    is given; residual cone classes of an incomplete resolution
-    contribute known extra H (one shifted copy of Gamma k = k per class,
-    one degree up), reported as contamination.
+    Polynomial regime: the Cech carrier tensored against the resolution
+    of M kept for ``max_stages`` stages; residual cone classes of an
+    incomplete resolution contribute known extra H (one shifted copy of
+    Gamma k = k per class, one degree up), reported as contamination.
     """
-    _require(regime)
-    if regime.kind == "finite":
+    if _regime(M.algebra, regime).kind == "finite":
         return GammaResult(M, None, {}, ["finite regime: Gamma is the identity (counit iso)"])
-    res = resolution if resolution is not None else resolved(M, max_stages)
-    C = cech_carrier(M.algebra, regime)
+    res = resolved(M, max_stages)
+    C = cech_carrier(M.algebra)
     lo = C.window.lo + (res.min_gen_degree() or 0)
     hi = max(C.window.hi, M.window.hi) + max(0, res.max_gen_degree() or 0) + 1
     window = GradedWindow(max(lo, -GLOBAL_DEGREE_BOUND), min(hi, GLOBAL_DEGREE_BOUND))
@@ -297,29 +291,24 @@ def gamma(M: DGModule, regime: TorsionRegime, max_stages: int = 8,
     return GammaResult(T, res, contamination, notes)
 
 
-def cm_reg(M: DGModule, regime: TorsionRegime, max_stages: int = 8,
-           resolution: SemifreeResolution | None = None) -> RegularityValue:
+def cm_reg(M: DGModule, regime: TorsionRegime | None = None, max_stages: int = 8) -> RegularityValue:
     """CM regularity: sup of the cohomology of Gamma M.
 
-    Gamma M is built from ``resolution`` as in :func:`gamma`, and only
-    when H(M) != 0: a module with zero H is never resolved.  Given no
-    ``resolution=`` and the regime :func:`detect_regime` returns for M's
-    algebra, the value (not Gamma M) is kept on M per stage budget.
+    Gamma M is built as in :func:`gamma`, and only when H(M) != 0: a
+    module with zero H is never resolved.  The value (not Gamma M) is
+    kept on M per stage budget.
     """
-    _require(regime)
-    if resolution is None and regime is detect_regime(M.algebra):
-        return M.kept(("cmreg", max_stages), lambda: _cm_reg(M, regime, max_stages, None))
-    return _cm_reg(M, regime, max_stages, resolution)
+    _regime(M.algebra, regime)
+    return M.kept(("cmreg", max_stages), lambda: _cm_reg(M, max_stages))
 
 
-def _cm_reg(M: DGModule, regime: TorsionRegime, max_stages: int,
-            resolution: SemifreeResolution | None) -> RegularityValue:
+def _cm_reg(M: DGModule, max_stages: int) -> RegularityValue:
     h_m = kept_cohomology(M)
     if not h_m.dims:
         if M.complete:
             return RegularityValue.neg_infinity("zero cohomology")
         return RegularityValue.at_least(M.window.lo, "no cohomology in window")
-    g = gamma(M, regime, max_stages, resolution)
+    g = gamma(M, max_stages=max_stages)
     h = kept_cohomology(g.value)
     cmp_trust = h.certified if g.resolution is None else h.certified.meet(_landing(g.resolution))
     dims = {d: n for d, n in h.dims.items() if cmp_trust.contains(d)}
@@ -355,9 +344,9 @@ def _cm_reg(M: DGModule, regime: TorsionRegime, max_stages: int,
 # -- duality ------------------------------------------------------------------
 
 
-def apply_duality(M: DGModule, D: DGModule, max_stages: int = 8,
-                  resolution: SemifreeResolution | None = None):
-    """RHom_A(M, D) as the Hom complex from a ledger resolution of M.
+def apply_duality(M: DGModule, D: DGModule, max_stages: int = 8):
+    """RHom_A(M, D) as the Hom complex from the resolution of M kept for
+    ``max_stages`` stages.
 
     Returns (complex, resolution, contamination, notes); contamination
     maps degree j to the known spurious H-dimension residual(-j-1)
@@ -369,7 +358,7 @@ def apply_duality(M: DGModule, D: DGModule, max_stages: int = 8,
     for k over Lambda with D = Lambda, H reads {0: 1, 1: 1} and the rule
     subtracts at degree -1, yet Ext_Lambda(k, Lambda) is one-dimensional.
     """
-    res = resolution if resolution is not None else resolved(M, max_stages)
+    res = resolved(M, max_stages)
     supp = D.support()
     if not supp or not res.gens:
         window = GradedWindow(-2, 2)
@@ -412,7 +401,7 @@ class CheckReport:
                 "detail": self.detail, "notes": self.notes}
 
 
-def local_duality_check(M: DGModule, regime: TorsionRegime, max_stages: int = 8) -> CheckReport:
+def local_duality_check(M: DGModule, regime: TorsionRegime | None = None, max_stages: int = 8) -> CheckReport:
     """Equality of H-dimensions of (Gamma M)* and RHom_A(M, D).
 
     In the finite regime the left side is computed honestly as M* (Gamma
@@ -420,13 +409,13 @@ def local_duality_check(M: DGModule, regime: TorsionRegime, max_stages: int = 8)
     the same ledger resolution and carry identical frontier
     contributions, which therefore cancel in the comparison.
     """
-    _require(regime)
-    D = dualizing_module(M.algebra, regime)
+    regime = _regime(M.algebra, regime)
+    D = dualizing_module(M.algebra)
     rhs, res, contam_rhs, notes = apply_duality(M, D, max_stages)
     if regime.kind == "finite":
         lhs, contam_lhs = linear_dual(M), {}
     else:
-        g = gamma(M, regime, max_stages)
+        g = gamma(M, max_stages=max_stages)
         lhs, contam_lhs = linear_dual(g.value), contam_rhs
         notes += g.notes
     h_rhs, h_lhs = kept_cohomology(rhs), kept_cohomology(lhs)
@@ -458,7 +447,7 @@ def local_duality_check(M: DGModule, regime: TorsionRegime, max_stages: int = 8)
     )
 
 
-def double_duality_check(M: DGModule, regime: TorsionRegime, max_stages: int = 8) -> CheckReport:
+def double_duality_check(M: DGModule, regime: TorsionRegime | None = None, max_stages: int = 8) -> CheckReport:
     """RHom_{A^op}(RHom_A(M, D), D) recovers the H-dimensions of M.
 
     Both Hom steps use ledger resolutions; un-killed cone classes of
@@ -466,11 +455,10 @@ def double_duality_check(M: DGModule, regime: TorsionRegime, max_stages: int = 8
     dimensions are subtracted before comparing, under the bookkeeping
     hypotheses of the module docstring.
     """
-    _require(regime)
     A = M.algebra
     D = dualizing_module(A, regime)
     X, res_in, contam_in, notes = apply_duality(M, D, max_stages)
-    D_op = _kept_on(A, regime, "dualizing opposite", lambda: to_opposite(D))
+    D_op = A.kept("dualizing opposite", lambda: to_opposite(D))
     Z, res_out, contam_out, n2 = apply_duality(to_opposite(X), D_op, max_stages)
     notes += n2
 
@@ -537,7 +525,7 @@ def _le_verdict(lhs: RegularityValue, rhs_low, rhs_up) -> str:
     return "indeterminate"
 
 
-def regularity_inequalities(A: DGAlgebra, M: DGModule, regime: TorsionRegime,
+def regularity_inequalities(A: DGAlgebra, M: DGModule, regime: TorsionRegime | None = None,
                             max_stages: int = 8) -> dict:
     """The three regularity inequalities for a module with bounded-below
     nonzero cohomology, plus the finiteness consequence:
@@ -551,7 +539,7 @@ def regularity_inequalities(A: DGAlgebra, M: DGModule, regime: TorsionRegime,
     Each value reads what is kept on its own module: M, the k kept on A
     and A as a bimodule over itself.
     """
-    _require(regime)
+    _regime(A, regime)
     h = kept_cohomology(M)
     if not h.dims:
         return {"skipped": "H(M) = 0 in window; preconditions fail", "checks": {}}
@@ -559,9 +547,9 @@ def regularity_inequalities(A: DGAlgebra, M: DGModule, regime: TorsionRegime,
         return {"skipped": "H(M) not certified bounded below", "checks": {}}
 
     extreg_m = ext_reg(M, max_stages)
-    cmreg_m = cm_reg(M, regime, max_stages)
+    cmreg_m = cm_reg(M, max_stages=max_stages)
     extreg_k = ext_reg(kept_k(A), max_stages)
-    cmreg_a = cm_reg(_free_bimodule(A), regime, max_stages)
+    cmreg_a = cm_reg(_free_bimodule(A), max_stages=max_stages)
 
     checks = {}
     checks["cmreg-not-minus-infinity"] = (
@@ -586,16 +574,16 @@ def regularity_inequalities(A: DGAlgebra, M: DGModule, regime: TorsionRegime,
 
 
 def koszul_truncation_check(A: DGAlgebra, M: DGModule, t: int,
-                            regime: TorsionRegime, max_stages: int = 8) -> CheckReport:
+                            regime: TorsionRegime | None = None, max_stages: int = 8) -> CheckReport:
     """Over a Koszul algebra, S^t(M^{>= t}) is a Koszul module whenever
     CMreg M <= t."""
-    _require(regime)
+    _regime(A, regime)
     notes = []
     kos = koszul_test(A, max_stages)
     if kos.value is not True or not kos.certified:
         return CheckReport("koszul-truncation", "indeterminate",
                            {"reason": "algebra not certified Koszul"}, notes)
-    cm = cm_reg(M, regime, max_stages)
+    cm = cm_reg(M, max_stages=max_stages)
     up = cm.upper_bound()
     if up is None or up > t:
         return CheckReport("koszul-truncation", "indeterminate",

@@ -358,14 +358,9 @@ def test_duality_checks_and_cm_reg_resolve_each_module_once(monkeypatch):
 
     A = polynomial_algebra(2)
     r = detect_regime(A)
-    M = suspend(canonical_k(A, side="left"), 1)
-    res = semifree_resolve(M, 4)
-    want = cm_reg(replace(M), r, 4)
     # k and A are resolved for the values kept on A, once, here
-    regularity_inequalities(A, replace(M), r)
+    regularity_inequalities(A, suspend(canonical_k(A, side="left"), 1), r)
     seen = _resolve_spy(monkeypatch)
-    assert cm_reg(M, r, resolution=res) == want
-    assert seen == []
     for order in permutations(PAIR_CHECKS):
         M = suspend(canonical_k(A, side="left"), 1)
         seen.clear()
@@ -451,7 +446,7 @@ def test_check_regularity_sweep_computes_extreg_k_and_cmreg_a_once_per_algebra(m
             # k and A are resolved, and CMreg A computed, on modules kept on
             # A for them, and a pair's own values on the pair's module
             if not any(M is N for N in swept):
-                computed.append((name, M, args[-1] if name == "resolve" else args[1]))
+                computed.append((name, M, args[-1]))
             return real(M, *args)
         return wrapped
 
@@ -506,55 +501,45 @@ def test_algebra_and_opposite_keep_their_own_objects():
     assert D is dualizing_module(A, r) and D.algebra is A
     assert D_op is dualizing_module(op, r_op) and D_op.algebra is op
     assert cech_carrier(op, r_op).algebra is op
-    # A's regime handed over with A^op is not A^op's own: nothing is kept
-    assert dualizing_module(op, r) is not dualizing_module(op, r)
+    # A's regime equals A^op's detected one, so A^op's kept D is served
+    assert r == r_op and dualizing_module(op, r) is D_op
     assert op._kept is not A._kept
 
 
-def test_hand_built_regime_is_never_served_a_kept_value(monkeypatch):
-    from dgreg import torsion
+ENTRY_POINTS = {
+    **PAIR_CHECKS,
+    "cech_carrier": lambda A, M, r: cech_carrier(A, r),
+    "dualizing_module": lambda A, M, r: dualizing_module(A, r),
+    "gamma": lambda A, M, r: _tables(gamma(M, r).value),
+    "koszul_truncation": lambda A, M, r: koszul_truncation_check(A, M, 1, r),
+}
 
-    A = polynomial_algebra(2)
-    kept = detect_regime(A)
-    by_hand = replace(kept)
-    assert by_hand == kept and by_hand is not kept
-    for build in (dualizing_module, cech_carrier):
-        first = build(A, kept)
-        assert build(A, kept) is first
-        fresh = build(A, by_hand)
-        assert fresh is not first and build(A, by_hand) is not fresh
-        assert _tables(fresh) == _tables(first)
-    # a regime that does not describe A at all is answered on its own terms
-    finite = replace(kept, kind="finite")
-    assert dualizing_module(A, finite).name == "D" and dualizing_module(A, finite) is not first
 
-    from dgreg import resolution
-    from dgreg.homtensor import _free_bimodule
-
-    M = suspend(canonical_k(A, side="left"), 1)
-    cmregs, resolutions = [], []
-    real_cm, real_resolve = torsion._cm_reg, resolution.semifree_resolve
-
-    def spy_cm(N, *args):
-        cmregs.append(N)
-        return real_cm(N, *args)
-
-    def spy_resolve(N, *args):
-        resolutions.append(N)
-        return real_resolve(N, *args)
-
-    monkeypatch.setattr(torsion, "_cm_reg", spy_cm)
-    monkeypatch.setattr(resolution, "semifree_resolve", spy_resolve)
-    outs = [_check_json(regularity_inequalities(A, M, regime)) for regime in (by_hand, by_hand, kept, kept)]
-    monkeypatch.undo()
-    assert len(set(outs)) == 1
-    # CMreg of M and of A, regime-dependent, is computed afresh on every
-    # hand-built call and once for the kept regime
-    AA = _free_bimodule(A)
-    assert sum(N is M for N in cmregs) == sum(N is AA for N in cmregs) == 3 and len(cmregs) == 6
-    # Extreg k is read from the k kept on A in any regime: k, like M and A,
-    # is resolved once
-    assert sorted(map(id, resolutions)) == sorted(map(id, (M, AA, kept_k(A))))
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
+def test_a_claimed_regime_is_checked_against_detection(field):
+    for A in (square_zero_algebra(field), polynomial_algebra(2, field)):
+        M = suspend(canonical_k(A, side="left"), 1)
+        r = detect_regime(A)
+        claims = (None, r, replace(r))
+        wrong = ([replace(r, kind="finite"), replace(r, d=r.d + 1)] if r.kind == "polynomial"
+                 else [replace(r, kind="polynomial", d=1)])
+        for name, call in ENTRY_POINTS.items():
+            if name == "cech_carrier" and r.kind == "finite":
+                for claim in claims:
+                    with pytest.raises(UnsupportedRegimeError):
+                        call(A, M, claim)
+            else:
+                # no claim, A's regime and an equal copy of it give one kept
+                # object, or the same bytes
+                outs = [call(A, M, claim) for claim in claims]
+                if name in ("cech_carrier", "dualizing_module", "cm_reg"):
+                    assert outs[0] is outs[1] is outs[2], (A.name, name)
+                else:
+                    assert len({_check_json(out) for out in outs}) == 1, (A.name, name)
+            # a claim that is not A's regime raises, naming detection
+            for claim in wrong:
+                with pytest.raises(UnsupportedRegimeError, match=f"detection says {r.kind}"):
+                    call(A, M, claim)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
@@ -611,11 +596,9 @@ def test_one_resolution_of_k_per_algebra_and_budget(field, monkeypatch):
         regularity_inequalities(A, M, regime)
         built_on_m = sum(res is resolved(M, 8) for res in gammas)
         assert built_on_m == (1 if regime.kind == "polynomial" else 0)
-        # a hand-built regime gets CMreg computed afresh, Gamma M built again
-        by_hand = replace(regime)
-        fresh = cm_reg(M, by_hand)
-        assert fresh is not cm_reg(M, regime) and fresh == cm_reg(M, regime)
-        assert sum(res is resolved(M, 8) for res in gammas) == 2 * built_on_m
+        # a claim equal to A's regime reads the kept CMreg: Gamma M is built once
+        assert cm_reg(M, replace(regime)) is cm_reg(M, regime)
+        assert sum(res is resolved(M, 8) for res in gammas) == built_on_m
 
 
 def _cancelling_complexes():
