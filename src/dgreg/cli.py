@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from .fields import QQ, GF
 from .linalg import ContainmentError
 from .module import SideError, cohomology, validate_module
 from .resolution import DegenerateWindowError, ext_reg, koszul_test, semifree_resolve
-from .textformat import ParseError, emit_module, parse_document, parse_combination
+from .textformat import _INT, ParseError, _parse_window, emit_module, parse_document, parse_combination
 from .torsion import (
     UnsupportedRegimeError,
     cm_reg,
@@ -36,7 +37,6 @@ from .torsion import (
     regularity_inequalities,
 )
 from .e2 import E2PreconditionError, cech_e2, cmreg_bound_from_e2
-from .windows import GradedWindow
 
 OK, VIOLATION, USAGE, INDETERMINATE = 0, 1, 2, 3
 
@@ -47,6 +47,8 @@ def _load(path: str):
             return parse_document(fh.read())
     except FileNotFoundError:
         raise SystemExit2(f"no such file: {path}")
+    except OSError as exc:
+        raise SystemExit2(f"cannot read {path}: {exc.strerror}")
     except UnicodeDecodeError as exc:
         raise SystemExit2(f"{path}: byte {exc.start} is not UTF-8 text")
     except ParseError as exc:
@@ -60,9 +62,12 @@ class SystemExit2(Exception):
 def _report(args, payload: dict, human: str, code: int) -> int:
     payload = {"command": args.command, "status": {0: "ok", 1: "violation", 2: "usage", 3: "indeterminate"}[code], **payload}
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, sort_keys=True, indent=2)
+                fh.write("\n")
+        except OSError as exc:
+            raise SystemExit2(f"cannot write {args.out}: {exc.strerror}")
     print(human)
     return code
 
@@ -76,12 +81,22 @@ def _pick(doc, kind: str, name):
         raise SystemExit2(exc.args[0])  # str() of a KeyError quotes it
 
 
+_int_re = re.compile(_INT)
+
+
+def _int(text: str) -> int:
+    """An integer option, in the document grammar: ``-?[0-9]+`` in ASCII."""
+    if _int_re.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _stages(text: str) -> int:
     """A --stages value: an int of at least 1."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    n = _int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"stage budget {n} is below 1")
     return n
@@ -300,10 +315,9 @@ def cmd_catalog(args) -> int:
     field = _field(args)
     window = None
     if args.window:
-        lo, _, hi = args.window.partition("..")
         try:
-            window = GradedWindow(int(lo), int(hi))
-        except ValueError:
+            window = _parse_window(args.window, 0, 0)
+        except ParseError:
             raise SystemExit2(f"bad window {args.window!r}")
     try:
         text = document_text(args.family, field=field, d=args.param, window=window)
@@ -398,14 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file", nargs="?", help="presentation document (omit to sweep the catalog)")
     sp.add_argument("--module", help="module name")
     sp.add_argument("--stages", type=_stages, default=8)
-    sp.add_argument("--p", type=int, help="sweep over F_p instead of Q")
+    sp.add_argument("--p", type=_int, help="sweep over F_p instead of Q")
     sp.add_argument("--out", help="write the machine-readable JSON report here")
     sp.set_defaults(fn=cmd_check_regularity, row=None)
 
     sp = sub.add_parser("catalog", help="emit a catalog family as a document")
     sp.add_argument("--family", required=True, choices=list(ALGEBRA_FAMILIES))
-    sp.add_argument("--param", type=int, default=1, help="generator degree d where applicable")
-    sp.add_argument("--p", type=int, help="use F_p instead of Q")
+    sp.add_argument("--param", type=_int, default=1, help="generator degree d where applicable")
+    sp.add_argument("--p", type=_int, help="use F_p instead of Q")
     sp.add_argument("--window", help="LO..HI")
     sp.add_argument("--out", help="write the JSON report here; its \"document\" field holds "
                                   "the text, which stdout prints as it is")

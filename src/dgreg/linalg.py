@@ -21,7 +21,8 @@ Cohomology is computed one way only.  :func:`kernel_mod_images` feeds
 the sparse differential columns of a cochain complex, one per basis
 element, into a :class:`KernelModImage` per degree: each column goes out
 of its own degree, where a :class:`KernelEchelon` turns the dependent
-columns into kernel vectors, and into the next degree's image.
+columns into kernel vectors, and into the next degree's image; a
+quotient is one walk of the kernel basis over a copy of the image.
 Module cohomology, the Koszul stages of the E2 page and the resolver's
 growing cone all read their quotients from these states.  The reduced
 echelon form is unique, so every result equals what dense elimination
@@ -125,6 +126,12 @@ def _scaled(v: dict, c, p: int) -> dict:
     return {j: exact(x * c) for j, x in v.items()}
 
 
+def _unit(v: dict, p: int) -> tuple:
+    """(q, v scaled to 1 at q) for q the leftmost entry of nonzero v."""
+    q = min(v)
+    return q, (v if v[q] == 1 else _scaled(v, inverse(v[q], p), p))
+
+
 class Echelon:
     """Incremental reduced-echelon store for a subspace of k^n.
 
@@ -188,19 +195,16 @@ class Echelon:
         self._push(v)
         return True
 
-    def _push(self, v: dict) -> dict:
-        """Insert a nonzero residual; returns it scaled to a unit pivot,
-        its leftmost entry."""
+    def _push(self, v: dict):
+        """Insert a nonzero residual, scaled to a unit pivot at its
+        leftmost entry."""
         p = self.field.p
-        q = min(v)
-        if v[q] != 1:
-            v = _scaled(v, inverse(v[q], p), p)
+        q, v = _unit(v, p)
         for row in self._row_at.values():
             c = row.get(q)
             if c is not None:
                 _axpy(row, c, v, p)
         self._row_at[q] = v
-        return v
 
 
 _TAG = 1 << 62      # above every basis position, so a tag key is never a pivot
@@ -287,33 +291,42 @@ class QuotientSpace:
         return [(min(v), v) for v in self.representatives]
 
     def project(self, vec: dict) -> dict:
-        """Coordinates ``{i: c}`` of vec's class, by forward substitution:
-        a representative is zero at the leading entries of the ones
-        before it, so once those are subtracted the residual's entry at
-        the i-th leading entry is the i-th coordinate.  Raises
+        """Coordinates ``{i: c}`` of vec's class.  Raises
         :class:`ContainmentError` off the ambient span."""
         residual = self.sub.reduce(vec)
-        p, coords = self.field.p, {}
-        for i, (q, rep) in enumerate(self._pivoted):
-            c = residual.get(q)
-            if c is not None:
-                _axpy(residual, c, rep, p)
-                coords[i] = c
+        coords = _substitute(residual, self._pivoted, self.field.p)
         if residual:
             raise ContainmentError("vector not in the ambient span")
         return coords
 
 
-def _walk(seen: Echelon, vectors, reps: list) -> list:
-    """Push into ``seen`` each vector that enlarges it, appending its
-    residual as pushed, scaled to a unit leading coefficient, to
-    ``reps``.  Later pushes reduce the stored rows in place, so each
-    representative is a copy of its row as pushed."""
+def _substitute(residual: dict, pivoted, p: int) -> dict:
+    """Clear each (leading entry, representative) pair's entry from
+    residual, in place and in order, and return the multiples taken as
+    ``{i: c}``.  A representative is zero at the leading entries before
+    it, so the multiples are the coordinates of residual's class."""
+    coords = {}
+    for i, (q, rep) in enumerate(pivoted):
+        c = residual.get(q)
+        if c is not None:
+            _axpy(residual, c, rep, p)
+            coords[i] = c
+    return coords
+
+
+def _walk(sub: Echelon, vectors) -> QuotientSpace:
+    """span(sub, vectors) / span(sub), keeping ``sub``.  Each vector's
+    residual modulo sub and the representatives so far, scaled to a unit
+    leading entry, is the next representative when nonzero: the one
+    vector of its coset zero at every pivot of sub and earlier leading
+    entry, which is the row an echelon of sub grown by vectors pushes."""
+    p, pivoted = sub.field.p, []
     for v in vectors:
-        residual = seen._reduce(dict(v))
+        residual = sub._reduce(dict(v))
+        _substitute(residual, pivoted, p)
         if residual:
-            reps.append(dict(seen._push(residual)))
-    return reps
+            pivoted.append(_unit(residual, p))
+    return QuotientSpace(sub.field, [rep for _, rep in pivoted], sub)
 
 
 class KernelModImage:
@@ -322,68 +335,37 @@ class KernelModImage:
 
     The outgoing columns, one per basis element, go into a
     :class:`KernelEchelon` and the incoming ones into an
-    :class:`Echelon`, each once.  The quotient walks the kernel basis in
-    order on top of the image echelon and keeps, scaled to a unit
-    leading entry, the residual of each kernel vector that enlarges the
-    span.  Raises :class:`ContainmentError` when the image is not inside
-    the kernel, that is when d^2 != 0.
-
-    The quotient is taken again only after the kernel basis or the image
-    grew, and each one handed out keeps a copy of the image as its
-    ``sub``, so later growth leaves it as it was.  A new quotient goes on
-    from the last one where the walk allows: new kernel vectors continue
-    the walk, and an image vector that is a multiple of the first
-    representative modulo the old image only drops that representative,
-    because the walk's echelons from its kernel vector on span what they
-    spanned.  Otherwise the walk starts again.  Both bases are the ones
-    elimination from scratch gives, so the quotient is too.
+    :class:`Echelon`, each once.  The quotient is one walk of the kernel
+    basis, in order, on a copy of the image echelon that it keeps as its
+    ``sub``, so later growth leaves it as it was.  It raises
+    :class:`ContainmentError` when the image is not inside the kernel,
+    that is when d^2 != 0.  The last quotient is kept until the kernel
+    basis or the image grows; a failed walk keeps none.
     """
 
     def __init__(self, field: FieldSpec):
         self.kernel = KernelEchelon(field)
         self.image = Echelon(field)
         self._quotient = None
-        self._seen = None       # the walk's echelon: image + walked kernel
-        self._walked = 0        # kernel vectors walked
-        self._grown = []        # image vectors added since the last walk
 
     def add_outgoing(self, col: dict):
-        self.kernel.append(col)
+        if self.kernel.append(col):
+            self._quotient = None
 
     def add_incoming(self, col: dict):
         if self.image.add(col):
-            self._grown.append(col)
+            self._quotient = None
 
     def quotient(self) -> QuotientSpace:
-        basis, quot = self.kernel.basis, self._quotient
-        if quot is not None and not self._grown and self._walked == len(basis):
-            return quot
-        reps = self._kept()
-        self._quotient = None   # a failed check below starts the next walk afresh
-        if reps is None:
-            self._seen, self._walked, reps = self.image.copy(), 0, []
-        _walk(self._seen, basis[self._walked:], reps)
-        self._walked, self._grown = len(basis), []
-        # the kernel vectors are independent, so the walk's span grows past
-        # them exactly when some image vector lies outside the kernel
-        if len(self.image) + len(reps) != len(basis):
-            raise ContainmentError("d^2 != 0: a coboundary lies outside the cocycles")
-        self._quotient = QuotientSpace(self.image.field, reps, self.image.copy())
+        if self._quotient is None:
+            basis = self.kernel.basis
+            quot = _walk(self.image.copy(), basis)
+            # the kernel vectors are independent, so the walk's span grows
+            # past them exactly when some image vector lies outside the kernel
+            if len(self.image) + quot.dim != len(basis):
+                raise ContainmentError("d^2 != 0: a coboundary lies outside the cocycles")
+            self._quotient = quot
         return self._quotient
-
-    def _kept(self):
-        """The last quotient's representatives that stay, or None when
-        the walk must start again."""
-        quot, grown = self._quotient, self._grown
-        if quot is None or len(grown) > 1:
-            return None
-        if not grown:
-            return list(quot.representatives)
-        try:
-            coords = quot.project(grown[0])
-        except ContainmentError:    # it needs a new kernel vector
-            return None
-        return quot.representatives[1:] if list(coords) == [0] else None
 
 
 def quotient_by(field: FieldSpec, span, sub) -> QuotientSpace:
@@ -401,7 +383,7 @@ def quotient_by(field: FieldSpec, span, sub) -> QuotientSpace:
         if not amb.contains(v):
             raise ContainmentError("sub vector outside the ambient span")
         sub_ech.add(v)
-    return QuotientSpace(field, _walk(sub_ech.copy(), span, []), sub_ech)
+    return _walk(sub_ech, span)
 
 
 def kernel_mod_images(field: FieldSpec, degrees, columns) -> dict:

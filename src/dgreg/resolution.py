@@ -20,19 +20,17 @@ elimination of [d^T | I]), and an echelon of its incoming one.  The
 states start from :func:`~dgreg.linalg.kernel_mod_images` fed with M's
 differential columns, so stage 0 is the computation ``cohomology(M)`` makes.  Each
 new cell's column then enters its own degree's kernel state and the
-next degree's image once, and a degree's H is taken again only after
-its kernel basis or image grew, going on from the last one where it
-can; a kill at degree j adds cells only in P-degrees >= j, so only cone
-degrees >= j - 1 can change.
+next degree's image once, and a degree's H is taken again after its
+kernel basis or image grew; a kill at degree j adds cells only in
+P-degrees >= j, so only cone degrees >= j - 1 can change.
 
 This cannot change a representative.  Old columns never change, so an
 old cocycle keeps its kernel vector; a new cell's kernel vector is the
 unique one that is 1 at its column, 0 at the other dependent columns and
 supported on earlier independent ones, which is what elimination of the
-whole degree gives; the image echelon is the unique reduced echelon
-form of its span; and a quotient that goes on from the last one equals
-the walk taken from scratch.  So every class is the one ``cohomology``
-of the rebuilt cone would choose.
+whole degree gives; and the image echelon is the unique reduced
+echelon form of its span.  So every class is the one ``cohomology`` of
+the rebuilt cone would choose.
 """
 
 from __future__ import annotations

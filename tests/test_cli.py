@@ -168,6 +168,26 @@ def test_numbers_outside_the_grammar_exit_two(tmp_path, capsys):
     assert capsys.readouterr().err == "error: bad parameter '0.5*t1': bad coefficient '0.5'\n"
 
 
+def test_integer_options_follow_the_document_grammar(lam_file, capsys):
+    # an option's integers are the document's: -?[0-9]+ in ASCII, so no
+    # underscore, sign, space or non-ASCII digit
+    assert main(["catalog", "--family", "square-zero", "--window", "0..16"]) == 0
+    capsys.readouterr()
+    for window in ("0..1_6", "0..١٦", " 0 .. 16 ", "+0..16", "0..+16"):
+        assert main(["catalog", "--family", "square-zero", "--window", window]) == 2, window
+        assert capsys.readouterr() == ("", f"error: bad window {window!r}\n")
+    for argv in (["catalog", "--family", "polynomial", "--param", "1_0"],
+                 ["catalog", "--family", "polynomial", "--param", "+2"],
+                 ["catalog", "--family", "polynomial", "--p", "٧"],
+                 ["check-regularity", lam_file, "--module", "k", "--p", " 7"],
+                 ["resolve", lam_file, "--module", "k", "--stages", "+2"],
+                 ["resolve", lam_file, "--module", "k", "--stages", "٢"],
+                 ["resolve", lam_file, "--module", "k", "--stages", "1_0"],
+                 ["resolve", lam_file, "--module", "k", "--stages", "9" * 5000]):
+        assert main(argv) == 2, argv
+        assert f"invalid int value: {argv[-1]!r}" in capsys.readouterr().err
+
+
 def test_a_file_that_is_not_utf8_exits_two(tmp_path, capsys):
     doc = tmp_path / "latin1.dg"
     doc.write_bytes(b"algebra A over Q window 0..2\nbasis 0: one\xff\nunit one\n")
@@ -507,3 +527,26 @@ def test_every_command_row_exits_with_a_documented_code(fuzz_paths, data):
     errors = [line for line in err.splitlines() if "error:" in line]
     # a rejection is exit 2 with one error line; nothing else prints one
     assert len(errors) == (1 if code == 2 else 0), (argv, err)
+
+
+def test_a_file_that_cannot_be_read_or_written_exits_two(tmp_path):
+    # every command row, validate, check-regularity and catalog: a directory
+    # as input, or --out into a directory that does not exist, is a usage
+    # error with one error line and no traceback
+    doc = tmp_path / "lam.dg"
+    doc.write_text(document_text("square-zero", window=GradedWindow(0, 4)))
+    missing = str(tmp_path / "missing" / "report.json")
+    runs = {"validate": [str(doc)], "check-regularity": [str(doc), "--module", "k", "--stages", "2"],
+            "catalog": ["--family", "square-zero"]}
+    for row in cli._commands():
+        runs[row.name] = [str(doc)] + (["--module", "k"] if row.on != cli.ALGEBRA else []) + (
+            ["--stages", "2"] if row.stages else [])
+    calls = [([name] + args + ["--out", missing], f"error: cannot write {missing}: No such file or directory\n")
+             for name, args in runs.items()]
+    calls += [([name, str(tmp_path)], f"error: cannot read {tmp_path}: Is a directory\n")
+              for name in runs if name != "catalog"]
+    for argv, want in calls:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(argv)
+        assert (code, stdout.getvalue(), stderr.getvalue()) == (2, "", want), argv
