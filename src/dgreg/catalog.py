@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from .algebra import DGAlgebra
 from .fields import QQ, FieldSpec
+from .homtensor import _free_bimodule
 from .module import (
     BI,
     DGModule,
@@ -18,6 +19,7 @@ from .module import (
     hard_truncate,
     suspend,
 )
+from .resolution import kept_k
 from .windows import GradedWindow, Trust
 
 DEFAULT_ALGEBRA_WINDOW = GradedWindow(0, 16)
@@ -221,9 +223,12 @@ def catalog_algebras(field: FieldSpec = QQ):
 def catalog_pairs(field: FieldSpec = QQ):
     """(algebra, module) pairs for the regularity and duality sweeps, over
     the six algebra objects of :func:`catalog_algebras`, so that what is
-    kept on an algebra is computed once per sweep."""
+    kept on an algebra is computed once per sweep.  Each algebra's k and
+    free module are the ones kept on it (``resolution.kept_k`` and
+    ``homtensor._free_bimodule``), so Extreg k and CMreg A read what the
+    pairs' own modules keep."""
     algebras = catalog_algebras(field)
-    pairs = [(A, build_module(A, which)) for A in algebras for which in ("k", "free")]
+    pairs = [(A, M) for A in algebras for M in (kept_k(A), _free_bimodule(A))]
     Lam, P2 = algebras[0], algebras[4]
     pairs.append((Lam, build_module(Lam, "suspended-k", n=2)))
     pairs.append((Lam, build_module(Lam, "truncated-free", level=1)))

@@ -104,7 +104,7 @@ def _stages(text: str) -> int:
 
 def _field(args):
     try:
-        return GF(args.p) if args.p else QQ
+        return QQ if args.p is None else GF(args.p)
     except ValueError as exc:
         raise SystemExit2(str(exc))
 

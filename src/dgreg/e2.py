@@ -87,7 +87,12 @@ class HModule:
 
 
 def graded_commutativity_violations(A: DGAlgebra) -> list:
-    """Pairs of H(A)-classes with xy != (-1)^{|x||y|} yx up to coboundary."""
+    """Pairs of H(A)-classes with xy != (-1)^{|x||y|} yx up to coboundary.
+    Computed once and kept on A; each call gets its own list."""
+    return list(A.kept("graded commutativity violations", lambda: _graded_commutativity_violations(A)))
+
+
+def _graded_commutativity_violations(A: DGAlgebra) -> list:
     F = A.field
     h = kept_cohomology(A)
     out = []

@@ -168,4 +168,8 @@ QQ = FieldSpec(0)
 
 
 def GF(p: int) -> FieldSpec:
+    """F_p for a prime p below 2**31.  0 is refused as any other non-prime
+    is, though ``FieldSpec(0)`` is Q."""
+    if p == 0:
+        raise ValueError(f"modulus {p} is not a prime below 2**31")
     return FieldSpec(p)

@@ -45,7 +45,6 @@ from .lincomb import cneg
 from .linalg import kernel_mod_images
 from .module import (
     DGModule,
-    LEFT,
     ModuleMorphism,
     _dual_label,
     _h_certified,
@@ -359,10 +358,11 @@ class KoszulReport:
 
 
 def kept_k(A: DGAlgebra) -> DGModule:
-    """A's canonical left module k, built once per algebra object and kept
-    on it, so that its resolution per stage budget (:func:`resolved`) is
-    kept too."""
-    return A.kept("canonical k", lambda: canonical_k(A, side=LEFT))
+    """A's canonical module k as a bimodule, built once per algebra object
+    and kept on it, so that its resolution per stage budget
+    (:func:`resolved`, of its left restriction) is kept too.  It is the k
+    of the catalog sweep's pairs (``catalog.catalog_pairs``)."""
+    return A.kept("canonical k", lambda: canonical_k(A))
 
 
 def koszul_test(X, max_stages: int = 8) -> KoszulReport:

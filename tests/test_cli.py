@@ -188,6 +188,19 @@ def test_integer_options_follow_the_document_grammar(lam_file, capsys):
         assert f"invalid int value: {argv[-1]!r}" in capsys.readouterr().err
 
 
+def test_a_modulus_of_zero_exits_two(tmp_path, capsys):
+    # F_0 is no field: --p 0 and a document over F0 are refused as --p 4
+    # is, not read as Q
+    refused = "modulus 0 is not a prime below 2**31\n"
+    for argv in (["catalog", "--family", "square-zero", "--p", "0"], ["check-regularity", "--p", "0"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr() == ("", "error: " + refused)
+    doc = tmp_path / "f0.dg"
+    doc.write_text(LAMBDA_DOC.replace("over Q", "over F0", 1))
+    assert main(["validate", str(doc)]) == 2
+    assert capsys.readouterr() == ("", "error: line 1, column 21: " + refused)
+
+
 def test_a_file_that_is_not_utf8_exits_two(tmp_path, capsys):
     doc = tmp_path / "latin1.dg"
     doc.write_bytes(b"algebra A over Q window 0..2\nbasis 0: one\xff\nunit one\n")

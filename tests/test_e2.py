@@ -18,6 +18,22 @@ def test_graded_commutativity_of_catalog():
     assert graded_commutativity_violations(exterior_algebra(3)) == []
 
 
+def test_graded_commutativity_is_checked_once_per_algebra(monkeypatch):
+    from dgreg import e2
+
+    checked = []
+    real = e2._graded_commutativity_violations
+    monkeypatch.setattr(e2, "_graded_commutativity_violations", lambda A: checked.append(A) or real(A))
+    A = polynomial_algebra(2)
+    M = free_module(A, side="bi")
+    for _ in range(2):
+        cech_e2(A, M, [{"t1": QQ.one()}])
+    assert checked == [A]
+    # a caller that extends its list changes no later call
+    graded_commutativity_violations(A).append(((0, 0), (0, 0)))
+    assert graded_commutativity_violations(A) == [] and checked == [A]
+
+
 def test_page_of_k_over_polynomial2():
     # H(A) = k[x], |x| = 2; H(M) = k: single entry (0, 0), Cech complex k -> 0
     A = polynomial_algebra(2)

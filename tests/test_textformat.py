@@ -183,6 +183,18 @@ def test_numbers_outside_the_grammar_are_parse_errors(number):
         QQ.parse(number)
 
 
+@pytest.mark.parametrize("p", [0, 1, 4])
+def test_a_modulus_that_is_not_prime_is_a_parse_error(p):
+    # F0 is refused, not read as Q
+    with pytest.raises(ParseError) as err:
+        parse_document(f"algebra A over F{p} window 0..2\nbasis 0: one\nunit one\n")
+    assert (err.value.line_no, err.value.column) == (1, 16)
+    assert err.value.message == f"modulus {p} is not a prime below 2**31"
+    with pytest.raises(ValueError) as refused:
+        GF(p)
+    assert str(refused.value) == err.value.message
+
+
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no limit on int conversion")
 def test_numbers_too_long_to_convert_are_parse_errors():
     big = "9" * (sys.get_int_max_str_digits() + 1)

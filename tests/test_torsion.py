@@ -416,6 +416,34 @@ def test_what_a_module_keeps_is_shared_without_leaking(field):
         assert kept_cohomology(M) is kept_cohomology(M)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
+def test_a_repeated_duality_check_computes_nothing_new(field, monkeypatch):
+    from dgreg import module, resolution, torsion
+    from dgreg.catalog import catalog_pairs
+
+    ran = []
+    for home, name in ((resolution, "semifree_resolve"), (torsion, "hom_from_ledger"), (module, "cohomology")):
+        def spy(*args, _real=getattr(home, name), _name=name, **kwargs):
+            ran.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(home, name, spy)
+    pairs = catalog_pairs(field)
+    Lam, P1 = ({A.name: A for A, _ in pairs}[name] for name in ("Lambda", "Poly1"))
+    pairs += [(Lam, build_module(Lam, "suspended-k", n=1)), (Lam, build_module(Lam, "suspended-k", n=-2)),
+              (P1, build_module(P1, "truncated-free", level=2)),
+              (P1, suspend(build_module(P1, "truncated-free", level=1), 1))]
+    checks = {"local": local_duality_check, "double": double_duality_check}
+    for A, M in pairs:
+        r = detect_regime(A)
+        # each check on a fresh copy of M, so nothing kept on M is read
+        want = {(name, s): _check_json(check(replace(M), r, s)) for name, check in checks.items() for s in (2, 3)}
+        for repeat in (False, True):
+            ran.clear()
+            for (name, s), json_ in want.items():
+                assert _check_json(checks[name](M, r, s)) == json_, (A.name, M.name, name, s)
+            assert (ran == []) == repeat, (A.name, M.name, ran)
+
+
 # ---- objects kept on the algebra ------------------------------------------------
 
 def _fresh_pair_values(A, stages):
@@ -432,21 +460,18 @@ def test_check_regularity_sweep_computes_extreg_k_and_cmreg_a_once_per_algebra(m
     from dgreg.cli import main
     from dgreg.homtensor import _free_bimodule
 
-    computed = []   # (which computation, module, stage budget) of each computation
-    swept = []      # the modules of the sweep's pairs
+    swept = []      # the sweep's (algebra, module) pairs
+    computed = {"resolve": [], "cmreg": []}  # (module, stage budget) of each computation
     real_pairs = catalog.catalog_pairs
 
     def pairs(field):
         out = real_pairs(field)
-        swept.extend(M for _, M in out)
+        swept.extend(out)
         return out
 
     def spy(name, real):
         def wrapped(M, *args):
-            # k and A are resolved, and CMreg A computed, on modules kept on
-            # A for them, and a pair's own values on the pair's module
-            if not any(M is N for N in swept):
-                computed.append((name, M, args[-1]))
+            computed[name].append((M, args[-1]))
             return real(M, *args)
         return wrapped
 
@@ -457,23 +482,21 @@ def test_check_regularity_sweep_computes_extreg_k_and_cmreg_a_once_per_algebra(m
     assert main(["check-regularity", "--stages", "6", "--out", str(out)]) in (0, 3)
     monkeypatch.undo()
 
-    def which(name, M):
-        A = M.algebra
-        if M is kept_k(A):
-            return name + " k"
-        assert M is _free_bimodule(A), M.name
-        return name + " A"
-
-    keys = [(which(name, M), id(M.algebra), stages) for name, M, stages in computed]
-    assert len(keys) == len(set(keys)), "a computation ran twice for one algebra"
-    assert {stages for _, _, stages in keys} == {6}
+    # each algebra's k and free module are the ones kept on it, which
+    # Extreg k and CMreg A read
+    algebras = list({id(A): A for A, _ in swept}.values())
+    assert len(algebras) == 6
+    for A in algebras:
+        own = [M for B, M in swept if B is A]
+        assert own[0] is kept_k(A) and own[1] is _free_bimodule(A), A.name
+    # every computation is on a module of the sweep, once per module and budget
+    for name, calls in computed.items():
+        assert all(any(M is N for _, N in swept) for M, _ in calls), name
+        assert len({(id(M), s) for M, s in calls}) == len(calls), name
+        assert {s for _, s in calls} == {6}, name
+    # one resolution per module of the sweep's 15 pairs, k and A included
+    assert len(computed["resolve"]) == len(swept) == 15
     results = [r for r in json.loads(out.read_text())["results"] if "values" in r]
-    algebras = {id(M.algebra) for _, M, _ in computed}
-    # one resolution of k and one CMreg A per algebra; A itself is resolved
-    # only where Gamma is not the identity
-    once = [key for key in keys if key[0] in ("resolve k", "cmreg A")]
-    assert len(once) == 2 * len(algebras) == 12 < 2 * len(results)
-    assert {key[0] for key in keys} <= {"resolve k", "cmreg A", "resolve A"}
     fresh = {A.name: _fresh_pair_values(A, 6) for A in catalog_algebras(QQ)}
     for r in results:
         assert (r["values"]["extreg_k"], r["values"]["cmreg_a"]) == fresh[r["algebra"]], r
