@@ -24,13 +24,10 @@ for its stage budget (``resolution.resolved``): :func:`gamma` (N (x) P
 with the Cech carrier), :func:`cm_reg` (sup H of Gamma M) and
 :func:`apply_duality` (Hom(P, D)), so M is resolved once however many
 checks run on it, in any order.  A module also keeps its H report
-(``module.kept_cohomology``), and per stage budget its CMreg value and
-its local and double duality reports (each call gets its own copy of a
-report), but no complex; ``semifree_resolve`` and ``cohomology`` keep
-nothing.  Nothing built from M together with another object is kept:
-not Gamma M, RHom(M, D) or an opposite.  Each check reads the regime
-claim it is handed before any kept value, so a contradicted claim
-raises on every call.
+(``module.kept_cohomology``) and its CMreg value per stage budget, but
+no complex; ``semifree_resolve`` and ``cohomology`` keep nothing.
+Nothing built from M together with another object is kept: not Gamma
+M, RHom(M, D) or an opposite.
 
 What depends on A alone is computed once and kept on A (see
 ``Presentation.kept``): the detected regime, the dualizing module D and
@@ -64,7 +61,6 @@ that needs them is indeterminate when they fail.
 
 from __future__ import annotations
 
-from copy import deepcopy
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import DGAlgebra
@@ -412,17 +408,12 @@ def local_duality_check(M: DGModule, regime: TorsionRegime | None = None, max_st
     In the finite regime the left side is computed honestly as M* (Gamma
     is the identity); in the polynomial regime both sides are built from
     the same ledger resolution and carry identical frontier
-    contributions, which therefore cancel in the comparison.  The report
-    is kept on M per stage budget; each call gets its own copy.
+    contributions, which therefore cancel in the comparison.
     """
-    _regime(M.algebra, regime)
-    return deepcopy(M.kept(("local-duality", max_stages), lambda: _local_duality_check(M, max_stages)))
-
-
-def _local_duality_check(M: DGModule, max_stages: int) -> CheckReport:
+    regime = _regime(M.algebra, regime)
     D = dualizing_module(M.algebra)
     rhs, res, contam_rhs, notes = apply_duality(M, D, max_stages)
-    if detect_regime(M.algebra).kind == "finite":
+    if regime.kind == "finite":
         lhs, contam_lhs = linear_dual(M), {}
     else:
         g = gamma(M, max_stages=max_stages)
@@ -463,16 +454,10 @@ def double_duality_check(M: DGModule, regime: TorsionRegime | None = None, max_s
     Both Hom steps use ledger resolutions; un-killed cone classes of
     either resolution contribute known shifted copies of k whose dual
     dimensions are subtracted before comparing, under the bookkeeping
-    hypotheses of the module docstring.  The report is kept on M per
-    stage budget; each call gets its own copy.
+    hypotheses of the module docstring.
     """
-    _regime(M.algebra, regime)
-    return deepcopy(M.kept(("double-duality", max_stages), lambda: _double_duality_check(M, max_stages)))
-
-
-def _double_duality_check(M: DGModule, max_stages: int) -> CheckReport:
     A = M.algebra
-    D = dualizing_module(A)
+    D = dualizing_module(A, regime)
     X, res_in, contam_in, notes = apply_duality(M, D, max_stages)
     D_op = A.kept("dualizing opposite", lambda: to_opposite(D))
     Z, res_out, contam_out, n2 = apply_duality(to_opposite(X), D_op, max_stages)

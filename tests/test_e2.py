@@ -24,9 +24,9 @@ def test_graded_commutativity_is_checked_once_per_algebra(monkeypatch):
     checked = []
     real = e2._graded_commutativity_violations
     monkeypatch.setattr(e2, "_graded_commutativity_violations", lambda A: checked.append(A) or real(A))
+    # the pages of A and of k over one algebra, as demos/e2_pages.py draws them
     A = polynomial_algebra(2)
-    M = free_module(A, side="bi")
-    for _ in range(2):
+    for M in (free_module(A, side="bi"), canonical_k(A, side="left")):
         cech_e2(A, M, [{"t1": QQ.one()}])
     assert checked == [A]
     # a caller that extends its list changes no later call

@@ -416,34 +416,6 @@ def test_what_a_module_keeps_is_shared_without_leaking(field):
         assert kept_cohomology(M) is kept_cohomology(M)
 
 
-@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
-def test_a_repeated_duality_check_computes_nothing_new(field, monkeypatch):
-    from dgreg import module, resolution, torsion
-    from dgreg.catalog import catalog_pairs
-
-    ran = []
-    for home, name in ((resolution, "semifree_resolve"), (torsion, "hom_from_ledger"), (module, "cohomology")):
-        def spy(*args, _real=getattr(home, name), _name=name, **kwargs):
-            ran.append(_name)
-            return _real(*args, **kwargs)
-        monkeypatch.setattr(home, name, spy)
-    pairs = catalog_pairs(field)
-    Lam, P1 = ({A.name: A for A, _ in pairs}[name] for name in ("Lambda", "Poly1"))
-    pairs += [(Lam, build_module(Lam, "suspended-k", n=1)), (Lam, build_module(Lam, "suspended-k", n=-2)),
-              (P1, build_module(P1, "truncated-free", level=2)),
-              (P1, suspend(build_module(P1, "truncated-free", level=1), 1))]
-    checks = {"local": local_duality_check, "double": double_duality_check}
-    for A, M in pairs:
-        r = detect_regime(A)
-        # each check on a fresh copy of M, so nothing kept on M is read
-        want = {(name, s): _check_json(check(replace(M), r, s)) for name, check in checks.items() for s in (2, 3)}
-        for repeat in (False, True):
-            ran.clear()
-            for (name, s), json_ in want.items():
-                assert _check_json(checks[name](M, r, s)) == json_, (A.name, M.name, name, s)
-            assert (ran == []) == repeat, (A.name, M.name, ran)
-
-
 # ---- objects kept on the algebra ------------------------------------------------
 
 def _fresh_pair_values(A, stages):
