@@ -37,7 +37,8 @@ Leibniz d(ma) = d(m)a + (-1)^{|m|} m d(a) with the last factor a in
 S u {1}.
 
 Each reduced check only ever decides "no violation", and only when A is
-connected and unital and its product and action tables are graded; the
+connected and unital and no table entry leaves its target degree (one
+that does is a ``degree`` violation; d raises degree by one); the
 products S is computed from are recorded, as every basis degree lies in
 the window.  Algebra Leibniz needs A associative by its reduced check
 too.  A module's checks need A's whole reduced report empty
@@ -420,15 +421,19 @@ def _labels(X) -> list:
     return [(lbl, d) for d in X.degrees() for lbl in X.basis_at(d)]
 
 
-def _graded(table, X, U, V) -> bool:
-    """Whether each entry ``table[(u, v)]``, with u a label of U and v one
-    of V, is a combination of labels of X in degree |u| + |v|."""
-    for (u, v), c in table.items():
-        if u in U._deg and v in V._deg:
-            n = U._deg[u] + V._deg[v]
-            if any(X._deg.get(t) != n for t in c):
-                return False
-    return True
+def _degree_violations(X, table, U, V=None) -> list:
+    """A "degree" violation for each entry of ``table`` with a term of X
+    outside its target degree: |u| + |v| for the product or action
+    ``table[(u, v)]`` of a label of U by one of V, |u| + 1 for the
+    differential ``table[u]`` (no V).  An entry keyed by a label U or V
+    lacks is skipped."""
+    out, deg = [], X._deg
+    for key, c in table.items():
+        u, v = (key, None) if V is None else key
+        n, m = U._deg.get(u), 1 if V is None else V._deg.get(v)
+        if n is not None and m is not None and any(deg.get(t) != n + m for t in c):
+            out.append(Violation("degree", (u,) if V is None else key, f"a term is not in degree {n + m}"))
+    return out
 
 
 def _connected_unital(A: DGAlgebra) -> list:
@@ -456,11 +461,8 @@ def _connected_unital(A: DGAlgebra) -> list:
 
 
 def _generators(A: DGAlgebra):
-    """The generators S of the module docstring for a connected unital A,
-    or None when its product table is not graded.  A degree's products
-    stop once they span it."""
-    if not _graded(A.mul, A, A, A):
-        return None
+    """The generators S of the module docstring for a connected unital A
+    whose tables are graded.  A degree's products stop once they span it."""
     positive = [(a, da) for a, da in _labels(A) if da >= 1]
     gens = set()
     for n in A.degrees():
@@ -520,7 +522,7 @@ def _checked(A: DGAlgebra) -> tuple:
     axioms, and the generators S when there are none, else None.  Decided
     once per algebra and kept on it."""
     def decide():
-        out = _connected_unital(A)
+        out = _connected_unital(A) + _degree_violations(A, A.mul, A, A) + _degree_violations(A, A.diff, A)
         gens = None if out else _generators(A)
         out += _d_squared(A, "d(d(b)) is nonzero")
         assoc = _by_generators(lambda firsts: _associativity(A, firsts), gens, A._deg)

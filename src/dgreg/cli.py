@@ -275,9 +275,13 @@ def cmd_check_regularity(args) -> int:
 
     results = []
     if args.file:
+        if args.p is not None:
+            raise SystemExit2("--p applies to the catalog sweep only: a document names its own field")
         M = _pick(_load(args.file), MODULE, args.module)
         pairs = [(M.algebra, M)]
     else:
+        if args.module is not None:
+            raise SystemExit2("--module needs a FILE: the catalog sweep picks its own modules")
         pairs = catalog_pairs(_field(args))
     worst = OK
     lines = []
@@ -410,9 +414,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("check-regularity", help="regularity inequalities (file or catalog sweep)")
     sp.add_argument("file", nargs="?", help="presentation document (omit to sweep the catalog)")
-    sp.add_argument("--module", help="module name")
+    sp.add_argument("--module", help="module name (with a FILE only)")
     sp.add_argument("--stages", type=_stages, default=8)
-    sp.add_argument("--p", type=_int, help="sweep over F_p instead of Q")
+    sp.add_argument("--p", type=_int, help="sweep over F_p instead of Q (without a FILE only)")
     sp.add_argument("--out", help="write the machine-readable JSON report here")
     sp.set_defaults(fn=cmd_check_regularity, row=None)
 

@@ -12,6 +12,9 @@ on N; Koszul signs as documented on each function.  Both come out of
 one loop over the cells (x, g) of :func:`ledger_cells`, and the free
 module |P| itself is realized as A tensor_A P.
 
+Each builder returns the complex alone: what a partial resolution's
+frontier adds to its H is stated by ``dgreg.torsion.DerivedComplex``.
+
 Basis labels (``x|g`` for tensor, ``g|x`` for Hom) are for display
 only; no code parses them.  A caller that needs the (x, g) behind a
 basis position reads it from :func:`ledger_cells`, the enumeration the
@@ -94,8 +97,6 @@ def _ledger_complex(L, N, window, sign, label, rules, act, side, name):
     there.  Without ``act`` the output is a bare complex, kept as a
     module on the other side with the unit action alone so that
     validation is meaningful.
-
-    Returns (module, notes).
     """
     A = L.algebra
     F = N.field
@@ -104,12 +105,6 @@ def _ledger_complex(L, N, window, sign, label, rules, act, side, name):
     trust = Trust.everywhere()
     for g in L.gens:
         trust = trust.meet(N.trust.shift(sign * g.degree))
-    notes = []
-    if L.ledger_bound is not None:
-        notes.append(
-            f"ledger not known complete beyond degree {L.ledger_bound}; the complex "
-            "models the derived functor up to the recorded frontier contributions"
-        )
     alg = _labels(A) if act is not None else ()
     diff, acts = {}, {}
     for n, row in cells.items():
@@ -144,9 +139,8 @@ def _ledger_complex(L, N, window, sign, label, rules, act, side, name):
         lact, ract = {}, {(m, a): combo for (a, m), combo in acts.items()}
     # each cell's differential is clean and each action entry a product of
     # nonzero scalars at distinct cells, so every table is already clean
-    out = DGModule._built(name=name, algebra=A, side=side, window=window, basis=basis,
-                          lact=lact, ract=ract, diff=diff, trust=trust)
-    return out, notes
+    return DGModule._built(name=name, algebra=A, side=side, window=window, basis=basis,
+                           lact=lact, ract=ract, diff=diff, trust=trust)
 
 
 def _free_bimodule(A):
@@ -195,7 +189,7 @@ def realize_ledger(L: SemifreeResolution, window: GradedWindow, name: str | None
     the copy of the tensor complex that carries it.
     """
     A = L.algebra
-    T, _ = tensor_module_ledger(
+    T = tensor_module_ledger(
         _free_bimodule(A), L, window,
         name=name or f"|{L.target.name if L.target else 'ledger'}|",
     )
@@ -208,7 +202,7 @@ def realize_ledger(L: SemifreeResolution, window: GradedWindow, name: str | None
 
 
 def hom_from_ledger(L: SemifreeResolution, N: DGModule, window: GradedWindow,
-                    name: str | None = None):
+                    name: str | None = None) -> DGModule:
     """The complex Hom_A(P, N) for a left-module ledger P and left module N.
 
     Degree-j part: product over generators g of N^{j+|g|}; the basis
@@ -216,8 +210,6 @@ def hom_from_ledger(L: SemifreeResolution, N: DGModule, window: GradedWindow,
     generators, extended by f(a p) = (-1)^{|f||a|} a f(p)).  Differential
     d(f) = d_N f - (-1)^{|f|} f d_P.  When N is a bimodule the output is
     a right module via (f.b)(e_g) = (-1)^{|b||g|} f(e_g) b.
-
-    Returns (module, notes); notes flag window-relative trust.
     """
     if not N.has_left:
         raise SideError("hom_from_ledger needs a left action on N")
@@ -255,15 +247,13 @@ def _tensor_rules(N: DGModule, degree_of, ledger_diff: dict):
 
 
 def tensor_module_ledger(N: DGModule, L: SemifreeResolution, window: GradedWindow,
-                         name: str | None = None):
+                         name: str | None = None) -> DGModule:
     """The complex N tensor_A P for a right module N and left-ledger P.
 
     Degree-n part: sum over generators g of N^{n-|g|}; basis element
     (n : g) is n tensor e_g.  d(n e_g) = (dn) e_g +
     (-1)^{|n|} sum_h (n a_{gh}) e_h.  When N is a bimodule the output is
     a left module via a (n e_g) = (a n) e_g.
-
-    Returns (module, notes).
     """
     if not N.has_right:
         raise ValueError("tensor_module_ledger needs a right action on N")

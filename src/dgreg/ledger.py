@@ -33,10 +33,11 @@ class SemifreeResolution:
     target module (resolutions only).
 
     Completeness is window-relative: ``scan`` is the degree range over
-    which the mapping cone of the augmentation was checked, ``frontier``
-    the lowest scanned degree where its cohomology persists (None when
-    the cone is acyclic on the whole scan range).  ``residual`` records
-    the per-degree cone cohomology left after the last stage.
+    which the mapping cone of the augmentation was checked, and
+    ``residual`` the per-degree cone cohomology left on it after the last
+    stage; ``frontier`` is its lowest degree (None when the cone is
+    acyclic on the whole scan), read from ``residual`` as
+    ``scan_everywhere`` is from ``scan``.
     ``bookkeeping_ok`` is True when no class is left, or when H(eps) is
     onto and every residual class is killed by A^{>=1}: the hypotheses
     under which the duality checks subtract the residual classes.  Only
@@ -49,8 +50,6 @@ class SemifreeResolution:
     aug: dict = dc_field(default_factory=dict)
     target: DGModule | None = None
     scan: Trust = dc_field(default_factory=Trust.everywhere)
-    scan_everywhere: bool = False
-    frontier: int | None = None
     residual: dict = dc_field(default_factory=dict)
     stages_used: int = 0
     bookkeeping_ok: bool = False
@@ -65,6 +64,14 @@ class SemifreeResolution:
     @property
     def minimal(self) -> bool:
         return is_minimal_ledger(self.algebra, self.diff)[0]
+
+    @property
+    def frontier(self) -> int | None:
+        return min(self.residual, default=None)
+
+    @property
+    def scan_everywhere(self) -> bool:
+        return self.scan.is_everywhere
 
     @property
     def complete(self) -> bool:
@@ -147,5 +154,4 @@ def make_ledger(algebra: DGAlgebra, gens, diff, aug=None, target=None) -> Semifr
 
 def free_ledger(A: DGAlgebra, degree: int = 0, label: str = "e0") -> SemifreeResolution:
     """The rank-one free ledger: A itself, one generator, zero differential."""
-    return SemifreeResolution(algebra=A, gens=(Generator(label, degree, 0),), diff={},
-                              scan_everywhere=True)
+    return SemifreeResolution(algebra=A, gens=(Generator(label, degree, 0),), diff={})

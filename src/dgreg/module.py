@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .algebra import (
     DGAlgebra, Presentation, ValidationReport, Violation, _associative, _by_generators, _chain,
-    _checked, _d_squared, _graded, _labels, _leibniz, _multiplicative, _unknown_label, diff_columns,
+    _checked, _d_squared, _degree_violations, _labels, _leibniz, _multiplicative, _unknown_label, diff_columns,
 )
 from .fields import FieldSpec
 from .lincomb import ceq, cextend, cscale, czero
@@ -132,9 +132,10 @@ def validate_module(M: DGModule) -> ValidationReport:
                 unital = False
                 out.append(Violation("unit-action-right", (m, A.unit), "m.1 differs from m"))
 
-    gens = None
-    if unital and _graded(M.lact, M, A, M) and _graded(M.ract, M, M, A):
-        gens = _checked(A)[0]
+    degree = (_degree_violations(M, M.lact, A, M) + _degree_violations(M, M.ract, M, A)
+              + _degree_violations(M, M.diff, M))
+    out += degree
+    gens = _checked(A)[0] if unital and not degree else None
     assoc = _by_generators(lambda gs: _action_associativity(M, gs), gens, A._deg)
     firsts = None if gens is None or assoc else gens | {A.unit}
     out += _by_generators(lambda fs: _module_leibniz(M, fs), firsts, A._deg)

@@ -186,12 +186,10 @@ def semifree_resolve(M: DGModule, max_stages: int = 8) -> SemifreeResolution:
         quotients = {d: s.quotient() for d, s in state.items() if dim(d)}
         if stage == 0:
             h_m = quotients  # the cone of the empty ledger is M
-        scan_everywhere = cone_trust.is_everywhere
         residual = {d: q.dim for d, q in quotients.items() if q.dim and scan.contains(d)}
-        frontier = min(residual, default=None)
         if not residual or stage == max_stages:
             break
-        j = frontier
+        j = min(residual)
         new = []
         for rep in quotients[j].representatives:
             m_part, rows = _split_cone_class(M, cells.get(j + 1, ()), j, rep)
@@ -223,8 +221,7 @@ def semifree_resolve(M: DGModule, max_stages: int = 8) -> SemifreeResolution:
 
     return SemifreeResolution(
         algebra=A, gens=tuple(gens), diff=diff, aug=aug, target=M, scan=scan,
-        scan_everywhere=scan_everywhere, frontier=frontier, residual=residual,
-        stages_used=stage,
+        residual=residual, stages_used=stage,
         bookkeeping_ok=not residual or _bookkeeping_holds(
             M, AA, h_m, quotients, residual, cells, pos, dim),
     )
@@ -402,9 +399,9 @@ def extreg_symmetry(A: DGAlgebra, max_stages: int = 8) -> dict:
 
     window = GradedWindow(min(-1, -abs(A.window.hi)), A.window.hi)
     kr = canonical_k(A, side="right", name="k")
-    t_l, _ = tensor_module_ledger(kr, res_l, window)
+    t_l = tensor_module_ledger(kr, res_l, window)
     kr_op = canonical_k(A_op, side="right", name="k")
-    t_r, _ = tensor_module_ledger(kr_op, res_r, window)
+    t_r = tensor_module_ledger(kr_op, res_r, window)
     dims_l = {d: t_l.dim(d) for d in t_l.degrees()}
     dims_r = {d: t_r.dim(d) for d in t_r.degrees()}
     counts_match = res_l.counts_by_degree() == res_r.counts_by_degree()

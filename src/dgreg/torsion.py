@@ -40,15 +40,16 @@ clean by construction, so they skip ``Presentation._clean``.
 
 Partial resolutions contaminate the Hom/tensor complexes with shifted
 copies of k coming from the un-killed cone classes; :func:`gamma` and
-:func:`apply_duality` each state where theirs land, and the duality
-checks account for those contributions explicitly instead of
-pretending the complexes are exact.
+:func:`apply_duality` each return a :class:`DerivedComplex` saying where
+and how much, and CMreg and the duality checks account for those
+contributions explicitly instead of pretending the complexes are exact.
 
 Frontier window: a residual cone class of a resolution P in degree g
 lands at g+1 in N (x) P and at -g-1 in Hom(P, N).  Classes outside the
 resolution's scan are unrecorded, so a comparison of H against the
 derived functor is made only on the certified window of the complex's
-cohomology met with the scan shifted up one degree (its flip for Hom).
+cohomology met with the scan shifted up one degree (its flip for Hom),
+the record's ``landing``; ``DerivedComplex.over`` alone states this rule.
 
 Bookkeeping hypotheses: the contamination is subtracted only when the
 residual classes are killed by A^{>=1} (so each is a shifted copy of k)
@@ -162,12 +163,6 @@ def _regime(A: DGAlgebra, claimed: TorsionRegime | None = None) -> TorsionRegime
     return regime
 
 
-def _landing(res: SemifreeResolution) -> Trust:
-    """The degrees of N (x) P where the residual cone classes of ``res``
-    are recorded; its flip is the same window for Hom(P, N)."""
-    return res.scan.shift(-1)
-
-
 # -- explicit carriers -------------------------------------------------------
 
 
@@ -257,18 +252,32 @@ def twist_nontriviality(d: int, field: FieldSpec) -> bool:
 
 
 @dataclass
-class GammaResult:
+class DerivedComplex:
+    """A derived-functor complex N (x) P or Hom(P, N) over a resolution P,
+    with what P's frontier adds to its H and where that is recorded."""
+
     value: DGModule
     resolution: SemifreeResolution | None
     contamination: dict      # degree -> dim of known spurious H from the frontier
+    landing: Trust
     notes: list
 
     @property
     def exact(self) -> bool:
         return not self.contamination
 
+    @classmethod
+    def over(cls, value: DGModule, res: SemifreeResolution, hom: bool = False) -> "DerivedComplex":
+        """The record of ``value``, N (x) P over ``res`` (Hom(P, N) when
+        ``hom``), by the frontier rule of the module docstring."""
+        s, landing = (-1, res.scan.shift(-1).flip()) if hom else (1, res.scan.shift(-1))
+        notes = [] if res.ledger_bound is None else [
+            f"ledger not known complete beyond degree {res.ledger_bound}; the complex "
+            "models the derived functor up to the recorded frontier contributions"]
+        return cls(value, res, {s * (g + 1): n for g, n in res.residual.items()}, landing, notes)
 
-def gamma(M: DGModule, regime: TorsionRegime | None = None, max_stages: int = 8) -> GammaResult:
+
+def gamma(M: DGModule, regime: TorsionRegime | None = None, max_stages: int = 8) -> DerivedComplex:
     """A complex computing the derived torsion of M.
 
     Finite regime: M itself (the counit of the adjunction is an
@@ -279,17 +288,16 @@ def gamma(M: DGModule, regime: TorsionRegime | None = None, max_stages: int = 8)
     Gamma k = k per class, one degree up), reported as contamination.
     """
     if _regime(M.algebra, regime).kind == "finite":
-        return GammaResult(M, None, {}, ["finite regime: Gamma is the identity (counit iso)"])
+        return DerivedComplex(M, None, {}, Trust.everywhere(), ["finite regime: Gamma is the identity (counit iso)"])
     res = resolved(M, max_stages)
     C = cech_carrier(M.algebra)
     lo = C.window.lo + (res.min_gen_degree() or 0)
     hi = max(C.window.hi, M.window.hi) + max(0, res.max_gen_degree() or 0) + 1
     window = GradedWindow(max(lo, -GLOBAL_DEGREE_BOUND), min(hi, GLOBAL_DEGREE_BOUND))
-    T, notes = tensor_module_ledger(C, res, window, name=f"Gamma({M.name})")
-    contamination = {g + 1: n for g, n in res.residual.items()}
-    if contamination:
-        notes.append("incomplete resolution: contamination dims recorded one degree above each residual cone class")
-    return GammaResult(T, res, contamination, notes)
+    g = DerivedComplex.over(tensor_module_ledger(C, res, window, name=f"Gamma({M.name})"), res)
+    if g.contamination:
+        g.notes.append("incomplete resolution: contamination dims recorded one degree above each residual cone class")
+    return g
 
 
 def cm_reg(M: DGModule, regime: TorsionRegime | None = None, max_stages: int = 8) -> RegularityValue:
@@ -311,32 +319,24 @@ def _cm_reg(M: DGModule, max_stages: int) -> RegularityValue:
         return RegularityValue.at_least(M.window.lo, "no cohomology in window")
     g = gamma(M, max_stages=max_stages)
     h = kept_cohomology(g.value)
-    cmp_trust = h.certified if g.resolution is None else h.certified.meet(_landing(g.resolution))
-    dims = {d: n for d, n in h.dims.items() if cmp_trust.contains(d)}
-    indeterminate = False
-    for dgr, n in g.contamination.items():
-        if not cmp_trust.contains(dgr):
-            continue
-        have = dims.get(dgr, 0)
-        if have < n:
-            indeterminate = True
-        else:
-            rest = have - n
-            if rest:
-                dims[dgr] = rest
-            else:
-                dims.pop(dgr, None)
+    cmp_trust = h.certified.meet(g.landing)
+    # less contamination; a dimension it exceeds stays, and is indeterminate
+    dims, indeterminate = {}, False
+    for d in set(h.dims) | set(g.contamination):
+        if cmp_trust.contains(d):
+            n = h.dim(d) - g.contamination.get(d, 0)
+            if n < 0:
+                n, indeterminate = h.dim(d), True
+            if n:
+                dims[d] = n
     if not dims:
         return RegularityValue.neg_infinity("Gamma M has no cohomology in window")
     sup = max(dims)
     # vanishing above sup is certified when the raw complex is trusted
     # unboundedly above and shows nothing there beyond accounted junk
-    certified = h.certified.hi is None and not indeterminate
-    for j in h.dims:
-        if j > sup and not cmp_trust.contains(j):
-            certified = False
-    if g.contamination and not g.resolution.bookkeeping_ok:
-        certified = False
+    certified = (h.certified.hi is None and not indeterminate
+                 and all(cmp_trust.contains(j) for j in h.dims if j > sup)
+                 and (g.exact or g.resolution.bookkeeping_ok))
     if certified:
         return RegularityValue.exact(sup, "sup of H(Gamma M), vanishing above certified")
     return RegularityValue.at_least(sup, "window or contamination limits certification")
@@ -345,13 +345,12 @@ def _cm_reg(M: DGModule, max_stages: int) -> RegularityValue:
 # -- duality ------------------------------------------------------------------
 
 
-def apply_duality(M: DGModule, D: DGModule, max_stages: int = 8):
+def apply_duality(M: DGModule, D: DGModule, max_stages: int = 8) -> DerivedComplex:
     """RHom_A(M, D) as the Hom complex from the resolution of M kept for
-    ``max_stages`` stages.
-
-    Returns (complex, resolution, contamination, notes); contamination
-    maps degree j to the known spurious H-dimension residual(-j-1)
-    contributed by un-killed cone classes of a partial resolution.
+    ``max_stages`` stages, in its :class:`DerivedComplex` record, whose
+    contamination maps degree j to the known spurious H-dimension
+    residual(-j-1) contributed by un-killed cone classes of a partial
+    resolution.
 
     D must be the dualizing module (or its opposite): the rule
     {-(g+1): n} assumes RHom_A(k, D) is k in degree 0, one copy per
@@ -367,9 +366,7 @@ def apply_duality(M: DGModule, D: DGModule, max_stages: int = 8):
         lo = supp[0] - (res.max_gen_degree() or 0) - 1
         hi = supp[1] - (res.min_gen_degree() or 0) + 1
         window = GradedWindow(max(lo, -GLOBAL_DEGREE_BOUND), min(hi, GLOBAL_DEGREE_BOUND))
-    X, notes = hom_from_ledger(res, D, window, name=f"RHom({M.name},{D.name})")
-    contamination = {-(g + 1): n for g, n in res.residual.items()}
-    return X, res, contamination, notes
+    return DerivedComplex.over(hom_from_ledger(res, D, window, name=f"RHom({M.name},{D.name})"), res, hom=True)
 
 
 def _dims_table(cmp_trust: Trust, first, second):
@@ -412,17 +409,17 @@ def local_duality_check(M: DGModule, regime: TorsionRegime | None = None, max_st
     """
     regime = _regime(M.algebra, regime)
     D = dualizing_module(M.algebra)
-    rhs, res, contam_rhs, notes = apply_duality(M, D, max_stages)
+    X = apply_duality(M, D, max_stages)
     if regime.kind == "finite":
         lhs, contam_lhs = linear_dual(M), {}
     else:
         g = gamma(M, max_stages=max_stages)
-        lhs, contam_lhs = linear_dual(g.value), contam_rhs
-        notes += g.notes
-    h_rhs, h_lhs = kept_cohomology(rhs), kept_cohomology(lhs)
-    cmp_trust = h_rhs.certified.meet(h_lhs.certified).meet(_landing(res).flip())
+        lhs, contam_lhs = linear_dual(g.value), X.contamination
+        X.notes += g.notes
+    h_rhs, h_lhs = kept_cohomology(X.value), kept_cohomology(lhs)
+    cmp_trust = h_rhs.certified.meet(h_lhs.certified).meet(X.landing)
     table, negative, mismatch = _dims_table(
-        cmp_trust, ("gamma_dual", h_lhs, contam_lhs), ("rhom", h_rhs, contam_rhs))
+        cmp_trust, ("gamma_dual", h_lhs, contam_lhs), ("rhom", h_rhs, X.contamination))
     uncompared = sorted(
         d for d in set(h_rhs.dims) | set(h_lhs.dims)
         if not cmp_trust.contains(d)
@@ -430,21 +427,21 @@ def local_duality_check(M: DGModule, regime: TorsionRegime | None = None, max_st
     verdict = "holds"
     if negative:
         verdict = "indeterminate"
-        notes.append("contamination exceeded a computed dimension")
-    elif not res.bookkeeping_ok:
+        X.notes.append("contamination exceeded a computed dimension")
+    elif not X.resolution.bookkeeping_ok:
         verdict = "indeterminate"
-        notes.append("frontier bookkeeping hypotheses failed; mismatch not certified" if mismatch
-                     else "corrections used but their hypotheses could not be verified")
+        X.notes.append("frontier bookkeeping hypotheses failed; mismatch not certified" if mismatch
+                       else "corrections used but their hypotheses could not be verified")
     elif mismatch:
         verdict = "violated"
     if uncompared:
-        notes.append(f"degrees outside the comparison window were skipped: {uncompared}")
+        X.notes.append(f"degrees outside the comparison window were skipped: {uncompared}")
     return CheckReport(
         "local-duality",
         verdict,
         {"dims": {str(j): v for j, v in table.items()},
          "certified": cmp_trust.to_json()},
-        notes,
+        X.notes,
     )
 
 
@@ -458,18 +455,17 @@ def double_duality_check(M: DGModule, regime: TorsionRegime | None = None, max_s
     """
     A = M.algebra
     D = dualizing_module(A, regime)
-    X, res_in, contam_in, notes = apply_duality(M, D, max_stages)
+    X = apply_duality(M, D, max_stages)
     D_op = A.kept("dualizing opposite", lambda: to_opposite(D))
-    Z, res_out, contam_out, n2 = apply_duality(to_opposite(X), D_op, max_stages)
-    notes += n2
+    Z = apply_duality(to_opposite(X.value), D_op, max_stages)
+    notes = X.notes + Z.notes
 
-    h_z = kept_cohomology(Z)
+    h_z = kept_cohomology(Z.value)
     h_m = kept_cohomology(M)
     # inner residual classes land as in a tensor, outer ones as in a Hom
-    cmp_trust = (h_z.certified.meet(h_m.certified)
-                 .meet(_landing(res_out).flip()).meet(_landing(res_in)))
-    contam = {-j: n for j, n in contam_in.items()}
-    for j, n in contam_out.items():
+    cmp_trust = h_z.certified.meet(h_m.certified).meet(Z.landing).meet(X.landing.flip())
+    contam = {-j: n for j, n in X.contamination.items()}
+    for j, n in Z.contamination.items():
         contam[j] = contam.get(j, 0) + n
 
     table, negative, mismatch = _dims_table(
@@ -479,7 +475,7 @@ def double_duality_check(M: DGModule, regime: TorsionRegime | None = None, max_s
         notes.append(f"target cohomology outside the comparison window: {missed_target}")
         negative = True  # cannot certify recovery there
 
-    hypotheses_ok = res_in.bookkeeping_ok and res_out.bookkeeping_ok
+    hypotheses_ok = X.resolution.bookkeeping_ok and Z.resolution.bookkeeping_ok
     if negative or (mismatch and not hypotheses_ok):
         verdict = "indeterminate"
         notes.append("contamination bookkeeping not certified")

@@ -201,6 +201,20 @@ def test_a_modulus_of_zero_exits_two(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: line 1, column 21: " + refused)
 
 
+def test_check_regularity_refuses_an_option_its_mode_does_not_read(lam_file, capsys):
+    # a document names its own field, and the catalog sweep picks its own
+    # modules: --p with a FILE and --module without one were ignored
+    no_p = "error: --p applies to the catalog sweep only: a document names its own field\n"
+    no_module = "error: --module needs a FILE: the catalog sweep picks its own modules\n"
+    for p in ("4", "0", "7", "2"):
+        assert main(["check-regularity", lam_file, "--module", "k", "--p", p]) == 2, p
+        assert capsys.readouterr() == ("", no_p)
+    for argv in (["--module", "nope"], ["--module", "k"], ["--module", "k", "--p", "7"]):
+        assert main(["check-regularity"] + argv) == 2, argv
+        assert capsys.readouterr() == ("", no_module)
+    assert main(["check-regularity", lam_file, "--module", "k", "--stages", "2"]) == 0
+
+
 def test_a_file_that_is_not_utf8_exits_two(tmp_path, capsys):
     doc = tmp_path / "latin1.dg"
     doc.write_bytes(b"algebra A over Q window 0..2\nbasis 0: one\xff\nunit one\n")
@@ -479,43 +493,73 @@ CATALOG_DOCS = [
 ]
 
 
-@st.composite
-def _invocations(draw, path, out):
-    """argv for one row of the command table on a document: one drawn by
-    the parse fuzz strategy, with literals in and out of the grammar or
-    only with literals the field has, or a small catalog document.  Names
-    that exist or not, stage budgets in and out of range, every regime
-    choice and a bad one, --params built from the same literals, --out, and
-    a stray argument."""
-    row = draw(st.sampled_from(cli._commands()))
+STAGES = ["1", "2", "3", "0", "-1", "x", "1.5", "\u0662"]
+
+
+def _maybe(draw, values):
+    return draw(st.one_of(st.none(), st.sampled_from(values)))
+
+
+def _fuzz_document(draw):
+    """A document drawn by the parse fuzz strategy, with literals in and
+    out of the grammar or only with literals the field has, or a small
+    catalog document; and the modulus of its field (0 for Q)."""
     text = draw(st.one_of(_documents(), _documents(literal=_in_field), st.sampled_from(CATALOG_DOCS)))
     field = text.split()[3]
-    p = 0 if field == "Q" else int(field[1:])
-    names = {kind: re.findall(rf"^{kind} (\S+)", text, re.M) + ["nope"] for kind in ("algebra", "module")}
+    return text, 0 if field == "Q" else int(field[1:])
 
-    def maybe(values):
-        return draw(st.one_of(st.none(), st.sampled_from(values)))
 
-    argv = [row.name, path]
-    options = []
-    if row.on != cli.ALGEBRA:
-        options.append(("--module", maybe(names["module"])))
-    if row.on != cli.MODULE:
-        options.append(("--algebra", maybe(names["algebra"])))
-    if row.stages:
-        options.append(("--stages", maybe(["1", "2", "3", "0", "-1", "x", "1.5", "\u0662"])))
-    if row.regime:
-        options.append(("--regime", maybe(["auto", "finite", "poly", "torsion"])))
-    for flag, _ in row.extra:
-        lit = draw(st.one_of(_literal(p), _in_field(p)))
-        options.append((flag, maybe([f"{lit}*t", "t", "t1", f"t1,{lit}*t1", "t,", ",", "m", "", f"t + {lit}*u"])))
-    options.append(("--out", maybe([out])))
+def _argv(draw, argv, options):
+    """argv, then each (flag, value) of ``options`` whose value is not
+    None, and now and then a stray argument."""
     for flag, value in options:
         if value is not None:
             argv += [flag, value]
     if draw(st.integers(0, 9)) == 0:
         argv.append(draw(st.sampled_from(["--bogus", "extra-file", "--stages"])))
-    return text, argv
+    return argv
+
+
+@st.composite
+def _invocations(draw, path, out):
+    """argv for one row of the command table on a fuzz document: names
+    that exist or not, stage budgets in and out of range, every regime
+    choice and a bad one, --params built from the same literals, --out,
+    and a stray argument."""
+    row = draw(st.sampled_from(cli._commands()))
+    text, p = _fuzz_document(draw)
+    names = {kind: re.findall(rf"^{kind} (\S+)", text, re.M) + ["nope"] for kind in ("algebra", "module")}
+    options = []
+    if row.on != cli.ALGEBRA:
+        options.append(("--module", _maybe(draw, names["module"])))
+    if row.on != cli.MODULE:
+        options.append(("--algebra", _maybe(draw, names["algebra"])))
+    if row.stages:
+        options.append(("--stages", _maybe(draw, STAGES)))
+    if row.regime:
+        options.append(("--regime", _maybe(draw, ["auto", "finite", "poly", "torsion"])))
+    for flag, _ in row.extra:
+        lit = draw(st.one_of(_literal(p), _in_field(p)))
+        options.append((flag, _maybe(draw, [f"{lit}*t", "t", "t1", f"t1,{lit}*t1", "t,", ",", "m", "", f"t + {lit}*u"])))
+    options.append(("--out", _maybe(draw, [out])))
+    return text, _argv(draw, [row.name, path], options)
+
+
+@st.composite
+def _validate_and_sweep_invocations(draw, path, out):
+    """argv for validate, with and without --name, or for check-regularity
+    with and without a FILE and --module, a stage budget in and out of
+    range and a --p that is prime, not prime or 0, on a fuzz document."""
+    text, _ = _fuzz_document(draw)
+    if draw(st.booleans()):
+        names = re.findall(r"^(?:algebra|module|automorphism) (\S+)", text, re.M) + ["nope"]
+        argv, options = ["validate", path], [("--name", _maybe(draw, names))]
+    else:
+        argv = ["check-regularity"] + ([path] if draw(st.booleans()) else [])
+        options = [("--module", _maybe(draw, re.findall(r"^module (\S+)", text, re.M) + ["nope"])),
+                   ("--stages", _maybe(draw, STAGES)), ("--p", _maybe(draw, ["2", "7", "4", "1", "0"]))]
+    options.append(("--out", _maybe(draw, [out])))
+    return text, _argv(draw, argv, options)
 
 
 @pytest.fixture(scope="module")
@@ -524,11 +568,7 @@ def fuzz_paths(tmp_path_factory):
     return str(base / "doc.dg"), str(base / "report.json")
 
 
-@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(data=st.data())
-def test_every_command_row_exits_with_a_documented_code(fuzz_paths, data):
-    path, out = fuzz_paths
-    text, argv = data.draw(_invocations(path, out))
+def _exits_with_a_documented_code(path, text, argv):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -540,6 +580,20 @@ def test_every_command_row_exits_with_a_documented_code(fuzz_paths, data):
     errors = [line for line in err.splitlines() if "error:" in line]
     # a rejection is exit 2 with one error line; nothing else prints one
     assert len(errors) == (1 if code == 2 else 0), (argv, err)
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_every_command_row_exits_with_a_documented_code(fuzz_paths, data):
+    path, out = fuzz_paths
+    _exits_with_a_documented_code(path, *data.draw(_invocations(path, out)))
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_validate_and_check_regularity_exit_with_a_documented_code(fuzz_paths, data):
+    path, out = fuzz_paths
+    _exits_with_a_documented_code(path, *data.draw(_validate_and_sweep_invocations(path, out)))
 
 
 def test_a_file_that_cannot_be_read_or_written_exits_two(tmp_path):

@@ -103,6 +103,39 @@ def test_d_squared_violation():
     assert any(v.axiom == "d-squared" and v.witness == ("x",) for v in rep.violations)
 
 
+def _ungraded_pair(F, mul=(), lact=(), diff=(), mdiff=()):
+    """One, t (degree 1) and u (degree 2) over F, with the unit law and the
+    extra product entries ``mul``; a left module on m (degree 0) and n
+    (degree 1) with the unit action and the extra entries ``lact``."""
+    one = F.one()
+    table = {("one", b): {b: one} for b in ("one", "t", "u")}
+    table.update({(b, "one"): {b: one} for b in ("t", "u")})
+    A = DGAlgebra(name="A", field=F, window=GradedWindow(0, 4),
+                  basis={0: ("one",), 1: ("t",), 2: ("u",)}, unit="one",
+                  mul={**table, **dict(mul)}, diff=dict(diff))
+    M = DGModule(name="M", algebra=A, side="left", window=GradedWindow(0, 4),
+                 basis={0: ("m",), 1: ("n",)},
+                 lact={("one", "m"): {"m": one}, ("one", "n"): {"n": one}, **dict(lact)},
+                 ract={}, diff=dict(mdiff))
+    return A, M
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=["Q", "F2", "F7"])
+def test_an_entry_outside_its_degree_is_a_degree_violation(field):
+    one = field.one()
+    # t*t = t and t.m = m land one degree low: both were reported valid
+    A, M = _ungraded_pair(field, mul={("t", "t"): {"t": one}}, lact={("t", "m"): {"m": one}})
+    assert [(v.axiom, v.witness) for v in validate_algebra(A).violations] == [("degree", ("t", "t"))]
+    assert [(v.axiom, v.witness) for v in validate_module(M).violations] == [("degree", ("t", "m"))]
+    # a differential is checked against |x| + 1, on the algebra and the module
+    A, M = _ungraded_pair(field, diff={"t": {"t": one}}, mdiff={"m": {"m": one}})
+    assert ("degree", ("t",)) in [(v.axiom, v.witness) for v in validate_algebra(A).violations]
+    assert ("degree", ("m",)) in [(v.axiom, v.witness) for v in validate_module(M).violations]
+    # a graded pair has none
+    A, M = _ungraded_pair(field, mul={("t", "t"): {"u": one}}, lact={("t", "m"): {"n": one}})
+    assert validate_algebra(A).ok and validate_module(M).ok
+
+
 def test_catalog_modules_are_valid():
     for A in (square_zero_algebra(), polynomial_algebra(2), exterior_algebra(3)):
         for kind in ("k", "free", "suspended-k", "truncated-free", "cone-id"):

@@ -110,7 +110,7 @@ def test_resolution_tensor_k_has_zero_differential():
     Lam = square_zero_algebra()
     res = semifree_resolve(canonical_k(Lam, side="left"), max_stages=3)
     k_right = canonical_k(Lam, side="right")
-    T, _ = tensor_module_ledger(k_right, res, GradedWindow(-4, 4))
+    T = tensor_module_ledger(k_right, res, GradedWindow(-4, 4))
     assert T.diff == {}
     counts = res.counts_by_degree()
     assert {d: T.dim(d) for d in T.degrees()} == counts
@@ -119,7 +119,7 @@ def test_resolution_tensor_k_has_zero_differential():
 def test_hom_into_k_has_zero_differential():
     P = polynomial_algebra(3)
     res = semifree_resolve(canonical_k(P, side="left"), max_stages=4)
-    H, _ = hom_from_ledger(res, canonical_k(P, side="left"), GradedWindow(-8, 8))
+    H = hom_from_ledger(res, canonical_k(P, side="left"), GradedWindow(-8, 8))
     assert H.diff == {}
     assert {d: H.dim(d) for d in H.degrees()} == {0: 1, -(3 - 1): 1}
 
@@ -128,11 +128,11 @@ def test_free_ledger_tensor_is_identity():
     # N (x)_A A = N on the rank-one free ledger
     P = polynomial_algebra(2)
     k_right = canonical_k(P, side="right")
-    T, _ = tensor_module_ledger(k_right, free_ledger(P), GradedWindow(-4, 4))
+    T = tensor_module_ledger(k_right, free_ledger(P), GradedWindow(-4, 4))
     assert {d: T.dim(d) for d in T.degrees()} == {0: 1}
     assert T.diff == {}
     N = free_module(P, side="bi")
-    T2, _ = tensor_module_ledger(N, free_ledger(P), GradedWindow(-4, 16))
+    T2 = tensor_module_ledger(N, free_ledger(P), GradedWindow(-4, 16))
     assert {d: T2.dim(d) for d in T2.degrees()} == {d: N.dim(d) for d in N.degrees()}
     assert cohomology(T2).dims == cohomology(N).dims
 
@@ -141,7 +141,7 @@ def test_hom_from_free_ledger_is_identity():
     # Hom_A(A, N) = N
     Lam = square_zero_algebra()
     N = free_module(Lam, side="bi")
-    H, _ = hom_from_ledger(free_ledger(Lam), N, GradedWindow(-4, 4))
+    H = hom_from_ledger(free_ledger(Lam), N, GradedWindow(-4, 4))
     assert {d: H.dim(d) for d in H.degrees()} == {0: 1, 1: 1}
     hn = cohomology(N).dims
     hh = cohomology(H).dims
@@ -484,16 +484,15 @@ def _restage_resolve(M, max_stages=8):
     gens, diff, aug = [], {}, {}
     for stage in range(max_stages + 1):
         ledger = SemifreeResolution(algebra=A, gens=tuple(gens), diff=dict(diff), aug=dict(aug),
-                                    target=M, scan=Trust.everywhere(), frontier=None)
+                                    target=M, scan=Trust.everywhere())
         cone, _P = _cone(M, ledger)
         h = cohomology(cone)
-        scan, scan_everywhere = h.certified, cone.trust.is_everywhere
+        scan = h.certified
         live = sorted(d for d in h.dims if scan.contains(d))
-        frontier = live[0] if live else None
         residual = {d: h.dims[d] for d in live}
         if not live or stage == max_stages:
             break
-        j = frontier
+        j = live[0]
         cells = ledger_cells(ledger, A, M.window, -1).get(j + 1, ())
         for rep in h.quotient(j).representatives:
             m_part, rows = _split_cone_class(M, cells, j, rep)
@@ -506,8 +505,7 @@ def _restage_resolve(M, max_stages=8):
             else:
                 aug[lab] = m_part
     return SemifreeResolution(algebra=A, gens=tuple(gens), diff=diff, aug=aug, target=M,
-                              scan=scan, scan_everywhere=scan_everywhere, frontier=frontier,
-                              residual=residual, stages_used=stage)
+                              scan=scan, residual=residual, stages_used=stage)
 
 
 def _outcome(resolve, M, stages):
@@ -823,7 +821,7 @@ def _bookkeeping_inputs():
                 regime = detect_regime(A)
                 if regime.supported:
                     # the input of double duality's second resolution
-                    X = to_opposite(apply_duality(M, dualizing_module(A, regime))[0])
+                    X = to_opposite(apply_duality(M, dualizing_module(A, regime)).value)
                     for stages in (1, 2, 3, 4, 8):
                         yield X, stages
     Lam = square_zero_algebra()
@@ -855,7 +853,7 @@ def test_a_hand_built_ledger_claims_no_bookkeeping():
     Lam = square_zero_algebra()
     L = make_ledger(Lam, gens=[("e0", 0, 0)], diff={}, aug={"e0": {"k0": Lam.field.one()}},
                     target=canonical_k(Lam, side="left"))
-    L.residual, L.frontier = {0: 1}, 0
+    L.residual = {0: 1}
     assert not L.bookkeeping_ok
     assert "bookkeeping_ok" not in L.to_json()
 

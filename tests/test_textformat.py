@@ -459,8 +459,8 @@ def _constructed_modules(field):
         yield to_opposite(linear_dual(k))
         yield build_module(A, "cone-id", side="bi")
         yield realize_ledger(res, k.window)
-        yield tensor_module_ledger(k, res, GradedWindow(-2, 4))[0]
-        yield hom_from_ledger(res, free, GradedWindow(-4, 4))[0]
+        yield tensor_module_ledger(k, res, GradedWindow(-2, 4))
+        yield hom_from_ledger(res, free, GradedWindow(-4, 4))
         regime = detect_regime(A)
         if regime.supported:
             yield dualizing_module(A, regime)

@@ -23,6 +23,7 @@ from dgreg.module import (
     kept_cohomology,
     linear_dual,
     suspend,
+    to_opposite,
     validate_module,
 )
 from dgreg.resolution import ext_reg, extreg_symmetry, kept_k, koszul_test, resolved, semifree_resolve
@@ -226,9 +227,9 @@ def test_apply_duality_free_module():
     r = detect_regime(Lam)
     D = dualizing_module(Lam, r)
     M = free_module(Lam, side="left")
-    X, res, contam, _ = apply_duality(M, D)
-    assert contam == {}
-    assert cohomology(X).dims == cohomology(D).dims
+    X = apply_duality(M, D)
+    assert X.contamination == {}
+    assert cohomology(X.value).dims == cohomology(D).dims
 
 
 def test_apply_duality_k_over_square_zero():
@@ -237,10 +238,10 @@ def test_apply_duality_k_over_square_zero():
     r = detect_regime(Lam)
     D = dualizing_module(Lam, r)
     k = canonical_k(Lam, side="left")
-    X, res, contam, _ = apply_duality(k, D, max_stages=6)
-    h = cohomology(X)
+    X = apply_duality(k, D, max_stages=6)
+    h = cohomology(X.value)
     assert h.dims.get(0) == 1
-    assert contam == {-1: 1}
+    assert X.contamination == {-1: 1}
     assert h.dims.get(-1) == 1  # the frontier contribution, accounted for
 
 
@@ -249,9 +250,45 @@ def test_apply_duality_k_over_polynomial():
         A = polynomial_algebra(d)
         r = detect_regime(A)
         D = dualizing_module(A, r)
-        X, res, contam, _ = apply_duality(canonical_k(A, side="left"), D)
-        assert contam == {}
-        assert cohomology(X).certified_dims() == {0: 1}
+        X = apply_duality(canonical_k(A, side="left"), D)
+        assert X.contamination == {}
+        assert cohomology(X.value).certified_dims() == {0: 1}
+
+
+def _frontier_inputs(F):
+    """Every catalog pair with a left action and a supported regime, and
+    the duality sweep's suspended and truncated modules: suspended k over
+    Lambda and k[T]_2, truncated free modules over k[T]_1."""
+    from dgreg.catalog import catalog_pairs
+
+    for A, M in catalog_pairs(F):
+        if M.has_left and detect_regime(A).supported:
+            yield A, M
+    Lam, P1, P2 = square_zero_algebra(F), polynomial_algebra(1, F), polynomial_algebra(2, F)
+    yield from ((Lam, build_module(Lam, "suspended-k", n=n)) for n in range(1, 6))
+    yield from ((P1, build_module(P1, "truncated-free", level=level)) for level in range(1, 5))
+    yield from ((P2, build_module(P2, "suspended-k", n=n)) for n in range(1, 4))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=["Q", "F2", "F7"])
+def test_each_derived_complex_records_its_contamination_where_it_lands(field):
+    for A, M in _frontier_inputs(field):
+        regime, D = detect_regime(A), dualizing_module(A)
+        D_op = to_opposite(D)
+        for s in (1, 2, 3, 4):
+            g, X = gamma(M, max_stages=s), apply_duality(M, D, s)
+            Z = apply_duality(to_opposite(X.value), D_op, s)  # double duality's outer side
+            for rec in (g, X, Z):
+                assert all(rec.landing.contains(d) for d in rec.contamination), (A.name, M.name, s)
+                res = rec.resolution
+                assert res is None or res.frontier == min(res.residual, default=None)
+            if regime.kind == "polynomial":
+                # the cancellation local duality relies on: (Gamma M)* and
+                # RHom(M, D) carry the same contamination on the same window
+                assert g.landing.flip() == X.landing, (A.name, M.name, s)
+                assert {-j: n for j, n in g.contamination.items()} == X.contamination, (A.name, M.name, s)
+            else:
+                assert (g.resolution, g.contamination, g.landing) == (None, {}, Trust.everywhere())
 
 
 def test_local_duality_sweep():
@@ -284,7 +321,7 @@ def test_lemma_completion_fixes_locally_finite():
     # RHom_A(A, M) = M (the finite-regime completion carrier is A itself)
     Lam = square_zero_algebra()
     M = free_module(Lam, side="bi")
-    H, _ = hom_from_ledger(free_ledger(Lam), M, GradedWindow(-4, 4))
+    H = hom_from_ledger(free_ledger(Lam), M, GradedWindow(-4, 4))
     assert cohomology(H).dims == cohomology(M).dims
 
 
@@ -621,8 +658,8 @@ def _cancelling_complexes():
     )
     assert validate_module(N).ok
     L = make_ledger(A, [("e0", 0, 0), ("e1", 0, 1)], {"e1": {"e0": {"x": one, "y": F.neg(one)}}})
-    T, _ = tensor_module_ledger(N, L, GradedWindow(-1, 2))
-    X, _ = hom_from_ledger(L, N, GradedWindow(-1, 2))
+    T = tensor_module_ledger(N, L, GradedWindow(-1, 2))
+    X = hom_from_ledger(L, N, GradedWindow(-1, 2))
     return T, X
 
 
@@ -691,7 +728,7 @@ def test_derived_presentations_satisfy_module_axioms():
         D = dualizing_module(A, regime)
         k = canonical_k(A, side="left")
         res = semifree_resolve(k, 6)
-        X, _ = hom_from_ledger(res, D, GradedWindow(-18, 18))
+        X = hom_from_ledger(res, D, GradedWindow(-18, 18))
         assert validate_module(X).ok, A.name
         assert validate_module(realize_ledger(res, k.window)).ok, A.name
     for d in (1, 2, 3):
@@ -699,7 +736,7 @@ def test_derived_presentations_satisfy_module_axioms():
         regime = detect_regime(A)
         C = cech_carrier(A, regime)
         res = semifree_resolve(canonical_k(A, side="left"), 6)
-        T, _ = tensor_module_ledger(C, res, GradedWindow(-18, 18))
+        T = tensor_module_ledger(C, res, GradedWindow(-18, 18))
         assert validate_module(T).ok, A.name
 
 
