@@ -22,8 +22,17 @@ i, j >= 1).  If the unit law holds and (xy)z = x(yz) whenever x lies in
 S, it holds on every triple, by induction on word length; every product
 that induction uses lies in a degree <= |x|+|y|+|z|, so it is recorded
 whenever the triple is.  The same induction covers left-action
-associativity and bimodule commutation with the first factor in S, and
-right-action associativity with the last factor in S.
+associativity with the first factor in S and right-action associativity
+with the last factor in S.
+
+Bimodule commutation, (am)b = a(mb), is checked with both algebra
+factors in S.  Once the unit acts as the identity and both action
+associativities hold over S, the left action L_a of a word a = sw is
+L_s L_w and the right action R_b of b = vt is R_t R_v, so each L_a and
+R_b is a composite of generator actions, and generator actions that
+commute make every L_a commute with every R_b, by induction on the
+lengths of a and b.  Every intermediate product lies in a degree
+<= |a|+|m|+|b|, so it is recorded whenever the triple is.
 
 Leibniz, d(xy) = d(x)y + (-1)^{|x|} x d(y), is bilinear in x and y, so
 once A is associative it holds on every pair when it holds with x in
@@ -47,6 +56,13 @@ identity on each side the module has, and module Leibniz needs action
 associativity and bimodule commutation over S to find nothing.  If a
 precondition fails, or a reduced check finds a violation, the same
 enumeration runs over every label and gives the report.
+
+The degree report of a presentation's own tables is computed once and
+kept on it (:func:`_degree_report`).  The text-format parser refuses
+every unknown left-hand label and every term outside its target degree,
+so the algebras and modules it builds are kept with the empty report
+and their validation never runs that pass.  A copy or a construction
+starts with an empty store and runs it once.
 
 How a check is evaluated: each loop computes the inner product that
 depends only on its outer pair once (xy in A, ab for action
@@ -105,8 +121,10 @@ class Presentation:
     window, coefficient tables keyed by labels, and the rule for entries
     that land above the window top.  A subclass sets ``basis``,
     ``window``, ``trust``, ``diff`` and ``field``, names its coefficient
-    tables in ``_tables``, and calls :meth:`_index` from its ``_prepare``,
-    which the constructor and :meth:`_built` run.
+    tables in ``_tables``, gives each with the presentations its keys
+    name in ``_graded_tables`` (the arguments of ``_degree_violations``
+    after X), and calls :meth:`_index` from its ``_prepare``, which the
+    constructor and :meth:`_built` run.
 
     No field is assigned after a presentation is built, so tables can be
     shared and what is derived from an object alone can be kept on it, in
@@ -293,6 +311,9 @@ class DGAlgebra(Presentation):
     def _prepare(self, clean: bool):
         self._index(clean)
 
+    def _graded_tables(self) -> tuple:
+        return (self.mul, self, self), (self.diff, self, None)
+
     def product(self, a: str, b: str):
         """Combination for a*b; None when the target degree is unrecorded."""
         if self._deg[a] + self._deg[b] > self.window.hi:
@@ -431,9 +452,23 @@ def _degree_violations(X, table, U, V=None) -> list:
     for key, c in table.items():
         u, v = (key, None) if V is None else key
         n, m = U._deg.get(u), 1 if V is None else V._deg.get(v)
-        if n is not None and m is not None and any(deg.get(t) != n + m for t in c):
-            out.append(Violation("degree", (u,) if V is None else key, f"a term is not in degree {n + m}"))
+        if n is None or m is None:
+            continue
+        target = n + m
+        for t in c:
+            if deg.get(t) != target:
+                out.append(Violation("degree", (u,) if V is None else key, f"a term is not in degree {target}"))
+                break
     return out
+
+
+def _degree_report(X) -> list:
+    """The "degree" violations of X's own tables, in the order its
+    ``_graded_tables`` names them (``mul`` then ``diff`` for an algebra,
+    ``lact``, ``ract`` then ``diff`` for a module), computed once and kept
+    on X under "degree"; a fresh list.  ``parse_document`` keeps the empty
+    report on every object it builds."""
+    return list(X.kept("degree", lambda: tuple(v for t in X._graded_tables() for v in _degree_violations(X, *t))))
 
 
 def _connected_unital(A: DGAlgebra) -> list:
@@ -522,7 +557,7 @@ def _checked(A: DGAlgebra) -> tuple:
     axioms, and the generators S when there are none, else None.  Decided
     once per algebra and kept on it."""
     def decide():
-        out = _connected_unital(A) + _degree_violations(A, A.mul, A, A) + _degree_violations(A, A.diff, A)
+        out = _connected_unital(A) + _degree_report(A)
         gens = None if out else _generators(A)
         out += _d_squared(A, "d(d(b)) is nonzero")
         assoc = _by_generators(lambda firsts: _associativity(A, firsts), gens, A._deg)

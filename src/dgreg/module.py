@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .algebra import (
     DGAlgebra, Presentation, ValidationReport, Violation, _associative, _by_generators, _chain,
-    _checked, _d_squared, _degree_violations, _labels, _leibniz, _multiplicative, _unknown_label, diff_columns,
+    _checked, _d_squared, _degree_report, _labels, _leibniz, _multiplicative, _unknown_label, diff_columns,
 )
 from .fields import FieldSpec
 from .lincomb import ceq, cextend, cscale, czero
@@ -65,6 +65,10 @@ class DGModule(Presentation):
         if self.side not in (LEFT, RIGHT, BI):
             raise ValueError(f"bad side {self.side!r}")
         self._index(clean)
+
+    def _graded_tables(self) -> tuple:
+        A = self.algebra
+        return (self.lact, A, self), (self.ract, self, A), (self.diff, self, None)
 
     # -- lookups ---------------------------------------------------------
 
@@ -132,8 +136,7 @@ def validate_module(M: DGModule) -> ValidationReport:
                 unital = False
                 out.append(Violation("unit-action-right", (m, A.unit), "m.1 differs from m"))
 
-    degree = (_degree_violations(M, M.lact, A, M) + _degree_violations(M, M.ract, M, A)
-              + _degree_violations(M, M.diff, M))
+    degree = _degree_report(M)
     out += degree
     gens = _checked(A)[0] if unital and not degree else None
     assoc = _by_generators(lambda gs: _action_associativity(M, gs), gens, A._deg)
@@ -164,8 +167,8 @@ def _module_leibniz(M: DGModule, firsts) -> list:
 def _action_associativity(M: DGModule, gens) -> list:
     """Action associativity and bimodule commutation violations over the
     triples whose algebra factor on the generator side is in ``gens``:
-    the first factor on the left and in commutation, the last on the
-    right."""
+    the first factor on the left, the last on the right, and both in
+    commutation."""
     A = M.algebra
     alg_labels, mod_labels, hi = _labels(A), _labels(M), M.window.hi
     left, right, mul = M.act_left, M.act_right, A.product
@@ -186,12 +189,11 @@ def _action_associativity(M: DGModule, gens) -> list:
                     out.append(Violation("action-associativity-right", (m, a, b), "m(ab) != (ma)b"))
 
     if M.side == BI:
-        for a, da in alg_labels:
-            if a not in gens:
-                continue
+        gen_labels = [(a, da) for a, da in alg_labels if a in gens]
+        for a, da in gen_labels:
             for m, dm in mod_labels:
                 am = left(a, m)
-                for b, db in alg_labels:
+                for b, db in gen_labels:
                     if da + dm + db > hi:
                         break
                     if _associative(M, a, am, b, right(m, b), right, left):

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import DGAlgebra, _labels, diff_columns
+from .algebra import DGAlgebra, _degree_report, _labels, diff_columns
 from .ledger import Generator, SemifreeResolution, is_minimal_ledger
 from .homtensor import (_free_bimodule, _generator_trust, _ledger_cell, _tensor_rules, ledger_cells,
                         realize_ledger, tensor_module_ledger)
@@ -145,12 +145,18 @@ def semifree_resolve(M: DGModule, max_stages: int = 8) -> SemifreeResolution:
     differential of each generator lies in earlier stages with
     coefficients in A^{>=1}.  A budget below one stage is a ValueError:
     with no stage run, the empty ledger would read as complete.  A
-    module without a left action is a SideError.  It keeps nothing: each
-    call resolves M again, and :func:`resolved` is the resolution kept
-    on M.
+    module with a table entry outside its target degree is a ValueError
+    naming the first ``degree`` violation of its kept degree report, and
+    one without a left action is a SideError.  It keeps no resolution:
+    each call resolves M again, and :func:`resolved` is the resolution
+    kept on M.
     """
     if max_stages < 1:
         raise ValueError(f"stage budget {max_stages} is below 1")
+    ungraded = _degree_report(M)
+    if ungraded:
+        v = ungraded[0]
+        raise ValueError(f"{M.name} is not graded: degree violation at {v.witness}: {v.detail}")
     M = left_restriction(M)
     A = M.algebra
     F = M.field

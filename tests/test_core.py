@@ -136,6 +136,23 @@ def test_an_entry_outside_its_degree_is_a_degree_violation(field):
     assert validate_algebra(A).ok and validate_module(M).ok
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=["Q", "F2", "F7"])
+def test_the_resolver_refuses_a_module_outside_its_degrees(field):
+    """t.m = m with |t| = 1 lands a degree low: the resolver names that
+    degree violation, read from the report kept on M, instead of failing
+    on a label it cannot place."""
+    from dgreg.resolution import semifree_resolve
+
+    one = field.one()
+    _, M = _ungraded_pair(field, mul={("t", "t"): {"t": one}}, lact={("t", "m"): {"m": one}})
+    with pytest.raises(ValueError, match=r"degree violation at \('t', 'm'\)"):
+        semifree_resolve(M, 3)
+    assert M._kept["degree"][0].witness == ("t", "m")
+    # a graded module over the same ungraded algebra still resolves
+    _, M = _ungraded_pair(field, mul={("t", "t"): {"t": one}}, lact={("t", "m"): {"n": one}})
+    assert semifree_resolve(M, 3).gens
+
+
 def test_catalog_modules_are_valid():
     for A in (square_zero_algebra(), polynomial_algebra(2), exterior_algebra(3)):
         for kind in ("k", "free", "suspended-k", "truncated-free", "cone-id"):

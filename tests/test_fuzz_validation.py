@@ -13,6 +13,7 @@ import hashlib
 import json
 import random
 from dataclasses import replace
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -21,12 +22,13 @@ from hypothesis import strategies as st
 
 from dgreg import algebra, module
 from dgreg.algebra import DGAlgebra, validate_algebra
-from dgreg.catalog import exterior_algebra, polynomial_algebra, square_zero_algebra
+from dgreg.catalog import document_text, exterior_algebra, polynomial_algebra, square_zero_algebra
 from dgreg.fields import QQ, GF
 from dgreg.homtensor import realize_ledger
 from dgreg.lincomb import cadd, ceq, cclean, cneg, cscale
 from dgreg.module import DGModule, canonical_k, free_module, suspend, to_opposite, validate_module
 from dgreg.resolution import semifree_resolve
+from dgreg.textformat import parse_document
 from dgreg.windows import GradedWindow, Trust
 
 
@@ -849,11 +851,86 @@ def test_generator_rule_bounds_associativity_work():
     M = free_module(polynomial_algebra(1, QQ, GradedWindow(0, 48)), side="bi")
     with _Counted("_associative").installed() as associative:
         assert validate_module(M).ok
-    # A's associativity, left and right action associativity and
-    # commutation each visit the triples with one factor t1 and total
-    # degree <= 48, sum_{j=0}^{47} (48 - j) = 1176 of them; the full
-    # enumeration would visit 49^3 per check
-    assert associative.calls == 4 * 1176
+    # A's associativity and left and right action associativity each
+    # visit the triples with one factor t1 and total degree <= 48,
+    # sum_{j=0}^{47} (48 - j) = 1176 of them; commutation visits those with
+    # both algebra factors t1, one per module label of degree <= 46, so 47;
+    # the full enumeration would visit 49^3 per check
+    assert associative.calls == 3 * 1176 + 47
+
+
+def _twisted_bimodule(F, d, hi, units):
+    """The bimodule over k[T]_d on 0..hi with basis m_i in degree i*d,
+    left action T^j m_i = m_{i+j} and right action
+    m_i T^j = (c_i ... c_{i+j-1}) m_{i+j}, for the units c_i of ``units``.
+    Both actions are associative, and T^j m_i T^k is
+    (c_{i+j} ... c_{i+j+k-1}) m_{i+j+k} one way and
+    (c_i ... c_{i+k-1}) m_{i+j+k} the other."""
+    A = polynomial_algebra(d, F, GradedWindow(0, hi))
+    top = hi // d
+    lact, ract = {}, {}
+    for i in range(top + 1):
+        for j in range(top + 1 - i):
+            c = F.one()
+            for u in units[i:i + j]:
+                c = F.mul(c, u)
+            lact[(f"t{j}", f"m{i}")] = {f"m{i + j}": F.one()}
+            ract[(f"m{i}", f"t{j}")] = {f"m{i + j}": c}
+    return DGModule(name="M", algebra=A, side="bi", window=GradedWindow(0, hi),
+                    basis={i * d: (f"m{i}",) for i in range(top + 1)},
+                    lact=lact, ract=ract, diff={}, trust=Trust(None, hi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    field=st.sampled_from([QQ, GF(2), GF(7)]),
+    d=st.integers(1, 2),
+    hi=st.integers(2, 8),
+    picks=st.lists(st.integers(0, 3), min_size=9, max_size=9),
+)
+def test_generator_rule_decides_commutation(field, d, hi, picks):
+    """Commutation over the generator pairs decides the bimodule axiom:
+    the reduced report equals the full enumeration, which lists exactly
+    the triples whose two products differ, and it lists a commutation
+    violation exactly when two neighbouring units in the window differ.
+    F_2 has one unit, so there every such bimodule commutes."""
+    units = {QQ: [1, -1, 2, Fraction(1, 2)], GF(7): [1, 6, 2, 3], GF(2): [1, 1, 1, 1]}[field]
+    c = [units[i] for i in picks]
+    M = _twisted_bimodule(field, d, hi, c)
+
+    def span(lo, hi_):
+        out = field.one()
+        for u in c[lo:hi_]:
+            out = field.mul(out, u)
+        return out
+
+    top = hi // d
+    expected = [(f"t{j}", f"m{i}", f"t{k}") for j in range(top + 1) for i in range(top + 1)
+                for k in range(top + 1) if i + j + k <= top and span(i + j, i + j + k) != span(i, i + k)]
+    report = validate_module(M)
+    full = _full_enumeration(validate_module, M)
+    assert report.to_json() == full.to_json()
+    assert all(v.axiom == "bimodule-commutation" for v in full.violations)
+    assert [v.witness for v in full.violations] == expected
+    assert bool(expected) == any(c[i] != c[i + 1] for i in range(top - 1))
+    if field == GF(2):
+        assert report.ok
+
+
+def test_parsed_tables_are_not_graded_again():
+    """Validation reads the degree report the parser kept on each object,
+    so validating a parsed document runs no degree pass; a copy made by
+    ``replace`` keeps nothing, so it runs one per table, once."""
+    doc = parse_document(document_text("polynomial", window=GradedWindow(0, 16)))
+    A, modules = doc.algebra(), list(doc.modules.values())
+    with _Counted("_degree_violations").installed() as degree:
+        assert validate_algebra(A).ok and all(validate_module(M).ok for M in modules)
+        assert degree.calls == 0
+        B = replace(A)
+        copies = [replace(M, algebra=B) for M in modules]
+        for _ in range(2):
+            assert validate_algebra(B).ok and all(validate_module(M).ok for M in copies)
+        assert degree.calls == 2 + 3 * len(copies)
 
 
 def test_generators_form_one_product_per_degree():

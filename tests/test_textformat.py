@@ -3,11 +3,13 @@
 import sys
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgreg import algebra, textformat
 from dgreg.algebra import DGAlgebra
 from dgreg.catalog import (
     ALGEBRA_FAMILIES,
@@ -26,6 +28,7 @@ from dgreg.textformat import (
     parse_combination,
     parse_document,
 )
+from dgreg.windows import GradedWindow
 
 LAMBDA_DOC = """\
 # the square-zero algebra on one degree-1 generator
@@ -473,6 +476,71 @@ def test_constructed_modules_round_trip(field):
     for M in _constructed_modules(field):
         text = emit_document(Document(algebras={M.algebra.name: M.algebra}, modules={M.name: M}))
         assert emit_document(parse_document(text)) == text, M.name
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
+def test_parsed_objects_keep_a_true_empty_degree_report(field):
+    """Every algebra and module the parser builds keeps the empty degree
+    report, and a fresh degree pass over its tables agrees: on the catalog
+    documents and on the documents of the library's constructions.  No
+    two table entries of a parsed document share a dict, although the
+    parser reads each repeated right-hand side once."""
+    texts = [document_text(family, field=field, d=d) for family, d in product(ALGEBRA_FAMILIES, (1, 3))]
+    texts += [emit_document(Document(algebras={M.algebra.name: M.algebra}, modules={M.name: M}))
+              for M in _constructed_modules(field)]
+    for text in texts:
+        doc = parse_document(text)
+        objects = [*doc.algebras.values(), *doc.modules.values()]
+        for X in objects:
+            assert X._kept["degree"] == ()
+            assert [v for t in X._graded_tables() for v in algebra._degree_violations(X, *t)] == []
+        entries = [c for X in objects for name in X._tables for c in getattr(X, name).values()]
+        entries += [c for alpha in doc.automorphisms.values() for c in alpha.images.values()]
+        assert len({id(c) for c in entries}) == len(entries)
+
+
+def test_each_object_parses_a_right_hand_side_once():
+    """The k[T]_1 document on 0..48 has 3677 table lines and 50 distinct
+    right-hand sides: 49 in the algebra, the same 49 in the free module
+    and one in k, each parsed once by the object that meets it."""
+    text = document_text("polynomial", window=GradedWindow(0, 48))
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return parse_combination(*args)
+
+    with mock.patch.object(textformat, "parse_combination", counted):
+        doc = parse_document(text)
+    assert len(calls) == 49 + 49 + 1 and len(set(calls)) == 50
+    assert emit_document(doc) == text
+
+
+REPEATED_RHS = """\
+algebra A over Q window 0..2
+basis 0: one
+basis 1: t
+unit one
+mul one one = one
+mul one t = t
+mul t t = t
+"""
+
+
+@pytest.mark.parametrize("field", ["Q", "F2", "F7"])
+def test_a_repeated_right_hand_side_is_checked_on_every_line(field):
+    """` t` parses once, on line 6, where it is in degree 1; on line 7 the
+    same text is in the wrong degree, and the error names that line and
+    the column of its label."""
+    with pytest.raises(ParseError) as err:
+        parse_document(REPEATED_RHS.replace(" over Q ", f" over {field} "))
+    assert (err.value.line_no, err.value.column) == (7, 11)
+    assert "degree mismatch: 't' is not in degree 2" in err.value.message
+    # a text that fails to parse is not kept, so its repeat fails where it stands
+    bad = REPEATED_RHS.replace("mul one t = t\nmul t t = t", "mul one t = 1.5*t\nmul t one = 1.5*t")
+    with pytest.raises(ParseError) as err:
+        parse_document(bad)
+    assert (err.value.line_no, err.value.column) == (6, 13)
 
 
 def test_map_image_labels_are_checked_like_table_targets():
