@@ -27,34 +27,33 @@ after the first starts with its sign, and a literal's own sign, if it has
 one, is written against its digits (`x + -1*y`).
 
 Each table line is read once: `parse_combination` scans its combination
-with one compiled term pattern and builds each scalar from the literal's
+with one compiled term pattern and builds each scalar from its literal's
 digits, so a parsed table is canonical (scalars in the field, no zero
-entries) and its object is built without the constructor's second
-cleaning pass.  Each object's builder parses a right-hand side the first
-time it meets its text and reuses that combination, copied, on every
-later line with the same text (the k[T]_1 document on 0..48 has 3677
-table lines and 50 distinct right-hand sides); the label and degree
-checks still run on every line, so the algebras and modules it builds
-keep the empty degree report of ``dgreg.algebra``.  A ParseError
-carries the line and the 1-based column of the token at fault.
+entries) and is built without the constructor's cleaning pass.  A builder
+parses each distinct right-hand side of its object once, and decides once
+that its labels lie in the line's target degree: a later line with that
+text gets a copy, and walks the labels again only for another target (a
+label's degree never changes).  So the objects keep the empty degree
+report of ``dgreg.algebra``.  A ParseError carries the line and the
+1-based column of the token at fault.
 
-The five table lines are stated once, in `_TABLE_LINES`: the objects
-each belongs to, its usage, what its left-hand labels name, the table it
-fills and the offset of its target degree from the sum of the left-hand
-degrees.  `_Builder.table_line` checks every table line and
-`_emit_tables` writes every table, both from that one table, so a new
-kind of line is one entry.  A combination's labels lie in the target
-degree.  A target above the window top is unrecorded rather than zero,
-so writing one is an error, except a zero `diff`; an automorphism has no
-window.  Parsing is exact and round-trips through :func:`emit_document`.
+`_TABLE_LINES` states the five table lines once: the objects each
+belongs to, its usage, what its left-hand labels name, the table it
+fills and the target degree's offset from the sum of the left-hand
+degrees.  A builder takes its object's rules from it, and `_emit_tables`
+walks it.  A target above the window top is unrecorded, not zero, so
+writing one is an error, except a zero `diff`; an automorphism has no
+window.  The emitter walks a pair table's labels in degree order up to
+the window top, and raises a ValueError on an entry or a term it would
+leave out.  Parsing is exact and round-trips through :func:`emit_document`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field
-from itertools import product
-from operator import getitem
+from bisect import bisect_right
+from math import inf
 
 from .algebra import AlgebraAutomorphism, DGAlgebra
 from .fields import GF, LITERAL, LITERAL_RE, QQ, FieldMismatchError, FieldSpec
@@ -249,12 +248,15 @@ class _Builder:
         self.basis: dict = {}
         self.unit = None
         self.tables = {spec.table: {} for spec in _TABLE_LINES.values()}
-        self.parsed: dict = {}  # right-hand-side text -> its combination
+        self.parsed: dict = {}  # right-hand-side text -> [its combination, the degree it was accepted in]
         self.deg: dict = algebra._deg if kind == "automorphism" else {}
         noun = {"algebra": "label", "automorphism": "algebra label"}.get(kind, "module label")
-        self.names = {_OWN: (self.deg, noun)}
-        if algebra is not None:
-            self.names[_ALG] = (algebra._deg, "algebra label")
+        names = {_OWN: (self.deg, noun), _ALG: (algebra._deg if algebra else {}, "algebra label")}
+        self.noun, self.top = noun, inf if window is None else window.hi
+        # op -> (each left-hand label's degrees and noun, target offset, table)
+        self.rules = {op: ([names[n][0] for n in spec.labels], [names[n][1] for n in spec.labels],
+                           spec.offset, self.tables[spec.table])
+                      for op, spec in _TABLE_LINES.items() if kind in spec.objects}
 
     def add_basis(self, m, line_no):
         """Check the basis line `_basis_re` matched as m and record it."""
@@ -281,47 +283,52 @@ class _Builder:
         self.basis[degree] = tuple(labels)
 
     def table_line(self, m, line_no):
-        """Check the table line `_table_line_re` matched as m against its
-        `_TABLE_LINES` entry and record it.  A right-hand side is parsed
-        the first time this object meets its text and read from ``parsed``
-        after that; a text that fails to parse is never kept there.  Each
-        entry gets its own copy, and the label and degree checks run on
-        every line.  A zero entry of a table is dropped, as absent means
-        zero there; an automorphism keeps a zero image, as an absent one
-        is the identity."""
-        line, op, text = m.string, m.group(1), m.group(3)
-        combo = self.parsed.get(text)
-        if combo is None:
-            combo = self.parsed[text] = parse_combination(text, self.field, line_no, m.start(3))
-        lhs, spec = m.group(2).split(), _TABLE_LINES[op]
-        if self.kind not in spec.objects or len(lhs) != len(spec.labels):
+        """Check the table line `_table_line_re` matched as m against this
+        object's ``rules`` and record it.  A right-hand side is parsed on its
+        text's first line, and its labels checked there and again only where
+        the target is another degree: ``parsed`` keeps the combination and
+        the degree it passed in, and never a text that failed.  Each entry
+        gets its own copy.  A zero entry of a table is dropped, as absent
+        means zero there; a zero image is kept, as absent is the identity."""
+        (op, lhs, text), line = m.groups(), m.string
+        memo = self.parsed.get(text)
+        if memo is None:
+            memo = [parse_combination(text, self.field, line_no, m.start(3)), None]
+        combo, lhs, rule = memo[0], lhs.split(), self.rules.get(op)
+        if rule is None or len(lhs) != len(rule[0]):
+            spec = _TABLE_LINES[op]
             raise ParseError(line_no, m.start(1) + 1, f"expected: {spec.usage} (in: {', '.join(spec.objects)})")
-        degrees = [self.names[names][0].get(lbl) for lbl, names in zip(lhs, spec.labels)]
-        if None in degrees:
-            i = degrees.index(None)
-            noun = self.names[spec.labels[i]][1]
-            raise ParseError(line_no, _col(line, i + 1), f"unknown {noun} {lhs[i]!r}")
-        target = spec.offset + sum(degrees)
+        maps, nouns, offset, table = rule
+        try:
+            target = offset + (maps[0][lhs[0]] if len(lhs) == 1 else maps[0][lhs[0]] + maps[1][lhs[1]])
+        except KeyError:
+            i = next(i for i, lbl in enumerate(lhs) if lbl not in maps[i])
+            raise ParseError(line_no, _col(line, i + 1), f"unknown {nouns[i]} {lhs[i]!r}") from None
         # a zero differential out of the top degree is the one line allowed above it
-        if self.window is not None and target > self.window.hi and (combo or not spec.offset):
+        if target > self.top and (combo or not offset):
             raise ParseError(line_no, _col(line, 1),
                              f"{op} target degree {target} above window top (unrecorded, not assignable)")
-        own, noun = self.names[_OWN]
-        for lbl in combo:
-            degree = own.get(lbl)
-            if degree != target:
-                message = (f"unknown {noun} {lbl!r}" if degree is None
-                           else f"degree mismatch: {lbl!r} is not in degree {target}")
-                raise ParseError(line_no, _label_col(line, m.start(3), lbl), message)
-        table, key = self.tables[spec.table], lhs[0] if len(lhs) == 1 else tuple(lhs)
+        if memo[1] != target:
+            self.check_labels(combo, target, line, line_no, m.start(3))
+            memo[1], self.parsed[text] = target, memo
+        key = lhs[0] if len(lhs) == 1 else tuple(lhs)
         if combo or self.kind == "automorphism":
-            table[key] = dict(combo)
+            table[key] = combo.copy()
         else:
             table.pop(key, None)
 
+    def check_labels(self, combo, target, line, line_no, pos):
+        """Check that each label of combo, parsed from line[pos:], is its own in degree target."""
+        for lbl in combo:
+            degree = self.deg.get(lbl)
+            if degree != target:
+                message = (f"unknown {self.noun} {lbl!r}" if degree is None
+                           else f"degree mismatch: {lbl!r} is not in degree {target}")
+                raise ParseError(line_no, _label_col(line, pos, lbl), message)
+
 
 def parse_document(text: str) -> Document:
-    doc = Document()
+    doc, match = Document(), _table_line_re.match
     current: _Builder | None = None
 
     def finalize():
@@ -353,7 +360,7 @@ def parse_document(text: str) -> Document:
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.partition("#")[0]  # not stripped, so that match positions are columns
         if current is not None:
-            m = _table_line_re.match(line)
+            m = match(line)
             if m is not None:
                 current.table_line(m, line_no)
                 continue
@@ -438,32 +445,40 @@ def parse_document(text: str) -> Document:
 # -- emission -----------------------------------------------------------------
 
 
-def _emit_combo(field: FieldSpec, combo: dict, order) -> str:
-    if not combo:
-        return "0"
-    return " + ".join([lbl if field.is_one(combo[lbl]) else f"{field.format(combo[lbl])}*{lbl}"
-                       for lbl in order if lbl in combo])
-
-
-def _emit_tables(obj, kind: str, alg, own) -> list:
-    """The table lines of obj, an object of this kind whose left-hand
-    labels name labels of alg or its own, kept in own: the tables in
-    `_TABLE_LINES` order, each with its keys in left-hand-label order."""
+def _emit_tables(obj, kind: str, name: str, alg, own) -> list:
+    """The table lines of obj, the object of this kind called name, whose
+    left-hand labels name labels of alg or its own, kept in own: the
+    tables in `_TABLE_LINES` order, each with its keys in left-hand-label
+    order, and each combination's terms in basis order.  A ValueError
+    names an entry or a term that the lines would leave out."""
     where = {_ALG: alg, _OWN: own}
     order = {names: [lbl for d in P.degrees() for lbl in P.basis_at(d)] for names, P in where.items()}
-    field, basis, lines = own.field, own.basis, []
+    basis, top, lines = own.basis, own.window.hi, []
+    is_one, fmt = own.field.is_one, own.field.format
     for op, spec in _TABLE_LINES.items():
         if kind not in spec.objects:
             continue
-        table = getattr(obj, spec.table)
-        degrees = [where[names]._deg for names in spec.labels]
-        single = len(degrees) == 1
-        for key in order[spec.labels[0]] if single else product(*(order[n] for n in spec.labels)):
+        table, start, (outer, *inner) = getattr(obj, spec.table), len(lines), spec.labels
+        walk = ((a, f"{op} {a}", spec.offset + where[outer]._deg[a]) for a in order[outer])
+        if inner:  # only the pairs whose target is in the window, as labels come in degree order
+            labels, deg = order[inner[0]], where[inner[0]]._deg
+            degrees = [deg[b] for b in labels]
+            walk = (((a, b), f"{head} {b}", t + deg[b]) for a, head, t in walk
+                    for b in labels[:bisect_right(degrees, top - t)])
+        for key, head, target in walk:
             combo = table.get(key)
             if combo is not None:
-                lhs = (key,) if single else key
-                target = spec.offset + sum(map(getitem, degrees, lhs))
-                lines.append(f"{op} {' '.join(lhs)} = {_emit_combo(field, combo, basis.get(target, ()))}")
+                terms = [lbl if is_one(combo[lbl]) else f"{fmt(combo[lbl])}*{lbl}"
+                         for lbl in basis.get(target, ()) if lbl in combo]
+                if len(terms) != len(combo):
+                    lbl = next(lbl for lbl in combo if lbl not in basis.get(target, ()))
+                    raise ValueError(f"cannot write {kind} {name!r}: {head} has term {lbl!r} outside degree {target}")
+                lines.append(f"{head} = {' + '.join(terms) or '0'}")
+        if len(lines) - start != len(table):  # an entry off the walk
+            written = {line.partition(" = ")[0] for line in lines[start:]}
+            key = next(k for k in table if " ".join((op, *(k if inner else (k,)))) not in written)
+            raise ValueError(f"cannot write {kind} {name!r}: its {op} entry {key!r} has a label it does not "
+                             "know or a target above the window top")
     return lines
 
 
@@ -475,7 +490,7 @@ def emit_algebra(A: DGAlgebra) -> str:
     head = f"algebra {A.name} over {A.field} window {A.window}"
     if not A.trust.is_everywhere:
         head += " truncated"
-    return "\n".join([head, *_basis_lines(A), f"unit {A.unit}", *_emit_tables(A, "algebra", A, A)])
+    return "\n".join([head, *_basis_lines(A), f"unit {A.unit}", *_emit_tables(A, "algebra", A.name, A, A)])
 
 
 def emit_module(M: DGModule) -> str:
@@ -483,12 +498,12 @@ def emit_module(M: DGModule) -> str:
     trunc = [word for word, end in (("above", M.trust.hi), ("below", M.trust.lo)) if end is not None]
     if trunc:
         head += " truncated " + " ".join(trunc)
-    return "\n".join([head, *_basis_lines(M), *_emit_tables(M, f"{M.side} module", M.algebra, M)])
+    return "\n".join([head, *_basis_lines(M), *_emit_tables(M, f"{M.side} module", M.name, M.algebra, M)])
 
 
 def emit_automorphism(name: str, alpha: AlgebraAutomorphism) -> str:
     A = alpha.algebra
-    return "\n".join([f"automorphism {name} of {A.name}", *_emit_tables(alpha, "automorphism", A, A)])
+    return "\n".join([f"automorphism {name} of {A.name}", *_emit_tables(alpha, "automorphism", name, A, A)])
 
 
 def emit_document(doc: Document) -> str:

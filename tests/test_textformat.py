@@ -2,6 +2,7 @@
 
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from unittest import mock
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgreg import algebra, textformat
-from dgreg.algebra import DGAlgebra
+from dgreg.algebra import AlgebraAutomorphism, DGAlgebra
 from dgreg.catalog import (
     ALGEBRA_FAMILIES,
     build_algebra,
@@ -24,7 +25,10 @@ from dgreg.module import DGModule, canonical_k, free_module
 from dgreg.textformat import (
     Document,
     ParseError,
+    emit_algebra,
+    emit_automorphism,
     emit_document,
+    emit_module,
     parse_combination,
     parse_document,
 )
@@ -502,17 +506,26 @@ def test_parsed_objects_keep_a_true_empty_degree_report(field):
 def test_each_object_parses_a_right_hand_side_once():
     """The k[T]_1 document on 0..48 has 3677 table lines and 50 distinct
     right-hand sides: 49 in the algebra, the same 49 in the free module
-    and one in k, each parsed once by the object that meets it."""
+    and one in k, each parsed once by the object that meets it, and each
+    checked against its target degree once by that object, not once per
+    line."""
     text = document_text("polynomial", window=GradedWindow(0, 48))
-    calls = []
+    calls, checks = [], []
+    check_labels = textformat._Builder.check_labels
 
     def counted(*args):
         calls.append(args[0])
         return parse_combination(*args)
 
-    with mock.patch.object(textformat, "parse_combination", counted):
+    def counted_check(builder, *args):
+        checks.append((builder.name, args[1]))
+        return check_labels(builder, *args)
+
+    with mock.patch.object(textformat, "parse_combination", counted), \
+            mock.patch.object(textformat._Builder, "check_labels", counted_check):
         doc = parse_document(text)
     assert len(calls) == 49 + 49 + 1 and len(set(calls)) == 50
+    assert len(checks) == len(set(checks)) == 49 + 49 + 1
     assert emit_document(doc) == text
 
 
@@ -541,6 +554,84 @@ def test_a_repeated_right_hand_side_is_checked_on_every_line(field):
     with pytest.raises(ParseError) as err:
         parse_document(bad)
     assert (err.value.line_no, err.value.column) == (6, 13)
+
+
+# (the block the lines end, the lines: the last repeats an earlier line's
+# right-hand side, accepted there, in another target degree; the error's
+# column and message)
+REPEATS_IN_ANOTHER_DEGREE = [
+    ("left", "act x m = n\nact one m = m\nact x n = n", 11, "degree mismatch: 'n' is not in degree 2"),
+    ("bi", "act x m = 3*n\nact x n = 3*n", 13, "degree mismatch: 'n' is not in degree 2"),
+    ("right", "actr m x = n\nactr n x = n", 12, "degree mismatch: 'n' is not in degree 2"),
+    ("bi", "actr m one = m\nactr n x = m", 12, "degree mismatch: 'm' is not in degree 2"),
+    ("left", "diff m = n\ndiff n = n", 10, "degree mismatch: 'n' is not in degree 2"),
+    ("algebra", "diff x = y\ndiff one = y", 12, "degree mismatch: 'y' is not in degree 1"),
+    ("auto", "map x = x\nmap y = x", 9, "degree mismatch: 'x' is not in degree 2"),
+    ("auto", "map y = -1*y\nmap one = -1*y", 14, "degree mismatch: 'y' is not in degree 0"),
+]
+
+
+@pytest.mark.parametrize("field", ["Q", "F2", "F7"])
+@pytest.mark.parametrize("where,block,column,message", REPEATS_IN_ANOTHER_DEGREE,
+                         ids=[block.split("\n")[-1] for _, block, *_ in REPEATS_IN_ANOTHER_DEGREE])
+def test_a_text_accepted_in_one_degree_is_checked_again_in_another(field, where, block, column, message):
+    """A right-hand side whose labels were accepted in one target degree
+    is checked again on a later line whose target is another degree, and
+    fails there with the line, column and message of the label check."""
+    lines, probe_no = [], None
+    for name, text in PIN_BLOCKS.items():
+        lines += text.replace(" over Q ", f" over {field} ").split("\n")
+        if name == where:
+            lines += block.split("\n")
+            probe_no = len(lines)
+    with pytest.raises(ParseError) as err:
+        parse_document("\n".join(lines) + "\n")
+    assert (err.value.line_no, err.value.column, err.value.message) == (probe_no, column, message)
+
+
+def _unwritable(field):
+    """Objects whose tables hold an entry or a term that no line of the
+    format can carry: for each, its own emitter as a call, a document
+    holding it, and what the emitter's error must name (the object, the
+    entry and the term)."""
+    one, window = field.one(), GradedWindow(0, 1)
+    units = {("one", "one"): {"one": one}, ("one", "t"): {"t": one}, ("t", "one"): {"t": one}}
+
+    def algebra(products=None):
+        return DGAlgebra(name="A", field=field, window=window, basis={0: ("one",), 1: ("t",)}, unit="one",
+                         mul={**units, **(products or {})}, diff={})
+
+    def module(lact=None, diff=None):
+        A = algebra()
+        M = DGModule(name="M", algebra=A, side="left", window=window, basis={0: ("m",), 1: ("n",)},
+                     lact={("one", "m"): {"m": one}, ("one", "n"): {"n": one}, **(lact or {})},
+                     ract={}, diff=diff or {})
+        return partial(emit_module, M), Document(algebras={"A": A}, modules={"M": M})
+
+    # act t m = m + 2*n would be written `act t m = 2*n`, and act t m = m as `act t m = `
+    yield *module(lact={("t", "m"): {"m": one, "n": field.coerce(2)}}), ("module 'M'", "act t m", "'m'")
+    yield *module(lact={("t", "m"): {"m": one}}), ("module 'M'", "act t m", "'m'")
+    yield *module(diff={"n": {"m": one}}), ("module 'M'", "diff n", "'m'")
+    yield *module(lact={("s", "m"): {"n": one}}), ("module 'M'", "act entry ('s', 'm')")
+    A = algebra({("t", "t"): {"t": one}})  # t*t lands in degree 2, above the window
+    yield partial(emit_algebra, A), Document(algebras={"A": A}), ("algebra 'A'", "mul entry ('t', 't')")
+    # the automorphism t1 -> t1 + 3*t2 of k[T]_1 would be written `map t1 = t1`
+    P = polynomial_algebra(1, field)
+    alpha = AlgebraAutomorphism(P, {"t1": {"t1": one, "t2": field.coerce(3)}})
+    yield (partial(emit_automorphism, "alpha", alpha), Document(algebras={P.name: P}, automorphisms={"alpha": alpha}),
+           ("automorphism 'alpha'", "map t1", "'t2'"))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=str)
+def test_the_emitter_refuses_an_entry_or_term_it_would_leave_out(field):
+    """Every entry and term of an object is written, or the emitter raises
+    a ValueError naming the object, the entry and the term: it never
+    writes a different object, nor a line that does not parse."""
+    for emit, doc, names in _unwritable(field):
+        for call in (emit, partial(emit_document, doc)):
+            with pytest.raises(ValueError) as err:
+                call()
+            assert all(word in str(err.value) for word in names), (str(err.value), names)
 
 
 def test_map_image_labels_are_checked_like_table_targets():
