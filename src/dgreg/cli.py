@@ -133,8 +133,8 @@ def cmd_validate(args) -> int:
                                ("automorphism", doc.automorphisms, validate_automorphism)):
         reports += [(kind, name, check(X)) for name, X in sorted(table.items())
                     if not args.name or name == args.name]
-    if args.name and not reports:
-        raise SystemExit2(f"nothing named {args.name!r} in the document")
+    if not reports:  # a document that holds nothing is no pass: a failed write can leave one
+        raise SystemExit2(f"nothing named {args.name!r} in the document" if args.name else "document holds no object")
     bad = [(k, n, r) for k, n, r in reports if not r.ok]
     lines = []
     for kind, name, rep in reports:

@@ -10,7 +10,11 @@ Sign conventions (fixed once, asserted by the test suite):
 * suspension S^n M has (S^n M)^j = M^{j+n} with differential and left
   action unchanged and right action scaled by (-1)^{n|a|};
 * the k-linear dual M* has d(f) = -(-1)^{|f|} f d, right action
-  (f.a)(m) = f(am) and left action (a.f)(m) = (-1)^{|a|} f(ma).
+  (f.a)(m) = f(am) and left action (a.f)(m) = (-1)^{|a|} f(ma);
+* the opposite algebra (``DGAlgebra.opposite``) has
+  a *op b = (-1)^{|a||b|} b a, and ``to_opposite`` makes a right module
+  a left module over it by a .op m = (-1)^{|a||m|} m a (a left module a
+  right one by the same sign).
 """
 
 from __future__ import annotations

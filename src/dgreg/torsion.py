@@ -277,6 +277,11 @@ class DerivedComplex:
         return cls(value, res, {s * (g + 1): n for g, n in res.residual.items()}, landing, notes)
 
 
+def _clamped(lo: int, hi: int) -> GradedWindow:
+    """The window lo..hi met with the global degree bound."""
+    return GradedWindow(max(lo, -GLOBAL_DEGREE_BOUND), min(hi, GLOBAL_DEGREE_BOUND))
+
+
 def gamma(M: DGModule, regime: TorsionRegime | None = None, max_stages: int = 8) -> DerivedComplex:
     """A complex computing the derived torsion of M.
 
@@ -291,9 +296,8 @@ def gamma(M: DGModule, regime: TorsionRegime | None = None, max_stages: int = 8)
         return DerivedComplex(M, None, {}, Trust.everywhere(), ["finite regime: Gamma is the identity (counit iso)"])
     res = resolved(M, max_stages)
     C = cech_carrier(M.algebra)
-    lo = C.window.lo + (res.min_gen_degree() or 0)
-    hi = max(C.window.hi, M.window.hi) + max(0, res.max_gen_degree() or 0) + 1
-    window = GradedWindow(max(lo, -GLOBAL_DEGREE_BOUND), min(hi, GLOBAL_DEGREE_BOUND))
+    window = _clamped(C.window.lo + (res.min_gen_degree() or 0),
+                      max(C.window.hi, M.window.hi) + max(0, res.max_gen_degree() or 0) + 1)
     g = DerivedComplex.over(tensor_module_ledger(C, res, window, name=f"Gamma({M.name})"), res)
     if g.contamination:
         g.notes.append("incomplete resolution: contamination dims recorded one degree above each residual cone class")
@@ -363,24 +367,39 @@ def apply_duality(M: DGModule, D: DGModule, max_stages: int = 8) -> DerivedCompl
     if not supp or not res.gens:
         window = GradedWindow(-2, 2)
     else:
-        lo = supp[0] - (res.max_gen_degree() or 0) - 1
-        hi = supp[1] - (res.min_gen_degree() or 0) + 1
-        window = GradedWindow(max(lo, -GLOBAL_DEGREE_BOUND), min(hi, GLOBAL_DEGREE_BOUND))
+        window = _clamped(supp[0] - (res.max_gen_degree() or 0) - 1, supp[1] - (res.min_gen_degree() or 0) + 1)
     return DerivedComplex.over(hom_from_ledger(res, D, window, name=f"RHom({M.name},{D.name})"), res, hom=True)
 
 
 def _dims_table(cmp_trust: Trust, first, second):
     """Compare two sides, each given as (name, H report, contamination),
     degree by degree on ``cmp_trust``, each dimension less its side's
-    contamination.  Returns (table, some entry negative, sides differ)."""
+    contamination.  Returns (the ``dims`` detail of a check report, keyed
+    by degree as text; some entry negative; sides differ)."""
     (n1, h1, c1), (n2, h2, c2) = first, second
     degrees = sorted(
         d for d in set(h1.dims) | set(h2.dims) | set(c1) | set(c2) if cmp_trust.contains(d)
     )
-    table = {j: {n1: h1.dim(j) - c1.get(j, 0), n2: h2.dim(j) - c2.get(j, 0)} for j in degrees}
+    table = {str(j): {n1: h1.dim(j) - c1.get(j, 0), n2: h2.dim(j) - c2.get(j, 0)} for j in degrees}
     negative = any(min(row.values()) < 0 for row in table.values())
     mismatch = any(row[n1] != row[n2] for row in table.values())
     return table, negative, mismatch
+
+
+def _verdict(notes: list, negative: bool, mismatch: bool, hypotheses_ok: bool,
+             exceeded: str, unproven: str) -> str:
+    """A duality check's verdict; an indeterminate one appends its reason
+    to ``notes``: ``exceeded`` for a negative corrected dimension,
+    ``unproven`` for a mismatch under failed bookkeeping hypotheses."""
+    if negative:
+        notes.append(exceeded)
+    elif mismatch and not hypotheses_ok:
+        notes.append(unproven)
+    elif not hypotheses_ok:
+        notes.append("corrections used but their hypotheses could not be verified")
+    else:
+        return "violated" if mismatch else "holds"
+    return "indeterminate"
 
 
 @dataclass
@@ -420,29 +439,13 @@ def local_duality_check(M: DGModule, regime: TorsionRegime | None = None, max_st
     cmp_trust = h_rhs.certified.meet(h_lhs.certified).meet(X.landing)
     table, negative, mismatch = _dims_table(
         cmp_trust, ("gamma_dual", h_lhs, contam_lhs), ("rhom", h_rhs, X.contamination))
-    uncompared = sorted(
-        d for d in set(h_rhs.dims) | set(h_lhs.dims)
-        if not cmp_trust.contains(d)
-    )
-    verdict = "holds"
-    if negative:
-        verdict = "indeterminate"
-        X.notes.append("contamination exceeded a computed dimension")
-    elif not X.resolution.bookkeeping_ok:
-        verdict = "indeterminate"
-        X.notes.append("frontier bookkeeping hypotheses failed; mismatch not certified" if mismatch
-                       else "corrections used but their hypotheses could not be verified")
-    elif mismatch:
-        verdict = "violated"
+    uncompared = sorted(d for d in set(h_rhs.dims) | set(h_lhs.dims) if not cmp_trust.contains(d))
+    verdict = _verdict(X.notes, negative, mismatch, X.resolution.bookkeeping_ok,
+                       "contamination exceeded a computed dimension",
+                       "frontier bookkeeping hypotheses failed; mismatch not certified")
     if uncompared:
         X.notes.append(f"degrees outside the comparison window were skipped: {uncompared}")
-    return CheckReport(
-        "local-duality",
-        verdict,
-        {"dims": {str(j): v for j, v in table.items()},
-         "certified": cmp_trust.to_json()},
-        X.notes,
-    )
+    return CheckReport("local-duality", verdict, {"dims": table, "certified": cmp_trust.to_json()}, X.notes)
 
 
 def double_duality_check(M: DGModule, regime: TorsionRegime | None = None, max_stages: int = 8) -> CheckReport:
@@ -473,26 +476,12 @@ def double_duality_check(M: DGModule, regime: TorsionRegime | None = None, max_s
     missed_target = sorted(d for d in h_m.dims if not cmp_trust.contains(d))
     if missed_target:
         notes.append(f"target cohomology outside the comparison window: {missed_target}")
-        negative = True  # cannot certify recovery there
-
-    hypotheses_ok = X.resolution.bookkeeping_ok and Z.resolution.bookkeeping_ok
-    if negative or (mismatch and not hypotheses_ok):
-        verdict = "indeterminate"
-        notes.append("contamination bookkeeping not certified")
-    elif mismatch:
-        verdict = "violated"
-    elif not hypotheses_ok:
-        verdict = "indeterminate"
-        notes.append("corrections used but their hypotheses could not be verified")
-    else:
-        verdict = "holds"
-    return CheckReport(
-        "double-duality",
-        verdict,
-        {"dims": {str(j): v for j, v in table.items()},
-         "contamination": {str(j): n for j, n in sorted(contam.items())}},
-        notes,
-    )
+    # recovery cannot be certified where the target was not compared
+    unproven = "contamination bookkeeping not certified"
+    verdict = _verdict(notes, negative or bool(missed_target), mismatch,
+                       X.resolution.bookkeeping_ok and Z.resolution.bookkeeping_ok, unproven, unproven)
+    return CheckReport("double-duality", verdict,
+                       {"dims": table, "contamination": {str(j): n for j, n in sorted(contam.items())}}, notes)
 
 
 # -- regularity inequalities ---------------------------------------------------
@@ -575,27 +564,17 @@ def koszul_truncation_check(A: DGAlgebra, M: DGModule, t: int,
     """Over a Koszul algebra, S^t(M^{>= t}) is a Koszul module whenever
     CMreg M <= t."""
     _regime(A, regime)
-    notes = []
     kos = koszul_test(A, max_stages)
     if kos.value is not True or not kos.certified:
         return CheckReport("koszul-truncation", "indeterminate",
-                           {"reason": "algebra not certified Koszul"}, notes)
+                           {"reason": "algebra not certified Koszul"}, [])
     cm = cm_reg(M, max_stages=max_stages)
     up = cm.upper_bound()
     if up is None or up > t:
         return CheckReport("koszul-truncation", "indeterminate",
-                           {"reason": f"CMreg M not certified <= {t} (got {cm})"}, notes)
+                           {"reason": f"CMreg M not certified <= {t} (got {cm})"}, [])
     trunc = hard_truncate(M, t).sub
     shifted = suspend(trunc, t, name=f"S{t}(trunc)")
     rep = koszul_test(shifted, max_stages)
-    if rep.value is True:
-        verdict = "holds"
-    elif rep.value is False:
-        verdict = "violated"
-    else:
-        verdict = "indeterminate"
-    return CheckReport(
-        "koszul-truncation", verdict,
-        {"cmreg_m": cm.to_json(), "t": t, "module_koszul": rep.to_json()},
-        notes,
-    )
+    return CheckReport("koszul-truncation", {True: "holds", False: "violated", None: "indeterminate"}[rep.value],
+                       {"cmreg_m": cm.to_json(), "t": t, "module_koszul": rep.to_json()}, [])

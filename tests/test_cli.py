@@ -222,6 +222,18 @@ def test_a_file_that_is_not_utf8_exits_two(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {doc}: byte 41 is not UTF-8 text\n"
 
 
+def test_validate_refuses_a_document_that_holds_no_object(tmp_path):
+    # an empty file, such as a failed `catalog > file` leaves, and one of
+    # comments only validate nothing: exit 2 with one error line, not 0
+    for name, text in (("empty.dg", ""), ("comments.dg", "# no object here\n\n   # nor here\n")):
+        doc = tmp_path / name
+        doc.write_text(text)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main(["validate", str(doc)])
+        assert (code, stdout.getvalue(), stderr.getvalue()) == (2, "", "error: document holds no object\n"), name
+
+
 def test_resolve_square_zero_six_stages(lam_file, capsys):
     assert main(["resolve", lam_file, "--module", "k", "--stages", "6"]) == 0
     out = capsys.readouterr().out

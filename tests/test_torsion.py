@@ -317,6 +317,58 @@ def test_double_duality_polynomial_k():
     assert rep.verdict == "holds", (rep.detail, rep.notes)
 
 
+EXCEEDED = "contamination exceeded a computed dimension"
+UNPROVEN = "frontier bookkeeping hypotheses failed; mismatch not certified"
+UNVERIFIED = "corrections used but their hypotheses could not be verified"
+NOT_CERTIFIED = "contamination bookkeeping not certified"
+
+# (negative, mismatch, hypotheses_ok) -> the (verdict, note) of the local
+# and of the double duality check; None: the verdict appends no note
+LADDER = {
+    (False, False, True): (("holds", None), ("holds", None)),
+    (False, True, True): (("violated", None), ("violated", None)),
+    (False, False, False): (("indeterminate", UNVERIFIED), ("indeterminate", UNVERIFIED)),
+    (False, True, False): (("indeterminate", UNPROVEN), ("indeterminate", NOT_CERTIFIED)),
+    (True, False, True): (("indeterminate", EXCEEDED), ("indeterminate", NOT_CERTIFIED)),
+    (True, True, True): (("indeterminate", EXCEEDED), ("indeterminate", NOT_CERTIFIED)),
+    (True, False, False): (("indeterminate", EXCEEDED), ("indeterminate", NOT_CERTIFIED)),
+    (True, True, False): (("indeterminate", EXCEEDED), ("indeterminate", NOT_CERTIFIED)),
+}
+
+
+def _s2k():
+    """S^2 k over Lambda, whose 2-stage resolution leaves one residual
+    class and whose checks compare every degree they see."""
+    return suspend(canonical_k(square_zero_algebra(), side="left"), 2)
+
+
+@pytest.mark.parametrize("case", sorted(LADDER), ids=lambda c: "neg{:d}-mis{:d}-ok{:d}".format(*c))
+@pytest.mark.parametrize("which", [0, 1], ids=["local", "double"])
+def test_each_duality_check_reads_its_verdict_off_one_ladder(case, which, monkeypatch):
+    from dgreg import torsion
+
+    negative, mismatch, hypotheses_ok = case
+    check = (local_duality_check, double_duality_check)[which]
+    M = _s2k()
+    plain = check(M, max_stages=2)
+    assert plain.verdict == "holds" and resolved(M, 2).residual, plain.notes
+    monkeypatch.setattr(torsion, "_dims_table", lambda *sides: ({}, negative, mismatch))
+    monkeypatch.setattr(resolved(M, 2), "bookkeeping_ok", hypotheses_ok)
+    rep = check(M, max_stages=2)
+    verdict, note = LADDER[case][which]
+    assert (rep.verdict, rep.notes) == (verdict, plain.notes + ([note] if note else []))
+
+
+def test_failed_bookkeeping_leaves_an_agreeing_comparison_indeterminate(monkeypatch):
+    # the sides agree only through corrections whose hypotheses failed
+    M = _s2k()
+    monkeypatch.setattr(resolved(M, 2), "bookkeeping_ok", False)
+    for check in (local_duality_check, double_duality_check):
+        rep = check(M, max_stages=2)
+        assert all(len(set(row.values())) == 1 for row in rep.detail["dims"].values()), rep.detail
+        assert (rep.verdict, rep.notes[-1]) == ("indeterminate", UNVERIFIED), rep.notes
+
+
 def test_lemma_completion_fixes_locally_finite():
     # RHom_A(A, M) = M (the finite-regime completion carrier is A itself)
     Lam = square_zero_algebra()
