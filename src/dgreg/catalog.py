@@ -1,7 +1,10 @@
 """Parameterized builders for the example families used by the tests and
-the command line: the square-zero algebra on a degree-1 generator, the
-one-variable polynomial algebras, one-generator exterior algebras in odd
-degree, ad-hoc finite tables, and the standard modules over them.
+the command line, ad-hoc finite tables, and the standard modules over them.
+
+Every catalog algebra is k[x]/(x^n) with zero differential, from one
+private builder: k[t]/(t^2) with |t| = 1, k[x]/(x^2) with |x| odd, k[T]
+cut at the window top (truncated: the products above it are unrecorded),
+and k = k[x]/(x).
 """
 
 from __future__ import annotations
@@ -26,25 +29,23 @@ DEFAULT_ALGEBRA_WINDOW = GradedWindow(0, 16)
 DEFAULT_MODULE_WINDOW = GradedWindow(-16, 16)
 
 
+def _monomial(name: str, labels: tuple, d: int, field: FieldSpec,
+              window: GradedWindow | None, complete: bool) -> DGAlgebra:
+    """k[x]/(x^n) with n = len(labels): the power x^j is ``labels[j]`` in
+    degree j*d, x^i x^j = x^{i+j} for i + j < n, and the differential is
+    zero.  Complete, the products with i + j >= n are zero; truncated,
+    they are unrecorded and the trust ends at the window top."""
+    n = len(labels)
+    one = field.one()
+    basis = {j * d: (labels[j],) for j in range(n)}
+    mul = {(labels[i], labels[j]): {labels[i + j]: one}
+           for i in range(n) for j in range(n - i)}
+    return finite_table_algebra(name, field, basis, labels[0], mul, {}, window, complete)
+
+
 def square_zero_algebra(field: FieldSpec = QQ, window: GradedWindow | None = None) -> DGAlgebra:
     """k[T]/(T^2) with T in cohomological degree 1 and zero differential."""
-    window = window or DEFAULT_ALGEBRA_WINDOW
-    F = field
-    return DGAlgebra(
-        name="Lambda",
-        field=F,
-        window=window,
-        basis={0: ("one",), 1: ("t",)},
-        unit="one",
-        mul={
-            ("one", "one"): {"one": F.one()},
-            ("one", "t"): {"t": F.one()},
-            ("t", "one"): {"t": F.one()},
-            ("t", "t"): {},
-        },
-        diff={},
-        trust=Trust.everywhere(),
-    )
+    return _monomial("Lambda", ("one", "t"), 1, field, window, complete=True)
 
 
 def exterior_algebra(d: int, field: FieldSpec = QQ, window: GradedWindow | None = None) -> DGAlgebra:
@@ -58,22 +59,7 @@ def exterior_algebra(d: int, field: FieldSpec = QQ, window: GradedWindow | None 
     window = window or DEFAULT_ALGEBRA_WINDOW
     if d > window.hi:
         raise ValueError("generator degree outside window")
-    F = field
-    return DGAlgebra(
-        name=f"Ext{d}",
-        field=F,
-        window=window,
-        basis={0: ("one",), d: ("x",)},
-        unit="one",
-        mul={
-            ("one", "one"): {"one": F.one()},
-            ("one", "x"): {"x": F.one()},
-            ("x", "one"): {"x": F.one()},
-            ("x", "x"): {},
-        },
-        diff={},
-        trust=Trust.everywhere(),
-    )
+    return _monomial(f"Ext{d}", ("one", "x"), d, field, window, complete=True)
 
 
 def polynomial_algebra(d: int, field: FieldSpec = QQ, window: GradedWindow | None = None) -> DGAlgebra:
@@ -86,41 +72,13 @@ def polynomial_algebra(d: int, field: FieldSpec = QQ, window: GradedWindow | Non
     if d < 1:
         raise ValueError("generator degree must be >= 1")
     window = window or DEFAULT_ALGEBRA_WINDOW
-    F = field
-    top_pow = window.hi // d
-    labels = {j: f"t{j}" for j in range(top_pow + 1)}
-    basis = {j * d: (labels[j],) for j in range(top_pow + 1)}
-    mul = {}
-    for i in range(top_pow + 1):
-        for j in range(top_pow + 1):
-            if (i + j) * d <= window.hi:
-                mul[(labels[i], labels[j])] = {labels[i + j]: F.one()}
-    return DGAlgebra(
-        name=f"Poly{d}",
-        field=F,
-        window=window,
-        basis=basis,
-        unit=labels[0],
-        mul=mul,
-        diff={},
-        trust=Trust(None, window.hi),
-    )
+    labels = tuple(f"t{j}" for j in range(window.hi // d + 1))
+    return _monomial(f"Poly{d}", labels, d, field, window, complete=False)
 
 
 def ground_field_algebra(field: FieldSpec = QQ, window: GradedWindow | None = None) -> DGAlgebra:
     """The ground field itself as a DG algebra."""
-    window = window or DEFAULT_ALGEBRA_WINDOW
-    F = field
-    return DGAlgebra(
-        name="k",
-        field=F,
-        window=window,
-        basis={0: ("one",)},
-        unit="one",
-        mul={("one", "one"): {"one": F.one()}},
-        diff={},
-        trust=Trust.everywhere(),
-    )
+    return _monomial("k", ("one",), 0, field, window, complete=True)
 
 
 def finite_table_algebra(

@@ -258,7 +258,7 @@ def cech_e2(A: DGAlgebra, M: DGModule, params) -> E2Page:
 
     e_full = _weight(norm_params, range(c))
     for s in range(s_range[0], s_range[1] + 1):
-        T = min(MAX_STAGE, (top - s) // e_full if e_full else MAX_STAGE)
+        T = min(MAX_STAGE, (top - s) // e_full)
         if T < 1:
             continue
         # the complexes only involve degrees s + t*e_S; all must be known

@@ -471,11 +471,14 @@ def linear_dual(M: DGModule, name: str | None = None) -> DGModule:
 
 
 def twist(M: DGModule, alpha, name: str | None = None) -> DGModule:
-    """Twist the right action by an algebra automorphism: m .' a = m . alpha(a)."""
+    """Twist the right action by an automorphism alpha of M's own algebra:
+    m .' a = m . alpha(a).  An automorphism of another algebra is refused."""
     from .algebra import validate_automorphism
 
     if not M.has_right:
         raise ValueError("twist needs a right module structure")
+    if alpha.algebra is not M.algebra and alpha.algebra != M.algebra:
+        raise ValueError("twist needs an automorphism of the module's algebra")
     rep = validate_automorphism(alpha)
     if not rep.ok:
         raise ValueError(f"invalid automorphism: {rep.violations[0].detail}")
