@@ -9,10 +9,15 @@ violated axioms as data with witnessing basis tuples.
 ``module.DGModule`` share, as A is itself a DG bimodule over A: basis
 indexing, table cleaning, degree lookups, the differential, and one
 bilinear extension of a single-label product or action to
-combinations.  The algebra and module axioms are checked by the same
-three functions (``_d_squared``, ``_leibniz``, ``_associative``), and
-maps on basis labels by one label rule and two per-label checks
-(``_unknown_label``, ``_chain``, ``_multiplicative``).
+combinations.  A's own axioms are A acting on itself: one loop per axiom
+(``_unit_law``; ``_action_leibniz`` and ``_action_associativity``, run
+by ``_action_axioms``) reads the actions ``left(a, m)``, ``right(m, a)``
+of A on X, None for a side X lacks.  ``validate_module`` passes a
+module's; ``_checked`` passes A's product on both sides for the unit
+law and on the left alone after it (the right side would repeat the
+left), and renames at its edge to ``unit``, ``associativity`` and
+``leibniz``.  Maps are checked by one label rule and two per-label
+checks (``_unknown_label``, ``_chain``, ``_multiplicative``).
 
 Associativity and Leibniz are checked over generators.  A is connected,
 so lifts S of a basis of the indecomposables A^{>=1}/(A^{>=1})^2
@@ -65,12 +70,12 @@ and their validation never runs that pass.  A copy or a construction
 starts with an empty store and runs it once.
 
 How a check is evaluated: each loop computes the inner product that
-depends only on its outer pair once (xy in A, ab for action
-associativity, am for commutation) and runs the third factor over the
-labels, which ascend by degree, up to the first triple above the window
-top.  ``_differs`` sums (xy)z - x(yz), or for ``_leibniz``
-d(uv) - d(u)v - (-1)^{|u|} u d(v), into one dict; a violation is an
-entry nonzero in the field, and an unrecorded entry means none.
+depends only on its outer pair once (ab in A for associativity, am for
+commutation) and runs the third factor over the labels, which ascend by
+degree, up to the first triple above the window top.  ``_differs`` sums
+(xy)z - x(yz), or for ``_leibniz`` d(uv) - d(u)v - (-1)^{|u|} u d(v),
+into one dict; a violation is an entry nonzero in the field, and an
+unrecorded entry means none.
 
 The above-window rule: an entry whose target degree exceeds the window
 top is zero when the presentation is complete (trusted with no upper
@@ -310,6 +315,8 @@ class DGAlgebra(Presentation):
 
     def _prepare(self, clean: bool):
         self._index(clean)
+        if self.unit not in self._deg:
+            raise ValueError(f"unit {self.unit!r} is not a basis label")
 
     def _graded_tables(self) -> tuple:
         return (self.mul, self, self), (self.diff, self, None)
@@ -471,11 +478,9 @@ def _degree_report(X) -> list:
     return list(X.kept("degree", lambda: tuple(v for t in X._graded_tables() for v in _degree_violations(X, *t))))
 
 
-def _connected_unital(A: DGAlgebra) -> list:
-    """Connectedness and two-sided unit law violations."""
-    F = A.field
+def _connectedness(A: DGAlgebra) -> list:
+    """Connectedness violations: A below degree 0, or A^0 not k spanned by the unit."""
     out = []
-    # connectedness: nonnegative degrees, one-dimensional degree 0 spanned by unit
     if A.window.lo != 0:
         out.append(Violation("connectedness", (), f"window starts at {A.window.lo}, not 0"))
     for d in A.degrees():
@@ -483,15 +488,6 @@ def _connected_unital(A: DGAlgebra) -> list:
             out.append(Violation("connectedness", tuple(A.basis_at(d)), f"basis in negative degree {d}"))
     if A.dim(0) != 1 or A.unit not in A.basis_at(0):
         out.append(Violation("connectedness", tuple(A.basis_at(0)), "degree-0 part is not k spanned by the unit"))
-
-    for b, _ in _labels(A):
-        left = A.product(A.unit, b)
-        right = A.product(b, A.unit)
-        want = {b: F.one()}
-        if left is not None and not ceq(F, left, want):
-            out.append(Violation("unit", (A.unit, b), "1*b differs from b"))
-        if right is not None and not ceq(F, right, want):
-            out.append(Violation("unit", (b, A.unit), "b*1 differs from b"))
     return out
 
 
@@ -523,33 +519,92 @@ def _by_generators(enumerate_, gens, labels) -> list:
     return enumerate_(labels)
 
 
-def _associativity(A: DGAlgebra, firsts) -> list:
-    """Associativity violations over the triples whose first factor is in
-    ``firsts``."""
-    mul, graded, hi = A.product, _labels(A), A.window.hi
-    out = []
-    for x, dx in graded:
-        if x not in firsts:
-            continue
-        for y, dy in graded:
-            xy = mul(x, y)
-            for z, dz in graded:
-                if dx + dy + dz > hi:
-                    break
-                if _associative(A, x, xy, z, mul(y, z), mul, mul):
-                    out.append(Violation("associativity", (x, y, z), "(xy)z != x(yz)"))
+def _unit_law(X, A, left, right) -> list:
+    """Unit-law violations, 1.m = m on the left and m.1 = m on the right,
+    per label m of X, on recorded entries."""
+    F, u, out = X.field, A.unit, []
+
+    def moved(got, m):
+        return got is not None and not ceq(F, got, {m: F.one()})
+
+    for m, _ in _labels(X):
+        if left is not None and moved(left(u, m), m):
+            out.append(Violation("unit-action-left", (u, m), "1.m differs from m"))
+        if right is not None and moved(right(m, u), m):
+            out.append(Violation("unit-action-right", (m, u), "m.1 differs from m"))
     return out
 
 
-def _algebra_leibniz(A: DGAlgebra, firsts) -> list:
-    """Leibniz violations over the pairs whose first factor is in
-    ``firsts``."""
-    mul, labels = A.product, list(A._deg)
-    return [
-        Violation("leibniz", (x, y), "d(xy) != d(x)y + (-1)^|x| x d(y)")
-        for x in labels if x in firsts
-        for y in labels if _leibniz(A, mul, A, x, A, y)
-    ]
+def _action_associativity(X, A, left, right, gens) -> list:
+    """Action associativity violations over the triples whose algebra
+    factor on the generator side is in ``gens``, the first factor on the
+    left and the last on the right; with both sides, bimodule commutation
+    violations over the triples with both algebra factors in ``gens``."""
+    alg_labels, labels, hi, mul, out = _labels(A), _labels(X), X.window.hi, A.product, []
+    for a, da in alg_labels:
+        on_left = left is not None and a in gens
+        for b, db in alg_labels:
+            on_right = right is not None and b in gens
+            if not (on_left or on_right):
+                continue
+            ab = mul(a, b)
+            for m, dm in labels:
+                if da + db + dm > hi:
+                    break
+                if on_left and _associative(X, a, ab, m, left(b, m), left, left):
+                    out.append(Violation("action-associativity-left", (a, b, m), "(ab)m != a(bm)"))
+                if on_right and _associative(X, m, right(m, a), b, ab, right, right):
+                    out.append(Violation("action-associativity-right", (m, a, b), "m(ab) != (ma)b"))
+
+    if left is not None and right is not None:
+        gen_labels = [(a, da) for a, da in alg_labels if a in gens]
+        for a, da in gen_labels:
+            for m, dm in labels:
+                am = left(a, m)
+                for b, db in gen_labels:
+                    if da + dm + db > hi:
+                        break
+                    if _associative(X, a, am, b, right(m, b), right, left):
+                        out.append(Violation("bimodule-commutation", (a, m, b), "(am)b != a(mb)"))
+    return out
+
+
+def _action_leibniz(X, A, left, right, firsts) -> list:
+    """Left and right Leibniz violations over the pairs whose algebra
+    factor is in ``firsts``: the first factor on the left, the last on the
+    right."""
+    labels, out = _labels(X), []
+    for a, _ in _labels(A):
+        if a not in firsts:
+            continue
+        for m, _ in labels:
+            if left is not None and _leibniz(X, left, A, a, X, m):
+                out.append(Violation("leibniz-left", (a, m), "d(am) != d(a)m + (-1)^|a| a d(m)"))
+            if right is not None and _leibniz(X, right, X, m, A, a):
+                out.append(Violation("leibniz-right", (m, a), "d(ma) != d(m)a + (-1)^|m| m d(a)"))
+    return out
+
+
+def _action_axioms(X, A, left, right, gens) -> list:
+    """The Leibniz, then the associativity and commutation violations of
+    the actions, over the generators ``gens`` by the rules of the module
+    docstring, or over every label when ``gens`` is None."""
+    assoc = _by_generators(lambda gs: _action_associativity(X, A, left, right, gs), gens, A._deg)
+    firsts = None if gens is None or assoc else gens | {A.unit}
+    return _by_generators(lambda fs: _action_leibniz(X, A, left, right, fs), firsts, A._deg) + assoc
+
+
+# the axiom names and details A reports for those of A acting on itself
+_AS_ALGEBRA = {
+    "unit-action-left": ("unit", "1*b differs from b"),
+    "unit-action-right": ("unit", "b*1 differs from b"),
+    "action-associativity-left": ("associativity", "(xy)z != x(yz)"),
+    "leibniz-left": ("leibniz", "d(xy) != d(x)y + (-1)^|x| x d(y)"),
+}
+
+
+def _as_algebra(violations) -> list:
+    return [Violation(_AS_ALGEBRA[v.axiom][0], v.witness, _AS_ALGEBRA[v.axiom][1]) for v in violations]
 
 
 def _checked(A: DGAlgebra) -> tuple:
@@ -557,13 +612,10 @@ def _checked(A: DGAlgebra) -> tuple:
     axioms, and the generators S when there are none, else None.  Decided
     once per algebra and kept on it."""
     def decide():
-        out = _connected_unital(A) + _degree_report(A)
+        mul = A.product
+        out = _connectedness(A) + _as_algebra(_unit_law(A, A, mul, mul)) + _degree_report(A)
         gens = None if out else _generators(A)
-        out += _d_squared(A, "d(d(b)) is nonzero")
-        assoc = _by_generators(lambda firsts: _associativity(A, firsts), gens, A._deg)
-        firsts = None if gens is None or assoc else gens | {A.unit}
-        out += _by_generators(lambda firsts: _algebra_leibniz(A, firsts), firsts, A._deg)
-        out += assoc
+        out += _d_squared(A, "d(d(b)) is nonzero") + _as_algebra(_action_axioms(A, A, mul, None, gens))
         return (None if out else gens, tuple(out))
 
     return A.kept("checks", decide)

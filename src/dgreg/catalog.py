@@ -65,14 +65,15 @@ def exterior_algebra(d: int, field: FieldSpec = QQ, window: GradedWindow | None 
 def polynomial_algebra(d: int, field: FieldSpec = QQ, window: GradedWindow | None = None) -> DGAlgebra:
     """k[T] with T in cohomological degree d >= 1 and zero differential.
 
-    Only the window's worth of powers is recorded; products landing
-    above the window top stay unrecorded, so the presentation is trusted
-    up to the window top and unknown beyond.
+    Only the window's worth of powers is recorded, and t0 always (a
+    window below degree 0 is refused); products landing above the window
+    top stay unrecorded, so the presentation is trusted up to the window
+    top and unknown beyond.
     """
     if d < 1:
         raise ValueError("generator degree must be >= 1")
     window = window or DEFAULT_ALGEBRA_WINDOW
-    labels = tuple(f"t{j}" for j in range(window.hi // d + 1))
+    labels = tuple(f"t{j}" for j in range(max(window.hi // d, 0) + 1))
     return _monomial(f"Poly{d}", labels, d, field, window, complete=False)
 
 

@@ -22,11 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .algebra import (
-    DGAlgebra, Presentation, ValidationReport, Violation, _associative, _by_generators, _chain,
-    _checked, _d_squared, _degree_report, _labels, _leibniz, _multiplicative, _unknown_label, diff_columns,
+    DGAlgebra, Presentation, ValidationReport, Violation, _action_axioms, _chain, _checked, _d_squared,
+    _degree_report, _labels, _multiplicative, _unit_law, _unknown_label, diff_columns,
 )
 from .fields import FieldSpec
-from .lincomb import ceq, cextend, cscale, czero
+from .lincomb import cextend, cscale, czero
 from .linalg import Echelon, Matrix, QuotientSpace, kernel_mod_images
 from .windows import GLOBAL_DEGREE_BOUND, GradedWindow, Trust, WindowError
 
@@ -119,90 +119,17 @@ class DGModule(Presentation):
 
 def validate_module(M: DGModule) -> ValidationReport:
     """Check d^2, module Leibniz, action associativity, unit action, and
-    (for bimodules) commutation of the two actions, on recorded entries.
-    Leibniz, associativity and commutation are checked over the algebra's
-    generators when the rules of ``dgreg.algebra`` apply."""
+    (for bimodules) commutation of the two actions, on recorded entries,
+    by the loops that check A acting on itself, run over A's generators
+    when the rules of ``dgreg.algebra`` apply."""
     A = M.algebra
-    F = M.field
+    left = M.act_left if M.has_left else None
+    right = M.act_right if M.has_right else None
     out = _d_squared(M, "d(d(m)) is nonzero")
-
-    unital = True
-    for m, _ in _labels(M):
-        want = {m: F.one()}
-        if M.has_left:
-            got = M.act_left(A.unit, m)
-            if got is not None and not ceq(F, got, want):
-                unital = False
-                out.append(Violation("unit-action-left", (A.unit, m), "1.m differs from m"))
-        if M.has_right:
-            got = M.act_right(m, A.unit)
-            if got is not None and not ceq(F, got, want):
-                unital = False
-                out.append(Violation("unit-action-right", (m, A.unit), "m.1 differs from m"))
-
-    degree = _degree_report(M)
-    out += degree
-    gens = _checked(A)[0] if unital and not degree else None
-    assoc = _by_generators(lambda gs: _action_associativity(M, gs), gens, A._deg)
-    firsts = None if gens is None or assoc else gens | {A.unit}
-    out += _by_generators(lambda fs: _module_leibniz(M, fs), firsts, A._deg)
-    out += assoc
+    units, degree = _unit_law(M, A, left, right), _degree_report(M)
+    gens = _checked(A)[0] if not units and not degree else None
+    out += units + degree + _action_axioms(M, A, left, right, gens)
     return ValidationReport(M.name, out)
-
-
-def _module_leibniz(M: DGModule, firsts) -> list:
-    """Left and right Leibniz violations over the pairs whose algebra
-    factor is in ``firsts``: the first factor on the left, the last on the
-    right."""
-    A = M.algebra
-    left, right, mod_labels = M.act_left, M.act_right, _labels(M)
-    out = []
-    for a, _ in _labels(A):
-        if a not in firsts:
-            continue
-        for m, _ in mod_labels:
-            if M.has_left and _leibniz(M, left, A, a, M, m):
-                out.append(Violation("leibniz-left", (a, m), "d(am) != d(a)m + (-1)^|a| a d(m)"))
-            if M.has_right and _leibniz(M, right, M, m, A, a):
-                out.append(Violation("leibniz-right", (m, a), "d(ma) != d(m)a + (-1)^|m| m d(a)"))
-    return out
-
-
-def _action_associativity(M: DGModule, gens) -> list:
-    """Action associativity and bimodule commutation violations over the
-    triples whose algebra factor on the generator side is in ``gens``:
-    the first factor on the left, the last on the right, and both in
-    commutation."""
-    A = M.algebra
-    alg_labels, mod_labels, hi = _labels(A), _labels(M), M.window.hi
-    left, right, mul = M.act_left, M.act_right, A.product
-    out = []
-    for a, da in alg_labels:
-        on_left = M.has_left and a in gens
-        for b, db in alg_labels:
-            on_right = M.has_right and b in gens
-            if not (on_left or on_right):
-                continue
-            ab = mul(a, b)
-            for m, dm in mod_labels:
-                if da + db + dm > hi:
-                    break
-                if on_left and _associative(M, a, ab, m, left(b, m), left, left):
-                    out.append(Violation("action-associativity-left", (a, b, m), "(ab)m != a(bm)"))
-                if on_right and _associative(M, m, right(m, a), b, ab, right, right):
-                    out.append(Violation("action-associativity-right", (m, a, b), "m(ab) != (ma)b"))
-
-    if M.side == BI:
-        gen_labels = [(a, da) for a, da in alg_labels if a in gens]
-        for a, da in gen_labels:
-            for m, dm in mod_labels:
-                am = left(a, m)
-                for b, db in gen_labels:
-                    if da + dm + db > hi:
-                        break
-                    if _associative(M, a, am, b, right(m, b), right, left):
-                        out.append(Violation("bimodule-commutation", (a, m, b), "(am)b != a(mb)"))
-    return out
 
 
 # -- cohomology ----------------------------------------------------------

@@ -558,6 +558,28 @@ def test_twist_rejects_bad_automorphism():
         twist(free_module(P), bad)
 
 
+def test_a_unit_that_is_not_a_basis_label_is_refused():
+    """A unit outside the basis is refused at construction, as the parser
+    refuses it on the unit line; validation never meets it."""
+    one = QQ.one()
+    fields = dict(name="A", field=QQ, window=GradedWindow(0, 2), basis={0: ("one",), 1: ("t",)},
+                  unit="u", mul={("one", "one"): {"one": one}}, diff={}, trust=Trust.everywhere())
+    for build in (DGAlgebra, DGAlgebra._built):
+        with pytest.raises(ValueError, match="unit 'u' is not a basis label"):
+            build(**fields)
+
+
+def test_polynomial_algebra_refuses_a_window_below_degree_0():
+    """k[T] on a window whose top is below 0 is refused as the other
+    catalog algebras are: its unit t0 lies outside the window."""
+    from dgreg.windows import WindowError
+
+    for build in (lambda w: polynomial_algebra(1, QQ, w), lambda w: square_zero_algebra(QQ, w),
+                  lambda w: ground_field_algebra(QQ, w)):
+        with pytest.raises(WindowError, match="basis degree 0 outside window -3..-1"):
+            build(GradedWindow(-3, -1))
+
+
 def test_twist_refuses_an_automorphism_of_another_algebra():
     """An automorphism of k[T]_2 does not twist a module over k[T]_1, even
     though the labels t0, t2, t4, ... of the one are labels of the other."""

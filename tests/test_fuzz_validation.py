@@ -701,12 +701,38 @@ def test_leibniz_generator_set_holds_the_unit(field):
     L = square_zero_algebra(field, SMALL_WINDOW)
     P = replace(L, diff={L.unit: {"t": field.one()}})
     assert algebra._generators(P) == {"t"}
-    assert not algebra._algebra_leibniz(P, {"t"})
+    assert not algebra._action_leibniz(P, P, P.product, None, {"t"})
     rep = validate_algebra(P)
     assert [(v.axiom, v.witness) for v in rep.violations] == [("leibniz", ("one", "one"))]
     assert rep.to_json() == _full_enumeration(validate_algebra, P).to_json()
     for M in (canonical_k(P, side="bi"), free_module(P, side="bi")):
         assert validate_module(M).to_json() == _full_enumeration(validate_module, M).to_json()
+
+
+# A's unit, associativity and Leibniz axioms are those of A acting on itself
+# from the left, with the unit law read on both sides.
+_AS_ALGEBRA = {"unit-action-left": "unit", "unit-action-right": "unit",
+               "action-associativity-left": "associativity", "leibniz-left": "leibniz"}
+
+
+def test_algebra_axioms_are_the_free_bimodule_axioms_renamed():
+    """On perturbed algebras over Q, F_2 and F_7, the unit, associativity
+    and Leibniz violations of A are, in order, the unit-action,
+    left-action associativity and left Leibniz violations of A as a
+    bimodule over itself, renamed."""
+    rng = random.Random(11)
+    seen = dict.fromkeys(("unit", "associativity", "leibniz"), 0)
+    for _ in range(300):
+        A = rng.choice(_algebra_pool(rng.choice([QQ, GF(2), GF(7)])))
+        P = perturb_algebra(rng, A)
+        own = [(v.axiom, v.witness) for v in validate_algebra(P).violations if v.axiom in seen]
+        acting = [(_AS_ALGEBRA[v.axiom], v.witness)
+                  for v in validate_module(free_module(P, side="bi")).violations if v.axiom in _AS_ALGEBRA]
+        assert own == acting
+        for axiom in {axiom for axiom, _ in own}:
+            seen[axiom] += 1
+    # draws whose report names each axiom
+    assert seen == {"unit": 212, "associativity": 172, "leibniz": 56}
 
 
 # ---- per-triple reference -----------------------------------------------------
