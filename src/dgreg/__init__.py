@@ -33,6 +33,7 @@ from .module import (
     left_restriction,
     to_opposite,
     double_dual_embedding,
+    truncate_above,
     validate_module,
 )
 from .ledger import Generator, SemifreeResolution, free_ledger, make_ledger
@@ -45,7 +46,6 @@ from .resolution import (
     is_minimal,
     koszul_test,
     semifree_resolve,
-    truncate_above,
 )
 from .torsion import (
     TorsionRegime,

@@ -1,6 +1,6 @@
 """DG modules over a connected cochain DG algebra: presentations,
-validation, cohomology, hard truncation, suspension, linear duals,
-twists, morphisms, and mapping cones.
+validation, cohomology, hard truncation and truncation from above,
+suspension, linear duals, twists, morphisms, and mapping cones.
 
 Sign conventions (fixed once, asserted by the test suite):
 
@@ -286,53 +286,111 @@ class Truncation:
     projection: "ModuleMorphism"
 
 
+def _quotient_by_labels(M: DGModule, dropped: set, top: int, trust: Trust, name: str):
+    """M modulo the span of the labels ``dropped``, a DG submodule holding
+    every label above ``top``, and the projection that drops their terms
+    from every kept entry."""
+
+    def project(table, label):
+        out = {}
+        for key, combo in table.items():
+            if label(key) not in dropped:
+                reduced = {lbl: c for lbl, c in combo.items() if lbl not in dropped}
+                if reduced:
+                    out[key] = reduced
+        return out
+
+    basis = {d: tuple(lbl for lbl in lbls if lbl not in dropped) for d, lbls in M.basis.items() if d <= top}
+    quot = M._with(
+        name=name,
+        window=GradedWindow(M.window.lo, min(M.window.hi, top)) if any(basis.values())
+        else GradedWindow(M.window.lo, M.window.lo),
+        basis=basis,
+        lact=project(M.lact, lambda k: k[1]),
+        ract=project(M.ract, lambda k: k[0]),
+        diff=project(M.diff, lambda k: k),
+        trust=trust,
+    )
+    return quot, ModuleMorphism(M, quot, {lbl: {} if lbl in dropped else {lbl: M._one} for lbl in M._deg})
+
+
 def hard_truncate(M: DGModule, level: int) -> Truncation:
     """The hard truncation M^{>= level} with its quotient M/M^{>= level}
     and the witnessing inclusion/projection chain maps."""
-    F = M.field
     keep = {d: lbls for d, lbls in M.basis.items() if d >= level}
-    drop = {d: lbls for d, lbls in M.basis.items() if d < level}
     kept = {lbl for lbls in keep.values() for lbl in lbls}
 
-    def project(table, in_dropped):
-        out = {}
-        for key, combo in table.items():
-            if not in_dropped(key):
-                continue
-            reduced = {lbl: c for lbl, c in combo.items() if lbl not in kept}
-            if reduced:
-                out[key] = reduced
-        return out
-
-    sub_window = GradedWindow(max(M.window.lo, level), M.window.hi)
     sub_trust = M.trust
     if M.trust.lo is None or M.trust.lo <= level:
         sub_trust = Trust(None, M.trust.hi)  # below level the truncation is zero by fiat
     sub = M._with(
         name=f"{M.name}>= {level}".replace(" ", ""),
-        window=sub_window if keep else GradedWindow(level, max(level, M.window.hi)),
+        window=GradedWindow(max(M.window.lo, level), M.window.hi) if keep
+        else GradedWindow(level, max(level, M.window.hi)),
         basis=keep,
         lact={k: v for k, v in M.lact.items() if k[1] in kept},
         ract={k: v for k, v in M.ract.items() if k[0] in kept},
         diff={k: v for k, v in M.diff.items() if k in kept},
         trust=sub_trust,
     )
-    quot_window = GradedWindow(M.window.lo, min(M.window.hi, level - 1)) if drop else GradedWindow(M.window.lo, M.window.lo)
     quot_trust = Trust(M.trust.lo, None) if (M.trust.hi is None or M.trust.hi >= level - 1) else M.trust
-    quot = M._with(
-        name=f"{M.name}/>={level}",
-        window=quot_window,
-        basis=drop,
-        lact=project(M.lact, lambda k: k[1] not in kept),
-        ract=project(M.ract, lambda k: k[0] not in kept),
-        diff=project(M.diff, lambda k: k not in kept),
-        trust=quot_trust,
-    )
-    incl = ModuleMorphism(sub, M, {lbl: {lbl: F.one()} for lbl in kept})
-    proj = ModuleMorphism(
-        M, quot, {lbl: ({lbl: F.one()} if lbl not in kept else {}) for lbl in M._deg}
-    )
+    quot, proj = _quotient_by_labels(M, kept, level - 1, quot_trust, f"{M.name}/>={level}")
+    incl = ModuleMorphism(sub, M, {lbl: {lbl: M._one} for lbl in kept})
     return Truncation(sub, quot, incl, proj)
+
+
+class TruncationImpossibleError(ValueError):
+    """truncate_above called with cohomology above the requested degree."""
+
+
+@dataclass
+class TruncationCertificate:
+    module: DGModule
+    morphism: ModuleMorphism | None
+    h_match: bool
+    certified_window: Trust
+    note: str
+
+
+def truncate_above(M: DGModule, s: int) -> TruncationCertificate:
+    """A quasi-isomorphic replacement of M vanishing above degree s,
+    which needs H^j(M) = 0 for every certified j > s.
+
+    M' = M / (C + M^{>s}), where C is spanned by the labels of M^s whose
+    d-columns are independent of the earlier ones, so d maps C onto
+    B^{s+1}(M) and dim M'^s = dim Z^s(M).  As A^0 = k.1 and A^{<0} = 0,
+    C + M^{>s} is a DG submodule on every side of M, and its H, 0 at s
+    and H(M) above, vanishes exactly when H^{>s}(M) does.  The
+    certificate is the projection M -> M'.  M' is trusted where M is up
+    to s - 1, and from s on only when M is trusted at s + 1, where d^s
+    lands.  ``h_match`` needs the certified window to hold all of H and
+    the validated projection to be an isomorphism on H there.
+    """
+    h = kept_cohomology(M)
+    bad = [d for d in h.dims if d > s and h.certified.contains(d)]
+    if bad:
+        raise TruncationImpossibleError(f"H^{bad[0]}(M) != 0 above s = {s}")
+    if all(d <= s for d in M.degrees()):
+        return TruncationCertificate(M, None, True, h.certified, "already vanishes above s")
+
+    image = Echelon(M.field)
+    dropped = {m for m, col in zip(M.basis_at(s), diff_columns(M, s)) if image.add(col)}
+    dropped.update(m for d, lbls in M.basis.items() if d > s for m in lbls)
+    trust = Trust(M.trust.lo, None) if M.trust.hi is None or M.trust.hi > s else M.trust.cap_hi(s - 1)
+    Mprime, morphism = _quotient_by_labels(M, dropped, s, trust, f"{M.name}<={s}")
+    ok = morphism.validate().ok
+
+    hp = kept_cohomology(Mprime)
+    window = h.certified.meet(hp.certified)
+    missed = sorted(d for d in set(h.dims) | set(hp.dims) if not window.contains(d))
+    match = not missed and ok and morphism.is_quasi_iso_on(window)
+    note = "smart truncation"
+    if missed:
+        note += f"; H outside the certified window {window} at degrees {missed}"
+    if not ok:
+        note += "; certificate morphism failed validation"
+        morphism = None
+    return TruncationCertificate(Mprime, morphism, match, window, note)
 
 
 def suspend(M: DGModule, n: int, name: str | None = None) -> DGModule:

@@ -1,5 +1,5 @@
 """Minimal semifree resolutions by iterative cycle killing, Ext
-regularity, Koszulness, and quasi-isomorphic truncation from above.
+regularity and Koszulness.
 
 The resolution loop keeps a generator ledger P together with an
 augmentation toward the target M and repeatedly inspects the mapping
@@ -40,29 +40,22 @@ from dataclasses import dataclass
 from .algebra import DGAlgebra, _degree_report, _labels, diff_columns
 from .ledger import Generator, SemifreeResolution, is_minimal_ledger
 from .homtensor import (_free_bimodule, _generator_trust, _ledger_cell, _tensor_rules, ledger_cells,
-                        realize_ledger, tensor_module_ledger)
+                        tensor_module_ledger)
 from .lincomb import cneg
 from .linalg import kernel_mod_images
 from .module import (
     DGModule,
     ModuleMorphism,
-    _dual_label,
     _h_certified,
     canonical_k,
     kept_cohomology,
     left_restriction,
-    linear_dual,
-    to_opposite,
 )
 from .windows import GradedWindow, Trust
 
 
 class DegenerateWindowError(ValueError):
     """The window is too small to see any cohomology of the target."""
-
-
-class TruncationImpossibleError(ValueError):
-    """truncate_above called with cohomology above the requested degree."""
 
 
 def _cell_image(M: DGModule, aug, degree: int, b: str, n: int):
@@ -428,70 +421,3 @@ def extreg_symmetry(A: DGAlgebra, max_stages: int = 8) -> dict:
         "tensor_dims_match": dims_l == dims_r,
     }
 
-
-# -- truncation from above ---------------------------------------------------
-
-
-@dataclass
-class TruncationCertificate:
-    module: DGModule
-    morphism: ModuleMorphism | None
-    h_match: bool
-    certified_window: Trust
-    note: str
-
-
-def truncate_above(M: DGModule, s: int, max_stages: int = 8) -> TruncationCertificate:
-    """A quasi-isomorphic replacement of M vanishing above degree s.
-
-    Requires H^j(M) = 0 for j > s on the certified window.  Resolve the
-    dual of M over the opposite algebra (its generators live in degrees
-    >= -s) and dualize back: semifree modules over a nonnegatively
-    graded algebra with generators in degrees >= -s live in degrees
-    >= -s, so the dual vanishes above s.  The certificate M -> M' is the
-    transpose of eps: Q -> M* after M -> M**, m -> (-1)^{|m|} sum_q
-    eps(q)[m'] q', read off eps's images.
-    """
-    h = kept_cohomology(M)
-    bad = [d for d in h.dims if d > s and h.certified.contains(d)]
-    if bad:
-        raise TruncationImpossibleError(f"H^{bad[0]}(M) != 0 above s = {s}")
-    if all(d <= s for d in M.degrees()):
-        return TruncationCertificate(M, None, True, h.certified, "already vanishes above s")
-
-    M = left_restriction(M)
-    F = M.field
-    Mdual = linear_dual(M)            # right module
-    X = to_opposite(Mdual)            # left module over A^op
-    res = semifree_resolve(X, max_stages)
-    Q = realize_ledger(res, X.window, name="|Q|")
-    eps = _augmentation_morphism(res, Q, X)
-    Qd = linear_dual(Q)               # right module over A^op
-    Mprime = to_opposite(Qd)          # left module over (A^op)^op = A
-
-    note = "dual-resolution truncation"
-    images = {m: {} for m in M._deg}  # M' has the labels of Q*
-    of_dual = {_dual_label(m): m for m in M._deg}
-    for q in Q._deg:
-        for x, c in eps.images.get(q, {}).items():
-            m = of_dual[x]
-            images[m][_dual_label(q)] = F.mul(F.sign(M.degree_of(m)), c)
-    morphism = ModuleMorphism(M, Mprime, images)
-    ok = morphism.validate().ok
-
-    # left_restriction keeps M's basis, differential and trust, so h is H(M);
-    # H can match only where it was compared, so the window must hold all of it
-    hp = kept_cohomology(Mprime)
-    window = h.certified.meet(hp.certified)
-    support = set(h.dims) | set(hp.dims)
-    missed = sorted(d for d in support if not window.contains(d))
-    match = not missed and all(h.dim(d) == hp.dim(d) for d in support) and (
-        not ok or morphism.is_quasi_iso_on(window))
-    if missed:
-        note += f"; H outside the certified window {window} at degrees {missed}"
-    if not ok:
-        note += "; certificate morphism failed validation"
-        morphism = None
-    if not res.complete:
-        note += f"; dual resolution frontier at {res.frontier}"
-    return TruncationCertificate(Mprime, morphism, match, window, note)

@@ -9,7 +9,9 @@ import pytest
 
 from dgreg.algebra import AlgebraAutomorphism, DGAlgebra, identity_automorphism, validate_algebra
 from dgreg.catalog import (
+    MODULE_KINDS,
     build_module,
+    catalog_algebras,
     exterior_algebra,
     ground_field_algebra,
     polynomial_algebra,
@@ -294,6 +296,20 @@ def test_truncate_below_window_is_identity():
     tr = hard_truncate(M, M.window.lo)
     assert tr.sub.basis == M.basis
     assert tr.quot.total_dim() == 0
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=["Q", "F2", "F7"])
+def test_truncate_above_the_window_top(field):
+    # nothing lies at or above hi + 1: the truncation is 0 and the quotient is M
+    for A in catalog_algebras(field):
+        for kind in MODULE_KINDS:
+            for side in ("left", "right", "bi"):
+                M = build_module(A, kind, side=side)
+                tr = hard_truncate(M, M.window.hi + 1)
+                assert tr.sub.total_dim() == 0, (A.name, kind, side)
+                assert (tr.quot.basis, tr.quot.lact, tr.quot.ract, tr.quot.diff) == (M.basis, M.lact, M.ract, M.diff)
+                assert validate_module(tr.sub).ok and validate_module(tr.quot).ok
+                assert tr.inclusion.validate().ok and tr.projection.validate().ok
 
 
 def test_truncate_polynomial():

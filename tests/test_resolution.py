@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgreg.algebra import validate_algebra
+from dgreg.algebra import diff_columns, validate_algebra
 from dgreg.catalog import (
     build_module,
     exterior_algebra,
@@ -19,16 +19,23 @@ from dgreg.catalog import (
 from dgreg.fields import QQ, GF
 from dgreg.homtensor import hom_from_ledger, realize_ledger, tensor_module_ledger
 from dgreg.ledger import free_ledger, make_ledger
-from dgreg.module import canonical_k, cohomology, free_module, suspend, validate_module
-from dgreg.resolution import (
+from dgreg.linalg import Echelon
+from dgreg.module import (
     TruncationImpossibleError,
+    canonical_k,
+    cohomology,
+    free_module,
+    suspend,
+    truncate_above,
+    validate_module,
+)
+from dgreg.resolution import (
     _augmentation_morphism,
     ext_reg,
     extreg_symmetry,
     is_minimal,
     koszul_test,
     semifree_resolve,
-    truncate_above,
 )
 from dgreg.windows import GradedWindow
 from test_fuzz_validation import _generator_pool, _transport, perturb_module
@@ -254,11 +261,10 @@ def test_truncate_above_drops_contractible_top():
     )
     assert validate_module(glued).ok
     assert cohomology(glued).dims == {0: 1}
-    cert = truncate_above(glued, 0, max_stages=8)
+    cert = truncate_above(glued, 0)
     assert all(d <= 0 for d in cert.module.degrees())
-    # the certified window starts above degree 0, where H lives
-    assert not cert.certified_window.contains(0)
-    assert not cert.h_match
+    assert cert.certified_window.contains(0)
+    assert cert.h_match
     assert cohomology(cert.module).dims.get(0) == 1
 
 
@@ -306,6 +312,43 @@ def test_truncate_above_is_sound_on_cones_and_sums(field):
             truncate_above(free_module(A, side="left"), 0)
 
 
+@settings(max_examples=120, deadline=None)
+@given(field=st.sampled_from([QQ, GF(2), GF(7)]), hi=st.integers(3, 5), pick=st.integers(0, 6),
+       kind=st.sampled_from(["k", "free", "truncated-free", "cone-id", "resolution"]),
+       side=st.sampled_from(["left", "right", "bi"]), stages=st.integers(1, 3),
+       shift=st.integers(-2, 2), seed=st.integers(0, 2**32 - 1))
+def test_truncate_above_is_sound_on_generated_modules(field, hi, pick, kind, side, stages, shift, seed):
+    # for every s: refused exactly when certified H lies above s, and
+    # otherwise M' vanishes above s, keeps the cocycles of degree s, and is
+    # reached by a valid projection that is a quasi-isomorphism on the
+    # certified window, which holds all of H when h_match is claimed
+    A = _transport(random.Random(seed), _generator_pool(field, hi)[pick])
+    if kind == "resolution":
+        k = canonical_k(A, side="left")
+        M = realize_ledger(semifree_resolve(k, stages), k.window)
+    else:
+        M = build_module(A, kind, side=side)
+    M = suspend(M, shift)
+    assert validate_module(M).ok
+    h = cohomology(M)
+    for s in range(M.window.lo - 1, M.window.hi + 1):
+        if any(d > s and h.certified.contains(d) for d in h.dims):
+            with pytest.raises(TruncationImpossibleError):
+                truncate_above(M, s)
+            continue
+        cert = truncate_above(M, s)
+        Mp = cert.module
+        assert all(d <= s for d in Mp.degrees()) and validate_module(Mp).ok
+        assert Mp.dim(s) == M.dim(s) - len(Echelon.spanned_by(field, diff_columns(M, s)))
+        if Mp is M:
+            continue
+        assert cert.morphism is not None and cert.morphism.validate().ok, cert.note
+        assert cert.morphism.is_quasi_iso_on(cert.certified_window)
+        if cert.h_match:
+            support = set(h.dims) | set(cohomology(Mp).dims)
+            assert all(cert.certified_window.contains(d) for d in support), (s, cert.certified_window)
+
+
 def test_resolving_a_resolution_is_idempotent_on_counts():
     P = polynomial_algebra(2)
     k = canonical_k(P, side="left")
@@ -328,8 +371,8 @@ def test_truncate_above_cech_carrier():
 
 
 def test_truncate_above_polynomial_glued():
-    # content above s with vanishing H: the dual-resolution route must
-    # produce a quasi-isomorphic module concentrated in degrees <= 0
+    # content above s with vanishing H: the truncation must produce a
+    # quasi-isomorphic module concentrated in degrees <= 0
     from dgreg.module import DGModule, ModuleMorphism, cone_of
 
     P = polynomial_algebra(2)
@@ -349,11 +392,10 @@ def test_truncate_above_polynomial_glued():
     )
     assert validate_module(glued).ok
     assert cohomology(glued).certified_dims() == {0: 1}
-    cert = truncate_above(glued, 0, max_stages=6)
+    cert = truncate_above(glued, 0)
     assert all(d <= 0 for d in cert.module.degrees())
-    # the certified window starts above degree 0, where H lives
-    assert not cert.certified_window.contains(0)
-    assert not cert.h_match
+    assert cert.certified_window.contains(0)
+    assert cert.h_match
     assert cohomology(cert.module).dims.get(0) == 1
 
 

@@ -17,6 +17,7 @@ from dgreg.fields import QQ, GF
 from dgreg.homtensor import hom_from_ledger
 from dgreg.ledger import free_ledger
 from dgreg.module import (
+    TruncationImpossibleError,
     canonical_k,
     cohomology,
     free_module,
@@ -24,6 +25,7 @@ from dgreg.module import (
     linear_dual,
     suspend,
     to_opposite,
+    truncate_above,
     validate_module,
 )
 from dgreg.resolution import ext_reg, extreg_symmetry, kept_k, koszul_test, resolved, semifree_resolve
@@ -872,14 +874,27 @@ def _agree_on_certified(values, where):
             assert v.lower_bound() <= exact[0].upper_bound(), (where, values)
 
 
+def _truncations(M, degrees):
+    """truncate_above(M, s) for each s, None where it is refused."""
+    out = {}
+    for s in degrees:
+        try:
+            out[s] = truncate_above(M, s)
+        except TruncationImpossibleError:
+            out[s] = None
+    return out
+
+
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(7)], ids=["Q", "F2", "F7"])
 def test_certified_values_do_not_move_as_the_window_widens(field):
     """The same module over the algebra on windows 0..8, 0..12 and 0..16:
     certified H dimensions, exact Extreg and CMreg, decided Koszul values
-    and holds/violated duality verdicts are the same on every window."""
+    and holds/violated duality verdicts are the same on every window; a
+    truncation from above that matches H on one window is refused on none,
+    and the H of the truncations agrees where their windows certify it."""
     for make in WIDENING_ALGEBRAS:
         for kind, kw in WIDENING_MODULES:
-            h, ext, cm, koszul, local, double = ([] for _ in range(6))
+            h, ext, cm, koszul, local, double, cut = ([] for _ in range(7))
             for hi in (8, 12, 16):
                 A = make(field, GradedWindow(0, hi))
                 regime = detect_regime(A)
@@ -890,6 +905,7 @@ def test_certified_values_do_not_move_as_the_window_widens(field):
                 koszul.append(koszul_test(M).value)
                 local.append(local_duality_check(M, regime).verdict)
                 double.append(double_duality_check(M, regime).verdict)
+                cut.append(_truncations(M, range(-4, 5)))
             where = (A.name, kind, kw)
             for d in set().union(*(rep.dims for rep in h)):
                 assert len({rep.dim(d) for rep in h if rep.certified.contains(d)}) <= 1, (where, d)
@@ -898,3 +914,10 @@ def test_certified_values_do_not_move_as_the_window_widens(field):
             assert len({v for v in koszul if v is not None}) <= 1, (where, koszul)
             for verdicts in (local, double):
                 assert len(set(verdicts) & {"holds", "violated"}) <= 1, (where, verdicts)
+            for s in range(-4, 5):
+                certs = [c[s] for c in cut]
+                if any(c is not None and c.h_match for c in certs):
+                    assert None not in certs, (where, s)
+                hs = [(cohomology(c.module), c.certified_window) for c in certs if c is not None]
+                for d in set().union(*(rep.dims for rep, _ in hs)):
+                    assert len({rep.dim(d) for rep, window in hs if window.contains(d)}) <= 1, (where, s, d)
